@@ -1,9 +1,9 @@
 (* `--fig tenants`: the multi-log fabric at scale (not a paper figure).
 
    (a) Aggregate append throughput vs tenant count, Erwin-m with
-   [multi_log] + [fair_ingress] on: one open-loop Poisson arrival
-   process spread over N tenant logs with YCSB-style Zipf skew
-   (theta 0.99), N on a ladder from 1 to thousands. Each tenant is an
+   [fair_ingress] on: one open-loop Poisson arrival process spread
+   over N tenant logs with YCSB-style Zipf skew (theta 0.99), N on a
+   ladder from 1 to thousands. Each tenant is an
    independent sequencing keyspace with its own stable cursor; the
    headline claim is that the packed keyspace and per-log cursors are
    O(1) per append, so a thousand logs cost what one does — the
@@ -28,7 +28,7 @@ open Harness
 let ladder_point ~ntenants ~rate ~size ~duration =
   Runner.in_sim (fun () ->
       let cfg =
-        { Config.default with Config.multi_log = true; fair_ingress = true }
+        { Config.default with Config.fair_ingress = true }
       in
       let cluster = Erwin_m.create ~cfg () in
       let clients =
@@ -59,8 +59,7 @@ let victim_latency ~aggressor ~fair ~duration =
       let cfg =
         {
           Config.default with
-          Config.multi_log = true;
-          fair_ingress = fair;
+          Config.fair_ingress = fair;
           (* One aggressor record per DRR round: the victim's worst-case
              wait under fairness is a single large service, not a whole
              multi-record quantum. *)

@@ -1,7 +1,8 @@
 (* Bechamel microbenchmarks of the hot data structures (real wall-clock
    performance of the OCaml implementation, not simulated time), plus the
-   ordering-saturation benchmark comparing the serial and pipelined
-   background orderers (simulated time). *)
+   ordering-saturation benchmark comparing the background orderer at
+   depth 1 with a fixed batch against its default pipelined, adaptive
+   configuration (simulated time). *)
 
 open Bechamel
 open Toolkit
@@ -71,7 +72,7 @@ let ordering_saturation ~cfg ~duration =
         Erwin_common.avg_batch cluster,
         cluster.metrics.largest_batch ))
 
-(* Stable-gp lag at a fixed offered rate below serial capacity: a feeder
+(* Stable-gp lag at a fixed offered rate below depth-1 capacity: a feeder
    appends [rate] records/s to the leader's log while a sampler measures,
    every 5us, how many appended records are not yet stable. Reported as
    microseconds of lag at the offered rate (records_behind / rate). This
@@ -129,24 +130,24 @@ let ordering_lag ~cfg ~rate ~duration =
       (Stats.Reservoir.mean_us lag, Stats.Reservoir.percentile_us lag 99.0))
 
 let run_saturation () =
-  Harness.section "Ordering saturation: serial vs pipelined orderer";
+  Harness.section "Ordering saturation: depth 1 vs pipelined orderer";
   Harness.note
     "feeder-saturated sequencing log, 64B records, NVMe shards, unbounded dirty buffer";
   let duration = Harness.dur 40 200 in
-  let serial_cfg =
+  let depth1_cfg =
     saturation_cfg
       { Lazylog.Config.default with pipeline_depth = 1; adaptive_batch = false }
   in
   let piped_cfg = saturation_cfg Lazylog.Config.default in
   let thr_s, mean_s, p99_s, avg_s, max_s =
-    ordering_saturation ~cfg:serial_cfg ~duration
+    ordering_saturation ~cfg:depth1_cfg ~duration
   in
   let thr_p, mean_p, p99_p, avg_p, max_p =
     ordering_saturation ~cfg:piped_cfg ~duration
   in
   Harness.table_header
     [ "variant"; "orders/s"; "lag_mean_us"; "lag_p99_us"; "avg_batch"; "max_batch" ];
-  Harness.row "serial (depth=1, fixed)"
+  Harness.row "depth=1, fixed"
     [
       Harness.kops thr_s;
       Harness.f1 mean_s;
@@ -164,15 +165,15 @@ let run_saturation () =
     ];
   Harness.row "speedup"
     [ Printf.sprintf "%.2fx" (thr_p /. thr_s); "-"; "-"; "-"; "-" ];
-  (* Lag at 60% of the serial orderer's measured capacity: both variants
+  (* Lag at 60% of the depth-1 orderer's measured capacity: both variants
      keep up on average, so the difference is pure pipeline latency. *)
   let rate = 0.6 *. thr_s in
-  let lmean_s, lp99_s = ordering_lag ~cfg:serial_cfg ~rate ~duration in
+  let lmean_s, lp99_s = ordering_lag ~cfg:depth1_cfg ~rate ~duration in
   let lmean_p, lp99_p = ordering_lag ~cfg:piped_cfg ~rate ~duration in
   Harness.section "Stable-gp lag at fixed rate (%.1fM records/s)"
     (rate /. 1e6);
   Harness.table_header [ "variant"; "lag_mean_us"; "lag_p99_us" ];
-  Harness.row "serial (depth=1, fixed)" [ Harness.f1 lmean_s; Harness.f1 lp99_s ];
+  Harness.row "depth=1, fixed" [ Harness.f1 lmean_s; Harness.f1 lp99_s ];
   Harness.row "pipelined (depth=4, adaptive)"
     [ Harness.f1 lmean_p; Harness.f1 lp99_p ]
 

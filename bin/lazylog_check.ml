@@ -139,8 +139,8 @@ let write_artifact dir (o : Checker.outcome) =
     Artifact.save ~path a;
     Some path
 
-let run_sweep systems seeds seed_base shards jobs quick serial batching
-    replica_reads subscriptions gray tenants bug artifact_dir =
+let run_sweep systems seeds seed_base shards jobs quick batching replica_reads
+    subscriptions gray tenants bug artifact_dir =
   let horizon =
     if quick then Checker.quick_horizon else Checker.default_horizon
   in
@@ -148,19 +148,17 @@ let run_sweep systems seeds seed_base shards jobs quick serial batching
     List.concat_map
       (fun system ->
         List.init seeds (fun i ->
-            Checker.scenario ~system ~seed:(seed_base + i) ~shards ~serial
-              ~batching ~replica_reads ~subscriptions ~gray ~tenants ?bug
-              ~horizon ()))
+            Checker.scenario ~system ~seed:(seed_base + i) ~shards ~batching
+              ~replica_reads ~subscriptions ~gray ~tenants ?bug ~horizon ()))
       systems
   in
   Printf.printf
-    "lazylog-check: %d runs (%s; seeds %d..%d; %d shards%s%s%s; %d jobs)\n%!"
+    "lazylog-check: %d runs (%s; seeds %d..%d; %d shards%s%s; %d jobs)\n%!"
     (List.length scenarios)
     (String.concat "," systems)
     seed_base
     (seed_base + seeds - 1)
     shards
-    (if serial then "; serial orderer" else "")
     ((if batching then "; append batching" else "")
     ^ (if replica_reads then "; replica reads" else "")
     ^ (if subscriptions then "; subscriptions" else "")
@@ -234,15 +232,15 @@ let run_replay path =
     print_endline "replay completed with NO violation (artifact stale?)";
     0
 
-let main scheduler systems seeds seed_base shards jobs quick serial batching
+let main scheduler systems seeds seed_base shards jobs quick batching
     replica_reads subscriptions gray tenants bug artifact_dir replay =
   (* Set before any Engine.run; spawned sweep domains inherit it. *)
   Ll_sim.Engine.set_scheduler scheduler;
   match replay with
   | Some path -> run_replay path
   | None ->
-    run_sweep systems seeds seed_base shards jobs quick serial batching
-      replica_reads subscriptions gray tenants bug artifact_dir
+    run_sweep systems seeds seed_base shards jobs quick batching replica_reads
+      subscriptions gray tenants bug artifact_dir
 
 open Cmdliner
 
@@ -284,14 +282,6 @@ let quick =
   Arg.(
     value & flag
     & info [ "quick" ] ~doc:"Shorter per-run horizon (CI smoke mode).")
-
-let serial =
-  Arg.(
-    value & flag
-    & info [ "serial" ]
-        ~doc:
-          "Check the serial-orderer baseline (pipeline_depth=1, fixed \
-           batch) instead of the pipelined orderer.")
 
 let batching =
   Arg.(
@@ -379,7 +369,7 @@ let cmd =
     (Cmd.info "lazylog-check" ~doc)
     Term.(
       const main $ scheduler $ systems $ seeds $ seed_base $ shards $ jobs
-      $ quick $ serial $ batching $ replica_reads $ subscriptions $ gray
+      $ quick $ batching $ replica_reads $ subscriptions $ gray
       $ tenants $ bug $ artifact_dir $ replay)
 
 let () = exit (Cmd.eval' cmd)

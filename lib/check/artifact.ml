@@ -4,7 +4,6 @@ type scenario = {
   system : string;
   seed : int;
   shards : int;
-  serial : bool;
   batching : bool;  (* run clients with append group commit enabled *)
   replica_reads : bool;
       (* run the demand-driven read path: replica reads + read-triggered
@@ -44,7 +43,6 @@ let to_string a =
   line "system %s" a.scenario.system;
   line "seed %d" a.scenario.seed;
   line "shards %d" a.scenario.shards;
-  line "serial %b" a.scenario.serial;
   line "batching %b" a.scenario.batching;
   line "replica_reads %b" a.scenario.replica_reads;
   line "subscriptions %b" a.scenario.subscriptions;
@@ -91,13 +89,23 @@ let of_string s =
       | None -> failwith ("artifact: missing field " ^ k)
     in
     let geti k = int_of_string (get k) in
+    (* Artifacts from before the serial orderer's removal carry a
+       [serial] line. [false] named the orderer that still runs; [true]
+       named one that no longer exists, and replaying it under the
+       pipelined orderer would silently check a different run. *)
+    (match Hashtbl.find_opt fields "serial" with
+    | Some "true" ->
+      failwith
+        "artifact: recorded under the removed serial orderer (serial \
+         true); it cannot be replayed"
+    | Some "false" | None -> ()
+    | Some v -> failwith ("artifact: bad serial field " ^ v));
     {
       scenario =
         {
           system = get "system";
           seed = geti "seed";
           shards = geti "shards";
-          serial = bool_of_string (get "serial");
           (* Absent in pre-batching artifacts: default off. *)
           batching =
             (match Hashtbl.find_opt fields "batching" with

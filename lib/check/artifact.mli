@@ -18,7 +18,6 @@ type scenario = {
   system : string;  (** ["erwin-m"] or ["erwin-st"] *)
   seed : int;  (** master seed: engine rng, perturbation, workload *)
   shards : int;
-  serial : bool;  (** serial-orderer baseline ([pipeline_depth = 1]) *)
   batching : bool;  (** clients run with append group commit enabled *)
   replica_reads : bool;
       (** demand-driven read path on (replica reads, eager binding,

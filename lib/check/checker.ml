@@ -10,11 +10,6 @@ let quick_horizon = Engine.ms 25
 let config_of (sc : Artifact.scenario) =
   let cfg = Config.with_shards Config.default sc.shards in
   let cfg = { cfg with Config.append_timeout = Engine.ms 2 } in
-  let cfg =
-    if sc.serial then
-      { cfg with Config.pipeline_depth = 1; adaptive_batch = false }
-    else cfg
-  in
   (* Default linger (20 us) sits well under the checker's 2 ms append
      timeout, so batched appends still retry within the horizon. *)
   let cfg =
@@ -37,8 +32,7 @@ let config_of (sc : Artifact.scenario) =
          horizon when the aggressor bursts. *)
       {
         cfg with
-        Config.multi_log = true;
-        fair_ingress = true;
+        Config.fair_ingress = true;
         tenant_weights = [ (1, 2) ];
         ingress_queue = 8;
       }
@@ -73,15 +67,14 @@ let gen_script ?(gray = false) ~seed ~horizon ~shards () =
   Fault_dsl.gen ~gray rng ~horizon
     ~nreplicas:Config.default.Config.seq_replica_count ~nshards:shards
 
-let scenario ~system ~seed ?(shards = 2) ?(serial = false)
-    ?(batching = false) ?(replica_reads = false) ?(subscriptions = false)
-    ?(gray = false) ?(tenants = false) ?bug ?(horizon = default_horizon) () :
+let scenario ~system ~seed ?(shards = 2) ?(batching = false)
+    ?(replica_reads = false) ?(subscriptions = false) ?(gray = false)
+    ?(tenants = false) ?bug ?(horizon = default_horizon) () :
     Artifact.scenario =
   {
     Artifact.system;
     seed;
     shards;
-    serial;
     batching;
     replica_reads;
     subscriptions;

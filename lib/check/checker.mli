@@ -24,7 +24,6 @@ val scenario :
   system:string ->
   seed:int ->
   ?shards:int ->
-  ?serial:bool ->
   ?batching:bool ->
   ?replica_reads:bool ->
   ?subscriptions:bool ->

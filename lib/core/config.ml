@@ -41,7 +41,6 @@ type t = {
   outlier_interval : Engine.time;
   outlier_factor : float;
   outlier_min_samples : int;
-  multi_log : bool;
   fair_ingress : bool;
   tenant_weights : (int * int) list;
   drr_quantum : int;
@@ -111,9 +110,8 @@ let default =
     outlier_interval = Engine.us 500;
     outlier_factor = 4.0;
     outlier_min_samples = 8;
-    (* Multi-log fabric defaults off: one log (log 0), no ingress
-       scheduler installed, so figs 6-18 stay byte-identical. *)
-    multi_log = false;
+    (* Fair ingress defaults off: no ingress scheduler is installed, so
+       figs 6-18 stay byte-identical. *)
     fair_ingress = false;
     tenant_weights = [];
     drr_quantum = 4_096;

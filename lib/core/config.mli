@@ -23,8 +23,9 @@ type t = {
       (** grow the ordering batch while the sequencing log keeps a backlog,
           shrink it back to [min_batch] when drained *)
   pipeline_depth : int;
-      (** max ordering batches in flight at once; [1] plus
-          [adaptive_batch = false] selects the legacy serial orderer *)
+      (** max ordering batches in flight at once; at [1] with
+          [adaptive_batch = false] the orderer runs one fixed-size batch
+          at a time, with no overlap between batches *)
   seq_base_ns : int;  (** sequencing-replica CPU per request, base *)
   seq_per_byte_ns : float;  (** sequencing-replica CPU per payload byte *)
   shard_base_ns : int;  (** shard CPU per request *)
@@ -115,17 +116,13 @@ type t = {
   outlier_factor : float;  (** eviction threshold vs median score *)
   outlier_min_samples : int;
       (** samples required from every replica before judging *)
-  multi_log : bool;
-      (** opt-in multi-log fabric: entries carry a log id, the sequencing
-          keyspace packs (log, position) into one int ({!Logid}) and every
-          log advances its own last-ordered / stable-gp cursors — one
-          cluster multiplexes thousands of tenant logs. Off by default:
-          every entry then lives in log 0, whose packed positions are the
-          raw legacy positions, so figs 6-18 stay byte-identical. *)
   fair_ingress : bool;
-      (** with {!field-multi_log}: weighted-fair scheduling at the
-          sequencing-replica ingress. Data-plane appends enqueue into
-          per-tenant queues drained by deficit round robin (quantum
+      (** opt-in weighted-fair scheduling at the sequencing-replica
+          ingress, for the multi-log fabric. Tenant logs themselves need
+          no knob: a client opened on a tenant log tags its entries with
+          the log id, and every log advances its own packed cursors
+          ({!Logid}). Data-plane appends enqueue into per-tenant queues
+          drained by deficit round robin (quantum
           {!field-drr_quantum} x the tenant's weight), and a per-tenant
           token bucket ({!field-admit_rate}/{!field-admit_burst}) plus a
           queue bound ({!field-ingress_queue}) sheds excess arrivals with

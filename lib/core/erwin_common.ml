@@ -58,7 +58,6 @@ type t = {
   mutable next_client : int;
   mutable crash_time : Engine.time option;
   mutable reconfig_log : reconfig_timings list;
-  mutable ordering_in_progress : bool;
   order_idle : Ll_sim.Waitq.t;
   mutable batches : int;
   mutable batched_entries : int;
@@ -105,7 +104,6 @@ let create ~cfg ~mode =
       next_client = 0;
       crash_time = None;
       reconfig_log = [];
-      ordering_in_progress = false;
       order_idle = Waitq.create ();
       batches = 0;
       batched_entries = 0;

@@ -59,7 +59,6 @@ type t = {
   mutable crash_time : Engine.time option;
       (** set by fault-injecting benches so detection time can be derived *)
   mutable reconfig_log : reconfig_timings list;
-  mutable ordering_in_progress : bool;
   order_idle : Waitq.t;
   (* background-ordering batch statistics (figure 11's right axis) *)
   mutable batches : int;

@@ -14,7 +14,7 @@ val create : ?cfg:Config.t -> unit -> Erwin_common.t
 val client : ?log:int -> Erwin_common.t -> Log_api.t
 (** A fresh client handle (own fabric node, own client id). Handles are
     single-fiber: spawn one per concurrent client. [append_sync] is
-    provided (the section 5.5 extension). With [log] (multi-log fabric,
-    [cfg.multi_log]) the handle is pinned to that tenant log: appends
-    carry its id, and positions ([read]/[check_tail]/[append_sync]) are
-    per-log. [trim] is single-log only. *)
+    provided (the section 5.5 extension). With [log] (multi-log fabric)
+    the handle is pinned to that tenant log: appends carry its id, and
+    positions ([read]/[check_tail]/[append_sync]) are per-log. [trim] is
+    log 0 only. *)

@@ -19,9 +19,8 @@ val client : ?log:int -> Erwin_common.t -> Log_api.t
     fetching [cfg.map_fetch_chunk] positions in bulk on misses
     (amortization, section 5.3). Returned records include no-ops (filter
     with {!Types.is_no_op}) so positions stay aligned. With [log]
-    (multi-log fabric, [cfg.multi_log]) the handle is pinned to that
-    tenant log: appends carry its id and positions are per-log. [trim]
-    is single-log only. *)
+    (multi-log fabric) the handle is pinned to that tenant log: appends
+    carry its id and positions are per-log. [trim] is log 0 only. *)
 
 val reader :
   Erwin_common.t ->

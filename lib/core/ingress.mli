@@ -11,9 +11,9 @@
 
     Only data-plane appends ([Sr_append] / [Sr_append_batch]) are
     scheduled; all other traffic falls through to the default FIFO path
-    unchanged. Installed only when [multi_log && fair_ingress] — with the
-    knobs off no scheduler exists and the replica behaves
-    byte-identically to the single-log system. *)
+    unchanged. Installed only when [fair_ingress] — with the knob off no
+    scheduler exists and the replica keeps its FIFO ingress,
+    byte-identically. *)
 
 type t
 

@@ -185,50 +185,51 @@ end
 
 (* ---------- position assignment ---------- *)
 
-(* Assign ordering positions to a claimed batch. Log 0 draws densely from
-   the [next0] cursor — with [multi_log] off every entry is log 0 and this
-   is exactly the historical [base + i] numbering. Under [multi_log],
-   tenant entries draw from their own packed cursor in [tbl], seeded from
-   the leader's per-log ordered frontier on first touch (safe: a log
-   absent from [tbl] has no in-flight batch, so the leader's committed
-   frontier is authoritative). Returns the slots plus the [(log, frontier)]
-   list for tenant logs this batch advanced. *)
-let assign_positions (cluster : t) slog ~next0 ~tbl
-    (entries : Types.entry array) =
-  if not cluster.cfg.Config.multi_log then begin
-    let base = !next0 in
-    next0 := base + Array.length entries;
-    (Array.mapi (fun i e -> (base + i, e)) entries, [])
-  end
-  else begin
-    let seen = Hashtbl.create 8 in
-    let slots =
-      Array.map
-        (fun e ->
-          let log = Types.entry_log e in
-          if log = 0 then begin
-            let gp = !next0 in
-            next0 := gp + 1;
-            (gp, e)
-          end
-          else begin
-            let g =
-              match Hashtbl.find_opt tbl log with
-              | Some g -> g
-              | None -> Seq_log.last_ordered_gp_for slog ~log
-            in
-            Hashtbl.replace tbl log (g + 1);
-            Hashtbl.replace seen log ();
-            (g, e)
-          end)
-        entries
-    in
-    let new_gps =
-      Hashtbl.fold (fun log () acc -> (log, Hashtbl.find tbl log) :: acc) seen
-        []
-    in
-    (slots, new_gps)
-  end
+(* A claimed batch's slots before assignment fills them in. *)
+let no_slot = (0, Types.Data Types.no_op)
+
+(* Assign ordering positions to a batch, in entry order. Log 0 draws
+   densely from the [next0] cursor; each tenant log draws from its own
+   packed cursor in [tbl], seeded on first touch from [frontier log].
+   Returns the slots plus the [(log, frontier)] list for the tenant logs
+   this batch advanced. A log-0-only batch allocates nothing beyond its
+   slots: the set of advanced tenant logs is created on the first tenant
+   entry. The orderer and the recovery flush share this one
+   assignment. *)
+let assign_positions ~frontier ~next0 ~tbl (entries : Types.entry array) =
+  let slots = Array.make (Array.length entries) no_slot in
+  let seen = ref None in
+  for i = 0 to Array.length entries - 1 do
+    let e = entries.(i) in
+    let log = Types.entry_log e in
+    if log = 0 then begin
+      slots.(i) <- (!next0, e);
+      incr next0
+    end
+    else begin
+      let g =
+        match Hashtbl.find_opt tbl log with Some g -> g | None -> frontier log
+      in
+      Hashtbl.replace tbl log (g + 1);
+      let advanced =
+        match !seen with
+        | Some h -> h
+        | None ->
+          let h = Hashtbl.create 8 in
+          seen := Some h;
+          h
+      in
+      Hashtbl.replace advanced log ();
+      slots.(i) <- (g, e)
+    end
+  done;
+  match !seen with
+  | None -> (slots, [])
+  | Some advanced ->
+    ( slots,
+      Hashtbl.fold
+        (fun log () acc -> (log, Hashtbl.find tbl log) :: acc)
+        advanced [] )
 
 (* ---------- read-triggered eager binding ---------- *)
 
@@ -240,7 +241,7 @@ let assign_positions (cluster : t) slog ~next0 ~tbl
 let demand_pending (cluster : t) ~frontier =
   (cluster.cfg.Config.read_demand || cluster.cfg.Config.subscriptions)
   && (cluster.demand_upto > frontier
-     || (cluster.cfg.Config.multi_log
+     || (Hashtbl.length cluster.demand_uptos > 0
         &&
         (* Tenant demand compares against the leader's committed per-log
            frontier; with in-flight batches this can over-report, but the
@@ -259,11 +260,6 @@ let demand_pending (cluster : t) ~frontier =
        && (not (Seq_replica.is_sealed ldr))
        && Seq_log.unclaimed_count (Seq_replica.log ldr) > 0
      | [] -> false)
-
-let serial_frontier (cluster : t) =
-  match cluster.replicas with
-  | r :: _ -> Seq_log.last_ordered_gp (Seq_replica.log r)
-  | [] -> max_int
 
 (* The idle sleep between ordering passes. Gated on the demand knobs
    because an interruptible wait schedules different engine events than a
@@ -298,58 +294,6 @@ let note_stable (cluster : t) ~size ~claimed_at =
   m.last_stable_at <- Engine.now ();
   Stats.Reservoir.add m.stable_lag (Engine.now () - claimed_at)
 
-(* ---------- legacy serial orderer (pipeline_depth <= 1, fixed batch) ----
-
-   One strictly sequential push -> leader GC -> follower GC -> stable
-   round per interval; kept as the baseline the pipelined path is
-   benchmarked against (bench/micro.ml) and for configurations that want
-   the original behavior. *)
-
-let serial_pass (cluster : t) ep =
-  let ldr = leader cluster in
-  if
-    (not cluster.reconfiguring)
-    && Fabric.is_alive (Seq_replica.node ldr)
-    && not (Seq_replica.is_sealed ldr)
-  then begin
-    let view = cluster.view in
-    let slog = Seq_replica.log ldr in
-    let entries = Seq_log.unordered slog ~max:cluster.cfg.Config.max_batch () in
-    if entries <> [] then begin
-      let claimed_at = Engine.now () in
-      let next0 = ref (Seq_log.last_ordered_gp slog) in
-      (* Fully synchronous pass: the leader's per-log frontiers are
-         authoritative, so the tenant cursor table starts fresh. *)
-      let slots_arr, new_gps =
-        assign_positions cluster slog ~next0 ~tbl:(Hashtbl.create 8)
-          (Array.of_list entries)
-      in
-      let slots = Array.to_list slots_arr in
-      let n = List.length entries in
-      cluster.ordering_in_progress <- true;
-      note_claim cluster n;
-      push_batch cluster ep ~truncate_from:None slots;
-      (* The batch is on the shards. Collect it replica by replica; only
-         when every replica has GC'd may stable-gp move (section 4.5). *)
-      if
-        cluster.view = view
-        && (not cluster.reconfiguring)
-        && Fabric.is_alive (Seq_replica.node ldr)
-      then begin
-        let gc_slots = List.map (fun (gp, e) -> (gp, Types.entry_rid e)) slots in
-        let new_gp = !next0 in
-        Seq_replica.apply_gc ldr ~gps:new_gps ~slots:gc_slots ~new_gp;
-        if gc_followers cluster ep ~view ~gps:new_gps ~slots:gc_slots ~new_gp ()
-        then begin
-          broadcast_stable_logs cluster ep ~new_gp ~new_gps;
-          note_stable cluster ~size:n ~claimed_at
-        end
-      end;
-      cluster.ordering_in_progress <- false;
-      Waitq.broadcast cluster.order_idle
-    end
-  end
-
 (* ---------- pipelined orderer ----------
 
    Two fibers per cluster:
@@ -363,7 +307,9 @@ let serial_pass (cluster : t) ep =
 
    So batch N+1's shard pushes overlap batch N's follower GC and stable
    broadcast, while stable-gp still advances in batch order. In-flight
-   batches are bounded by [pipeline_depth]. A seal or view change between
+   batches are bounded by [pipeline_depth]; at depth 1 the dispatcher
+   waits for each batch to commit before claiming the next, so no two
+   batches overlap. A seal or view change between
    a batch's push and its GC invalidates the batch: the committer drops it
    without touching stable-gp, and the recovery flush re-binds its
    positions idempotently (explicit-position binding). *)
@@ -374,7 +320,7 @@ type batch = {
   gc_slots : (int * Types.Rid.t) list;
   new_gp : int;
   new_gps : (int * int) list;
-      (* tenant frontiers this batch advanced (multi_log; else []) *)
+      (* tenant frontiers this batch advanced ([] for a log-0 batch) *)
   size : int;
   pushed : unit Ivar.t;
   claimed_at : Engine.time;
@@ -424,6 +370,11 @@ let pipelined_loop (cluster : t) ep =
       loop ());
   let next_gp = ref 0 in
   let next_gps : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  (* A tenant log absent from [next_gps] has no batch in flight, so the
+     leader's committed frontier for it is authoritative. *)
+  let tenant_frontier log =
+    Seq_log.last_ordered_gp_for (Seq_replica.log (leader cluster)) ~log
+  in
   let pipe_view = ref (-1) in
   let rec loop () =
     Waitq.await cluster.order_idle (fun () ->
@@ -440,7 +391,7 @@ let pipelined_loop (cluster : t) ep =
           cluster.order_resync <- false
         end;
         next_gp := Seq_log.last_ordered_gp (Seq_replica.log r);
-        if cluster.cfg.Config.multi_log then Hashtbl.reset next_gps
+        Hashtbl.reset next_gps
       | [] -> ());
       pipe_view := cluster.view
     end;
@@ -463,8 +414,8 @@ let pipelined_loop (cluster : t) ep =
           if n = 0 then (0, 0)
           else begin
             let slots, new_gps =
-              assign_positions cluster slog ~next0:next_gp ~tbl:next_gps
-                entries
+              assign_positions ~frontier:tenant_frontier ~next0:next_gp
+                ~tbl:next_gps entries
             in
             let gc_slots = ref [] in
             for i = n - 1 downto 0 do
@@ -532,18 +483,9 @@ let start (cluster : t) =
     List.iter
       (fun s -> Shard.set_demand_target s (Some (Rpc.endpoint_id ep)))
       cluster.shards;
-  if cfg.Config.pipeline_depth <= 1 && not cfg.Config.adaptive_batch then
-    Engine.spawn ~name:"orderer" (fun () ->
-        let rec loop () =
-          idle_wait cluster ~frontier:(fun () -> serial_frontier cluster);
-          serial_pass cluster ep;
-          loop ()
-        in
-        loop ())
-  else Engine.spawn ~name:"orderer" (fun () -> pipelined_loop cluster ep)
+  Engine.spawn ~name:"orderer" (fun () -> pipelined_loop cluster ep)
 
-let is_idle (cluster : t) =
-  (not cluster.ordering_in_progress) && cluster.inflight_batches = 0
+let is_idle (cluster : t) = cluster.inflight_batches = 0
 
 let wait_idle (cluster : t) =
   Waitq.await cluster.order_idle (fun () -> is_idle cluster)

@@ -7,15 +7,19 @@
     every replica, and only then advances stable-gp — the order the
     correctness argument of section 4.5 depends on.
 
-    By default those stages are pipelined across batches: a dispatcher
-    fiber claims batch N+1 from the leader's log and fires its per-shard
-    pushes while batch N's follower GC and stable broadcast are still in
-    flight, and a committer fiber retires batches strictly in dispatch
-    order so stable-gp never advances out of order. In-flight batches are
-    bounded by [Config.pipeline_depth]; batch size adapts between
-    [Config.min_batch] and [Config.max_batch] ({!Adaptive}). Setting
-    [pipeline_depth = 1] with [adaptive_batch = false] selects the
-    original strictly serial single-fiber orderer.
+    Those stages are pipelined across batches: a dispatcher fiber claims
+    batch N+1 from the leader's log and fires its per-shard pushes while
+    batch N's follower GC and stable broadcast are still in flight, and a
+    committer fiber retires batches strictly in dispatch order so
+    stable-gp never advances out of order. In-flight batches are bounded
+    by [Config.pipeline_depth]; batch size adapts between
+    [Config.min_batch] and [Config.max_batch] ({!Adaptive}). At
+    [pipeline_depth = 1] with [adaptive_batch = false] the same loop runs
+    one fixed-size batch at a time, with no overlap between batches.
+
+    Every log goes through one cursor path: log 0 draws dense positions
+    from the ordering frontier, and each tenant log of the multi-log
+    fabric ({!Logid}) draws from its own packed cursor.
 
     The dispatcher reads the leader's log directly (the paper does this
     with RDMA so the leader's CPU is not consumed) and quiesces while a
@@ -32,11 +36,25 @@ val push_batch :
   unit
 (** Pushes positioned entries to the shards and waits for all of them to
     acknowledge (replication included). With [truncate_from], every shard
-    first logically overwrites its tail from that position — the recovery
-    flush path (section 4.5). [truncate_logs] is the multi-log analogue:
-    packed per-tenant frontiers whose logs are selectively unbound from
-    that position up, in the same message as the rebinding slots (so the
-    unbind/rebind pair is atomic per shard). Also used by {!Reconfig}. *)
+    first logically overwrites log 0's tail from that position — the
+    recovery flush path (section 4.5). [truncate_logs] does the same for
+    tenant logs: each packed frontier unbinds its own log from that
+    position up. Both travel in the same message as the rebinding slots
+    (so the unbind/rebind pair is atomic per shard), and neither touches
+    another log's positions. Also used by {!Reconfig}. *)
+
+val assign_positions :
+  frontier:(int -> int) ->
+  next0:int ref ->
+  tbl:(int, int) Hashtbl.t ->
+  Types.entry array ->
+  (int * Types.entry) array * (int * int) list
+(** Assigns positions to a batch in entry order: log-0 entries take
+    [!next0], [!next0 + 1], ...; each tenant log's entries take the next
+    positions of its packed cursor in [tbl], seeded from [frontier log]
+    on first touch. Both cursors are advanced. Returns the positioned
+    slots and the final cursor of every tenant log the batch advanced.
+    Shared by the orderer and the recovery flush ({!Reconfig}). *)
 
 val broadcast_stable :
   Erwin_common.t -> (Proto.req, Proto.resp) Rpc.endpoint -> int -> unit

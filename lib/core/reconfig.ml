@@ -55,59 +55,32 @@ let run_view_change (cluster : t) ep ~detect ?(exclude = fun _ -> false) () =
       | Some (Proto.R_state { gp; gps; entries }) -> (gp, gps, entries)
       | Some _ | None -> failwith "reconfig: bad get_state response"
     in
-    let slots, new_gp, new_gps, truncate_from, truncate_logs =
-      if not cluster.cfg.Config.multi_log then
-        (* Single log: the historical dense flush from [gp], with a
-           numeric tail truncate. *)
-        ( List.mapi (fun i e -> (gp + i, e)) entries,
-          gp + List.length entries,
-          [],
-          Some gp,
-          [] )
-      else begin
-        (* Multi-log: reassign each surviving unordered entry from its
-           own log's recovered frontier, and truncate every log that
-           could have half-pushed positions — any log with a replicated
-           frontier or a surviving entry — from that frontier. A numeric
-           truncate would destroy the other logs' interleaved tails. *)
-        let fronts = Hashtbl.create 8 in
-        Hashtbl.replace fronts 0 gp;
-        List.iter (fun (lg, g) -> Hashtbl.replace fronts lg g) gps;
-        List.iter
-          (fun e ->
-            let lg = Types.entry_log e in
-            if not (Hashtbl.mem fronts lg) then
-              Hashtbl.replace fronts lg (Logid.base ~log:lg))
-          entries;
-        let truncate_logs = Hashtbl.fold (fun _ f acc -> f :: acc) fronts [] in
-        let tbl = Hashtbl.create 8 in
-        List.iter (fun (lg, g) -> Hashtbl.replace tbl lg g) gps;
-        let next0 = ref gp in
-        let slots =
-          List.map
-            (fun e ->
-              let lg = Types.entry_log e in
-              if lg = 0 then begin
-                let p = !next0 in
-                next0 := p + 1;
-                (p, e)
-              end
-              else begin
-                let g =
-                  match Hashtbl.find_opt tbl lg with
-                  | Some g -> g
-                  | None -> Logid.base ~log:lg
-                in
-                Hashtbl.replace tbl lg (g + 1);
-                (g, e)
-              end)
-            entries
-        in
-        let new_gps = Hashtbl.fold (fun lg g acc -> (lg, g) :: acc) tbl [] in
-        (slots, !next0, new_gps, None, truncate_logs)
-      end
+    (* Reassign each surviving unordered entry from its own log's
+       recovered frontier, with the orderer's assignment, and truncate
+       every log that could hold half-pushed positions from that
+       frontier: log 0 from [gp], and each tenant log with a replicated
+       frontier or a surviving entry from its own. *)
+    let fronts = Hashtbl.create 8 in
+    List.iter (fun (lg, g) -> Hashtbl.replace fronts lg g) gps;
+    List.iter
+      (fun e ->
+        let lg = Types.entry_log e in
+        if lg <> 0 && not (Hashtbl.mem fronts lg) then
+          Hashtbl.replace fronts lg (Logid.base ~log:lg))
+      entries;
+    let truncate_logs = Hashtbl.fold (fun _ f acc -> f :: acc) fronts [] in
+    let next0 = ref gp in
+    let slots, _ =
+      Orderer.assign_positions
+        ~frontier:(fun log -> Logid.base ~log)
+        ~next0 ~tbl:fronts (Array.of_list entries)
     in
-    Orderer.push_batch cluster ep ~truncate_logs ~truncate_from slots;
+    let slots = Array.to_list slots in
+    let new_gp = !next0 in
+    (* Every tenant frontier, advanced or not: the new view installs the
+       whole table. *)
+    let new_gps = Hashtbl.fold (fun lg g acc -> (lg, g) :: acc) fronts [] in
+    Orderer.push_batch cluster ep ~truncate_logs ~truncate_from:(Some gp) slots;
     let flush_d = Engine.now () - t0 in
     (* New view: configuration to ZooKeeper first, then install, and only
        then advance stable-gp. *)

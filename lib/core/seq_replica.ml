@@ -19,9 +19,9 @@ type t = {
      durable floor. Deliberately not cleared on view install — the cursor
      is client-progress state, not view state. *)
   sub_cursors : (string, int * int) Hashtbl.t;
-  (* Weighted-fair ingress scheduler, present only when
-     [multi_log && fair_ingress] (otherwise the endpoint keeps the
-     default FIFO discipline, byte-identically). *)
+  (* Weighted-fair ingress scheduler, present only when [fair_ingress]
+     (otherwise the endpoint keeps the default FIFO discipline,
+     byte-identically). *)
   mutable fair : Ingress.t option;
 }
 
@@ -109,13 +109,6 @@ let handle t ~src:_ (req : Proto.req) ~reply =
   | Sr_check_tail { view; log } ->
     if view <> t.view || t.sealed then
       reply (Proto.R_tail { ok = false; tail = 0 })
-    else if not t.cfg.Config.multi_log then
-      reply
-        (Proto.R_tail
-           {
-             ok = true;
-             tail = Seq_log.last_ordered_gp t.slog + Seq_log.live_count t.slog;
-           })
     else
       (* Per-log tail: that log's frontier plus its own live entries,
          reported as a per-log position (the caller reasons within one
@@ -236,6 +229,6 @@ let create ~cfg ~fabric ~name:rname =
   Rpc.set_service_time ep (service_time cfg);
   Rpc.set_handler ep (fun ~src req ~reply ->
       handle t ~src req ~reply:(fun r -> reply ~size:(Proto.resp_size r) r));
-  if cfg.Config.multi_log && cfg.Config.fair_ingress then
+  if cfg.Config.fair_ingress then
     t.fair <- Some (Ingress.install ~cfg ~view:(fun () -> t.view) ep);
   t

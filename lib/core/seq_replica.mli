@@ -38,14 +38,14 @@ val apply_gc :
   ?gps:(int * int) list -> t -> slots:(int * Types.Rid.t) list ->
   new_gp:int -> unit
 (** Local equivalent of [Sr_gc], used by the orderer on the leader.
-    [gps] carries the per-log ordered frontiers ([(log, packed gp)],
-    logs > 0) advanced by the same ordering pass under [multi_log];
-    empty (the default) on the single-log path. *)
+    [gps] carries the tenant logs' ordered frontiers ([(log, packed
+    gp)], logs > 0) advanced by the same ordering pass; empty (the
+    default) for a batch of log-0 entries only. *)
 
 val ingress : t -> Ingress.t option
 (** The weighted-fair ingress scheduler, present iff the replica was
-    created with [multi_log && fair_ingress] (tests and the tenants
-    bench read its per-tenant admit/shed counters). *)
+    created with [fair_ingress] (tests and the tenants bench read its
+    per-tenant admit/shed counters). *)
 
 val sub_cursor : t -> string -> (int * int) option
 (** The replicated [(epoch, cursor)] of a named subscription, as last

@@ -69,37 +69,15 @@ let make_disk cfg =
   | Config.Sata -> Disk.sata_ssd ()
   | Config.Nvme -> Disk.nvme_ssd ()
 
-(* Move bound records at positions >= from back to staging and drop their
-   map entries: recovery may rebind them at different positions
-   (section 4.5's tail overwrite, realized logically). *)
-let unbind_from r from =
-  let doomed = Flushed_store.entries_from r.store from in
-  List.iter
-    (fun (_, (rec_ : Types.record)) ->
-      if not (Types.is_no_op rec_) then begin
-        Hashtbl.replace r.staging rec_.Types.rid rec_;
-        Hashtbl.replace r.staged_at rec_.Types.rid 0
-      end)
-    doomed;
-  Flushed_store.truncate r.store from;
-  let stale = Hashtbl.fold (fun gp _ acc -> if gp >= from then gp :: acc else acc) r.map_log [] in
-  List.iter (Hashtbl.remove r.map_log) stale
-
-(* Per-log truncation, the multi-log recovery path: each packed frontier
-   in [fronts] unbinds its own log's positions [>= frontier], requeueing
-   real records into staging, without touching interleaved positions of
-   other logs (a numeric [truncate] would destroy them). One walk over
-   the bound entries covers every listed log. *)
-let unbind_logs_from r fronts =
-  let by_log = Hashtbl.create 8 in
-  List.iter (fun f -> Hashtbl.replace by_log (Logid.log_of f) f) fronts;
-  let doomed =
-    List.filter
-      (fun (gp, _) ->
-        match Hashtbl.find_opt by_log (Logid.log_of gp) with
-        | Some f -> gp >= f
-        | None -> false)
-      (Flushed_store.entries r.store)
+(* Move the bound records of [from]'s log at positions >= from back to
+   staging and drop their map entries: recovery may rebind them at
+   different positions (section 4.5's tail overwrite, realized
+   logically). Scoped to that one log: the walk stops below the next
+   log's base, so packed positions of other logs survive. *)
+let unbind_log r from =
+  let log = Logid.log_of from in
+  let upto =
+    if log = Logid.max_logs - 1 then max_int else Logid.base ~log:(log + 1)
   in
   List.iter
     (fun (gp, (rec_ : Types.record)) ->
@@ -108,20 +86,20 @@ let unbind_logs_from r fronts =
         Hashtbl.replace r.staged_at rec_.Types.rid 0
       end;
       Flushed_store.remove r.store ~pos:gp)
-    doomed;
+    (Flushed_store.entries_from r.store ~upto from);
   let stale =
     Hashtbl.fold
-      (fun gp _ acc ->
-        match Hashtbl.find_opt by_log (Logid.log_of gp) with
-        | Some f when gp >= f -> gp :: acc
-        | _ -> acc)
+      (fun gp _ acc -> if gp >= from && gp < upto then gp :: acc else acc)
       r.map_log []
   in
   List.iter (Hashtbl.remove r.map_log) stale
 
+(* [truncate_from] is log 0's frontier, [truncate_logs] the tenant
+   logs' (packed). Every push runs this, so the common no-truncate case
+   allocates nothing (no partial application of [unbind_log]). *)
 let apply_truncate r ~truncate_from ~truncate_logs =
-  (match truncate_from with Some from -> unbind_from r from | None -> ());
-  if truncate_logs <> [] then unbind_logs_from r truncate_logs
+  (match truncate_from with Some from -> unbind_log r from | None -> ());
+  if truncate_logs <> [] then List.iter (unbind_log r) truncate_logs
 
 (* [charged = true] pays the device for the record bytes (Erwin-m pushes,
    where this is the first time the shard sees the data); [charged =
@@ -584,8 +562,7 @@ let replace_backup t ~index =
   in
   install_backup_handler t fresh;
   let src = t.primary in
-  let copy_from pos =
-    let ordered = Flushed_store.entries_from src.store pos in
+  let copy ordered =
     let bytes =
       List.fold_left
         (fun acc (_, (r : Types.record)) -> acc + r.Types.size)
@@ -599,10 +576,9 @@ let replace_backup t ~index =
     Flushed_store.append_batch fresh.store
       (List.map
          (fun (gp, (r : Types.record)) -> (gp, r.Types.size, r))
-         ordered);
-    match List.rev ordered with (gp, _) :: _ -> gp + 1 | [] -> pos
+         ordered)
   in
-  let copied_upto = copy_from 0 in
+  copy (Flushed_store.entries src.store);
   (* Unordered (staged) records and the map log come along too. *)
   Hashtbl.iter (fun rid r -> Hashtbl.replace fresh.staging rid r) src.staging;
   Hashtbl.iter (fun rid at -> Hashtbl.replace fresh.staged_at rid at) src.staged_at;
@@ -611,31 +587,16 @@ let replace_backup t ~index =
   (* The copied prefix is readable on the fresh replica right away. *)
   fresh.stable <- src.stable;
   Hashtbl.iter (fun log g -> Hashtbl.replace fresh.stables log g) src.stables;
-  (* Swap in, then catch up on anything pushed during the bulk copy. *)
+  (* Swap in, then catch up on anything pushed during the bulk copy. The
+     delta pass copies whatever the bulk pass missed, by membership:
+     packed positions are not monotone across logs, and a late push can
+     land below the last copied position, so "everything past it" would
+     under-cover. *)
   t.backups <- List.mapi (fun i b -> if i = index then fresh else b) t.backups;
-  if not t.cfg.Config.multi_log then ignore (copy_from copied_upto : int)
-  else begin
-    (* Packed positions are not monotone across logs, so "everything past
-       the last copied position" under-covers: the delta pass instead
-       copies whatever the bulk pass missed, by membership. *)
-    ignore (copied_upto : int);
-    let missing =
-      List.filter
-        (fun (gp, _) -> Flushed_store.mem_read fresh.store ~pos:gp = None)
-        (Flushed_store.entries src.store)
-    in
-    let bytes =
-      List.fold_left
-        (fun acc (_, (r : Types.record)) -> acc + r.Types.size)
-        0 missing
-    in
-    Engine.sleep
-      (Engine.us 500
-      + int_of_float
-          (t.cfg.Config.link.Fabric.per_byte_ns *. float_of_int bytes));
-    Flushed_store.append_batch fresh.store
-      (List.map (fun (gp, (r : Types.record)) -> (gp, r.Types.size, r)) missing)
-  end
+  copy
+    (List.filter
+       (fun (gp, _) -> Flushed_store.mem_read fresh.store ~pos:gp = None)
+       (Flushed_store.entries src.store))
 
 let backup_ids t = List.map (fun b -> Fabric.id b.node) t.backups
 

@@ -145,7 +145,7 @@ let flush_wait t = Waitq.await t.drained (fun () -> Queue.is_empty t.dirty)
 
 let entries t = List.map (fun (pos, (v, _)) -> (pos, v)) (Mem_log.to_list t.log)
 
-let entries_from t from =
+let entries_from ?upto t from =
   let acc = ref [] in
-  Mem_log.iter t.log ~from (fun pos (v, _) -> acc := (pos, v) :: !acc);
+  Mem_log.iter ?upto t.log ~from (fun pos (v, _) -> acc := (pos, v) :: !acc);
   List.rev !acc

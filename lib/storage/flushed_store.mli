@@ -49,9 +49,9 @@ val truncate : 'a t -> int -> unit
 
 val remove : 'a t -> pos:int -> unit
 (** Deletes the single entry at [pos] (no device charge — an unbind is
-    metadata, the bytes are reclaimed lazily). Multi-log view changes
-    use this to drop one tenant's tail bindings without a numeric
-    truncate destroying interleaved positions of other logs. *)
+    metadata, the bytes are reclaimed lazily). View changes use this to
+    drop one log's tail bindings without a numeric truncate destroying
+    interleaved positions of other logs. *)
 
 val trim : 'a t -> int -> unit
 val dirty_bytes : 'a t -> int
@@ -61,5 +61,6 @@ val flush_wait : 'a t -> unit
 
 val entries : 'a t -> (int * 'a) list
 
-val entries_from : 'a t -> int -> (int * 'a) list
-(** Entries at positions [>= from], in position order. *)
+val entries_from : ?upto:int -> 'a t -> int -> (int * 'a) list
+(** Entries at positions [>= from] (and [< upto], when given), in
+    position order. *)

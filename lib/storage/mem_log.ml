@@ -70,14 +70,15 @@ let trim t n =
     t.first <- n
   end
 
-let iter t ~from f =
+let iter ?(upto = max_int) t ~from f =
   let from = if from < t.first then t.first else from in
-  if sparse t ~from ~upto:t.next then
+  let upto = if upto > t.next then t.next else upto in
+  if sparse t ~from ~upto then
     List.iter
       (fun pos -> f pos (Hashtbl.find t.entries pos))
-      (List.sort compare (keys_in t ~from ~upto:t.next))
+      (List.sort compare (keys_in t ~from ~upto))
   else
-    for pos = from to t.next - 1 do
+    for pos = from to upto - 1 do
       match Hashtbl.find_opt t.entries pos with
       | Some v -> f pos v
       | None -> ()

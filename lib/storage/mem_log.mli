@@ -29,9 +29,9 @@ val first : 'a t -> int
 
 val remove : 'a t -> int -> unit
 (** [remove t pos] deletes the single entry at [pos] (no-op if absent),
-    leaving [first]/[length] untouched. The multi-log view-change path
-    uses this to unbind one tenant's tail positions without disturbing
-    interleaved positions of other logs. *)
+    leaving [first]/[length] untouched. The view-change path uses this
+    to unbind one log's tail positions without disturbing interleaved
+    positions of other logs. *)
 
 val truncate : 'a t -> int -> unit
 (** [truncate t n] drops entries at positions [>= n]. Cost is
@@ -41,7 +41,9 @@ val truncate : 'a t -> int -> unit
 val trim : 'a t -> int -> unit
 (** [trim t n] discards entries at positions [< n]. *)
 
-val iter : 'a t -> from:int -> (int -> 'a -> unit) -> unit
+val iter : ?upto:int -> 'a t -> from:int -> (int -> 'a -> unit) -> unit
+(** [iter t ~from f] applies [f] to the entries at positions [>= from]
+    (and [< upto], when given), in position order. *)
 
 val to_list : 'a t -> (int * 'a) list
 (** All untrimmed entries with their positions, in order. *)

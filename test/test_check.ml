@@ -121,6 +121,53 @@ let test_pre_gray_artifact_parses () =
   checkb "gray defaults to false" false a'.Artifact.scenario.Artifact.gray;
   checki "rest of the artifact intact" 17 a'.Artifact.at_event
 
+let test_legacy_serial_line () =
+  (* Artifacts written before the serial orderer was removed carry a
+     [serial] line. [serial false] named the orderer that still runs and
+     must load and print back unchanged without the line; [serial true]
+     must be refused, naming the removed orderer, rather than replay a
+     different run. *)
+  let a : Artifact.t =
+    {
+      Artifact.scenario =
+        Checker.scenario ~system:"erwin-st" ~seed:5
+          ~horizon:Checker.quick_horizon ();
+      invariant = "durability";
+      detail = "d";
+      at_event = 9;
+      at_time = 7;
+    }
+  in
+  let s = Artifact.to_string a in
+  let starts_with p l =
+    String.length l >= String.length p
+    && String.sub l 0 (String.length p) = p
+  in
+  let lines = String.split_on_char '\n' s in
+  checkb "no serial line written" false
+    (List.exists (starts_with "serial ") lines);
+  let with_serial v =
+    List.concat_map
+      (fun l -> if starts_with "shards " l then [ l; "serial " ^ v ] else [ l ])
+      lines
+    |> String.concat "\n"
+  in
+  Alcotest.(check string)
+    "legacy serial false round-trips" s
+    (Artifact.to_string (Artifact.of_string (with_serial "false")));
+  match Artifact.of_string (with_serial "true") with
+  | _ -> Alcotest.fail "serial true accepted"
+  | exception Failure msg ->
+    let names_orderer =
+      let needle = "serial orderer" in
+      let n = String.length needle in
+      let rec scan i =
+        i + n <= String.length msg && (String.sub msg i n = needle || scan (i + 1))
+      in
+      scan 0
+    in
+    checkb "error names the removed serial orderer" true names_orderer
+
 let test_script_generation_deterministic () =
   let gen seed =
     Fault_dsl.gen
@@ -359,6 +406,8 @@ let () =
             `Quick test_classic_generation_unchanged_by_gray_flag;
           Alcotest.test_case "pre-gray artifact parses" `Quick
             test_pre_gray_artifact_parses;
+          Alcotest.test_case "legacy serial line" `Quick
+            test_legacy_serial_line;
         ] );
       ( "healthy systems",
         [

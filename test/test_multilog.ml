@@ -10,7 +10,7 @@ let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 let mcfg =
-  { Config.default with Config.multi_log = true; nshards = 2 }
+  { Config.default with Config.nshards = 2 }
 
 (* ---------- Logid packing ---------- *)
 

@@ -117,12 +117,17 @@ let interrupt_first_batch cluster interrupt =
       poll ();
       interrupt ())
 
-let test_reconfig_between_push_and_gc_discards_batch () =
+(* The push-to-GC window tests run on the default pipelined, adaptive
+   orderer and at depth 1 with a fixed batch, where each batch commits
+   before the next is claimed. *)
+let depth1 cfg = { cfg with Config.pipeline_depth = 1; adaptive_batch = false }
+
+let test_reconfig_between_push_and_gc_discards_batch tune () =
   (* A view-change signal landing between a batch's shard pushes and its
      follower GC must discard the batch: stable-gp stays put, and once the
      cluster settles the entries are re-ordered exactly once (no position
      double-binds). *)
-  let cfg = { Config.default with order_interval = Engine.ms 1 } in
+  let cfg = tune { Config.default with order_interval = Engine.ms 1 } in
   with_m_cluster ~cfg (fun cluster ->
       let log = Erwin_m.client cluster in
       for i = 1 to 10 do
@@ -141,11 +146,11 @@ let test_reconfig_between_push_and_gc_discards_batch () =
         (List.init 10 (fun i -> string_of_int (i + 1)))
         (List.map (fun (r : Types.record) -> r.Types.data) records))
 
-let test_seal_between_push_and_gc_freezes_stable () =
+let test_seal_between_push_and_gc_freezes_stable tune () =
   (* Same window, but with a real seal (what reconfiguration sends to the
      old view): the committer must drop the batch rather than GC a sealed
      leader, and stable-gp must not advance. *)
-  let cfg = { Config.default with order_interval = Engine.ms 1 } in
+  let cfg = tune { Config.default with order_interval = Engine.ms 1 } in
   Engine.run (fun () ->
       let cluster = Erwin_common.create ~cfg ~mode:Erwin_common.M in
       Orderer.start cluster;
@@ -251,9 +256,15 @@ let () =
           Alcotest.test_case "tolerates straggler follower" `Quick
             test_gc_tolerates_straggler_follower;
           Alcotest.test_case "reconfig between push and GC discards batch"
-            `Quick test_reconfig_between_push_and_gc_discards_batch;
+            `Quick (test_reconfig_between_push_and_gc_discards_batch Fun.id);
           Alcotest.test_case "seal between push and GC freezes stable" `Quick
-            test_seal_between_push_and_gc_freezes_stable;
+            (test_seal_between_push_and_gc_freezes_stable Fun.id);
+          Alcotest.test_case
+            "reconfig between push and GC discards batch (depth 1, fixed)"
+            `Quick (test_reconfig_between_push_and_gc_discards_batch depth1);
+          Alcotest.test_case
+            "seal between push and GC freezes stable (depth 1, fixed)" `Quick
+            (test_seal_between_push_and_gc_freezes_stable depth1);
           Alcotest.test_case "adaptive batch controller" `Quick
             test_adaptive_batch_controller;
           Alcotest.test_case "adaptive batch converges" `Quick

@@ -102,6 +102,34 @@ let test_truncate_overwrite () =
         "overwritten" [ "old0"; "new1" ]
         (List.map (fun (_, (r : Types.record)) -> r.data) records))
 
+let test_truncate_scoped_to_log () =
+  (* A log-0 frontier unbinds only log 0's tail. Tenant positions are
+     packed above every log-0 position, so a numeric truncate would
+     destroy them; they must stay bound and readable. *)
+  with_shard (fun shard ep ->
+      let p1 = Logid.pack ~log:1 in
+      push ep shard
+        [
+          (0, record 1 1 "a0");
+          (1, record 1 2 "a1");
+          (2, record 1 3 "a2");
+          (p1 0, record 2 1 "b0");
+          (p1 1, record 2 2 "b1");
+        ];
+      push ep shard ~truncate_from:1 [];
+      checkb "log-0 tail unbound" true
+        (Shard.read_local shard 1 = None && Shard.read_local shard 2 = None);
+      set_stable ep shard 1;
+      set_stable ep shard (p1 2);
+      Alcotest.(check (list string))
+        "log-0 prefix kept" [ "a0" ]
+        (List.map (fun (_, (r : Types.record)) -> r.data) (read ep shard [ 0 ]));
+      Alcotest.(check (list string))
+        "every log-1 position still readable" [ "b0"; "b1" ]
+        (List.map
+           (fun (_, (r : Types.record)) -> r.data)
+           (read ep shard [ p1 0; p1 1 ])))
+
 let test_st_unbind_restages () =
   (* Erwin-st truncate moves bound records back to staging so recovery can
      rebind them at different positions. *)
@@ -337,6 +365,8 @@ let () =
             test_replication_to_backups;
           Alcotest.test_case "truncate overwrite" `Quick
             test_truncate_overwrite;
+          Alcotest.test_case "truncate scoped to its log" `Quick
+            test_truncate_scoped_to_log;
           Alcotest.test_case "trim" `Quick test_trim_drops_prefix;
         ] );
       ( "erwin-st paths",
