@@ -9,11 +9,19 @@ open Ll_sim
    armed when the batch opens, [max_batch_records], or [max_batch_bytes].
    Every caller of the batch gets its answer from the one fan-out ack.
 
+   A replica admits a batch whole or not at all
+   ([Seq_log.append_batch_or_wait]), so a batch holding more fresh
+   records than [seq_capacity] could never be admitted: the record
+   trigger is capped at the capacity.
+
    [submit] does not retry: a failed batch fails every caller, and each
    caller's own retry loop re-submits — so retried entries re-coalesce
    into fresh batches (and Erwin-st can re-send its shard data writes in
    lockstep with the metadata retry). Replicas that already accepted an
    entry filter the retry as a duplicate and still ack it. *)
+
+let max_batch_records = 128
+let max_batch_bytes = 64 * 1024
 
 type pending = {
   entry : Types.entry;
@@ -49,13 +57,7 @@ let flush t =
           Proto.Sr_append_batch
             { view; batch = List.map (fun p -> (p.entry, p.track)) pendings }
         in
-        let size = Proto.req_size req in
-        let ivs =
-          List.map
-            (fun r ->
-              Ll_net.Rpc.call_async t.ep ~dst:(Seq_replica.node_id r) ~size req)
-            cluster.Erwin_common.replicas
-        in
+        let ivs = Erwin_common.seq_fanout cluster t.ep req in
         let ok =
           match
             Ivar.join_all_timeout ivs
@@ -78,8 +80,8 @@ let submit t ~track entry =
   t.count <- t.count + 1;
   t.bytes <- t.bytes + Types.entry_wire_size entry;
   if
-    t.count >= cfg.Config.max_batch_records
-    || t.bytes >= cfg.Config.max_batch_bytes
+    t.count >= min max_batch_records cfg.Config.seq_capacity
+    || t.bytes >= max_batch_bytes
   then flush t
   else if t.count = 1 then begin
     (* First record of a batch arms the linger deadline. [linger = 0]

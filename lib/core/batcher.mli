@@ -4,8 +4,9 @@
     handles: concurrent [append]/[appendSync] calls coalesce into a single
     {!Proto.Sr_append_batch} fan-out to all f+1 sequencing replicas, and
     each caller's ivar completes from that one ack. A batch flushes on the
-    first of: the [linger] deadline, [max_batch_records], or
-    [max_batch_bytes] (see {!Config}).
+    first of: the [linger] deadline (see {!Config}), 128 records (or
+    [seq_capacity], if smaller: replicas admit a batch whole, so a larger
+    one could never fit), or 64 KiB of payload.
 
     The batcher never retries; callers keep their own retry loops (and so
     re-coalesce after a view change). Only used when

@@ -10,25 +10,17 @@ type ep = (Proto.req, Proto.resp) Rpc.endpoint
    synchronized retry flood. *)
 let install_retry_budget (cluster : t) ep =
   if cluster.cfg.Config.retry_budget then
-    Rpc.set_retry_budget ep
-      (Rpc.Retry_budget.create ~ratio:cluster.cfg.Config.retry_budget_ratio
-         ~cap:cluster.cfg.Config.retry_budget_cap ())
+    Rpc.set_retry_budget ep (Rpc.Retry_budget.create ())
 
 let try_append_seq (cluster : t) ep ~view ~track entry =
-  let req = Proto.Sr_append { view; entry; track } in
-  let size = Proto.req_size req in
-  let ivs =
-    List.map
-      (fun r -> Rpc.call_async ep ~dst:(Seq_replica.node_id r) ~size req)
-      cluster.replicas
-  in
+  let ivs = seq_fanout cluster ep (Proto.Sr_append { view; entry; track }) in
   match Ivar.join_all_timeout ivs ~timeout:cluster.cfg.Config.append_timeout with
   | Some resps
     when List.for_all
            (function Proto.R_append { ok; _ } -> ok | _ -> false)
            resps ->
     `Ok
-  | Some _ | None -> `Fail
+  | Some _ | None -> `Fail view
 
 let await_view_after (cluster : t) view =
   ignore
@@ -40,34 +32,24 @@ let await_view_after (cluster : t) view =
 let append_entry (cluster : t) ep ~track entry =
   if Probe.active () then
     Probe.emit (Probe.Append_invoked { rid = Types.entry_rid entry });
-  if cluster.cfg.Config.append_batching then begin
-    (* Group commit: hand the entry to the shared linger batcher and wait
+  let rec attempt () =
+    (* Group commit hands the entry to the shared linger batcher and waits
        for its batch's fan-out ack. Retries re-coalesce into new batches;
        replicas that already hold the rid filter it as a duplicate. *)
-    let b = Batcher.get cluster in
-    let rec attempt () =
-      match b.submit_entry ~track entry with
-      | `Ok ->
-        if Probe.active () then
-          Probe.emit (Probe.Append_acked { rid = Types.entry_rid entry })
-      | `Fail view ->
-        await_view_after cluster view;
-        attempt ()
+    let res =
+      if cluster.cfg.Config.append_batching then
+        (Batcher.get cluster).submit_entry ~track entry
+      else try_append_seq cluster ep ~view:cluster.view ~track entry
     in
-    attempt ()
-  end
-  else
-    let rec attempt () =
-      let view = cluster.view in
-      match try_append_seq cluster ep ~view ~track entry with
-      | `Ok ->
-        if Probe.active () then
-          Probe.emit (Probe.Append_acked { rid = Types.entry_rid entry })
-      | `Fail ->
-        await_view_after cluster view;
-        attempt ()
-    in
-    attempt ()
+    match res with
+    | `Ok ->
+      if Probe.active () then
+        Probe.emit (Probe.Append_acked { rid = Types.entry_rid entry })
+    | `Fail view ->
+      await_view_after cluster view;
+      attempt ()
+  in
+  attempt ()
 
 let check_tail ?(log = 0) (cluster : t) ep =
   let rec go () =

@@ -8,23 +8,25 @@ type ep = (Proto.req, Proto.resp) Rpc.endpoint
 
 val install_retry_budget : Erwin_common.t -> ep -> unit
 (** With [cfg.retry_budget], arm the endpoint's retry token bucket
-    ([retry_budget_ratio]/[retry_budget_cap]) so its [Rpc.call_retry]
+    ({!Ll_net.Rpc.Retry_budget} defaults) so its [Rpc.call_retry]
     retries shed under sustained timeouts instead of storming. No-op
     when the knob is off. *)
 
 val try_append_seq :
   Erwin_common.t -> ep -> view:int -> track:bool -> Types.entry ->
-  [ `Ok | `Fail ]
+  [ `Ok | `Fail of int ]
 (** One append attempt: writes the entry to every sequencing replica of
     [view] in parallel and succeeds only if all ack in that view within
-    the configured timeout (the 1 RTT fast path of section 4.1). *)
+    the configured timeout (the 1 RTT fast path of section 4.1).
+    [`Fail view] carries the attempted view. *)
 
 val await_view_after : Erwin_common.t -> int -> unit
 (** Parks until the cluster's view exceeds the given one (bounded waits so
     a controller-less deployment still makes progress via retries). *)
 
 val append_entry : Erwin_common.t -> ep -> track:bool -> Types.entry -> unit
-(** [try_append_seq] with retry-across-views until acknowledged. *)
+(** [try_append_seq] (or, with [cfg.append_batching], a submit to the
+    shared {!Batcher}) with retry-across-views until acknowledged. *)
 
 val check_tail : ?log:int -> Erwin_common.t -> ep -> int
 (** Durable-record count from the sequencing leader (section 4.4),

@@ -22,30 +22,18 @@ type t = {
   append_timeout : Engine.time;
   append_batching : bool;
   linger : Engine.time;
-  max_batch_records : int;
-  max_batch_bytes : int;
   read_demand : bool;
   replica_reads : bool;
   readahead : int;
   map_fetch_chunk : int;
   subscriptions : bool;
-  sub_window : int;
-  sub_push_max : int;
-  sub_push_timeout : Engine.time;
   hedged_reads : bool;
   hedge_floor : Engine.time;
   retry_budget : bool;
-  retry_budget_ratio : float;
-  retry_budget_cap : float;
   outlier_detection : bool;
-  outlier_interval : Engine.time;
-  outlier_factor : float;
-  outlier_min_samples : int;
   fair_ingress : bool;
   tenant_weights : (int * int) list;
   drr_quantum : int;
-  admit_rate : float;
-  admit_burst : float;
   ingress_queue : int;
   link : Fabric.link;
   rpc_overhead : Engine.time;
@@ -83,8 +71,6 @@ let default =
        measure the per-record 1-RTT path byte-for-byte unchanged. *)
     append_batching = false;
     linger = Engine.us 20;
-    max_batch_records = 128;
-    max_batch_bytes = 64 * 1024;
     (* Demand-driven read path defaults off: the paper-fidelity benches
        measure the purely lazy cadence byte-for-byte unchanged. *)
     read_demand = false;
@@ -95,28 +81,18 @@ let default =
        started and the knob off, no push-path code runs and the
        paper-fidelity figures stay byte-identical. *)
     subscriptions = false;
-    sub_window = 64;
-    sub_push_max = 32;
-    sub_push_timeout = Engine.ms 2;
     (* Gray-failure mitigations default off: knob-off runs draw nothing
        extra from the rng and schedule nothing, so figs 6-18 stay
        byte-identical. *)
     hedged_reads = false;
     hedge_floor = Engine.us 100;
     retry_budget = false;
-    retry_budget_ratio = 0.1;
-    retry_budget_cap = 8.0;
     outlier_detection = false;
-    outlier_interval = Engine.us 500;
-    outlier_factor = 4.0;
-    outlier_min_samples = 8;
     (* Fair ingress defaults off: no ingress scheduler is installed, so
        figs 6-18 stay byte-identical. *)
     fair_ingress = false;
     tenant_weights = [];
     drr_quantum = 4_096;
-    admit_rate = 0.0;
-    admit_burst = 32.0;
     ingress_queue = 256;
     link = Fabric.default_link;
     rpc_overhead = Engine.ns 500;

@@ -42,10 +42,8 @@ type t = {
           so the paper-fidelity figures measure the per-record path. *)
   linger : Engine.time;
       (** group commit: how long an open batch waits for more records
-          before flushing (flushes earlier on {!field-max_batch_records}
-          or {!field-max_batch_bytes}) *)
-  max_batch_records : int;  (** group commit: record-count flush trigger *)
-  max_batch_bytes : int;  (** group commit: payload-bytes flush trigger *)
+          before flushing (it flushes earlier once it holds 128 records,
+          or [seq_capacity] if smaller, or 64 KiB of payload) *)
   read_demand : bool;
       (** opt-in read-triggered eager binding: a shard read (or Erwin-st
           map fetch) of a position beyond stable-gp sends
@@ -78,17 +76,6 @@ type t = {
           ([St_cursor_sync]), and reuses the read-demand wake path so the
           push frontier does not wait out the lazy ordering cadence. Off
           by default so the paper-fidelity figures are untouched. *)
-  sub_window : int;
-      (** subscriptions: credit-based flow-control window — the maximum
-          number of pushed-but-unacknowledged records a consumer ever has
-          outstanding *)
-  sub_push_max : int;
-      (** subscriptions: records per [St_push] batch (one batch in flight
-          per subscription; bounded by the consumer's remaining credits) *)
-  sub_push_timeout : Engine.time;
-      (** subscriptions: how long the manager waits for a push's ack
-          before redelivering the batch (at-least-once; the consumer
-          dedups by position) *)
   hedged_reads : bool;
       (** opt-in tail-latency hedging on the replica-read path: a client
           read fires a duplicate to a second replica of the plan after an
@@ -100,22 +87,16 @@ type t = {
   retry_budget : bool;
       (** opt-in retry budgets: client endpoints (and shard backup
           endpoints, whose primary-forwards are retried) meter retries
-          through a token bucket so timeout storms shed load instead of
-          amplifying. Never attached to replication paths. Off by
-          default. *)
-  retry_budget_ratio : float;  (** tokens earned per fresh call *)
-  retry_budget_cap : float;  (** bucket capacity (and initial balance) *)
+          through a token bucket ({!Ll_net.Rpc.Retry_budget} defaults) so
+          timeout storms shed load instead of amplifying. Never attached
+          to replication paths. Off by default. *)
   outlier_detection : bool;
       (** opt-in latency-outlier health monitor: the controller probes
-          every sequencing replica each {!field-outlier_interval}, scores
-          responses ({!Ll_net.Rpc.peer_score}), and triggers section 5.5
-          straggler removal for a replica whose score exceeds
-          {!field-outlier_factor} x the median — catching fail-slow (gray)
-          replicas whose heartbeats stay green. Off by default. *)
-  outlier_interval : Engine.time;  (** probe cadence *)
-  outlier_factor : float;  (** eviction threshold vs median score *)
-  outlier_min_samples : int;
-      (** samples required from every replica before judging *)
+          every sequencing replica every 500 us, scores responses
+          ({!Ll_net.Rpc.peer_score}), and triggers section 5.5 straggler
+          removal for a replica whose score exceeds 4x the median —
+          catching fail-slow (gray) replicas whose heartbeats stay green.
+          Off by default. *)
   fair_ingress : bool;
       (** opt-in weighted-fair scheduling at the sequencing-replica
           ingress, for the multi-log fabric. Tenant logs themselves need
@@ -124,7 +105,6 @@ type t = {
           ({!Logid}). Data-plane appends enqueue into per-tenant queues
           drained by deficit round robin (quantum
           {!field-drr_quantum} x the tenant's weight), and a per-tenant
-          token bucket ({!field-admit_rate}/{!field-admit_burst}) plus a
           queue bound ({!field-ingress_queue}) sheds excess arrivals with
           an immediate failed-append reply — the client's existing
           retry/backoff (and retry-budget) path absorbs the shed. One hot
@@ -134,13 +114,9 @@ type t = {
   drr_quantum : int;
       (** fair ingress: deficit replenished per DRR round, in service-time
           nanoseconds per weight unit *)
-  admit_rate : float;
-      (** fair ingress: token-bucket refill, appends/s per weight unit;
-          [0.0] disables rate admission (queue bound still applies) *)
-  admit_burst : float;  (** fair ingress: token-bucket capacity *)
   ingress_queue : int;
       (** fair ingress: per-tenant queued-append bound; arrivals beyond it
-          (with an empty token bucket) are shed immediately *)
+          are shed immediately *)
   link : Fabric.link;
   rpc_overhead : Engine.time;  (** per-endpoint software overhead (eRPC) *)
   debug_no_rid_pinning : bool;

@@ -223,6 +223,12 @@ let new_endpoint t ~name =
   in
   Rpc.endpoint t.fabric node
 
+let seq_fanout t ep req =
+  let size = Proto.req_size req in
+  List.map
+    (fun r -> Rpc.call_async ep ~dst:(Seq_replica.node_id r) ~size req)
+    t.replicas
+
 let crash_replica t r =
   t.crash_time <- Some (Engine.now ());
   Fabric.crash t.fabric (Seq_replica.node r);

@@ -150,5 +150,15 @@ val ordering_throughput : t -> float
 val new_endpoint : t -> name:string -> (Proto.req, Proto.resp) Rpc.endpoint
 (** A fresh fabric node + endpoint (for clients and the controller). *)
 
+val seq_fanout :
+  t ->
+  (Proto.req, Proto.resp) Rpc.endpoint ->
+  Proto.req ->
+  Proto.resp Ivar.t list
+(** Sends one append request to every current sequencing replica in
+    parallel, in replica order, and returns the reply ivars in that
+    order — the coordination-free write of section 4.1, shared by the
+    per-record, batched and Erwin-st metadata paths. *)
+
 val crash_replica : t -> Seq_replica.t -> unit
 (** Fault injection: crashes the replica's node and stamps [crash_time]. *)

@@ -62,13 +62,8 @@ let try_append_once (cluster : Erwin_common.t) ep ~track record shard =
     | None -> fail ()
   end
   else
-    let meta_req = Proto.Sr_append { view; entry = meta; track } in
     let meta_ivs =
-      List.map
-        (fun r ->
-          Rpc.call_async ep ~dst:(Seq_replica.node_id r)
-            ~size:(Proto.req_size meta_req) meta_req)
-        cluster.replicas
+      seq_fanout cluster ep (Proto.Sr_append { view; entry = meta; track })
     in
     match
       Ivar.join_all_timeout (data_ivs @ meta_ivs)

@@ -9,11 +9,10 @@ open Ll_sim
    demux ([Rpc.set_ingress]) and divides the replica's service capacity
    by configured weight instead of arrival aggression:
 
-   - admission: a per-tenant token bucket ([admit_rate] appends/s per
-     weight unit, burst [admit_burst]) plus a queue bound
-     ([ingress_queue]). An arrival finding no token and a full queue is
-     shed with an immediate failed-append reply — no service time spent —
-     and the client's ordinary retry/backoff path absorbs it.
+   - admission: a per-tenant queue bound ([ingress_queue]). An arrival
+     finding its tenant's queue full is shed with an immediate
+     failed-append reply — no service time spent — and the client's
+     ordinary retry/backoff path absorbs it.
    - service: deficit round robin over the per-tenant queues. Each round
      a tenant's deficit grows by [drr_quantum * weight] nanoseconds of
      service credit and it drains queued requests (through [Rpc.serve],
@@ -31,8 +30,6 @@ type tenant = {
   queue : (int * (unit -> unit)) Queue.t;  (* (service cost, serve thunk) *)
   mutable in_active : bool;  (* member of the DRR round (or being drained) *)
   mutable deficit : int;  (* carried service credit, ns *)
-  mutable tokens : float;
-  mutable refilled_at : Engine.time;
   mutable admitted : int;
   mutable shed : int;
 }
@@ -61,36 +58,12 @@ let tenant t log =
         queue = Queue.create ();
         in_active = false;
         deficit = 0;
-        tokens = t.cfg.Config.admit_burst;
-        refilled_at = Engine.now ();
         admitted = 0;
         shed = 0;
       }
     in
     Hashtbl.add t.tenants log ten;
     ten
-
-(* Token-bucket admission. With [admit_rate = 0] rate admission is off
-   and the queue bound alone decides. *)
-let take_token t ten =
-  let rate = t.cfg.Config.admit_rate in
-  if rate <= 0.0 then false
-  else begin
-    let now = Engine.now () in
-    let elapsed = now - ten.refilled_at in
-    if elapsed > 0 then begin
-      ten.refilled_at <- now;
-      let refill =
-        rate *. float_of_int ten.weight *. Engine.to_sec elapsed
-      in
-      ten.tokens <- Float.min t.cfg.Config.admit_burst (ten.tokens +. refill)
-    end;
-    if ten.tokens >= 1.0 then begin
-      ten.tokens <- ten.tokens -. 1.0;
-      true
-    end
-    else false
-  end
 
 let enqueue t ten cost thunk =
   Queue.push (cost, thunk) ten.queue;
@@ -181,11 +154,7 @@ let install ~cfg ~view ep =
       | None -> false  (* control plane: default FIFO path *)
       | Some log ->
         let ten = tenant t log in
-        let has_token = take_token t ten in
-        if
-          has_token
-          || Queue.length ten.queue < cfg.Config.ingress_queue
-        then begin
+        if Queue.length ten.queue < cfg.Config.ingress_queue then begin
           let cost = Ll_net.Rpc.service_time_of ep req in
           enqueue t ten cost (fun () -> Ll_net.Rpc.serve ep ~src req ~reply);
           true

@@ -4,8 +4,8 @@
     tenant logs over one cluster, so one aggressive tenant can no longer
     be allowed to own a replica's FIFO ingress: this module installs an
     {!Ll_net.Rpc.set_ingress} scheduler that (a) sheds arrivals exceeding
-    a per-tenant token bucket + queue bound with an immediate failed
-    append (no service time spent), and (b) serves the admitted backlog
+    a per-tenant queue bound with an immediate failed append (no service
+    time spent), and (b) serves the admitted backlog
     by deficit round robin so service capacity divides by configured
     weight ({!Config.tenant_weights}) instead of arrival rate.
 

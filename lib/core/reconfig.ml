@@ -151,6 +151,10 @@ let remove_replica (cluster : t) victim =
       ()
   end
 
+let outlier_interval = Engine.us 500
+let outlier_factor = 4.0
+let outlier_min_samples = 8
+
 (* Latency-outlier health monitor: the section 4.5 detector is a ZK
    heartbeat timeout, which a fail-slow (gray) replica sails through —
    heartbeats are tiny and out-of-band, so a replica serving appends 10x
@@ -166,11 +170,10 @@ let remove_replica (cluster : t) victim =
    caused by the departed straggler cannot cascade into a second
    eviction. *)
 let start_outlier_monitor (cluster : t) =
-  let cfg = cluster.cfg in
   let ep = new_endpoint cluster ~name:"controller.gray" in
   Engine.spawn ~name:"controller.gray-monitor" (fun () ->
       let rec loop () =
-        Engine.sleep cfg.Config.outlier_interval;
+        Engine.sleep outlier_interval;
         let replicas = cluster.replicas in
         if (not cluster.reconfiguring) && List.length replicas >= 3 then begin
           (* Fan the probes out on their own fibers so one unresponsive
@@ -179,7 +182,7 @@ let start_outlier_monitor (cluster : t) =
           List.iter
             (fun r ->
               Engine.spawn ~name:"controller.gray-probe" (fun () ->
-                  let timeout = 2 * cfg.Config.outlier_interval in
+                  let timeout = 2 * outlier_interval in
                   match
                     Rpc.call_timeout ep ~dst:(Seq_replica.node_id r) ~timeout
                       (Proto.Sr_check_tail { view = cluster.view; log = 0 })
@@ -197,8 +200,7 @@ let start_outlier_monitor (cluster : t) =
             List.filter_map
               (fun r ->
                 let id = Seq_replica.node_id r in
-                if Rpc.peer_samples ep id >= cfg.Config.outlier_min_samples
-                then
+                if Rpc.peer_samples ep id >= outlier_min_samples then
                   match Rpc.peer_score ep id with
                   | Some s -> Some (r, s)
                   | None -> None
@@ -213,7 +215,7 @@ let start_outlier_monitor (cluster : t) =
             match List.rev sorted with
             | (victim, worst) :: _
               when median > 0.0
-                   && worst > cfg.Config.outlier_factor *. median
+                   && worst > outlier_factor *. median
                    && not cluster.reconfiguring ->
               if Probe.active () then
                 Probe.emit

@@ -14,11 +14,11 @@
 val start : Erwin_common.t -> unit
 (** Installs the ZooKeeper expiry watcher that drives view changes. When
     [cfg.outlier_detection] is set, also starts the latency-outlier
-    health monitor: per-[outlier_interval] probes of every sequencing
-    replica, scored via {!Ll_net.Rpc.peer_score}; a replica whose score
-    exceeds [outlier_factor] x the median (all replicas sampled, >= 3
-    present) is evicted through {!remove_replica} — catching fail-slow
-    replicas whose heartbeats never expire. *)
+    health monitor: probes of every sequencing replica each 500 us,
+    scored via {!Ll_net.Rpc.peer_score}; a replica whose score exceeds
+    4x the median (every replica with at least 8 samples, >= 3 present)
+    is evicted through {!remove_replica} — catching fail-slow replicas
+    whose heartbeats never expire. *)
 
 val force_view_change : Erwin_common.t -> unit
 (** Runs a view change immediately (test hook; skips detection). *)

@@ -527,9 +527,7 @@ let install_backup_handler t b =
      timeout storm. The primary's replication retries are never budgeted —
      shedding those would leave backups silently missing slots. *)
   if t.cfg.Config.retry_budget then
-    Rpc.set_retry_budget b.ep
-      (Rpc.Retry_budget.create ~ratio:t.cfg.Config.retry_budget_ratio
-         ~cap:t.cfg.Config.retry_budget_cap ());
+    Rpc.set_retry_budget b.ep (Rpc.Retry_budget.create ());
   Rpc.set_handler b.ep (fun ~src req ~reply ->
       handle_backup t b ~src req ~reply:(fun resp ->
           reply ~size:(Proto.resp_size resp) resp))

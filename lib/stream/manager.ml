@@ -19,7 +19,7 @@
 
    Exactly-once composes from three pieces, each individually weaker:
    - at-least-once: a push whose ack does not arrive within
-     [sub_push_timeout] is redelivered verbatim until some ack for the
+     [push_timeout] is redelivered verbatim until some ack for the
      current epoch lands;
    - dedup: the consumer filters positions below its own durable [next]
      and acks cumulatively with that [next], so the manager's cursor
@@ -36,6 +36,11 @@ open Ll_sim
 open Ll_net
 open Lazylog
 open Lazylog.Erwin_common
+
+(* Records per [St_push] batch, and how long a push waits for its ack
+   before the batch is redelivered. *)
+let push_max = 32
+let push_timeout = Engine.ms 2
 
 type sub = {
   sname : string;
@@ -105,11 +110,8 @@ let sync_cursor t sub =
    (re-attach / recovery invalidated the batch). *)
 let push_round t sub =
   let epoch0 = sub.epoch in
-  let cfg = t.cluster.cfg in
   let n =
-    min
-      (min sub.credits cfg.Config.sub_push_max)
-      (t.cluster.stable_gp - sub.cursor)
+    min (min sub.credits push_max) (t.cluster.stable_gp - sub.cursor)
   in
   if n > 0 then begin
     let positions = List.init n (fun i -> sub.cursor + i) in
@@ -125,7 +127,7 @@ let push_round t sub =
         in
         match
           Rpc.call_timeout t.ep ~dst:sub.endpoint
-            ~size:(Proto.req_size req) ~timeout:cfg.Config.sub_push_timeout req
+            ~size:(Proto.req_size req) ~timeout:push_timeout req
         with
         | Some (Proto.R_sub_ack { epoch; upto; credits })
           when epoch = sub.epoch ->
@@ -162,7 +164,7 @@ let pump t sub =
              cadence, then park on the wake watch. The bounded wait
              re-demands — covering a lost demand and appends that arrived
              after the orderer judged the last one inert. *)
-          demand t ~upto:(sub.cursor + t.cluster.cfg.Config.sub_push_max);
+          demand t ~upto:(sub.cursor + push_max);
           ignore
             (Waitq.await_timeout t.wake ~timeout:(Engine.ms 1) (fun () ->
                  sub.cursor < t.cluster.stable_gp && sub.credits > 0)

@@ -120,11 +120,8 @@ let attach t =
   in
   if epoch > t.epoch then t.epoch <- epoch
 
-let create (cluster : Erwin_common.t) ~manager ~name ?(from = 0) ?window
-    ?(consume = 0) ?on_record () =
-  let window =
-    match window with Some w -> w | None -> cluster.cfg.Config.sub_window
-  in
+let create (cluster : Erwin_common.t) ~manager ~name ?(from = 0)
+    ?(window = 64) ?(consume = 0) ?on_record () =
   let node, ep = mk_node cluster ~nm:(Printf.sprintf "sub.%s" name) in
   let t =
     {

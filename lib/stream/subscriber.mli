@@ -22,7 +22,7 @@ val create :
   t
 (** Creates the consumer endpoint and attaches subscription [name] at the
     manager, starting from position [from] (default 0). [window]
-    (default [cfg.sub_window]) is the credit grant — the manager never
+    (default 64) is the credit grant — the manager never
     has more than this many records pushed-unacknowledged. [consume]
     models per-record application processing time; [on_record] is the
     application callback (positions are gap-free and strictly

@@ -247,6 +247,32 @@ let test_erwin_st_batched_end_to_end () =
       | None -> Alcotest.fail "erwin-st offers append_sync");
       Engine.stop ())
 
+(* More concurrent writers than the replicas' live-entry bound: a batch
+   is admitted whole or not at all, so a flush larger than [seq_capacity]
+   would wait forever and every retry would rebuild it. The record
+   trigger is capped at the capacity, so every append is acked. *)
+let test_batch_capped_at_seq_capacity () =
+  Engine.run (fun () ->
+      let cfg =
+        { Config.default with append_batching = true; seq_capacity = 64 }
+      in
+      let cluster = Erwin_m.create ~cfg () in
+      let client = Erwin_m.client cluster in
+      let writers = 100 in
+      let acked = ref 0 in
+      for i = 1 to writers do
+        Engine.spawn (fun () ->
+            if client.Log_api.append ~size:100 ~data:(string_of_int i) then
+              incr acked)
+      done;
+      let waited = ref 0 in
+      while !acked < writers && !waited < 500 do
+        Engine.sleep (Engine.ms 1);
+        incr waited
+      done;
+      checki "every append acked" writers !acked;
+      Engine.stop ())
+
 let () =
   Alcotest.run "batch"
     [
@@ -278,5 +304,7 @@ let () =
             test_erwin_m_coalesces;
           Alcotest.test_case "erwin-st appends + sync via batcher" `Quick
             test_erwin_st_batched_end_to_end;
+          Alcotest.test_case "batch capped at seq_capacity" `Quick
+            test_batch_capped_at_seq_capacity;
         ] );
     ]

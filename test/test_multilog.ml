@@ -248,6 +248,58 @@ let test_admission_shed_bounds_queue () =
       checkb "progress despite shedding" true (!acked > 0);
       Engine.stop ())
 
+(* A group-commit batch is shed as a unit: with a one-deep tenant queue,
+   three concurrent tenant-log batches at one replica cannot all be
+   queued, and a shed batch gets the failed-batch reply with none of its
+   rids stored. *)
+let test_shed_batched_append () =
+  Engine.run (fun () ->
+      let cfg = { mcfg with Config.fair_ingress = true; ingress_queue = 1 } in
+      let fabric = Ll_net.Fabric.create ~link:cfg.Config.link () in
+      let r = Seq_replica.create ~cfg ~fabric ~name:"r0" in
+      let ep =
+        Ll_net.Rpc.endpoint fabric
+          (Ll_net.Fabric.add_node fabric ~name:"probe" ())
+      in
+      let batch c =
+        List.init 4 (fun s ->
+            let rid = { Types.Rid.client = c; seq = s + 1 } in
+            (Types.Data (Types.record ~rid ~size:128 ~log:1 ()), false))
+      in
+      let replies = Array.make 3 None in
+      for c = 0 to 2 do
+        Engine.spawn (fun () ->
+            let req = Proto.Sr_append_batch { view = 0; batch = batch c } in
+            replies.(c) <-
+              Some
+                (Ll_net.Rpc.call ep ~dst:(Seq_replica.node_id r)
+                   ~size:(Proto.req_size req) req))
+      done;
+      Engine.sleep (Engine.ms 1);
+      let shed = ref 0 in
+      Array.iteri
+        (fun c reply ->
+          match reply with
+          | Some (Proto.R_append_batch { ok = false; appended = []; _ }) ->
+            incr shed;
+            List.iter
+              (fun (e, _) ->
+                checkb "shed rid not stored" false
+                  (Seq_log.known (Seq_replica.log r) (Types.entry_rid e)))
+              (batch c)
+          | Some (Proto.R_append_batch { ok = true; _ }) -> ()
+          | Some _ -> Alcotest.fail "unexpected reply"
+          | None -> Alcotest.fail "batch unanswered")
+        replies;
+      checki "one batch shed" 1 !shed;
+      match Seq_replica.ingress r with
+      | None -> Alcotest.fail "fair ingress not installed"
+      | Some ing ->
+        let s = Ingress.stats ing ~log:1 in
+        checki "stats count the shed" !shed s.Ingress.st_shed;
+        checki "stats count the admitted" (3 - !shed) s.Ingress.st_admitted;
+        Engine.stop ())
+
 let () =
   Alcotest.run "multilog"
     [
@@ -273,5 +325,7 @@ let () =
             test_drr_honors_weights;
           Alcotest.test_case "admission shed bounds the queue" `Quick
             test_admission_shed_bounds_queue;
+          Alcotest.test_case "batched append shed as a unit" `Quick
+            test_shed_batched_append;
         ] );
     ]
