@@ -113,7 +113,6 @@ let () =
     | "ready-mailbox" -> ready_mailbox
     | w -> failwith ("unknown workload: " ^ w)
   in
-  Ll_sim.Engine.set_scheduler `Wheel;
   f (n / 10) (* warmup *);
   let best = ref infinity in
   for r = 1 to reps do

@@ -26,13 +26,8 @@ let figures : (string * string * (unit -> unit)) list =
     ("tenants", "multi-log fabric: tenant scaling + weighted-fair ingress", Fig_tenants.run);
   ]
 
-let run_selection scheduler figs full micro ablations csv json_dir
-    min_mevents min_domain_scaling =
-  (* Set before any simulation; spawned bench domains inherit it. Figure
-     output is byte-identical either way (the wheel preserves the heap's
-     (at, tie, seq) execution order exactly) — the flag exists so that
-     claim can be checked by diffing. *)
-  Ll_sim.Engine.set_scheduler scheduler;
+let run_selection figs full micro ablations csv json_dir min_mevents
+    min_domain_scaling =
   (match csv with
   | Some path -> Harness.csv_out := Some (open_out path)
   | None -> ());
@@ -64,9 +59,9 @@ let run_selection scheduler figs full micro ablations csv json_dir
   | None -> ());
   Printf.printf "\nDone.\n";
   (* CI regression floor: fail the run if the engine's headline event
-     rate (timer-callback workload on the wheel scheduler, measured by
-     --micro) fell below the floor. Very conservative floors only — the
-     measurement is wall-clock and shared runners are noisy. *)
+     rate (timer-callback workload, measured by --micro) fell below the
+     floor. Very conservative floors only — the measurement is
+     wall-clock and shared runners are noisy. *)
   (match min_mevents with
   | Some floor when micro ->
     if !Micro.headline_mevents < floor then begin
@@ -135,17 +130,6 @@ let json_dir =
   Arg.(
     value & opt (some string) None & info [ "json-dir" ] ~docv:"DIR" ~doc)
 
-let scheduler =
-  let doc =
-    "Engine event scheduler: the timer $(b,wheel) (default) or the \
-     reference $(b,heap). Output is identical; the flag exists for \
-     byte-diff verification."
-  in
-  Arg.(
-    value
-    & opt (Arg.enum [ ("wheel", `Wheel); ("heap", `Heap) ]) `Wheel
-    & info [ "scheduler" ] ~docv:"SCHED" ~doc)
-
 let min_mevents =
   let doc =
     "With --micro: exit 1 if the engine's headline rate (Mevents/s) falls \
@@ -171,7 +155,7 @@ let cmd =
   let info = Cmd.info "lazylog-bench" ~doc in
   Cmd.v info
     Term.(
-      const run_selection $ scheduler $ figs $ full $ micro $ ablations $ csv
-      $ json_dir $ min_mevents $ min_domain_scaling)
+      const run_selection $ figs $ full $ micro $ ablations $ csv $ json_dir
+      $ min_mevents $ min_domain_scaling)
 
 let () = exit (Cmd.eval cmd)

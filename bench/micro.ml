@@ -199,42 +199,6 @@ let heap_test =
            ignore (Ll_sim.Heap.pop h)
          done))
 
-(* Before/after for the event-comparator change: the same event-shaped
-   records through the scheduler's heap, compared field-wise with
-   polymorphic [compare] (the seed's comparator) vs [Int.compare]. *)
-type ev = { at : int; tie : int; seq : int }
-
-let ev_cmp_poly a b =
-  let c = compare a.at b.at in
-  if c <> 0 then c
-  else
-    let c = compare a.tie b.tie in
-    if c <> 0 then c else compare a.seq b.seq
-
-let ev_cmp_int a b =
-  let c = Int.compare a.at b.at in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.tie b.tie in
-    if c <> 0 then c else Int.compare a.seq b.seq
-
-let event_heap_test ~name ~cmp =
-  Test.make ~name
-    (Staged.stage (fun () ->
-         let h = Ll_sim.Heap.create ~cmp in
-         for i = 0 to 255 do
-           Ll_sim.Heap.push h { at = (i * 7919) mod 1024; tie = 0; seq = i }
-         done;
-         while not (Ll_sim.Heap.is_empty h) do
-           ignore (Ll_sim.Heap.pop h)
-         done))
-
-let event_cmp_poly_test =
-  event_heap_test ~name:"event heap (poly compare) x256" ~cmp:ev_cmp_poly
-
-let event_cmp_int_test =
-  event_heap_test ~name:"event heap (Int.compare) x256" ~cmp:ev_cmp_int
-
 let zipf_test =
   let rng = Ll_sim.Rng.create ~seed:1 in
   let g = Ll_sim.Rng.Zipf.create rng ~n:100_000 ~theta:0.99 in
@@ -267,9 +231,8 @@ let reservoir_test =
          done;
          ignore (Ll_sim.Stats.Reservoir.percentile_us r 99.0)))
 
-(* End-to-end scheduler rate in real wall-clock time, under both the
-   timer wheel and the retained reference heap scheduler (the pre-wheel
-   implementation), on three event mixes:
+(* End-to-end scheduler rate in real wall-clock time, on these event
+   mixes:
 
    - sleep-fiber: long-lived fibers blocking in [Engine.sleep]; every
      event is an effect perform + continuation resume, so this row is
@@ -280,10 +243,8 @@ let reservoir_test =
    - mixed-hop: callback chains with bimodal delays spanning all wheel
      levels (ns hops, 10-100 us RPCs, ~10 ms timeouts), exercising
      cascades the way a protocol mix does.
-
-   The heap rows are a lower bound on the pre-PR cost of the callback
-   shapes: before [call_at] existed, every timer also paid a fiber
-   start. *)
+   - deep-*: 10^5 concurrently pending timers, as bare callbacks and as
+     fiber timers. *)
 
 let sleep_fibers n =
   Ll_sim.Engine.run (fun () ->
@@ -351,9 +312,8 @@ let fiber_timer_chains n =
       done)
 
 (* 100k concurrently pending timers — the live-set shape of the open-loop
-   10^5-producer workload. The heap pays O(log n) comparator sifts over a
-   cold 100k-element array per event; the wheel stays O(1), so this is
-   where the scheduler swap actually pays. *)
+   10^5-producer workload. A binary heap would pay O(log n) comparator
+   sifts over a cold 100k-element array per event; the wheel stays O(1). *)
 let deep_timers n =
   Ll_sim.Engine.run (fun () ->
       let open Ll_sim in
@@ -396,8 +356,8 @@ let engine_workloads =
     ("deep-fiber-100k", deep_fiber_timers);
   ]
 
-(* Headline Mevents/s (timer-callback under the wheel) — the number the
-   --min-mevents CI regression floor checks. *)
+(* Headline Mevents/s (timer-callback) — the number the --min-mevents CI
+   regression floor checks. *)
 let headline_mevents = ref 0.0
 
 (* Multi-domain aggregate speedup over the single-domain mixed-hop rate —
@@ -470,96 +430,46 @@ let recv_storm js =
     :: !js
 
 let run_engine_rate () =
-  Harness.section "Engine event throughput (real time): wheel vs heap";
-  Harness.note
-    "heap = reference scheduler (pre-wheel boxed events); mwords/ev = minor words allocated per event";
+  Harness.section "Engine event throughput (real time)";
+  Harness.note "mwords/ev = minor words allocated per event";
   let n = if !Harness.quick then 300_000 else 2_000_000 in
-  let measure sched f =
-    Ll_sim.Engine.set_scheduler sched;
-    let t0 = Unix.gettimeofday () in
-    let mw0 = Gc.minor_words () in
-    f n;
-    let mw1 = Gc.minor_words () in
-    let wall = Unix.gettimeofday () -. t0 in
-    let events = Ll_sim.Engine.events_executed () in
-    (events, wall, (mw1 -. mw0) /. float_of_int events)
-  in
   Harness.table_header
-    [ "workload/scheduler"; "events"; "wall_ms"; "Mevents/s"; "mwords/ev"; "speedup" ];
+    [ "workload"; "events"; "wall_ms"; "Mevents/s"; "mwords/ev"; "speedup" ];
   let js = ref [] in
-  let fiber_timer_heap = ref 0.0 in
   let mixed_hop_wheel = ref 0.0 in
-  let deep_callback_wheel = ref 0.0 in
-  let deep_fiber_heap = ref 0.0 in
   List.iter
     (fun (wname, f) ->
-      let ev_h, w_h, a_h = measure `Heap f in
-      let ev_w, w_w, a_w = measure `Wheel f in
-      let mh = float_of_int ev_h /. w_h /. 1e6 in
-      let mw = float_of_int ev_w /. w_w /. 1e6 in
-      Harness.row (wname ^ "/heap")
-        [
-          string_of_int ev_h;
-          Harness.f1 (w_h *. 1000.);
-          Printf.sprintf "%.2f" mh;
-          Harness.f1 a_h;
-          "-";
-        ];
+      let t0 = Unix.gettimeofday () in
+      let mw0 = Gc.minor_words () in
+      f n;
+      let mw1 = Gc.minor_words () in
+      let wall = Unix.gettimeofday () -. t0 in
+      let events = Ll_sim.Engine.events_executed () in
+      let rate = float_of_int events /. wall /. 1e6 in
       Harness.row (wname ^ "/wheel")
         [
-          string_of_int ev_w;
-          Harness.f1 (w_w *. 1000.);
-          Printf.sprintf "%.2f" mw;
-          Harness.f1 a_w;
-          Printf.sprintf "%.2fx" (mw /. mh);
+          string_of_int events;
+          Harness.f1 (wall *. 1000.);
+          Printf.sprintf "%.2f" rate;
+          Harness.f1 ((mw1 -. mw0) /. float_of_int events);
+          "-";
         ];
-      if wname = "timer-fiber" then fiber_timer_heap := mh;
-      if wname = "timer-callback" then headline_mevents := mw;
-      if wname = "mixed-hop" then mixed_hop_wheel := mw;
-      if wname = "deep-timer-100k" then deep_callback_wheel := mw;
-      if wname = "deep-fiber-100k" then deep_fiber_heap := mh;
+      if wname = "timer-callback" then headline_mevents := rate;
+      if wname = "mixed-hop" then mixed_hop_wheel := rate;
       js :=
         {
-          Harness.js_series = wname ^ "/heap";
-          js_throughput = mh *. 1e6;
+          Harness.js_series = wname ^ "/wheel";
+          js_throughput = rate *. 1e6;
           js_p50_us = 0.0;
           js_p99_us = 0.0;
           js_p999_us = 0.0;
         }
-        :: {
-             Harness.js_series = wname ^ "/wheel";
-             js_throughput = mw *. 1e6;
-             js_p50_us = 0.0;
-             js_p99_us = 0.0;
-             js_p999_us = 0.0;
-           }
         :: !js)
     engine_workloads;
-  Ll_sim.Engine.set_scheduler `Wheel;
-  (* The pre-PR engine priced every timer as timer-fiber/heap; the new
-     engine prices it as timer-callback/wheel. *)
-  if !fiber_timer_heap > 0.0 then
-    Harness.row "timer path vs pre-PR"
-      [
-        "-";
-        "-";
-        "-";
-        "-";
-        Printf.sprintf "%.2fx" (!headline_mevents /. !fiber_timer_heap);
-      ];
-  if !deep_fiber_heap > 0.0 then
-    Harness.row "deep timer path vs pre-PR"
-      [
-        "-";
-        "-";
-        "-";
-        "-";
-        Printf.sprintf "%.2fx" (!deep_callback_wheel /. !deep_fiber_heap);
-      ];
   (* Engines are domain-local, so independent clusters shard across
-     domains with zero coordination — the sweep/bench parallelism this PR
-     spends its headroom on. Aggregate Mevents/s over [doms] domains each
-     running the mixed-hop mix under the wheel. *)
+     domains with zero coordination — the sweep/bench parallelism.
+     Aggregate Mevents/s over [doms] domains each running the mixed-hop
+     mix. *)
   let doms = min 8 (Domain.recommended_domain_count ()) in
   let t0 = Unix.gettimeofday () in
   let spawned =
@@ -603,8 +513,6 @@ let run () =
       [
         ring_test;
         heap_test;
-        event_cmp_poly_test;
-        event_cmp_int_test;
         zipf_test;
         seq_log_test;
         reservoir_test;

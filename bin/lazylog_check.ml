@@ -232,10 +232,8 @@ let run_replay path =
     print_endline "replay completed with NO violation (artifact stale?)";
     0
 
-let main scheduler systems seeds seed_base shards jobs quick batching
-    replica_reads subscriptions gray tenants bug artifact_dir replay =
-  (* Set before any Engine.run; spawned sweep domains inherit it. *)
-  Ll_sim.Engine.set_scheduler scheduler;
+let main systems seeds seed_base shards jobs quick batching replica_reads
+    subscriptions gray tenants bug artifact_dir replay =
   match replay with
   | Some path -> run_replay path
   | None ->
@@ -243,16 +241,6 @@ let main scheduler systems seeds seed_base shards jobs quick batching
       subscriptions gray tenants bug artifact_dir
 
 open Cmdliner
-
-let scheduler =
-  Arg.(
-    value
-    & opt (enum [ ("wheel", `Wheel); ("heap", `Heap) ]) `Wheel
-    & info [ "scheduler" ] ~docv:"SCHED"
-        ~doc:
-          "Engine event scheduler: the timer $(b,wheel) (default) or the \
-           reference $(b,heap). Both execute the identical schedule; the \
-           flag exists so CI can cross-check them.")
 
 let systems =
   Arg.(
@@ -334,7 +322,7 @@ let tenants =
           "Multi-log fabric mode: every writer is pinned to its own \
            tenant log, one extra aggressor tenant bursts back-to-back \
            appends, and the cluster runs with weighted-fair ingress (DRR \
-           + token-bucket admission) on; every position-scoped invariant \
+           + queue-bound admission) on; every position-scoped invariant \
            (real-time order, stable prefix, read agreement, truncation \
            safety) is checked per log.")
 
@@ -368,8 +356,8 @@ let cmd =
   Cmd.v
     (Cmd.info "lazylog-check" ~doc)
     Term.(
-      const main $ scheduler $ systems $ seeds $ seed_base $ shards $ jobs
-      $ quick $ batching $ replica_reads $ subscriptions $ gray
-      $ tenants $ bug $ artifact_dir $ replay)
+      const main $ systems $ seeds $ seed_base $ shards $ jobs $ quick
+      $ batching $ replica_reads $ subscriptions $ gray $ tenants $ bug
+      $ artifact_dir $ replay)
 
 let () = exit (Cmd.eval' cmd)

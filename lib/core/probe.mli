@@ -61,9 +61,8 @@ type event =
       (** Fair ingress: sequencing replica [replica] admitted a data-plane
           append of tenant [log] into its ingress queue. *)
   | Ingress_shed of { replica : int; log : int }
-      (** Fair ingress: the tenant's token bucket was empty and its queue
-          at the bound — the append was answered with an immediate failure
-          instead of queueing. *)
+      (** Fair ingress: the tenant's queue was at the bound — the append
+          was answered with an immediate failure instead of queueing. *)
 
 type handler = event -> unit
 

@@ -14,23 +14,19 @@ let to_sec t = float_of_int t /. 1_000_000_000.
    drawn from a per-run seeded stream, so one workload explores many legal
    interleavings while staying fully deterministic per seed.
 
-   Events execute in strict ascending [(at, tie, seq)] order. Two
-   schedulers implement that contract over the same cell stream:
-
-   - the default hierarchical timer wheel (below), whose per-event cost is
-     O(1) appends plus bitmap scans instead of O(log n) comparator sifts,
-     and whose run loop drains a whole slot (one exact timestamp) per
-     bitmap scan, dispatching head-first in a tight loop — the slot list
-     itself is the run queue, so batching adds no copy and a pending
-     same-instant cell stays cancellable until the moment it fires;
-   - a reference binary heap over boxed event records — the pre-wheel
-     implementation, kept selectable (see {!set_scheduler}) so equivalence
-     tests and before/after benchmarks can run both on identical inputs.
+   Events execute in strict ascending [(at, tie, seq)] order. The
+   scheduler is a hierarchical timer wheel (below), whose per-event cost
+   is O(1) appends plus bitmap scans instead of O(log n) comparator sifts,
+   and whose run loop drains a whole slot (one exact timestamp) per bitmap
+   scan, dispatching head-first in a tight loop — the slot list itself is
+   the run queue, so batching adds no copy and a pending same-instant cell
+   stays cancellable until the moment it fires.
 
    Since [seq] is unique, the order is total: any correct scheduler
-   executes the identical sequence, which is what test_wheel.ml checks.
-   Cancelled timers ({!cancel}) are removed from the schedule in both
-   schedulers without executing, so the executed sequences stay equal. *)
+   executes the identical sequence. test_wheel.ml holds a reference
+   binary-heap scheduler (the pre-wheel implementation) and checks the
+   wheel executes its sequence exactly. Cancelled timers ({!cancel}) are
+   removed from the schedule without executing. *)
 
 (* Event cells are pooled in struct-of-arrays form: scheduling an event
    writes four ints and one pointer into recycled slots instead of
@@ -100,36 +96,14 @@ let ovf_cmp a b =
     let c = Int.compare a.otie b.otie in
     if c <> 0 then c else Int.compare a.oseq b.oseq
 
-(* Reference scheduler: the pre-wheel representation, one boxed record and
-   one dispatch closure per event in a binary heap. [dead] is the lazy
-   form of cancellation: the wheel unlinks a cancelled cell eagerly, the
-   heap tombstones it and the run loop skips it on pop. *)
-type event = {
-  at : time;
-  tie : int;
-  seq : int;
-  fn : unit -> unit;
-  mutable dead : bool;
-}
-
-(* Int.compare, not polymorphic compare: this runs on every heap sift of
-   every scheduled event under the reference scheduler. *)
-let event_cmp a b =
-  let c = Int.compare a.at b.at in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.tie b.tie in
-    if c <> 0 then c else Int.compare a.seq b.seq
-
 let nil = -1
 let unit_obj = Obj.repr 0
 let no_name = ""
 
-(* Cancel tokens are immediate ints: 0 is "none", positive packs
-   [cell lsl 38 lor seq] for a wheel cell (validated against the cell's
-   live [seq] so a fired-and-recycled cell can't be cancelled by a stale
-   token), negative is [-seq] for a reference-heap event looked up in a
-   side table. Tokens are only meaningful within the run that made them. *)
+(* Cancel tokens are immediate ints: 0 is "none", otherwise
+   [cell lsl 38 lor seq] (validated against the cell's live [seq] so a
+   fired-and-recycled cell can't be cancelled by a stale token). Tokens
+   are only meaningful within the run that made them. *)
 type timer = int
 
 let no_timer = 0
@@ -152,11 +126,6 @@ type state = {
   mutable seed : int;
   mutable rng : Random.State.t;
   mutable perturb_rng : Random.State.t option;
-  mutable use_heap : bool;
-  (* reference scheduler *)
-  queue : event Heap.t;
-  hcancel : (int, event) Hashtbl.t; (* seq -> cancellable pending event *)
-  mutable heap_dead : int; (* tombstones still inside [queue] *)
   (* Pooled cells. The int fields live interleaved in [ev_i] at stride 4
      — at, seqk (seq|loc|kind, above), next, prev — so touching a cell
      costs one 32-byte block; this is what keeps 10^5 live timers fast.
@@ -180,10 +149,6 @@ type state = {
   overflow : ovf Heap.t;
 }
 
-(* The default scheduler for freshly created domain states; flipped by
-   {!set_scheduler} so spawned sweep domains inherit the choice. *)
-let default_use_heap = Atomic.make false
-
 let initial_pool = 1024
 
 let fresh_state () =
@@ -203,10 +168,6 @@ let fresh_state () =
     seed = 0;
     rng = Random.State.make [| 0 |];
     perturb_rng = None;
-    use_heap = Atomic.get default_use_heap;
-    queue = Heap.create ~cmp:event_cmp;
-    hcancel = Hashtbl.create 64;
-    heap_dead = 0;
     ev_i;
     ev_tie = Array.make initial_pool 0;
     ev_payload = Array.make initial_pool unit_obj;
@@ -255,6 +216,11 @@ let grow_pool s =
    free list, slots are masked), so the per-event paths use unsafe array
    accessors: at millions of events per second the bounds checks are
    measurable. *)
+
+(* The cell [alloc_cell] hands out next: the free-list head, or, when the
+   pool is full, the first cell [grow_pool] adds. *)
+let next_cell s =
+  if s.free_head < 0 then Array.length s.ev_payload else s.free_head
 
 let alloc_cell s =
   if s.free_head < 0 then grow_pool s;
@@ -513,29 +479,14 @@ let wheel_reset s =
 
 (* ---------- timer cancellation ---------- *)
 
-(* Cancel a pending timer: under the wheel, unlink the cell from its
-   doubly-linked slot list and recycle it immediately (overflow-parked
-   cells are tombstoned and reclaimed when their cycle drains); under the
-   reference heap, tombstone the event for the run loop to skip. Either
-   way the callback never fires, the executed event sequence is the same
-   under both schedulers, and — unlike the pre-cancellation engine — a
-   completed timed wait leaves nothing behind to churn through the
+(* Cancel a pending timer: unlink the cell from its doubly-linked slot
+   list and recycle it immediately (overflow-parked cells are tombstoned
+   and reclaimed when their cycle drains). The callback never fires, and
+   a completed timed wait leaves nothing behind to churn through the
    scheduler. *)
 let cancel tok =
   let s = state () in
   if tok = no_timer then false
-  else if tok < 0 then begin
-    (* reference heap: tombstone via the seq side table *)
-    let seq = -tok in
-    match Hashtbl.find_opt s.hcancel seq with
-    | None -> false
-    | Some ev ->
-      ev.dead <- true;
-      Hashtbl.remove s.hcancel seq;
-      s.heap_dead <- s.heap_dead + 1;
-      s.cancelled <- s.cancelled + 1;
-      true
-  end
   else begin
     let cell = tok lsr token_seq_bits in
     let seq = tok land token_seq_mask in
@@ -591,10 +542,25 @@ type _ Effect.t +=
   | Spawn : (string * (unit -> unit)) -> unit Effect.t
   | Suspend : ('a waker -> unit) -> 'a Effect.t
 
-(* [exec], [schedule_cell] and [heap_fn] are mutually recursive: fibers
-   schedule cells from their effect handlers, and the reference scheduler
-   wraps fiber-start cells back into closures over [exec]. *)
-let rec exec name f =
+(* Ties are drawn only under ~perturb, so the unperturbed hot path never
+   touches [ev_tie]. [wheel_insert] stays a tail call: returning the cell
+   from here measurably slows every scheduled event, so {!timer_at} reads
+   the cell index up front with [next_cell]. *)
+let schedule_cell s at kind payload name =
+  let at = if at < s.clock then s.clock else at in
+  s.seqno <- s.seqno + 1;
+  let c = alloc_cell s in
+  Array.unsafe_set s.ev_i (4 * c) at;
+  Array.unsafe_set s.ev_i ((4 * c) + 1) (seqk_make s.seqno kind);
+  (match s.perturb_rng with
+  | None -> ()
+  | Some prng -> Array.unsafe_set s.ev_tie c (Random.State.bits prng));
+  Array.unsafe_set s.ev_payload c payload;
+  if name != no_name then Array.unsafe_set s.ev_name c name;
+  s.live <- s.live + 1;
+  wheel_insert s ~ref_:s.clock c
+
+let exec name f =
   let open Effect.Deep in
   let s = state () in
   s.fibers <- s.fibers + 1;
@@ -632,51 +598,6 @@ let rec exec name f =
           | _ -> None);
     }
 
-and schedule_cell s at kind payload name =
-  let at = if at < s.clock then s.clock else at in
-  s.seqno <- s.seqno + 1;
-  match s.perturb_rng with
-  | None ->
-    if s.use_heap then
-      Heap.push s.queue
-        {
-          at;
-          tie = 0;
-          seq = s.seqno;
-          fn = heap_fn kind payload name;
-          dead = false;
-        }
-    else begin
-      let c = alloc_cell s in
-      Array.unsafe_set s.ev_i (4 * c) at;
-      Array.unsafe_set s.ev_i ((4 * c) + 1) (seqk_make s.seqno kind);
-      Array.unsafe_set s.ev_payload c payload;
-      if name != no_name then Array.unsafe_set s.ev_name c name;
-      s.live <- s.live + 1;
-      wheel_insert s ~ref_:s.clock c
-    end
-  | Some prng ->
-    let tie = Random.State.bits prng in
-    if s.use_heap then
-      Heap.push s.queue
-        { at; tie; seq = s.seqno; fn = heap_fn kind payload name; dead = false }
-    else begin
-      let c = alloc_cell s in
-      Array.unsafe_set s.ev_i (4 * c) at;
-      Array.unsafe_set s.ev_i ((4 * c) + 1) (seqk_make s.seqno kind);
-      Array.unsafe_set s.ev_tie c tie;
-      Array.unsafe_set s.ev_payload c payload;
-      if name != no_name then Array.unsafe_set s.ev_name c name;
-      s.live <- s.live + 1;
-      wheel_insert s ~ref_:s.clock c
-    end
-
-and heap_fn kind payload name =
-  if kind = k_thunk then (Obj.obj payload : unit -> unit)
-  else if kind = k_cont then fun () ->
-    Effect.Deep.continue (Obj.obj payload : (unit, unit) Effect.Deep.continuation) ()
-  else fun () -> exec name (Obj.obj payload)
-
 let schedule at fn = schedule_cell (state ()) at k_fiber (Obj.repr fn) "at"
 
 let wake w v =
@@ -685,8 +606,8 @@ let wake w v =
     w.fired <- true;
     (* A normal wake cancels the waker's armed deadline (if any), so a
        completed timed wait leaves no dead timer behind in the wheel.
-       When the deadline itself is doing the waking, its cell/table entry
-       is already retired and this cancel is a no-op. *)
+       When the deadline itself is doing the waking, its cell is already
+       retired and this cancel is a no-op. *)
     (match w.deadline with
     | 0 -> ()
     | t ->
@@ -748,43 +669,9 @@ let call_after d fn =
 let timer_at t fn =
   let s = state () in
   if not s.running then failwith "timer_at: not inside Engine.run";
-  let at = if t < s.clock then s.clock else t in
-  s.seqno <- s.seqno + 1;
-  let seq = s.seqno in
-  let tie =
-    match s.perturb_rng with
-    | None -> 0
-    | Some prng -> Random.State.bits prng
-  in
-  if s.use_heap then begin
-    let ev =
-      {
-        at;
-        tie;
-        seq;
-        fn =
-          (fun () ->
-            Hashtbl.remove s.hcancel seq;
-            fn ());
-        dead = false;
-      }
-    in
-    Hashtbl.replace s.hcancel seq ev;
-    Heap.push s.queue ev;
-    -seq
-  end
-  else begin
-    let c = alloc_cell s in
-    Array.unsafe_set s.ev_i (4 * c) at;
-    Array.unsafe_set s.ev_i ((4 * c) + 1) (seqk_make seq k_thunk);
-    (match s.perturb_rng with
-    | None -> ()
-    | Some _ -> Array.unsafe_set s.ev_tie c tie);
-    Array.unsafe_set s.ev_payload c (Obj.repr fn);
-    s.live <- s.live + 1;
-    wheel_insert s ~ref_:s.clock c;
-    (c lsl token_seq_bits) lor (seq land token_seq_mask)
-  end
+  let c = next_cell s in
+  schedule_cell s t k_thunk (Obj.repr fn) no_name;
+  (c lsl token_seq_bits) lor (s.seqno land token_seq_mask)
 
 let timer_after d fn =
   let s = state () in
@@ -802,25 +689,13 @@ let events_executed () = (state ()).executed
 
 let timers_cancelled () = (state ()).cancelled
 
-(* Scheduled-but-unfired events. Under the wheel this is exact: cancelled
-   cells are unlinked (or, overflow-parked, dropped from the count at
-   cancel time); under the reference heap, tombstones are subtracted. *)
-let pending_events () =
-  let s = state () in
-  if s.use_heap then Heap.length s.queue - s.heap_dead else s.live
+(* Scheduled-but-unfired events, exact: cancelled cells are unlinked
+   (or, overflow-parked, dropped from the count at cancel time). *)
+let pending_events () = (state ()).live
 
 let stop () = (state ()).stopping <- true
 
 let fiber_count () = (state ()).fibers
-
-let set_scheduler kind =
-  let s = state () in
-  if s.running then failwith "Engine.set_scheduler: not while running";
-  let heap = kind = `Heap in
-  s.use_heap <- heap;
-  Atomic.set default_use_heap heap
-
-let scheduler () = if (state ()).use_heap then `Heap else `Wheel
 
 let run ?(seed = 42) ?(perturb = false) ?until main =
   let s = state () in
@@ -833,9 +708,6 @@ let run ?(seed = 42) ?(perturb = false) ?until main =
   s.executed <- 0;
   s.cancelled <- 0;
   s.seed <- seed;
-  s.heap_dead <- 0;
-  Heap.clear s.queue;
-  Hashtbl.reset s.hcancel;
   wheel_reset s;
   Slab.reset ();
   s.rng <- Random.State.make [| seed; 0x1a2706 |];
@@ -843,103 +715,83 @@ let run ?(seed = 42) ?(perturb = false) ?until main =
     (if perturb then Some (Random.State.make [| seed; 0x7e27b6 |]) else None);
   let finish () =
     s.running <- false;
-    Heap.clear s.queue;
-    Hashtbl.reset s.hcancel;
-    s.heap_dead <- 0;
     wheel_reset s
   in
   let ulim = match until with None -> max_int | Some u -> u in
   Fun.protect ~finally:finish (fun () ->
       try
         schedule_cell s 0 k_fiber (Obj.repr main) "main";
-        if s.use_heap then begin
-          let continue_loop = ref true in
-          while !continue_loop && not s.stopping do
-            match Heap.pop s.queue with
-            | None -> continue_loop := false
-            | Some ev ->
-              if ev.dead then s.heap_dead <- s.heap_dead - 1
-              else if ev.at > ulim then continue_loop := false
-              else begin
-                s.clock <- ev.at;
-                s.executed <- s.executed + 1;
-                ev.fn ()
-              end
-          done
-        end
-        else begin
-          (* Batched resumption: each outer iteration locates the
-             earliest occupied level-0 slot — every pending event of one
-             exact timestamp, in (tie, seq) order — and the inner loop
-             pops and dispatches head-first until the slot empties. The
-             slot list is the run queue: no copy, and every cell stays
-             linked (hence cancellable via the normal O(1) unlink, same
-             as a still-queued heap event) until the moment it fires.
-             Events scheduled mid-batch for the same instant append to
-             the draining slot with a larger seq, so they run at the
-             batch's tail, exactly where the (at, tie, seq) order puts
-             them. That tail-append argument needs ascending-seq
-             tie-breaking; under ~perturb ties are random, so perturbed
-             runs fall back to one full scan per event. *)
-          let batch_all = s.perturb_rng = None in
-          let continue_loop = ref true in
-          while !continue_loop && not s.stopping do
-            if not (refill s) then continue_loop := false
+        (* Batched resumption: each outer iteration locates the
+           earliest occupied level-0 slot — every pending event of one
+           exact timestamp, in (tie, seq) order — and the inner loop
+           pops and dispatches head-first until the slot empties. The
+           slot list is the run queue: no copy, and every cell stays
+           linked (hence cancellable via the normal O(1) unlink) until
+           the moment it fires.
+           Events scheduled mid-batch for the same instant append to
+           the draining slot with a larger seq, so they run at the
+           batch's tail, exactly where the (at, tie, seq) order puts
+           them. That tail-append argument needs ascending-seq
+           tie-breaking; under ~perturb ties are random, so perturbed
+           runs fall back to one full scan per event. *)
+        let batch_all = s.perturb_rng = None in
+        let continue_loop = ref true in
+        while !continue_loop && not s.stopping do
+          if not (refill s) then continue_loop := false
+          else begin
+            let bm0 = Array.unsafe_get s.bitmaps 0 in
+            let slot = scan_from bm0 (Array.unsafe_get s.pos 0) in
+            Array.unsafe_set s.pos 0 slot;
+            let hts = Array.unsafe_get s.hts 0 in
+            let ev = s.ev_i in
+            let at = Array.unsafe_get ev (4 * Array.unsafe_get hts (2 * slot)) in
+            if at > ulim then continue_loop := false
             else begin
-              let bm0 = Array.unsafe_get s.bitmaps 0 in
-              let slot = scan_from bm0 (Array.unsafe_get s.pos 0) in
-              Array.unsafe_set s.pos 0 slot;
-              let hts = Array.unsafe_get s.hts 0 in
-              let ev = s.ev_i in
-              let at = Array.unsafe_get ev (4 * Array.unsafe_get hts (2 * slot)) in
-              if at > ulim then continue_loop := false
-              else begin
-                s.clock <- at;
-                let draining = ref true in
-                while !draining && not s.stopping do
-                  let head = Array.unsafe_get hts (2 * slot) in
-                  (* [ev_i] must be re-read per event: the one just
-                     dispatched may have grown the pool, replacing the
-                     arrays. ([hts] and the bitmaps are fixed-size.) *)
-                  let ev = s.ev_i in
-                  let hnext = Array.unsafe_get ev ((4 * head) + 2) in
-                  Array.unsafe_set hts (2 * slot) hnext;
-                  if hnext >= 0 then
-                    Array.unsafe_set ev ((4 * hnext) + 3) nil
-                  else begin
-                    Array.unsafe_set hts ((2 * slot) + 1) nil;
-                    bit_clear bm0 slot
-                  end;
-                  s.counts.(0) <- Array.unsafe_get s.counts 0 - 1;
-                  s.live <- s.live - 1;
-                  let k = Array.unsafe_get ev ((4 * head) + 1) land 3 in
-                  let payload = Array.unsafe_get s.ev_payload head in
-                  s.executed <- s.executed + 1;
-                  if k = k_fiber then begin
-                    let name = Array.unsafe_get s.ev_name head in
-                    if name != no_name then
-                      Array.unsafe_set s.ev_name head no_name;
-                    free_cell s head;
-                    exec name (Obj.obj payload)
-                  end
-                  else begin
-                    free_cell s head;
-                    if k = k_thunk then (Obj.obj payload : unit -> unit) ()
-                    else
-                      Effect.Deep.continue
-                        (Obj.obj payload
-                          : (unit, unit) Effect.Deep.continuation)
-                        ()
-                  end;
-                  (* Re-read the head: the dispatched event may have
-                     scheduled into, or cancelled from, this slot. *)
-                  if (not batch_all) || Array.unsafe_get hts (2 * slot) < 0
-                  then draining := false
-                done
-              end
+              s.clock <- at;
+              let draining = ref true in
+              while !draining && not s.stopping do
+                let head = Array.unsafe_get hts (2 * slot) in
+                (* [ev_i] must be re-read per event: the one just
+                   dispatched may have grown the pool, replacing the
+                   arrays. ([hts] and the bitmaps are fixed-size.) *)
+                let ev = s.ev_i in
+                let hnext = Array.unsafe_get ev ((4 * head) + 2) in
+                Array.unsafe_set hts (2 * slot) hnext;
+                if hnext >= 0 then
+                  Array.unsafe_set ev ((4 * hnext) + 3) nil
+                else begin
+                  Array.unsafe_set hts ((2 * slot) + 1) nil;
+                  bit_clear bm0 slot
+                end;
+                s.counts.(0) <- Array.unsafe_get s.counts 0 - 1;
+                s.live <- s.live - 1;
+                let k = Array.unsafe_get ev ((4 * head) + 1) land 3 in
+                let payload = Array.unsafe_get s.ev_payload head in
+                s.executed <- s.executed + 1;
+                if k = k_fiber then begin
+                  let name = Array.unsafe_get s.ev_name head in
+                  if name != no_name then
+                    Array.unsafe_set s.ev_name head no_name;
+                  free_cell s head;
+                  exec name (Obj.obj payload)
+                end
+                else begin
+                  free_cell s head;
+                  if k = k_thunk then (Obj.obj payload : unit -> unit) ()
+                  else
+                    Effect.Deep.continue
+                      (Obj.obj payload
+                        : (unit, unit) Effect.Deep.continuation)
+                      ()
+                end;
+                (* Re-read the head: the dispatched event may have
+                   scheduled into, or cancelled from, this slot. *)
+                if (not batch_all) || Array.unsafe_get hts (2 * slot) < 0
+                then draining := false
+              done
             end
-          done
-        end
+          end
+        done
       with e ->
         (* Every failure names the master seed so it can be replayed. *)
         Printf.eprintf "Engine.run: aborting (master seed %d): %s\n%!" seed

@@ -22,10 +22,9 @@
     (near-future buckets at 1 ns granularity cascading out of coarser
     wheels, with a heap fallback for far-future timers), so the per-event
     cost is a handful of array writes rather than comparator sifts and a
-    record + closure allocation. A reference binary-heap scheduler — the
-    pre-wheel implementation — remains selectable via {!set_scheduler} for
-    equivalence testing and before/after benchmarking; both execute the
-    identical [(at, tie, seq)] order. *)
+    record + closure allocation. Events execute in the total order
+    [(at, tie, seq)]; the test suite checks the wheel against a reference
+    binary-heap scheduler on that order. *)
 
 type time = int
 (** Simulated time in nanoseconds since the start of the run. *)
@@ -110,11 +109,9 @@ val call_after : time -> (unit -> unit) -> unit
     Timed waits (Mailbox/Waitq/Ivar timeouts, RPC deadlines) arm a timer
     they usually don't need: the common case is a normal wake before the
     deadline. Cancellation removes the dead timer from the schedule — the
-    wheel unlinks the cell in O(1) and recycles it; the reference heap
-    tombstones the event and the run loop skips it — so a completed timed
+    wheel unlinks the cell in O(1) and recycles it — so a completed timed
     wait leaves nothing behind to churn through the scheduler. Cancelled
-    timers never execute under either scheduler, so schedule equivalence
-    is preserved. *)
+    timers never execute. *)
 
 type timer = private int
 (** A cancel token for a pending timer. Tokens are immediate ints (no
@@ -149,9 +146,9 @@ val timers_cancelled : unit -> int
     (diagnostic; includes deadline auto-cancels). *)
 
 val pending_events : unit -> int
-(** Number of scheduled-but-unfired events right now — live wheel cells
-    (or non-tombstoned heap events). Lets tests and micro benchmarks
-    observe that cancelled timers really left the schedule. *)
+(** Number of scheduled-but-unfired events right now (live wheel cells).
+    Lets tests and micro benchmarks observe that cancelled timers really
+    left the schedule. *)
 
 (** {1 Randomness} *)
 
@@ -186,20 +183,4 @@ val fiber_count : unit -> int
 
 val events_executed : unit -> int
 (** Number of scheduler events executed so far in this run — a stable
-    logical clock for repro artifacts (survives until the next {!run}).
-    Scheduler-invariant: the wheel and the reference heap execute the same
-    events in the same order, so counts recorded by monitors are
-    comparable across schedulers. *)
-
-(** {1 Scheduler selection} *)
-
-val set_scheduler : [ `Wheel | `Heap ] -> unit
-(** Select the event scheduler for subsequent {!run}s — [`Wheel] (default,
-    hierarchical timer wheel over pooled cells) or [`Heap] (reference
-    binary heap, the pre-wheel implementation). Both execute the identical
-    event order; [`Heap] exists for equivalence tests and before/after
-    benchmarks. Also sets the default inherited by freshly spawned
-    domains. Raises [Failure] if called during a run. *)
-
-val scheduler : unit -> [ `Wheel | `Heap ]
-(** The calling domain's currently selected scheduler. *)
+    logical clock for repro artifacts (survives until the next {!run}). *)

@@ -58,7 +58,7 @@ let pop t =
       (* Alias the vacated slot to the live root: without this the array
          keeps references to long-popped elements (up to a full capacity
          of dead events pinned across a run — visible at 10^6 timers
-         under the reference scheduler). Aliasing a live element retains
+         on a heap-backed scheduler). Aliasing a live element retains
          nothing extra. *)
       t.data.(t.size) <- t.data.(0);
       sift_down t 0

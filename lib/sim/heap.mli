@@ -1,7 +1,8 @@
 (** Array-backed binary min-heap.
 
-    Used as the event queue of the simulation {!Engine}, and available to any
-    other component that needs a priority queue. Elements are ordered by the
+    Used as the far-future overflow queue of the simulation {!Engine}'s
+    timer wheel, and available to any other component that needs a
+    priority queue. Elements are ordered by the
     comparison function supplied at creation; ties are resolved by it as
     well, so callers that need a stable order must encode a sequence number
     in their elements. *)

@@ -383,6 +383,27 @@ let test_sleep_until_past_is_yield () =
       Engine.sleep_until 0;
       check "no time travel" (Engine.us 5) (Engine.now ()))
 
+(* A fired timer's cell is freed before its callback runs, so a timer
+   armed from that callback reuses the cell. The old token must then lose
+   to the cell's new seq instead of cancelling the new timer. *)
+let test_stale_token () =
+  let fired = ref 0 in
+  let t1 = ref Engine.no_timer and t2 = ref Engine.no_timer in
+  let stale = ref true and live = ref false and pending = ref (-1) in
+  Engine.run (fun () ->
+      t1 :=
+        Engine.timer_after 10 (fun () ->
+            incr fired;
+            t2 := Engine.timer_after 10 (fun () -> incr fired);
+            stale := Engine.cancel !t1;
+            live := Engine.cancel !t2;
+            pending := Engine.pending_events ()));
+  check "same cell" ((!t1 :> int) lsr 38) ((!t2 :> int) lsr 38);
+  checkb "stale token loses" false !stale;
+  checkb "live token wins" true !live;
+  check "only the first fired" 1 !fired;
+  check "nothing pending" 0 !pending
+
 let test_rng_split_independence () =
   let a = Rng.create ~seed:1 in
   let b = Rng.split a in
@@ -432,6 +453,8 @@ let () =
           Alcotest.test_case "at clamps past times" `Quick test_at_clamps_past;
           Alcotest.test_case "sleep_until past is a yield" `Quick
             test_sleep_until_past_is_yield;
+          Alcotest.test_case "stale cancel token loses to a reused cell"
+            `Quick test_stale_token;
         ] );
       ( "ivar",
         [
