@@ -7,7 +7,9 @@
      engine_ab.exe <workload> <n-events> <reps>
 
    Workloads: timer-callback | mixed-hop | deep-timer | deep-fiber |
-   ready-ivar | ready-mailbox *)
+   ready-ivar | ready-mailbox | fifo-fanin | mem-log-bind
+
+   Each rep prints user-CPU ns/op and allocated words/op. *)
 
 let callback_chains n =
   Ll_sim.Engine.run (fun () ->
@@ -99,6 +101,52 @@ let ready_mailbox n =
         ignore (Mailbox.recv mb : int)
       done)
 
+(* Fabric fan-in: 10^4 producer nodes sending to 3 sinks, the shape of
+   client -> sequencing-replica traffic. Each round every producer sends
+   once, to a sink that rotates round by round, so the FIFO table holds
+   3 * 10^4 (src, dst) pairs and every send probes it. *)
+let fifo_fanin n =
+  Ll_sim.Engine.run (fun () ->
+      let open Ll_sim in
+      let open Ll_net in
+      let producers = 10_000 in
+      let fab = Fabric.create ~seed:1 () in
+      let sinks =
+        Array.init 3 (fun i -> Fabric.add_node fab ~name:(string_of_int i) ())
+      in
+      let srcs =
+        Array.init producers (fun _ -> Fabric.add_node fab ~name:"p" ())
+      in
+      Array.iter
+        (fun s ->
+          Engine.spawn ~name:"sink" (fun () ->
+              while true do
+                ignore (Fabric.recv s : int * unit)
+              done))
+        sinks;
+      for i = 0 to n - 1 do
+        Fabric.send fab ~src:srcs.(i mod producers)
+          ~dst:(Fabric.id sinks.(i mod 3)) ~size:128 ();
+        if i mod producers = producers - 1 then Engine.sleep (Engine.us 20)
+      done)
+
+(* A shard's bound-record index: a dense run of positions written once,
+   then read back. *)
+let mem_log_bind n =
+  let open Ll_storage in
+  let l = Mem_log.create () in
+  let v = ("record", 128) in
+  for pos = 0 to n - 1 do
+    Mem_log.set l pos v
+  done;
+  for pos = 0 to n - 1 do
+    ignore (Mem_log.get l pos : (string * int) option)
+  done
+
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
 let () =
   let workload = Sys.argv.(1) in
   let n = int_of_string Sys.argv.(2) in
@@ -111,20 +159,26 @@ let () =
     | "deep-fiber" -> deep_fiber_timers
     | "ready-ivar" -> ready_ivar
     | "ready-mailbox" -> ready_mailbox
+    | "fifo-fanin" -> fifo_fanin
+    | "mem-log-bind" -> mem_log_bind
     | w -> failwith ("unknown workload: " ^ w)
   in
   f (n / 10) (* warmup *);
   let best = ref infinity in
   for r = 1 to reps do
+    let w0 = allocated_words () in
     let t0 = (Unix.times ()).tms_utime in
     f n;
     let dt = (Unix.times ()).tms_utime -. t0 in
+    let words = allocated_words () -. w0 in
     let ev = Ll_sim.Engine.events_executed () in
     let rate = float_of_int ev /. dt /. 1e6 in
     if dt < !best then best := dt;
-    Printf.printf "  rep %d: %d events  %.1f ms cpu  %.2f Mev/s  %.1f ns/op\n%!"
+    Printf.printf
+      "  rep %d: %d events  %.1f ms cpu  %.2f Mev/s  %.1f ns/op  %.1f words/op\n%!"
       r ev (dt *. 1000.) rate
       (dt *. 1e9 /. float_of_int n)
+      (words /. float_of_int n)
   done;
   Printf.printf "%s best: %.1f ms cpu (%.1f ns/op over %d ops)\n%!" workload
     (!best *. 1000.) (!best *. 1e9 /. float_of_int n) n

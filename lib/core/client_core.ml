@@ -265,7 +265,10 @@ type prefetcher = {
 
 let prefetcher () =
   {
-    pf_cache = Hashtbl.create 256;
+    (* Small at creation: every client handle has one, and at the default
+       [readahead = 0] it only ever holds one read's positions. It grows
+       to the readahead window when one is set. *)
+    pf_cache = Hashtbl.create 8;
     pf_inflight = None;
     pf_next = 0;
     pf_frontier = 0;

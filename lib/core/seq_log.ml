@@ -4,7 +4,7 @@ type t = {
   capacity : int;
   entries : (int, Types.entry) Hashtbl.t;  (* slot -> live entry *)
   by_rid : (Types.Rid.t, int) Hashtbl.t;  (* live rid -> slot *)
-  ordered_seq : (int, int) Hashtbl.t;  (* client -> max ordered seq *)
+  ordered_seq : Int_table.t;  (* client -> max ordered seq *)
   mutable first : int;  (* lowest possibly-live slot *)
   mutable next : int;  (* next slot *)
   mutable live : int;
@@ -29,7 +29,7 @@ let create ~capacity =
     capacity;
     entries = Hashtbl.create 1024;
     by_rid = Hashtbl.create 1024;
-    ordered_seq = Hashtbl.create 64;
+    ordered_seq = Int_table.create 64;
     first = 0;
     next = 0;
     live = 0;
@@ -45,9 +45,7 @@ let create ~capacity =
 type append_result = Appended | Duplicate
 
 let already_ordered t (rid : Types.Rid.t) =
-  match Hashtbl.find_opt t.ordered_seq rid.client with
-  | Some s -> rid.seq <= s
-  | None -> false
+  rid.seq <= Int_table.find t.ordered_seq rid.client ~default:min_int
 
 let is_duplicate t rid = Hashtbl.mem t.by_rid rid || already_ordered t rid
 
@@ -186,9 +184,9 @@ let reset_claims t =
 
 let note_ordered t (rid : Types.Rid.t) =
   if rid.client >= 0 then begin
-    match Hashtbl.find_opt t.ordered_seq rid.client with
-    | Some s when s >= rid.seq -> ()
-    | _ -> Hashtbl.replace t.ordered_seq rid.client rid.seq
+    let s = Int_table.slot t.ordered_seq rid.client ~absent:min_int in
+    if Int_table.value t.ordered_seq s < rid.seq then
+      Int_table.set_value t.ordered_seq s rid.seq
   end
 
 let advance_first t =

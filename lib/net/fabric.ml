@@ -52,9 +52,10 @@ type 'm t = {
      Slots at index >= nnodes are padding (re-pointing at node 0). *)
   mutable nodes : 'm node array;
   mutable nnodes : int;
-  (* FIFO enforcement: earliest time the next message on (src,dst) may
-     arrive, keyed by the packed pair. *)
-  last_arrival : (int, Engine.time) Hashtbl.t;
+  (* FIFO enforcement: latest arrival time scheduled on (src,dst), keyed
+     by the packed pair. A flat table: one probe per send, no heap cell
+     per pair. *)
+  last_arrival : Int_table.t;
   partitions : (int, unit) Hashtbl.t;
   (* Directed link faults, keyed by the packed (src, dst) key. The hot
      path guards on the table being empty, so healthy runs pay one length
@@ -79,7 +80,7 @@ let create ?(link = default_link) ?seed () =
     rng = Rng.create ~seed;
     nodes = [||];
     nnodes = 0;
-    last_arrival = Hashtbl.create 64;
+    last_arrival = Int_table.create 64;
     partitions = Hashtbl.create 8;
     link_faults = Hashtbl.create 8;
     drop_p = 0.0;
@@ -122,7 +123,10 @@ let node_by_id t i =
 
 let node_count t = t.nnodes
 
-let partitioned t a b = Hashtbl.mem t.partitions (pair_key a b)
+(* Partitions exist only under fault scripts: healthy runs skip the hash
+   on both send and delivery. *)
+let partitioned t a b =
+  Hashtbl.length t.partitions > 0 && Hashtbl.mem t.partitions (pair_key a b)
 
 let send t ~src ~dst ~size msg =
   let dst_node = t.nodes.(dst) in
@@ -160,21 +164,21 @@ let send t ~src ~dst ~size msg =
     in
     let arrival = Engine.now () + delay in
     let key = fifo_key src.nid dst in
-    let arrival =
-      match Hashtbl.find_opt t.last_arrival key with
-      | Some last -> if last >= arrival then last + 1 else arrival
-      | None ->
-        (* First traffic on this (src,dst): index the key on both
-           endpoints for O(degree) crash cleanup. *)
-        let ks = Slab.alloc (Obj.repr key) in
-        Slab.set_next ks src.fifo_keys;
-        src.fifo_keys <- ks;
-        let kd = Slab.alloc (Obj.repr key) in
-        Slab.set_next kd dst_node.fifo_keys;
-        dst_node.fifo_keys <- kd;
-        arrival
-    in
-    Hashtbl.replace t.last_arrival key arrival;
+    (* Arrival times are non-negative, so [-1] marks a fresh pair. *)
+    let s = Int_table.slot t.last_arrival key ~absent:(-1) in
+    let last = Int_table.value t.last_arrival s in
+    if last < 0 then begin
+      (* First traffic on this (src,dst): index the key on both endpoints
+         for O(degree) crash cleanup. *)
+      let ks = Slab.alloc (Obj.repr key) in
+      Slab.set_next ks src.fifo_keys;
+      src.fifo_keys <- ks;
+      let kd = Slab.alloc (Obj.repr key) in
+      Slab.set_next kd dst_node.fifo_keys;
+      dst_node.fifo_keys <- kd
+    end;
+    let arrival = if last >= arrival then last + 1 else arrival in
+    Int_table.set_value t.last_arrival s arrival;
     let sender = src.nid in
     (* Bare callback: delivery only re-checks liveness and enqueues, no
        fiber effects, so it skips the fiber-start cost per hop. *)
@@ -202,7 +206,7 @@ let crash t n =
      index makes this O(degree). *)
   let c = ref n.fifo_keys in
   while !c >= 0 do
-    Hashtbl.remove t.last_arrival (Obj.obj (Slab.get !c) : int);
+    Int_table.remove t.last_arrival (Obj.obj (Slab.get !c) : int);
     let next = Slab.next !c in
     Slab.free !c;
     c := next

@@ -55,6 +55,7 @@ type ('req, 'resp) endpoint = {
   mutable handler :
     (src:node_id -> 'req -> reply:(?size:int -> 'resp -> unit) -> unit)
       option;
+  handler_name : string;  (* fiber name for every request's handler *)
   mutable service_time : 'req -> Engine.time;
   mutable budget : Retry_budget.t option;
   (* Ingress scheduler hook: when installed, every incoming request is
@@ -174,7 +175,7 @@ let serve t ~src req ~reply =
     if st > 0 then Engine.sleep st;
     (* The endpoint may have crashed while the request was "on CPU". *)
     if Fabric.is_alive t.node then
-      Engine.spawn ~name:(Fabric.name t.node ^ ".handler") (fun () ->
+      Engine.spawn ~name:t.handler_name (fun () ->
           h ~src req ~reply)
 
 let dispatch t ~src req ~reply =
@@ -220,6 +221,7 @@ let endpoint fabric node =
       peers = Hashtbl.create 8;
       next_token = 0;
       handler = None;
+      handler_name = Fabric.name node ^ ".handler";
       service_time = (fun _ -> 0);
       budget = None;
       ingress = None;

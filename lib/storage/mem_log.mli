@@ -15,7 +15,8 @@ val set : 'a t -> int -> 'a -> unit
 (** [set t pos v] writes [v] at absolute position [pos] (sparse positions
     are allowed — a shard holds only its own slice of the global position
     space). Existing positions are overwritten (tail overwrite during
-    recovery). *)
+    recovery). A position below {!first} is trimmed already, so the
+    write is dropped. *)
 
 val get : 'a t -> int -> 'a option
 (** [None] if trimmed away or beyond the tail. *)
@@ -34,9 +35,9 @@ val remove : 'a t -> int -> unit
     positions of other logs. *)
 
 val truncate : 'a t -> int -> unit
-(** [truncate t n] drops entries at positions [>= n]. Cost is
-    O(range) for dense logs, O(population) when the range is sparse
-    (packed multi-log positions). *)
+(** [truncate t n] drops entries at positions [>= n]. Whole chunks of
+    positions go at once, so the cost is bounded by the chunks the range
+    touches, not by its width (packed multi-log positions are sparse). *)
 
 val trim : 'a t -> int -> unit
 (** [trim t n] discards entries at positions [< n]. *)

@@ -96,6 +96,50 @@ let test_crash_resets_fifo_bookkeeping () =
       let _, m = Fabric.recv b in
       Alcotest.(check string) "payload" "fresh" m)
 
+let test_crash_many_pairs () =
+  (* A crash forgets every FIFO pair of the crashed node at once. With
+     hundreds of pairs those entries sit inside the probe chains of pairs
+     between surviving nodes, which must keep their ordering state. *)
+  Engine.run (fun () ->
+      let fab = Fabric.create () in
+      let hub = Fabric.add_node fab ~name:"hub" () in
+      let n = 400 in
+      let peers =
+        Array.init n (fun i -> Fabric.add_node fab ~name:(string_of_int i) ())
+      in
+      let next i = peers.((i + 1) mod n) in
+      (* Pre-crash traffic through the hub, due 50 ms out... *)
+      Fabric.set_extra_delay hub (Engine.ms 50);
+      Array.iter
+        (fun p ->
+          Fabric.send fab ~src:p ~dst:(Fabric.id hub) ~size:0 (-1);
+          Fabric.send fab ~src:hub ~dst:(Fabric.id p) ~size:0 (-1))
+        peers;
+      Fabric.set_extra_delay hub 0;
+      (* ...and a slow (1 MB) message on every peer-to-peer pair. *)
+      Array.iteri
+        (fun i p ->
+          Fabric.send fab ~src:p ~dst:(Fabric.id (next i)) ~size:1_000_000
+            (1000 + i))
+        peers;
+      Fabric.crash fab hub;
+      Fabric.recover fab hub;
+      Array.iteri
+        (fun i p ->
+          Fabric.send fab ~src:p ~dst:(Fabric.id (next i)) ~size:0 (2000 + i);
+          Fabric.send fab ~src:p ~dst:(Fabric.id hub) ~size:0 (3000 + i))
+        peers;
+      Engine.sleep (Engine.ms 2);
+      checki "fresh traffic to the hub not stuck behind lost traffic" n
+        (Fabric.inbox_length hub);
+      for i = 0 to n - 1 do
+        let _, big = Fabric.recv (next i) in
+        let _, small = Fabric.recv (next i) in
+        Alcotest.(check (list int))
+          (Printf.sprintf "pair %d -> %d stays FIFO" i ((i + 1) mod n))
+          [ 1000 + i; 2000 + i ] [ big; small ]
+      done)
+
 let test_partition () =
   Engine.run (fun () ->
       let fab = Fabric.create () in
@@ -433,6 +477,8 @@ let () =
             test_crash_in_flight;
           Alcotest.test_case "crash resets FIFO bookkeeping" `Quick
             test_crash_resets_fifo_bookkeeping;
+          Alcotest.test_case "crash forgets many pairs, keeps the rest" `Quick
+            test_crash_many_pairs;
           Alcotest.test_case "partition/heal" `Quick test_partition;
           Alcotest.test_case "drop probability" `Quick test_drop_probability;
           Alcotest.test_case "link fault is asymmetric" `Quick

@@ -34,6 +34,78 @@ let test_mem_log_trim_truncate () =
     [ (4, 4); (5, 5); (6, 6) ]
     (Mem_log.to_list l)
 
+(* Random operation sequences against a [Map] model. Positions are dense
+   log-0 positions spread over a few 1024-position chunks (a third of
+   them next to a chunk edge), or packed positions of logs 1-3, so both
+   the chunk walk and the sparse table walk run; trims and truncates draw
+   from the same space. *)
+module Im = Map.Make (Int)
+
+let prop_mem_log_matches_model =
+  let pos_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          int_bound 3_500;
+          map2 (fun c d -> max 0 ((c * 1024) + d - 1)) (int_bound 3) (int_bound 2);
+          map2 (fun l p -> Lazylog.Logid.pack ~log:(1 + l) p) (int_bound 2)
+            (int_bound 2_500);
+        ])
+  in
+  let op_gen = QCheck.Gen.(triple (int_bound 9) pos_gen pos_gen) in
+  QCheck.Test.make ~name:"mem_log matches Map model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 200) op_gen))
+    (fun ops ->
+      let l = Mem_log.create () in
+      let m = ref Im.empty and first = ref 0 and next = ref 0 in
+      let model_get p =
+        if p < !first || p >= !next then None else Im.find_opt p !m
+      in
+      let model_range from upto =
+        Im.bindings
+          (Im.filter
+             (fun p _ -> p >= max from !first && p < min upto !next)
+             !m)
+      in
+      let listing ?upto from =
+        let acc = ref [] in
+        Mem_log.iter ?upto l ~from (fun p v -> acc := (p, v) :: !acc);
+        List.rev !acc
+      in
+      List.for_all
+        (fun (op, a, b) ->
+          (match op with
+          | 0 | 1 | 2 | 3 ->
+            Mem_log.set l a b;
+            if a >= !first then m := Im.add a b !m;
+            if a >= !next then next := a + 1
+          | 4 ->
+            Mem_log.remove l a;
+            m := Im.remove a !m
+          | 5 ->
+            Mem_log.truncate l a;
+            let n = max a !first in
+            if n < !next then begin
+              m := Im.filter (fun p _ -> p < n) !m;
+              next := n
+            end
+          | 6 ->
+            Mem_log.trim l a;
+            let n = min a !next in
+            if n > !first then begin
+              m := Im.filter (fun p _ -> p >= n) !m;
+              first := n
+            end
+          | _ -> ());
+          Mem_log.get l a = model_get a
+          && Mem_log.get l b = model_get b
+          && Mem_log.length l = !next
+          && Mem_log.first l = !first
+          && listing ~upto:(max a b) (min a b) = model_range (min a b) (max a b)
+          && listing a = model_range a max_int
+          && Mem_log.to_list l = Im.bindings !m)
+        ops)
+
 (* --- Ring buffer --- *)
 
 let test_ring_basic () =
@@ -244,7 +316,8 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_mem_log_basic;
           Alcotest.test_case "trim/truncate" `Quick test_mem_log_trim_truncate;
-        ] );
+        ]
+        @ qc [ prop_mem_log_matches_model ] );
       ( "ring_buffer",
         [
           Alcotest.test_case "basic" `Quick test_ring_basic;
