@@ -152,7 +152,7 @@ let handle t (ev : Probe.event) =
         violate t "durability"
           "record %a acknowledged after its binding was no-op'ed" rid_pp rid
     end
-  | Replica_accepted _ | Replica_sealed _ -> ()
+  | Replica_sealed _ -> ()
   | View_installed { replica; view } ->
     t.n_views <- t.n_views + 1;
     (match Hashtbl.find_opt t.installed_views replica with

@@ -4,13 +4,14 @@ open Ll_sim
 
    One batcher per cluster process, shared by every client handle of that
    process, so concurrent appends from different client fibers coalesce
-   into a single [Sr_append_batch] fan-out to all f+1 sequencing replicas.
+   into a single [Sr_append] fan-out to all f+1 sequencing replicas: the
+   same request a lone append sends, carrying the whole batch.
    A batch flushes on whichever trigger fires first: the [linger] deadline
    armed when the batch opens, [max_batch_records], or [max_batch_bytes].
    Every caller of the batch gets its answer from the one fan-out ack.
 
    A replica admits a batch whole or not at all
-   ([Seq_log.append_batch_or_wait]), so a batch holding more fresh
+   ([Seq_log.append_or_wait]), so a batch holding more fresh
    records than [seq_capacity] could never be admitted: the record
    trigger is capped at the capacity.
 
@@ -23,16 +24,13 @@ open Ll_sim
 let max_batch_records = 128
 let max_batch_bytes = 64 * 1024
 
-type pending = {
-  entry : Types.entry;
-  track : bool;
-  done_ : [ `Ok | `Fail of int ] Ivar.t;
-}
-
 type t = {
   cluster : Erwin_common.t;
   ep : (Proto.req, Proto.resp) Ll_net.Rpc.endpoint;
-  mutable buf : pending list;  (* open batch, newest first *)
+  (* The open batch, each list newest first. *)
+  mutable entries : Types.entry list;
+  mutable tracked : Types.Rid.t list;
+  mutable waiters : [ `Ok | `Fail of int ] Ivar.t list;
   mutable count : int;
   mutable bytes : int;
   mutable gen : int;  (* bumped per flush; stale linger timers no-op *)
@@ -42,9 +40,13 @@ type t = {
 
 let flush t =
   if t.count > 0 then begin
-    let pendings = List.rev t.buf in
+    let entries = List.rev t.entries in
+    let tracked = List.rev t.tracked in
+    let waiters = List.rev t.waiters in
     let n = t.count in
-    t.buf <- [];
+    t.entries <- [];
+    t.tracked <- [];
+    t.waiters <- [];
     t.count <- 0;
     t.bytes <- 0;
     t.gen <- t.gen + 1;
@@ -53,10 +55,7 @@ let flush t =
     let cluster = t.cluster in
     Engine.spawn ~name:"append.batcher" (fun () ->
         let view = cluster.Erwin_common.view in
-        let req =
-          Proto.Sr_append_batch
-            { view; batch = List.map (fun p -> (p.entry, p.track)) pendings }
-        in
+        let req = Proto.Sr_append { view; entries; tracked } in
         let ivs = Erwin_common.seq_fanout cluster t.ep req in
         let ok =
           match
@@ -65,18 +64,20 @@ let flush t =
           with
           | Some resps ->
             List.for_all
-              (function Proto.R_append_batch { ok; _ } -> ok | _ -> false)
+              (function Proto.R_append { ok; _ } -> ok | _ -> false)
               resps
           | None -> false
         in
         let result = if ok then `Ok else `Fail view in
-        List.iter (fun p -> Ivar.fill p.done_ result) pendings)
+        List.iter (fun w -> Ivar.fill w result) waiters)
   end
 
 let submit t ~track entry =
   let cfg = t.cluster.Erwin_common.cfg in
-  let p = { entry; track; done_ = Ivar.create () } in
-  t.buf <- p :: t.buf;
+  let done_ = Ivar.create () in
+  t.entries <- entry :: t.entries;
+  if track then t.tracked <- Types.entry_rid entry :: t.tracked;
+  t.waiters <- done_ :: t.waiters;
   t.count <- t.count + 1;
   t.bytes <- t.bytes + Types.entry_wire_size entry;
   if
@@ -90,7 +91,7 @@ let submit t ~track entry =
     let gen = t.gen in
     Engine.after cfg.Config.linger (fun () -> if t.gen = gen then flush t)
   end;
-  Ivar.read p.done_
+  Ivar.read done_
 
 let make cluster =
   let ep = Erwin_common.new_endpoint cluster ~name:"append.batcher" in
@@ -98,7 +99,9 @@ let make cluster =
     {
       cluster;
       ep;
-      buf = [];
+      entries = [];
+      tracked = [];
+      waiters = [];
       count = 0;
       bytes = 0;
       gen = 0;

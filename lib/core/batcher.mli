@@ -2,8 +2,9 @@
 
     One batcher per cluster process, shared across all of its client
     handles: concurrent [append]/[appendSync] calls coalesce into a single
-    {!Proto.Sr_append_batch} fan-out to all f+1 sequencing replicas, and
-    each caller's ivar completes from that one ack. A batch flushes on the
+    {!Proto.Sr_append} fan-out to all f+1 sequencing replicas (the request
+    a lone append sends with one entry, here carrying the whole batch),
+    and each caller's ivar completes from that one ack. A batch flushes on the
     first of: the [linger] deadline (see {!Config}), 128 records (or
     [seq_capacity], if smaller: replicas admit a batch whole, so a larger
     one could never fit), or 64 KiB of payload.

@@ -13,7 +13,7 @@ let install_retry_budget (cluster : t) ep =
     Rpc.set_retry_budget ep (Rpc.Retry_budget.create ())
 
 let try_append_seq (cluster : t) ep ~view ~track entry =
-  let ivs = seq_fanout cluster ep (Proto.Sr_append { view; entry; track }) in
+  let ivs = seq_fanout cluster ep (Proto.append_one ~view ~track entry) in
   match Ivar.join_all_timeout ivs ~timeout:cluster.cfg.Config.append_timeout with
   | Some resps
     when List.for_all

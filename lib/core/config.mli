@@ -38,8 +38,9 @@ type t = {
   append_timeout : Engine.time;  (** client append retry timeout *)
   append_batching : bool;
       (** opt-in group commit: coalesce concurrent appends of one client
-          process into a single [Sr_append_batch] fan-out. Off by default
-          so the paper-fidelity figures measure the per-record path. *)
+          process into a single multi-entry [Sr_append] fan-out. Off by
+          default so the paper-fidelity figures send one entry per
+          request. *)
   linger : Engine.time;
       (** group commit: how long an open batch waits for more records
           before flushing (it flushes earlier once it holds 128 records,

@@ -63,7 +63,7 @@ let try_append_once (cluster : Erwin_common.t) ep ~track record shard =
   end
   else
     let meta_ivs =
-      seq_fanout cluster ep (Proto.Sr_append { view; entry = meta; track })
+      seq_fanout cluster ep (Proto.append_one ~view ~track meta)
     in
     match
       Ivar.join_all_timeout (data_ivs @ meta_ivs)

@@ -141,8 +141,7 @@ let install ~cfg ~view ep =
   Ll_net.Rpc.set_ingress ep (fun ~src req ~reply ->
       let log =
         match (req : Proto.req) with
-        | Proto.Sr_append { entry; _ } -> Some (Types.entry_log entry)
-        | Proto.Sr_append_batch { batch = (e, _) :: _; _ } ->
+        | Proto.Sr_append { entries = e :: _; _ } ->
           (* A linger batch is classified by its first entry: the batcher
              is per-client-process, so mixed-log batches only arise when a
              process multiplexes tenants — they are accounted to the
@@ -164,13 +163,7 @@ let install ~cfg ~view ep =
           if Probe.active () then
             Probe.emit
               (Probe.Ingress_shed { replica = t.replica; log = ten.log });
-          (match (req : Proto.req) with
-          | Proto.Sr_append _ ->
-            reply (Proto.R_append { ok = false; view = view () })
-          | _ ->
-            reply
-              (Proto.R_append_batch
-                 { ok = false; view = view (); appended = [] }));
+          reply (Proto.R_append { ok = false; view = view () });
           true
         end);
   t

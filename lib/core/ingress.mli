@@ -9,7 +9,7 @@
     by deficit round robin so service capacity divides by configured
     weight ({!Config.tenant_weights}) instead of arrival rate.
 
-    Only data-plane appends ([Sr_append] / [Sr_append_batch]) are
+    Only data-plane appends ([Sr_append], one entry or a batch) are
     scheduled; all other traffic falls through to the default FIFO path
     unchanged. Installed only when [fair_ingress] — with the knob off no
     scheduler exists and the replica keeps its FIFO ingress,

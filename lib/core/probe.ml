@@ -8,7 +8,6 @@
 type event =
   | Append_invoked of { rid : Types.Rid.t }
   | Append_acked of { rid : Types.Rid.t }
-  | Replica_accepted of { replica : int; rid : Types.Rid.t }
   | Replica_sealed of { replica : int; view : int }
   | View_installed of { replica : int; view : int }
   | Stable_advanced of { gp : int }
@@ -44,8 +43,6 @@ let pp_event fmt =
   function
   | Append_invoked e -> Format.fprintf fmt "append-invoked %a" rid e.rid
   | Append_acked e -> Format.fprintf fmt "append-acked %a" rid e.rid
-  | Replica_accepted e ->
-    Format.fprintf fmt "replica-accepted r%d %a" e.replica rid e.rid
   | Replica_sealed e ->
     Format.fprintf fmt "replica-sealed r%d view=%d" e.replica e.view
   | View_installed e ->

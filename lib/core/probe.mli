@@ -2,7 +2,7 @@
 
     The protocol code emits small structured events at the points the
     DESIGN.md section 5 invariants talk about: append invocation and
-    acknowledgement, replica accept/seal/install, stable-prefix advance,
+    acknowledgement, replica seal/install, stable-prefix advance,
     shard position binding, reads, crashes. [lib/check] subscribes during
     a checked run and maintains incremental invariant state; production
     and benchmark runs register no subscriber, so the hooks cost one
@@ -17,8 +17,6 @@ type event =
       (** A client began an append of [rid] (first attempt, not retries). *)
   | Append_acked of { rid : Types.Rid.t }
       (** The client observed a successful acknowledgement for [rid]. *)
-  | Replica_accepted of { replica : int; rid : Types.Rid.t }
-      (** Sequencing replica [replica] accepted [rid] into its log. *)
   | Replica_sealed of { replica : int; view : int }
   | View_installed of { replica : int; view : int }
   | Stable_advanced of { gp : int }

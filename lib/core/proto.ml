@@ -10,15 +10,17 @@ type gp = int
 
 type req =
   (* --- Sequencing replicas (section 4.1, 4.5) --- *)
-  | Sr_append of { view : int; entry : Types.entry; track : bool }
-      (** Client append; [track] asks the leader to remember the assigned
-          position for a later [Sr_wait_ordered] (appendSync support). *)
-  | Sr_append_batch of { view : int; batch : (Types.entry * bool) list }
-      (** Group commit: a linger batch of appends (entry, track), ingested
-          under one view check and one duplicate-filter pass. The batch
-          either fully acks or fully fails in this view — never half —
-          with per-rid results distinguishing fresh appends from
-          duplicate-filtered (already durable) entries. *)
+  | Sr_append of {
+      view : int;
+      entries : Types.entry list;
+      tracked : Types.Rid.t list;
+    }
+      (** Client append of one or more entries: a plain append sends one,
+          the group-commit batcher its whole linger batch. The replica
+          admits the entries under one view check and one duplicate-filter
+          pass, all or nothing in this view. [tracked] lists the rids
+          whose bound position the leader must remember for a later
+          [Sr_wait_ordered] (appendSync support). *)
   | Sr_check_tail of { view : int; log : int }
       (** Tail of one log ([log = 0] is the legacy single log). *)
   | Sr_gc of { view : int; slots : (gp * Types.Rid.t) list; new_gp : gp }
@@ -115,12 +117,12 @@ type req =
 type resp =
   | R_ok
   | R_append of { ok : bool; view : int }
-  | R_append_batch of { ok : bool; view : int; appended : bool list }
-      (** [ok = true]: every entry of the batch is durable in [view];
-          [appended] tells, per rid, whether the entry was freshly appended
-          ([true]) or filtered as an already-known duplicate ([false]).
-          [ok = false]: no entry of the batch was appended (wrong view,
-          sealed, or sealed while waiting for capacity). *)
+      (** [Sr_append] reply. [ok = true]: every entry is durable in
+          [view], freshly appended or filtered as an already-known
+          duplicate. [ok = false]: no entry was appended (wrong view,
+          sealed, shed, or sealed while waiting for capacity). [Sr_gc] and
+          [Ssh_data_write] reuse it as a plain ok/fail (shards answer
+          with [view = 0]). *)
   | R_tail of { ok : bool; tail : int }
   | R_state of { gp : gp; gps : (int * gp) list; entries : Types.entry list }
       (** [gps] lists the per-log last-ordered frontiers beyond log 0
@@ -144,6 +146,15 @@ type resp =
       (** [St_cursor_fetch] reply: (name, epoch, cursor) per
           subscription. *)
 
+(** A per-record append: an [Sr_append] of one entry. *)
+let append_one ~view ~track entry =
+  Sr_append
+    {
+      view;
+      entries = [ entry ];
+      tracked = (if track then [ Types.entry_rid entry ] else []);
+    }
+
 (** Approximate wire sizes, for the fabric's per-byte costs. *)
 
 let record_wire (r : Types.record) = r.size + 16
@@ -151,14 +162,17 @@ let record_wire (r : Types.record) = r.size + 16
 let slots_wire slots =
   List.fold_left (fun acc (_, r) -> acc + record_wire r) 0 slots
 
+let rec entries_wire entries acc =
+  match entries with
+  | [] -> acc
+  | e :: rest -> entries_wire rest (acc + Types.entry_wire_size e + 4)
+
 let req_size = function
-  | Sr_append { entry; _ } -> Types.entry_wire_size entry + 16
-  | Sr_append_batch { batch; _ } ->
-    (* Group commit amortizes the per-request header: one 16-byte header
-       for the whole batch, 4 bytes of framing per entry. *)
-    List.fold_left
-      (fun acc (e, _) -> acc + Types.entry_wire_size e + 4)
-      16 batch
+  | Sr_append { entries; _ } ->
+    (* A 12-byte request header, then each entry with 4 bytes of
+       framing: one entry costs [entry_wire_size + 16], and a batch
+       shares the header. *)
+    entries_wire entries 12
   | Sr_gc { slots; _ } -> (24 * List.length slots) + 16
   | Sr_install_view { flushed; gps; _ } ->
     (24 * List.length flushed) + (16 * List.length gps) + 32
@@ -192,6 +206,5 @@ let resp_size = function
       entries
   | R_map { chunk; _ } -> 12 * List.length chunk
   | R_missing { rids } -> 16 * List.length rids
-  | R_append_batch { appended; _ } -> 16 + List.length appended
   | R_cursors { cursors } -> (24 * List.length cursors) + 16
   | R_ok | R_append _ | R_tail _ | R_gp _ | R_sub _ | R_sub_ack _ -> 16

@@ -87,48 +87,41 @@ let append_wait t e =
     end
   end
 
-let append_or_wait t e ~cancel =
-  let rid = Types.entry_rid e in
-  let ready () =
-    cancel () || t.live < t.capacity || is_duplicate t rid
-  in
-  Waitq.await t.space ready;
-  if is_duplicate t rid then Some Duplicate
-  else if cancel () then None
-  else begin
-    do_append t e;
-    Some Appended
-  end
+(* Capacity an admission needs: the entries that are not duplicates. *)
+let rec count_fresh t entries n =
+  match entries with
+  | [] -> n
+  | e :: rest ->
+    count_fresh t rest
+      (if is_duplicate t (Types.entry_rid e) then n else n + 1)
 
-(* Group-commit ingress: the whole batch is admitted atomically. We wait
-   until the log has room for every non-duplicate entry of the batch (so a
-   batch never half-appends under backpressure), then run one
-   duplicate-filter pass that appends the fresh entries back-to-back.
-   Cancellation (seal / view change) while waiting fails the batch as a
-   unit: no entry is appended. Assumes the batch is far smaller than
-   [capacity] (flush triggers bound it). *)
-let append_batch_or_wait t entries ~cancel =
-  let fresh_needed () =
-    List.fold_left
-      (fun acc e ->
-        if is_duplicate t (Types.entry_rid e) then acc else acc + 1)
-      0 entries
-  in
-  Waitq.await t.space (fun () ->
-      cancel () || t.live + fresh_needed () <= t.capacity);
-  if cancel () then None
-  else
-    (* One pass: a rid appearing twice inside the batch registers on the
-       first occurrence and filters the second. *)
-    Some
-      (List.map
-         (fun e ->
-           if is_duplicate t (Types.entry_rid e) then Duplicate
-           else begin
-             do_append t e;
-             Appended
-           end)
-         entries)
+(* One pass: a rid appearing twice in [entries] registers on the first
+   occurrence and filters the second. *)
+let rec append_fresh t = function
+  | [] -> ()
+  | e :: rest ->
+    if not (is_duplicate t (Types.entry_rid e)) then do_append t e;
+    append_fresh t rest
+
+let admissible t entries ~cancel =
+  cancel () || t.live + count_fresh t entries 0 <= t.capacity
+
+(* Append ingress, one entry or a linger batch alike: the entries are
+   admitted atomically. We wait until the log has room for every fresh
+   entry (so a batch never half-appends under backpressure), then append
+   them back-to-back. Entries that are all already known ack without
+   appending, even once [cancel] holds (they are durable here already);
+   otherwise cancellation (seal / view change) while waiting fails the
+   entries as a unit. Assumes the entries are far fewer than [capacity]
+   (the batcher's flush triggers bound them). *)
+let append_or_wait t entries ~cancel =
+  if not (admissible t entries ~cancel) then
+    Waitq.await t.space (fun () -> admissible t entries ~cancel);
+  if cancel () then count_fresh t entries 0 = 0
+  else begin
+    append_fresh t entries;
+    true
+  end
 
 let kick t = Waitq.broadcast t.space
 

@@ -32,21 +32,15 @@ val append_wait : t -> Types.entry -> append_result
 val try_append : t -> Types.entry -> append_result option
 (** Non-blocking variant: [None] when the log is full. *)
 
-val append_or_wait :
-  t -> Types.entry -> cancel:(unit -> bool) -> append_result option
-(** Like {!append_wait} but gives up (returning [None]) once [cancel ()]
-    holds — used to reject appends blocked on backpressure when the
-    replica gets sealed. Callers flipping the cancel condition must call
+val append_or_wait : t -> Types.entry list -> cancel:(unit -> bool) -> bool
+(** The replica's append admission, for one entry or a linger batch
+    alike. Waits until the log can hold every non-duplicate entry, then
+    appends them in one duplicate-filter pass and returns [true]. Entries
+    that are all duplicates return [true] without appending. Otherwise,
+    once [cancel ()] holds (the replica was sealed or changed view) it
+    returns [false] with {e no} entry appended: the entries never
+    half-append. Callers flipping the cancel condition must call
     {!kick}. *)
-
-val append_batch_or_wait :
-  t -> Types.entry list -> cancel:(unit -> bool) ->
-  append_result list option
-(** Atomic group-commit ingress: waits until the log can hold every
-    non-duplicate entry of the batch, then appends them in one
-    duplicate-filter pass (per-entry results, in batch order). Returns
-    [None] — with {e no} entry appended — once [cancel ()] holds while
-    waiting. A batch never half-appends. *)
 
 val kick : t -> unit
 (** Wake fibers blocked in {!append_or_wait} so they re-check [cancel]. *)

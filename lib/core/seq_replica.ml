@@ -26,6 +26,7 @@ type t = {
 }
 
 let node t = t.node
+let endpoint t = t.ep
 let node_id t = Fabric.id t.node
 let name t = t.rname
 let log t = t.slog
@@ -50,61 +51,28 @@ let apply_gc ?(gps = []) t ~slots ~new_gp =
   List.iter (fun (log, g) -> Seq_log.set_last_ordered_gp_for t.slog ~log g) gps;
   record_bindings t slots
 
+let rec track_all t = function
+  | [] -> ()
+  | rid :: rest ->
+    Hashtbl.replace t.tracked rid ();
+    track_all t rest
+
 let handle t ~src:_ (req : Proto.req) ~reply =
   match req with
-  | Sr_append { view; entry; track } ->
+  | Sr_append { view; entries; tracked } ->
+    (* One view/seal check and one duplicate-filter pass for all the
+       entries. All-or-nothing in this view: a seal or view change while
+       they wait for capacity fails every entry (the client retries;
+       replicas that already accepted them filter the duplicates). *)
     if view <> t.view || t.sealed then
       reply (Proto.R_append { ok = false; view = t.view })
     else begin
-      if track then Hashtbl.replace t.tracked (Types.entry_rid entry) ();
-      (* Blocks under backpressure; gives up if sealed meanwhile. *)
-      match
-        Seq_log.append_or_wait t.slog entry ~cancel:(fun () ->
+      track_all t tracked;
+      let ok =
+        Seq_log.append_or_wait t.slog entries ~cancel:(fun () ->
             t.sealed || view <> t.view)
-      with
-      | Some res ->
-        if res = Seq_log.Appended && Probe.active () then
-          Probe.emit
-            (Probe.Replica_accepted
-               { replica = Fabric.id t.node; rid = Types.entry_rid entry });
-        reply (Proto.R_append { ok = true; view = t.view })
-      | None -> reply (Proto.R_append { ok = false; view = t.view })
-    end
-  | Sr_append_batch { view; batch } ->
-    (* Group commit: one view/seal check and one duplicate-filter pass for
-       the whole batch. All-or-nothing in this view: a seal or view change
-       while the batch waits for capacity fails every entry (the client
-       retries the batch; already-accepted replicas filter duplicates). *)
-    if view <> t.view || t.sealed then
-      reply (Proto.R_append_batch { ok = false; view = t.view; appended = [] })
-    else begin
-      List.iter
-        (fun (e, track) ->
-          if track then Hashtbl.replace t.tracked (Types.entry_rid e) ())
-        batch;
-      match
-        Seq_log.append_batch_or_wait t.slog (List.map fst batch)
-          ~cancel:(fun () -> t.sealed || view <> t.view)
-      with
-      | Some results ->
-        if Probe.active () then
-          List.iter2
-            (fun (e, _) res ->
-              if res = Seq_log.Appended then
-                Probe.emit
-                  (Probe.Replica_accepted
-                     { replica = Fabric.id t.node; rid = Types.entry_rid e }))
-            batch results;
-        reply
-          (Proto.R_append_batch
-             {
-               ok = true;
-               view = t.view;
-               appended = List.map (fun r -> r = Seq_log.Appended) results;
-             })
-      | None ->
-        reply
-          (Proto.R_append_batch { ok = false; view = t.view; appended = [] })
+      in
+      reply (Proto.R_append { ok; view = t.view })
     end
   | Sr_check_tail { view; log } ->
     if view <> t.view || t.sealed then
@@ -180,25 +148,22 @@ let handle t ~src:_ (req : Proto.req) ~reply =
   | Ssh_backfill _ | Ssh_get_map _ | St_subscribe _ | St_push _ ->
     failwith (t.rname ^ ": shard request sent to a sequencing replica")
 
+let rec entries_bytes acc = function
+  | [] -> acc
+  | e :: rest -> entries_bytes (acc + Types.entry_wire_size e) rest
+
 let service_time cfg (req : Proto.req) =
   match req with
-  | Sr_append { entry; _ } ->
+  | Sr_append { entries; _ } ->
+    (* One base charge per request, then per-byte work plus a small
+       per-entry cost (same rate as Sr_gc) for each entry past the first:
+       one entry costs what a lone record always has, and group commit
+       amortizes the base. *)
     cfg.Config.seq_base_ns
+    + (50 * (List.length entries - 1))
     + int_of_float
         (cfg.Config.seq_per_byte_ns
-        *. float_of_int (Types.entry_wire_size entry))
-  | Sr_append_batch { batch; _ } ->
-    (* Group commit amortizes the per-request base cost: one base charge
-       for the batch, then per-byte work plus a small per-entry cost for
-       the duplicate-filter/append bookkeeping (same rate as Sr_gc). *)
-    let bytes =
-      List.fold_left
-        (fun acc (e, _) -> acc + Types.entry_wire_size e)
-        0 batch
-    in
-    cfg.Config.seq_base_ns
-    + (50 * List.length batch)
-    + int_of_float (cfg.Config.seq_per_byte_ns *. float_of_int bytes)
+        *. float_of_int (entries_bytes 0 entries))
   | Sr_gc { slots; _ } ->
     cfg.Config.seq_base_ns + (50 * List.length slots)
   | _ -> cfg.Config.seq_base_ns

@@ -21,9 +21,11 @@ val create :
   t
 (** Creates the replica's fabric node and endpoint, installs its handler,
     and charges [cfg.seq_base_ns + size * cfg.seq_per_byte_ns] of CPU per
-    incoming request. *)
+    incoming request. An [Sr_append] of n entries adds [50 * (n - 1)] ns,
+    so one entry costs what a lone record always has. *)
 
 val node : t -> (Proto.req, Proto.resp) Rpc.msg Fabric.node
+val endpoint : t -> (Proto.req, Proto.resp) Rpc.endpoint
 val node_id : t -> Fabric.node_id
 val name : t -> string
 

@@ -371,7 +371,7 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
       (fun b -> Rpc.send_oneway r.ep ~dst:(Fabric.id b.node) (Proto.Sh_trim { upto }))
       t.backups;
     reply Proto.R_ok
-  | Sr_append _ | Sr_append_batch _ | Sr_check_tail _ | Sr_gc _ | Sr_seal _
+  | Sr_append _ | Sr_check_tail _ | Sr_gc _ | Sr_seal _
   | Sr_get_state | Sr_install_view _ | Sr_wait_ordered _ | Sr_order_demand _
   | Msh_replicate _ | Ssh_replicate_order _ | Ssh_backfill _ | St_subscribe _
   | St_push _ | St_cursor_sync _ | St_cursor_fetch ->
@@ -480,7 +480,7 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
       forward_to_primary t r req ~reply ~on_resp:(function
         | Proto.R_map { stable; _ } -> note_stable r stable
         | _ -> ())
-  | Sr_append _ | Sr_append_batch _ | Sr_check_tail _ | Sr_gc _ | Sr_seal _
+  | Sr_append _ | Sr_check_tail _ | Sr_gc _ | Sr_seal _
   | Sr_get_state | Sr_install_view _ | Sr_wait_ordered _ | Sr_order_demand _
   | Msh_push _ | Ssh_order _ | St_subscribe _ | St_push _ | St_cursor_sync _
   | St_cursor_fetch ->

@@ -194,14 +194,5 @@ module Histogram = struct
   let name t = t.name
 end
 
-module Counter = struct
-  type t = int ref
-
-  let create () = ref 0
-  let incr t = Stdlib.incr t
-  let add t n = t := !t + n
-  let get t = !t
-end
-
 let throughput_per_sec ~count ~dur =
   if dur <= 0 then 0.0 else float_of_int count /. Engine.to_sec dur

@@ -79,16 +79,5 @@ module Histogram : sig
   val name : t -> string
 end
 
-(** {1 Simple counters} *)
-
-module Counter : sig
-  type t
-
-  val create : unit -> t
-  val incr : t -> unit
-  val add : t -> int -> unit
-  val get : t -> int
-end
-
 val throughput_per_sec : count:int -> dur:Engine.time -> float
 (** Events per second of simulated time. *)

@@ -1,6 +1,6 @@
-(* Group-commit tests: atomic batch admission in Seq_log, the
-   Sr_append_batch wire protocol on a real replica (per-rid duplicate
-   results, view/seal rejection, no half-acks across a seal), and
+(* Group-commit tests: atomic batch admission in Seq_log, multi-entry
+   Sr_append requests on a real replica (duplicate filtering, view/seal
+   rejection, no half-acks across a seal), and
    end-to-end coalescing through the client-side linger batcher on both
    Erwin systems. *)
 
@@ -15,33 +15,29 @@ let rid c s = { Types.Rid.client = c; seq = s }
 
 let entry ?(size = 128) c s = Types.Data (Types.record ~rid:(rid c s) ~size ())
 
-(* --- Seq_log.append_batch_or_wait --- *)
+(* --- Seq_log.append_or_wait with several entries --- *)
 
 let test_batch_partial_duplicates () =
   Engine.run (fun () ->
       let l = Seq_log.create ~capacity:16 in
       ignore (Seq_log.try_append l (entry 1 1));
-      (match
-         Seq_log.append_batch_or_wait l
+      checkb "batch admitted" true
+        (Seq_log.append_or_wait l
            [ entry 1 1; entry 1 2; entry 1 2 ]
-           ~cancel:(fun () -> false)
-       with
-      | Some [ Seq_log.Duplicate; Seq_log.Appended; Seq_log.Duplicate ] ->
-        (* first entry already live; third is a within-batch duplicate *)
-        checki "two live" 2 (Seq_log.live_count l)
-      | _ -> Alcotest.fail "unexpected batch result");
+           ~cancel:(fun () -> false));
+      (* first entry already live; third is a within-batch duplicate *)
+      checki "two live" 2 (Seq_log.live_count l);
+      checkb "fresh entry stored" true (Seq_log.mem l (rid 1 2));
       Engine.stop ())
 
 let test_batch_cancelled_appends_nothing () =
   Engine.run (fun () ->
       let l = Seq_log.create ~capacity:16 in
       ignore (Seq_log.try_append l (entry 1 1));
-      (match
-         Seq_log.append_batch_or_wait l [ entry 2 1; entry 2 2 ]
-           ~cancel:(fun () -> true)
-       with
-      | None -> checki "nothing appended" 1 (Seq_log.live_count l)
-      | Some _ -> Alcotest.fail "cancelled batch reported results");
+      checkb "cancelled batch refused" false
+        (Seq_log.append_or_wait l [ entry 2 1; entry 2 2 ]
+           ~cancel:(fun () -> true));
+      checki "nothing appended" 1 (Seq_log.live_count l);
       Engine.stop ())
 
 let test_batch_blocks_then_cancels_atomically () =
@@ -53,12 +49,11 @@ let test_batch_blocks_then_cancels_atomically () =
       let cancelled = ref false in
       Engine.spawn (fun () ->
           res :=
-            (match
-               Seq_log.append_batch_or_wait l [ entry 2 1; entry 2 2 ]
-                 ~cancel:(fun () -> !cancelled)
-             with
-            | None -> `None
-            | Some _ -> `Some));
+            if
+              Seq_log.append_or_wait l [ entry 2 1; entry 2 2 ]
+                ~cancel:(fun () -> !cancelled)
+            then `Some
+            else `None);
       Engine.sleep (Engine.us 100);
       checkb "blocked while full" true (!res = `Pending);
       cancelled := true;
@@ -76,19 +71,18 @@ let test_batch_admitted_whole_once_space_frees () =
       let res = ref None in
       Engine.spawn (fun () ->
           res :=
-            Seq_log.append_batch_or_wait l [ entry 2 1; entry 2 2 ]
-              ~cancel:(fun () -> false));
+            Some
+              (Seq_log.append_or_wait l [ entry 2 1; entry 2 2 ]
+                 ~cancel:(fun () -> false)));
       Engine.sleep (Engine.us 50);
       checkb "blocked while full" true (!res = None);
       Seq_log.remove_ordered l [ rid 1 1; rid 1 2 ];
       Engine.sleep (Engine.us 10);
-      (match !res with
-      | Some [ Seq_log.Appended; Seq_log.Appended ] ->
-        checki "batch admitted whole" 2 (Seq_log.live_count l)
-      | _ -> Alcotest.fail "batch not admitted after gc");
+      checkb "admitted after gc" true (!res = Some true);
+      checki "batch admitted whole" 2 (Seq_log.live_count l);
       Engine.stop ())
 
-(* --- Sr_append_batch over the wire --- *)
+(* --- multi-entry Sr_append over the wire --- *)
 
 let with_replica ?(cfg = Config.default) f =
   Engine.run (fun () ->
@@ -103,38 +97,34 @@ let call r ep req =
   Rpc.call ep ~dst:(Seq_replica.node_id r) ~size:(Proto.req_size req) req
 
 let append_batch ?(view = 0) ?(track = false) r ep entries =
-  match
-    call r ep
-      (Proto.Sr_append_batch
-         { view; batch = List.map (fun e -> (e, track)) entries })
-  with
-  | Proto.R_append_batch { ok; appended; _ } -> (ok, appended)
+  let tracked = if track then List.map Types.entry_rid entries else [] in
+  match call r ep (Proto.Sr_append { view; entries; tracked }) with
+  | Proto.R_append { ok; _ } -> ok
   | _ -> Alcotest.fail "bad batch response"
 
 let test_wire_batch_partial_duplicate () =
   with_replica (fun r ep ->
-      let ok, appended = append_batch r ep [ entry 1 1; entry 1 2 ] in
-      checkb "fresh batch acked" true ok;
-      Alcotest.(check (list bool)) "all fresh" [ true; true ] appended;
-      (* A retried batch with one new record: duplicates ack as success,
-         per-rid results say which entries were fresh. *)
-      let ok2, appended2 =
-        append_batch r ep [ entry 1 1; entry 1 2; entry 1 3 ]
-      in
-      checkb "retry acked" true ok2;
-      Alcotest.(check (list bool))
-        "per-rid results" [ false; false; true ] appended2;
-      checki "stored once each" 3 (Seq_log.live_count (Seq_replica.log r)))
+      let log = Seq_replica.log r in
+      checkb "fresh batch acked" true
+        (append_batch r ep [ entry 1 1; entry 1 2 ]);
+      checki "all fresh" 2 (Seq_log.live_count log);
+      (* A retried batch with one new record: duplicates ack as success
+         and only the new record is appended. *)
+      checkb "retry acked" true
+        (append_batch r ep [ entry 1 1; entry 1 2; entry 1 3 ]);
+      checki "stored once each" 3 (Seq_log.live_count log);
+      List.iter
+        (fun s -> checkb "rid known" true (Seq_log.known log (rid 1 s)))
+        [ 1; 2; 3 ])
 
 let test_wire_batch_wrong_view_and_sealed () =
   with_replica (fun r ep ->
-      let ok, appended = append_batch ~view:3 r ep [ entry 1 1 ] in
-      checkb "stale view refused" false ok;
-      checki "no per-rid results" 0 (List.length appended);
+      checkb "stale view refused" false
+        (append_batch ~view:3 r ep [ entry 1 1 ]);
       checki "nothing stored" 0 (Seq_log.live_count (Seq_replica.log r));
       ignore (call r ep (Proto.Sr_seal { view = 0 }));
-      let ok2, _ = append_batch r ep [ entry 1 1; entry 1 2 ] in
-      checkb "sealed refused" false ok2;
+      checkb "sealed refused" false
+        (append_batch r ep [ entry 1 1; entry 1 2 ]);
       checki "still nothing" 0 (Seq_log.live_count (Seq_replica.log r)))
 
 let test_wire_batch_seal_while_waiting () =
@@ -142,8 +132,7 @@ let test_wire_batch_seal_while_waiting () =
      unit: no half-appended batch, no half-ack. *)
   let cfg = { Config.default with seq_capacity = 2 } in
   with_replica ~cfg (fun r ep ->
-      let ok, _ = append_batch r ep [ entry 1 1 ] in
-      checkb "filled" true ok;
+      checkb "filled" true (append_batch r ep [ entry 1 1 ]);
       let result = ref None in
       Engine.spawn (fun () ->
           result := Some (append_batch r ep [ entry 2 1; entry 2 2 ]));
@@ -152,7 +141,7 @@ let test_wire_batch_seal_while_waiting () =
       ignore (call r ep (Proto.Sr_seal { view = 0 }));
       Engine.sleep (Engine.ms 1);
       (match !result with
-      | Some (false, []) -> ()
+      | Some false -> ()
       | Some _ -> Alcotest.fail "batch half-acked across a seal"
       | None -> Alcotest.fail "batch still blocked after seal");
       checki "nothing from the batch stored" 1
@@ -160,8 +149,8 @@ let test_wire_batch_seal_while_waiting () =
 
 let test_wire_batch_tracks_rids () =
   with_replica (fun r ep ->
-      let ok, _ = append_batch ~track:true r ep [ entry 3 1; entry 3 2 ] in
-      checkb "tracked batch acked" true ok;
+      checkb "tracked batch acked" true
+        (append_batch ~track:true r ep [ entry 3 1; entry 3 2 ]);
       let got = ref (-1) in
       Engine.spawn (fun () ->
           match call r ep (Proto.Sr_wait_ordered { rid = rid 3 2 }) with
@@ -241,7 +230,7 @@ let test_erwin_st_batched_end_to_end () =
       checki "read all" 15
         (List.length (clients.(0).Log_api.read ~from:0 ~len:15));
       (* appendSync rides the batcher too (track=true through the batch
-         ingress) and still resolves to the next position. *)
+         admission) and still resolves to the next position. *)
       (match clients.(0).Log_api.append_sync with
       | Some f -> checki "sync position" 15 (f ~size:64 ~data:"s")
       | None -> Alcotest.fail "erwin-st offers append_sync");

@@ -40,7 +40,7 @@ let backends =
     };
     (* The same two systems with the client-side group-commit batcher on:
        the full Log_api contract must hold when every append rides a
-       coalesced Sr_append_batch. *)
+       coalesced multi-entry Sr_append. *)
     {
       bname = "erwin-m batched";
       make =

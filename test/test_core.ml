@@ -95,14 +95,15 @@ let test_append_or_wait_cancel () =
       let l = Seq_log.create ~capacity:1 in
       ignore (Seq_log.append_wait l (data 0 1));
       let sealed = ref false in
-      let result = ref (Some Seq_log.Appended) in
+      let result = ref true in
       Engine.spawn (fun () ->
-          result := Seq_log.append_or_wait l (data 0 2) ~cancel:(fun () -> !sealed));
+          result :=
+            Seq_log.append_or_wait l [ data 0 2 ] ~cancel:(fun () -> !sealed));
       Engine.sleep 10;
       sealed := true;
       Seq_log.kick l;
       Engine.sleep 10;
-      checkb "canceled" true (!result = None))
+      checkb "canceled" false !result)
 
 let test_unordered_max () =
   let l = Seq_log.create ~capacity:16 in

@@ -111,7 +111,7 @@ let test_client_failure_noop () =
       let ep = Erwin_common.new_endpoint cluster ~name:"evil-client" in
       let rid = { Types.Rid.client = 999; seq = 1 } in
       let meta = Types.Meta { rid; shard = 0; size = 100; log = 0 } in
-      let req = Proto.Sr_append { view = cluster.view; entry = meta; track = false } in
+      let req = Proto.append_one ~view:cluster.view ~track:false meta in
       let ivs =
         List.map
           (fun r -> Rpc.call_async ep ~dst:(Seq_replica.node_id r) req)

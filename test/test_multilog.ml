@@ -264,12 +264,14 @@ let test_shed_batched_append () =
       let batch c =
         List.init 4 (fun s ->
             let rid = { Types.Rid.client = c; seq = s + 1 } in
-            (Types.Data (Types.record ~rid ~size:128 ~log:1 ()), false))
+            Types.Data (Types.record ~rid ~size:128 ~log:1 ()))
       in
       let replies = Array.make 3 None in
       for c = 0 to 2 do
         Engine.spawn (fun () ->
-            let req = Proto.Sr_append_batch { view = 0; batch = batch c } in
+            let req =
+              Proto.Sr_append { view = 0; entries = batch c; tracked = [] }
+            in
             replies.(c) <-
               Some
                 (Ll_net.Rpc.call ep ~dst:(Seq_replica.node_id r)
@@ -280,14 +282,14 @@ let test_shed_batched_append () =
       Array.iteri
         (fun c reply ->
           match reply with
-          | Some (Proto.R_append_batch { ok = false; appended = []; _ }) ->
+          | Some (Proto.R_append { ok = false; _ }) ->
             incr shed;
             List.iter
-              (fun (e, _) ->
+              (fun e ->
                 checkb "shed rid not stored" false
                   (Seq_log.known (Seq_replica.log r) (Types.entry_rid e)))
               (batch c)
-          | Some (Proto.R_append_batch { ok = true; _ }) -> ()
+          | Some (Proto.R_append { ok = true; _ }) -> ()
           | Some _ -> Alcotest.fail "unexpected reply"
           | None -> Alcotest.fail "batch unanswered")
         replies;

@@ -136,7 +136,7 @@ let test_sealed_view_rejects_appends () =
       (match
          Ll_net.Rpc.call ep
            ~dst:(Seq_replica.node_id (Erwin_common.leader cluster))
-           (Proto.Sr_append { view = 0; entry; track = false })
+           (Proto.append_one ~view:0 ~track:false entry)
        with
       | Proto.R_append { ok; _ } -> checkb "append rejected in sealed view" false ok
       | _ -> Alcotest.fail "bad response");

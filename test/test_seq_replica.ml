@@ -26,7 +26,7 @@ let call r ep req =
   Rpc.call ep ~dst:(Seq_replica.node_id r) ~size:(Proto.req_size req) req
 
 let append ?(view = 0) ?(track = false) r ep e =
-  match call r ep (Proto.Sr_append { view; entry = e; track }) with
+  match call r ep (Proto.append_one ~view ~track e) with
   | Proto.R_append { ok; _ } -> ok
   | _ -> Alcotest.fail "bad append response"
 
@@ -131,6 +131,34 @@ let test_seal_releases_blocked_appends () =
       Engine.sleep (Engine.ms 1);
       checkb "released with rejection" true (!result = Some false))
 
+(* A one-entry Sr_append costs exactly what a lone record always has, on
+   the wire and in replica CPU: this identity keeps every per-record
+   schedule unchanged. A batch shares the header and the base charge. *)
+let test_append_cost_model () =
+  let cfg = Config.default in
+  with_replica ~cfg (fun r _ ->
+      let ep = Seq_replica.endpoint r in
+      let cpu bytes =
+        cfg.Config.seq_base_ns
+        + int_of_float (cfg.Config.seq_per_byte_ns *. float_of_int bytes)
+      in
+      let e = entry ~size:128 1 1 in
+      let wire = Types.entry_wire_size e in
+      let one = Proto.append_one ~view:0 ~track:true e in
+      checki "one-entry request size" (wire + 16) (Proto.req_size one);
+      checki "append response size" 16
+        (Proto.resp_size (Proto.R_append { ok = true; view = 0 }));
+      checki "one-entry service time" (cpu wire) (Rpc.service_time_of ep one);
+      let meta = Types.Meta { rid = rid 1 2; shard = 0; size = 100; log = 0 } in
+      let entries = [ entry ~size:100 2 1; meta; entry ~size:300 2 2 ] in
+      let bytes =
+        List.fold_left (fun acc e -> acc + Types.entry_wire_size e) 0 entries
+      in
+      let batch = Proto.Sr_append { view = 0; entries; tracked = [] } in
+      checki "batch request size" (12 + bytes + (3 * 4)) (Proto.req_size batch);
+      checki "batch service time" (cpu bytes + (50 * 2))
+        (Rpc.service_time_of ep batch))
+
 let () =
   Alcotest.run "seq_replica"
     [
@@ -153,5 +181,7 @@ let () =
             test_wait_ordered_tracks;
           Alcotest.test_case "seal releases blocked appends" `Quick
             test_seal_releases_blocked_appends;
+          Alcotest.test_case "append cost: one entry = one record" `Quick
+            test_append_cost_model;
         ] );
     ]
