@@ -27,16 +27,12 @@ type t = {
   installed_views : (int, int) Hashtbl.t;  (* replica node -> last view *)
   (* exactly-once delivery: subscription name -> (from, next expected) *)
   subs : (string, int * int) Hashtbl.t;
-  mutable stable : int;
-  (* real-time order frontier: max invocation time among exposed records *)
-  mutable max_invoke_exposed : Engine.time;
-  (* multi-log fabric: per-tenant stable prefixes and real-time-order
-     frontiers for logs > 0 (positions are packed, so every invariant is
-     scoped to the log its position belongs to; real-time order is
-     per-log — tenants are independently ordered). Log 0 stays on the
-     scalar fields above. *)
-  stables : (int, int) Hashtbl.t;
-  mies : (int, Engine.time) Hashtbl.t;
+  (* Per log (positions are packed, so every invariant is scoped to the
+     log its position belongs to): the stable prefix, and the real-time
+     order frontier — the max invocation time among exposed records.
+     Real-time order is per-log: tenants are independently ordered. *)
+  stable : Log_table.t;
+  max_invoke_exposed : Log_table.t;
   mutable violations_rev : violation list;
   (* coverage counters *)
   mutable n_invoked : int;
@@ -68,22 +64,11 @@ let violate t invariant fmt =
 
 let rid_pp = Types.Rid.pp
 
-let stable_for t ~log =
-  if log = 0 then t.stable
-  else
-    match Hashtbl.find_opt t.stables log with
-    | Some g -> g
-    | None -> Logid.base ~log
+let stable_for t ~log = Log_table.get t.stable log
 
-let set_stable t ~log gp =
-  if log = 0 then t.stable <- gp else Hashtbl.replace t.stables log gp
-
-let mie_for t ~log =
-  if log = 0 then t.max_invoke_exposed
-  else match Hashtbl.find_opt t.mies log with Some v -> v | None -> -1
-
-let set_mie t ~log v =
-  if log = 0 then t.max_invoke_exposed <- v else Hashtbl.replace t.mies log v
+(* Log 0's stable prefix: subscriptions read log 0, and the coverage
+   report counts it. *)
+let root_stable t = stable_for t ~log:0
 
 (* Exposure: position [pos] joined its log's stable prefix. Incremental
    real-time-order check — exposures arrive in ascending position order
@@ -100,7 +85,7 @@ let expose t pos =
   | Some (_, rid) ->
     if rid.Types.Rid.client >= 0 then begin
       let log = Logid.log_of pos in
-      let mie = mie_for t ~log in
+      let mie = Log_table.get t.max_invoke_exposed log in
       (match Hashtbl.find_opt t.acked rid with
       | Some ack_t when mie > ack_t ->
         violate t "real-time-order"
@@ -109,7 +94,8 @@ let expose t pos =
           rid_pp rid (Engine.to_ms ack_t) pos (Engine.to_ms mie)
       | _ -> ());
       match Hashtbl.find_opt t.invoked rid with
-      | Some inv_t when inv_t > mie -> set_mie t ~log inv_t
+      | Some inv_t when inv_t > mie ->
+        Log_table.set t.max_invoke_exposed log inv_t
       | _ -> ()
     end
 
@@ -173,7 +159,7 @@ let handle t (ev : Probe.event) =
       for pos = cur to gp - 1 do
         expose t pos
       done;
-      set_stable t ~log gp
+      Log_table.set t.stable log gp
     end
   | Shard_stored { shard; pos; rid } ->
     if rid.Types.Rid.client >= 0 then Hashtbl.replace t.stored_rids rid ();
@@ -241,10 +227,10 @@ let handle t (ev : Probe.event) =
       violate t "exactly-once"
         "subscription %s delivered position %d before registering" name pos
     | Some (from, next) ->
-      if pos >= t.stable then
+      if pos >= root_stable t then
         violate t "exactly-once"
           "subscription %s delivered position %d beyond the stable prefix %d"
-          name pos t.stable;
+          name pos (root_stable t);
       if pos < next then
         violate t "exactly-once"
           "subscription %s delivered position %d twice (cursor already at %d)"
@@ -289,7 +275,7 @@ let handle t (ev : Probe.event) =
    count: the consumer only learns of them with the next pushed record). *)
 let sub_pending t next =
   let rec scan p =
-    if p >= t.stable then None
+    if p >= root_stable t then None
     else
       match Hashtbl.find_opt t.bindings p with
       | Some (_, r) when r.Types.Rid.client >= 0 -> Some p
@@ -315,7 +301,7 @@ let finalize_delivery t =
         violate t "exactly-once"
           "subscription %s never received record %a at stable position %d \
            (cursor stuck at %d, stable %d)"
-          name rid_pp r p next t.stable
+          name rid_pp r p next (root_stable t)
       | None -> ())
     t.subs
 
@@ -327,7 +313,8 @@ let finalize_delivery t =
    append), and the stable prefix must have advanced at all if anything
    was acked. Call only after the drain has quiesced — an acked-but-
    still-in-flight binding would be a false positive. *)
-let nothing_stabilized t = t.stable = 0 && Hashtbl.length t.stables = 0
+let nothing_stabilized t =
+  Log_table.fold (fun log g none -> none && g = Logid.base ~log) t.stable true
 
 let progress_pending t =
   (t.n_acked > 0 && nothing_stabilized t)
@@ -360,10 +347,8 @@ let install ?(on_violation = fun _ -> ()) cluster =
       bindings = Hashtbl.create 4096;
       installed_views = Hashtbl.create 8;
       subs = Hashtbl.create 4;
-      stable = 0;
-      max_invoke_exposed = -1;
-      stables = Hashtbl.create 16;
-      mies = Hashtbl.create 16;
+      stable = Log_table.create ~default:(fun log -> Logid.base ~log);
+      max_invoke_exposed = Log_table.create ~default:(fun _ -> -1);
       violations_rev = [];
       n_invoked = 0;
       n_acked = 0;
@@ -404,10 +389,12 @@ let coverage t =
     reads = t.n_reads;
     crashes = t.n_crashes;
     view_installs = t.n_views;
-    stable = t.stable;
+    stable = root_stable t;
     delivered = t.n_delivered;
     gray_faults = t.n_gray;
     outliers_removed = t.n_outliers;
-    tenant_logs = Hashtbl.length t.stables;
+    (* Held logs beyond log 0, which is held from the start: a tenant
+       log is held once its prefix advanced. *)
+    tenant_logs = Log_table.fold (fun _ _ n -> n + 1) t.stable (-1);
     ingress_shed = t.n_shed;
   }

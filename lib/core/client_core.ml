@@ -108,9 +108,9 @@ let read_plan (cluster : t) ?rr shard =
     (Shard.primary_id shard, 100)
     :: List.map (fun b -> (b, 3)) (Shard.backup_ids shard)
 
-(* Piggybacked stable bounds merge into their own log's frontier (log 0
-   keeps the scalar — the original max-merge, unchanged). *)
-let note_piggyback (cluster : t) stable = note_stable_log cluster stable
+(* Piggybacked stable bounds merge into their own log's frontier. *)
+let note_piggyback (cluster : t) stable =
+  ignore (note_stable_log cluster stable : bool)
 
 (* Latency-outlier avoidance in the read plan (only with hedged reads
    on): a replica whose observed latency score exceeds 3x the plan's

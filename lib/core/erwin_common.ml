@@ -67,12 +67,10 @@ type t = {
   mutable order_resync : bool;
   metrics : orderer_metrics;
   mutable append_batcher : batch_submit option;
-  mutable demand_upto : int;
-  (* Multi-log fabric: per-tenant stable frontiers and demand cursors for
-     logs > 0, as packed positions ([stable_gp] / [demand_upto] scalars
-     keep serving log 0 so the single-log path is untouched). *)
+  demand : Log_table.t;
+  (* Tenant logs' stable frontiers, packed ([stable_gp] serves log 0:
+     the benchmark reads that field). *)
   stable_gps : (int, int) Hashtbl.t;
-  demand_uptos : (int, int) Hashtbl.t;
   order_wake : Waitq.t;
   mutable orderer_node : Fabric.node_id option;
   mutable on_stable : (int -> unit) option;
@@ -116,9 +114,8 @@ let create ~cfg ~mode =
       order_resync = false;
       metrics = fresh_metrics ();
       append_batcher = None;
-      demand_upto = 0;
+      demand = Log_table.create ~default:(fun log -> Logid.base ~log);
       stable_gps = Hashtbl.create 16;
-      demand_uptos = Hashtbl.create 16;
       order_wake = Waitq.create ();
       orderer_node = None;
       on_stable = None;
@@ -146,9 +143,8 @@ let shard_by_id t sid = t.shard_index.(sid)
 let shard_of_position t p =
   t.shard_index.(p mod Array.length t.shard_index)
 
-(* Per-log frontier accessors. Log 0 aliases the scalar fields so the
-   single-log hot path never touches a hashtable; logs > 0 key packed
-   positions by log id. *)
+(* The client-visible stable frontier: log 0 in the [stable_gp] field,
+   tenant logs in [stable_gps]. *)
 
 let stable_for t ~log =
   if log = 0 then t.stable_gp
@@ -159,33 +155,17 @@ let stable_for t ~log =
 
 let note_stable_log t gp =
   let log = Logid.log_of gp in
-  if log = 0 then begin
-    if gp > t.stable_gp then t.stable_gp <- gp
+  if gp <= stable_for t ~log then false
+  else begin
+    if log = 0 then t.stable_gp <- gp
+    else Hashtbl.replace t.stable_gps log gp;
+    true
   end
-  else
-    match Hashtbl.find_opt t.stable_gps log with
-    | Some g when g >= gp -> ()
-    | _ -> Hashtbl.replace t.stable_gps log gp
 
-let demand_for t ~log =
-  if log = 0 then t.demand_upto
-  else
-    match Hashtbl.find_opt t.demand_uptos log with
-    | Some g -> g
-    | None -> Logid.base ~log
+let demand_for t ~log = Log_table.get t.demand log
 
 let note_demand t upto =
-  let log = Logid.log_of upto in
-  if log = 0 then begin
-    if upto > t.demand_upto then t.demand_upto <- upto
-  end
-  else
-    match Hashtbl.find_opt t.demand_uptos log with
-    | Some g when g >= upto -> ()
-    | _ -> Hashtbl.replace t.demand_uptos log upto
-
-let demand_logs t =
-  Hashtbl.fold (fun log upto acc -> (log, upto) :: acc) t.demand_uptos []
+  ignore (Log_table.merge t.demand (Logid.log_of upto) upto : bool)
 
 let add_shard t =
   let s =

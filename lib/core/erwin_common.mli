@@ -72,16 +72,15 @@ type t = {
   metrics : orderer_metrics;
   mutable append_batcher : batch_submit option;
       (** lazily created by {!Batcher.get} when [cfg.append_batching] *)
-  mutable demand_upto : int;
-      (** read-demand cursor: shards asked for binding up to this position
-          (exclusive); max-merged by [Sr_order_demand], consumed by the
-          orderer when [cfg.read_demand] *)
+  demand : Log_table.t;
+      (** read-demand cursors, one per log: shards asked for binding up
+          to this packed position (exclusive); max-merged by
+          [Sr_order_demand], consumed by the orderer when
+          [cfg.read_demand] *)
   stable_gps : (int, int) Hashtbl.t;
-      (** multi-log fabric: per-tenant stable frontiers for logs > 0
-          (packed positions, keyed by log id; log 0 stays in
-          [stable_gp]). Access through {!stable_for}/{!note_stable_log}. *)
-  demand_uptos : (int, int) Hashtbl.t;
-      (** per-tenant read-demand cursors for logs > 0 (same layout). *)
+      (** the tenant logs' stable frontiers (packed positions, keyed by
+          log id); log 0's is [stable_gp]. Access through
+          {!stable_for}/{!note_stable_log}. *)
   order_wake : Waitq.t;
       (** broadcast when a new demand arrives so the orderer cuts its idle
           sleep short instead of waiting out the lazy cadence *)
@@ -89,10 +88,11 @@ type t = {
       (** the background orderer's fabric node, once started — the target
           shards send [Sr_order_demand] to *)
   mutable on_stable : (int -> unit) option;
-      (** called by the orderer whenever stable-gp advances, with the new
-          bound — the subscription manager's push trigger. [None] (and
-          never invoked) unless a manager is attached, so the hook is free
-          for paper-fidelity runs. *)
+      (** called by the orderer whenever a log's stable frontier
+          advances, with the new packed bound — the subscription
+          manager's push trigger (it serves log 0 and ignores the
+          rest). [None] (and never invoked) unless a manager is
+          attached, so the hook is free for paper-fidelity runs. *)
 }
 
 val create : cfg:Config.t -> mode:mode -> t
@@ -111,28 +111,22 @@ val shard_of_position : t -> int -> Shard.t
     [p mod nshards] (section 4.3). Packed multi-log positions hash the
     whole packed value, spreading each tenant across all shards. *)
 
-(** {2 Per-log frontiers (multi-log fabric)}
-
-    Log 0 aliases the scalar [stable_gp]/[demand_upto] fields, so the
-    single-log path is bit-identical; logs > 0 live in the hashtables. *)
+(** {2 Per-log frontiers (multi-log fabric)} *)
 
 val stable_for : t -> log:int -> int
 (** The client-visible stable frontier of [log], as a packed position
     ([Logid.base ~log] before its first advance). *)
 
-val note_stable_log : t -> int -> unit
+val note_stable_log : t -> int -> bool
 (** Max-merge a (packed) stable bound into its log's frontier — the
-    multi-log generalization of the [stable_gp] piggyback merge. *)
+    multi-log generalization of the [stable_gp] piggyback merge.
+    Returns whether the frontier rose. *)
 
 val demand_for : t -> log:int -> int
 (** The pending read-demand cursor of [log] (packed, exclusive). *)
 
 val note_demand : t -> int -> unit
 (** Max-merge a (packed) demand position into its log's cursor. *)
-
-val demand_logs : t -> (int * int) list
-(** The logs > 0 with a demand cursor, as [(log, packed upto)] — what
-    the orderer walks when deciding whether demand is outstanding. *)
 
 val add_shard : t -> Shard.t
 (** Spin up and register one more shard (Erwin-st's seamless addition,

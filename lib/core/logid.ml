@@ -2,13 +2,14 @@
 
      packed = (log lsl shift) lor pos
 
-   Log 0 therefore packs to the raw position — every pre-multi-log
-   integer position is the log-0 encoding of itself, so the single-log
-   path needs no translation anywhere (wire messages, shard stores, the
-   [mod nshards] placement rule and the monitors all keep working on the
-   packed value unchanged). Positions within a log are dense; distinct
-   logs occupy disjoint ranges, so numeric comparison doubles as per-log
-   comparison whenever both sides belong to the same log. *)
+   Log 0 therefore packs to the raw position, so a log-0 position needs
+   no translation anywhere (wire messages, shard stores, the
+   [mod nshards] placement rule and the monitors all work on the packed
+   value). Positions within a log are dense; distinct logs occupy
+   disjoint ranges, so numeric comparison doubles as per-log comparison
+   whenever both sides belong to the same log. Counters kept per log id
+   (frontiers, cursors, live counts) live in a [Log_table], which looks
+   up log 0 like any other log. *)
 
 let shift = 40
 

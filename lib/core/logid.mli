@@ -1,10 +1,10 @@
 (** Packed (log, position) keyspace for the multi-log fabric.
 
     A packed global position is [(log lsl shift) lor pos]. Log 0 packs to
-    the raw position, so every pre-multi-log position is already the
-    log-0 encoding of itself and the single-log path runs unchanged on
-    packed values. Positions within one log are dense and numerically
-    ordered; distinct logs occupy disjoint ranges. *)
+    the raw position, so a log-0 position is its own encoding. Positions
+    within one log are dense and numerically ordered; distinct logs
+    occupy disjoint ranges. Per-log counters keyed by log id live in
+    {!Log_table}. *)
 
 val shift : int
 (** Bit position of the log id within a packed position (40). *)
@@ -20,7 +20,7 @@ val pack : log:int -> int -> int
     [Invalid_argument] on out-of-range log or position. *)
 
 val log_of : int -> int
-(** Log id of a packed position ([0] for every legacy position). *)
+(** Log id of a packed position ([0] for every log-0 position). *)
 
 val pos_of : int -> int
 (** Per-log position of a packed position (identity for log 0). *)

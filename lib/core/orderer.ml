@@ -10,11 +10,12 @@ open Erwin_common
    format ([Proto]); they are built back-to-front so no reversal is
    needed. *)
 
-let build_targets (cluster : t) ~truncate_from ~truncate_logs
-    (slots : (int * Types.entry) array) =
+let build_targets (cluster : t) ~truncate (slots : (int * Types.entry) array)
+    =
   let shards = cluster.shard_index in
   let n = Array.length shards in
-  let truncating = truncate_from <> None || truncate_logs <> [] in
+  let truncating = truncate <> [] in
+  let truncate_wire = Proto.frontiers_wire ~each:8 truncate in
   match cluster.mode with
   | M ->
     (* Deterministic placement: position p -> shard (p mod n). *)
@@ -31,8 +32,8 @@ let build_targets (cluster : t) ~truncate_from ~truncate_logs
     done;
     Array.init n (fun i ->
         ( shards.(i),
-          Proto.Msh_push { truncate_from; truncate_logs; slots = groups.(i) },
-          sizes.(i) + (8 * List.length truncate_logs),
+          Proto.Msh_push { truncate; slots = groups.(i) },
+          sizes.(i) + truncate_wire,
           groups.(i) <> [] || truncating ))
   | St ->
     let groups = Array.make n [] in
@@ -54,9 +55,8 @@ let build_targets (cluster : t) ~truncate_from ~truncate_logs
     let any = map_chunk <> [] || truncating in
     Array.init n (fun i ->
         ( shards.(i),
-          Proto.Ssh_order
-            { truncate_from; truncate_logs; bindings = groups.(i); map_chunk },
-          (24 * counts.(i)) + map_size + (8 * List.length truncate_logs),
+          Proto.Ssh_order { truncate; bindings = groups.(i); map_chunk },
+          (24 * counts.(i)) + map_size + truncate_wire,
           any ))
 
 (* Fire one independent push fiber per involved shard; [on_done] runs once
@@ -65,9 +65,8 @@ let build_targets (cluster : t) ~truncate_from ~truncate_logs
    filter make them idempotent. No cross-shard barrier here — a straggler
    shard delays only its own batch's commit, never the next batch's
    pushes. *)
-let spawn_pushes (cluster : t) ep ?(truncate_logs = []) ~truncate_from slots
-    ~on_done =
-  let targets = build_targets cluster ~truncate_from ~truncate_logs slots in
+let spawn_pushes (cluster : t) ep ~truncate slots ~on_done =
+  let targets = build_targets cluster ~truncate slots in
   let involved =
     Array.fold_left
       (fun acc (_, _, _, send) -> if send then acc + 1 else acc)
@@ -88,15 +87,17 @@ let spawn_pushes (cluster : t) ep ?(truncate_logs = []) ~truncate_from slots
       targets
   end
 
-let push_batch (cluster : t) ep ?(truncate_logs = []) ~truncate_from slots =
+let push (cluster : t) ep ~truncate slots =
   let iv = Ivar.create () in
-  spawn_pushes cluster ep ~truncate_logs ~truncate_from (Array.of_list slots)
-    ~on_done:(fun () -> Ivar.fill iv ());
+  spawn_pushes cluster ep ~truncate (Array.of_list slots) ~on_done:(fun () ->
+      Ivar.fill iv ());
   Ivar.read iv
 
+let push_batch (cluster : t) ep ?(truncate_logs = []) ~truncate_from slots =
+  push cluster ep ~truncate:(Option.to_list truncate_from @ truncate_logs) slots
+
 let broadcast_stable (cluster : t) ep gp =
-  if gp > cluster.stable_gp then begin
-    cluster.stable_gp <- gp;
+  if note_stable_log cluster gp then begin
     (* Emitted before any shard learns the new bound, so a monitor's
        stable frontier is always >= every shard's. *)
     if Probe.active () then Probe.emit (Probe.Stable_advanced { gp });
@@ -108,25 +109,11 @@ let broadcast_stable (cluster : t) ep gp =
         (Proto.Sh_set_stable { gp }))
     cluster.shard_index
 
-(* Multi-log stable broadcast: the log-0 frontier takes the exact legacy
-   path above (so a batch with no tenant entries is byte-identical),
-   then each tenant frontier the batch advanced gets its own merge,
-   probe and one-way round. [on_stable] stays log-0 scoped — the
-   subscription manager subscribes to the root log. *)
-let broadcast_stable_logs (cluster : t) ep ~new_gp ~new_gps =
-  broadcast_stable cluster ep new_gp;
-  List.iter
-    (fun (log, g) ->
-      if g > stable_for cluster ~log then begin
-        note_stable_log cluster g;
-        if Probe.active () then Probe.emit (Probe.Stable_advanced { gp = g })
-      end;
-      Array.iter
-        (fun shard ->
-          Rpc.send_oneway ep ~dst:(Shard.primary_id shard)
-            (Proto.Sh_set_stable { gp = g }))
-        cluster.shard_index)
-    new_gps
+let rec broadcast_frontiers (cluster : t) ep = function
+  | [] -> ()
+  | gp :: rest ->
+    broadcast_stable cluster ep gp;
+    broadcast_frontiers cluster ep rest
 
 (* Garbage-collect the ordered batch on one follower. The paper does this
    with RDMA writes that move the ring-buffer head pointers without
@@ -134,7 +121,7 @@ let broadcast_stable_logs (cluster : t) ep ~new_gp ~new_gps =
    a CPU-path GC would queue behind thousands of incoming appends. We
    model it as a raw network round trip plus a direct state update,
    guarded by the follower's view/seal state. *)
-let rdma_gc (cluster : t) f ~view ~gps ~slots ~new_gp =
+let rdma_gc (cluster : t) f ~view ~frontiers ~slots =
   let iv = Ivar.create () in
   let rtt = cluster.cfg.Config.link.Fabric.one_way * 2 in
   Engine.after (rtt / 2) (fun () ->
@@ -143,7 +130,7 @@ let rdma_gc (cluster : t) f ~view ~gps ~slots ~new_gp =
         && Seq_replica.view f = view
         && not (Seq_replica.is_sealed f)
       then begin
-        Seq_replica.apply_gc f ~gps ~slots ~new_gp;
+        Seq_replica.apply_gc f ~frontiers ~slots;
         Engine.after (rtt / 2) (fun () -> ignore (Ivar.try_fill iv true))
       end
       else Engine.after (rtt / 2) (fun () -> ignore (Ivar.try_fill iv false)));
@@ -151,17 +138,17 @@ let rdma_gc (cluster : t) f ~view ~gps ~slots ~new_gp =
 
 (* Retry follower GC until every follower confirms (transient slowness) or
    the view moves on (a failure; reconfiguration takes over). *)
-let rec gc_followers (cluster : t) ep ~view ?(gps = []) ~slots ~new_gp () =
+let rec gc_followers (cluster : t) ep ~view ~frontiers ~slots =
   if cluster.view <> view || cluster.reconfiguring then false
   else begin
     let acks =
       List.map
-        (fun f -> rdma_gc cluster f ~view ~gps ~slots ~new_gp)
+        (fun f -> rdma_gc cluster f ~view ~frontiers ~slots)
         (followers cluster)
     in
     match Ivar.join_all_timeout acks ~timeout:(Engine.ms 5) with
     | Some resps when List.for_all Fun.id resps -> true
-    | _ -> gc_followers cluster ep ~view ~gps ~slots ~new_gp ()
+    | _ -> gc_followers cluster ep ~view ~frontiers ~slots
   end
 
 (* ---------- adaptive batch sizing ---------- *)
@@ -188,71 +175,53 @@ end
 (* A claimed batch's slots before assignment fills them in. *)
 let no_slot = (0, Types.Data Types.no_op)
 
-(* Assign ordering positions to a batch, in entry order. Log 0 draws
-   densely from the [next0] cursor; each tenant log draws from its own
-   packed cursor in [tbl], seeded on first touch from [frontier log].
-   Returns the slots plus the [(log, frontier)] list for the tenant logs
-   this batch advanced. A log-0-only batch allocates nothing beyond its
-   slots: the set of advanced tenant logs is created on the first tenant
-   entry. The orderer and the recovery flush share this one
+(* [logs] with [log] added, kept ascending; physically [logs] when it
+   is already there, so a batch that only repeats logs allocates
+   nothing. *)
+let rec insert_log log logs =
+  match logs with
+  | [] -> [ log ]
+  | l :: rest ->
+    if l = log then logs
+    else if l > log then log :: logs
+    else
+      let rest' = insert_log log rest in
+      if rest' == rest then logs else l :: rest'
+
+let rec cursors_of cursors = function
+  | [] -> []
+  | log :: rest -> Log_table.get cursors log :: cursors_of cursors rest
+
+(* Assign ordering positions to a batch, in entry order: each entry takes
+   the next position of its own log's cursor. Returns the slots plus the
+   frontier of log 0 and of every other log the batch advanced, log
+   order. The orderer and the recovery flush share this one
    assignment. *)
-let assign_positions ~frontier ~next0 ~tbl (entries : Types.entry array) =
+let assign_positions ~cursors (entries : Types.entry array) =
   let slots = Array.make (Array.length entries) no_slot in
-  let seen = ref None in
+  let logs = ref [ 0 ] in
   for i = 0 to Array.length entries - 1 do
     let e = entries.(i) in
     let log = Types.entry_log e in
-    if log = 0 then begin
-      slots.(i) <- (!next0, e);
-      incr next0
-    end
-    else begin
-      let g =
-        match Hashtbl.find_opt tbl log with Some g -> g | None -> frontier log
-      in
-      Hashtbl.replace tbl log (g + 1);
-      let advanced =
-        match !seen with
-        | Some h -> h
-        | None ->
-          let h = Hashtbl.create 8 in
-          seen := Some h;
-          h
-      in
-      Hashtbl.replace advanced log ();
-      slots.(i) <- (g, e)
-    end
+    let g = Log_table.get cursors log in
+    Log_table.set cursors log (g + 1);
+    logs := insert_log log !logs;
+    slots.(i) <- (g, e)
   done;
-  match !seen with
-  | None -> (slots, [])
-  | Some advanced ->
-    ( slots,
-      Hashtbl.fold
-        (fun log () acc -> (log, Hashtbl.find tbl log) :: acc)
-        advanced [] )
+  (slots, cursors_of cursors !logs)
 
 (* ---------- read-triggered eager binding ---------- *)
 
 (* True when a parked read demands positions the leader could bind right
    now: the orderer's idle wait is cut short and the next batch claimed
-   immediately, instead of waiting out the lazy cadence. Once the ordering
-   frontier passes the demand cursor (or the unordered log drains) the
-   cursor is inert and the orderer falls back to its normal pacing. *)
-let demand_pending (cluster : t) ~frontier =
+   immediately, instead of waiting out the lazy cadence. Each log's
+   demand cursor is compared with that log's ordering cursor; once the
+   cursor passes it (or the unordered log drains) the demand is inert
+   and the orderer falls back to its normal pacing. The leader is
+   checked first: a cursor the orderer does not hold reads the
+   leader's frontier. *)
+let demand_pending (cluster : t) ~cursors =
   (cluster.cfg.Config.read_demand || cluster.cfg.Config.subscriptions)
-  && (cluster.demand_upto > frontier
-     || (Hashtbl.length cluster.demand_uptos > 0
-        &&
-        (* Tenant demand compares against the leader's committed per-log
-           frontier; with in-flight batches this can over-report, but the
-           claim that follows is a no-op when nothing is unclaimed. *)
-        match cluster.replicas with
-        | ldr :: _ ->
-          List.exists
-            (fun (log, upto) ->
-              upto > Seq_log.last_ordered_gp_for (Seq_replica.log ldr) ~log)
-            (demand_logs cluster)
-        | [] -> false))
   && (not cluster.reconfiguring)
   && (match cluster.replicas with
      | ldr :: _ ->
@@ -260,6 +229,9 @@ let demand_pending (cluster : t) ~frontier =
        && (not (Seq_replica.is_sealed ldr))
        && Seq_log.unclaimed_count (Seq_replica.log ldr) > 0
      | [] -> false)
+  && Log_table.fold
+       (fun log upto pending -> pending || upto > Log_table.get cursors log)
+       cluster.demand false
 
 (* The idle sleep between ordering passes. Gated on the demand knobs
    because an interruptible wait schedules different engine events than a
@@ -268,12 +240,12 @@ let demand_pending (cluster : t) ~frontier =
    [subscriptions] joins [read_demand] here: the subscription manager's
    push frontier demands binding through the same Sr_order_demand path a
    parked read does. *)
-let idle_wait (cluster : t) ~frontier =
+let idle_wait (cluster : t) ~cursors =
   if cluster.cfg.Config.read_demand || cluster.cfg.Config.subscriptions then
     ignore
       (Waitq.await_timeout cluster.order_wake
          ~timeout:cluster.cfg.Config.order_interval
-         (fun () -> demand_pending cluster ~frontier:(frontier ()))
+         (fun () -> demand_pending cluster ~cursors)
         : bool)
   else Engine.sleep cluster.cfg.Config.order_interval
 
@@ -318,9 +290,9 @@ type batch = {
   view : int;
   ldr : Seq_replica.t;
   gc_slots : (int * Types.Rid.t) list;
-  new_gp : int;
-  new_gps : (int * int) list;
-      (* tenant frontiers this batch advanced ([] for a log-0 batch) *)
+  frontiers : int list;
+      (* log 0's cursor after this batch, then every other log's it
+         advanced *)
   size : int;
   pushed : unit Ivar.t;
   claimed_at : Engine.time;
@@ -337,13 +309,12 @@ let commit_batch (cluster : t) ep (b : batch) =
      which serializes behind us via wait_idle) before any replica GC. *)
   Ivar.read b.pushed;
   if batch_valid cluster b then begin
-    Seq_replica.apply_gc b.ldr ~gps:b.new_gps ~slots:b.gc_slots
-      ~new_gp:b.new_gp;
+    Seq_replica.apply_gc b.ldr ~frontiers:b.frontiers ~slots:b.gc_slots;
     if
-      gc_followers cluster ep ~view:b.view ~gps:b.new_gps ~slots:b.gc_slots
-        ~new_gp:b.new_gp ()
+      gc_followers cluster ep ~view:b.view ~frontiers:b.frontiers
+        ~slots:b.gc_slots
     then begin
-      broadcast_stable_logs cluster ep ~new_gp:b.new_gp ~new_gps:b.new_gps;
+      broadcast_frontiers cluster ep b.frontiers;
       note_stable cluster ~size:b.size ~claimed_at:b.claimed_at
     end
     else cluster.order_resync <- true
@@ -368,12 +339,12 @@ let pipelined_loop (cluster : t) ep =
         loop ()
       in
       loop ());
-  let next_gp = ref 0 in
-  let next_gps : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  (* A tenant log absent from [next_gps] has no batch in flight, so the
-     leader's committed frontier for it is authoritative. *)
-  let tenant_frontier log =
-    Seq_log.last_ordered_gp_for (Seq_replica.log (leader cluster)) ~log
+  (* The ordering frontier, one cursor per log. A log the table does not
+     hold has no batch in flight since the last resync, so the leader's
+     committed frontier for it is authoritative. *)
+  let cursors =
+    Log_table.create ~default:(fun log ->
+        Seq_log.last_ordered_gp (Seq_replica.log (leader cluster)) ~log)
   in
   let pipe_view = ref (-1) in
   let rec loop () =
@@ -381,8 +352,8 @@ let pipelined_loop (cluster : t) ep =
         cluster.inflight_batches < depth);
     (* With the pipeline empty the leader's last-ordered-gp is
        authoritative again: resync the ordering frontier (and, after a
-       discarded batch, the claim cursor). Tenant cursors reseed lazily
-       from the leader's per-log frontiers on next touch. *)
+       discarded batch, the claim cursor). The reset reseeds log 0 now
+       and every other log from the leader on next touch. *)
     if cluster.inflight_batches = 0 then begin
       (match cluster.replicas with
       | r :: _ ->
@@ -390,8 +361,7 @@ let pipelined_loop (cluster : t) ep =
           Seq_log.reset_claims (Seq_replica.log r);
           cluster.order_resync <- false
         end;
-        next_gp := Seq_log.last_ordered_gp (Seq_replica.log r);
-        Hashtbl.reset next_gps
+        Log_table.reset cursors
       | [] -> ());
       pipe_view := cluster.view
     end;
@@ -413,10 +383,7 @@ let pipelined_loop (cluster : t) ep =
           let n = Array.length entries in
           if n = 0 then (0, 0)
           else begin
-            let slots, new_gps =
-              assign_positions ~frontier:tenant_frontier ~next0:next_gp
-                ~tbl:next_gps entries
-            in
+            let slots, frontiers = assign_positions ~cursors entries in
             let gc_slots = ref [] in
             for i = n - 1 downto 0 do
               let gp, e = slots.(i) in
@@ -425,15 +392,14 @@ let pipelined_loop (cluster : t) ep =
             cluster.inflight_batches <- cluster.inflight_batches + 1;
             note_claim cluster n;
             let pushed = Ivar.create () in
-            spawn_pushes cluster ep ~truncate_from:None slots
-              ~on_done:(fun () -> Ivar.fill pushed ());
+            spawn_pushes cluster ep ~truncate:[] slots ~on_done:(fun () ->
+                Ivar.fill pushed ());
             Queue.push
               {
                 view = !pipe_view;
                 ldr;
                 gc_slots = !gc_slots;
-                new_gp = !next_gp;
-                new_gps;
+                frontiers;
                 size = n;
                 pushed;
                 claimed_at = Engine.now ();
@@ -451,7 +417,7 @@ let pipelined_loop (cluster : t) ep =
        almost immediately; otherwise poll at the ordering interval. *)
     if claimed > 0 && backlog > 0 then
       Engine.sleep (max (Engine.ns 100) (cluster.cfg.Config.order_interval / 16))
-    else idle_wait cluster ~frontier:(fun () -> !next_gp);
+    else idle_wait cluster ~cursors;
     loop ()
   in
   loop ()
@@ -466,7 +432,7 @@ let start (cluster : t) =
       match req with
       | Proto.Sr_order_demand { upto } ->
         (* Per-log max-merge: a packed position lands in its own log's
-           cursor (log 0 keeps the scalar, identical to the original). *)
+           cursor. *)
         note_demand cluster upto;
         (* Wake unconditionally, not just when the cursor rises: a
            repeated demand at or below the merged cursor still means a

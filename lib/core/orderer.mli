@@ -17,15 +17,30 @@
     [pipeline_depth = 1] with [adaptive_batch = false] the same loop runs
     one fixed-size batch at a time, with no overlap between batches.
 
-    Every log goes through one cursor path: log 0 draws dense positions
-    from the ordering frontier, and each tenant log of the multi-log
-    fabric ({!Logid}) draws from its own packed cursor.
+    Every log goes through one cursor path: the ordering frontier is a
+    {!Log_table} with one cursor per log, and each entry draws the next
+    position of its own log's cursor (dense positions for log 0, packed
+    ones for each tenant log of the multi-log fabric, {!Logid}).
 
     The dispatcher reads the leader's log directly (the paper does this
     with RDMA so the leader's CPU is not consumed) and quiesces while a
     view change is running. *)
 
 open Ll_net
+
+val push :
+  Erwin_common.t ->
+  (Proto.req, Proto.resp) Rpc.endpoint ->
+  truncate:int list ->
+  (int * Types.entry) list ->
+  unit
+(** Pushes positioned entries to the shards and waits for all of them to
+    acknowledge (replication included). Each packed frontier in
+    [truncate] (at most one per log) makes every shard first logically
+    overwrite its own log's tail from that position — the recovery flush
+    path (section 4.5) — without touching another log's positions. The
+    truncation travels in the same message as the rebinding slots, so
+    the unbind/rebind pair is atomic per shard. Used by {!Reconfig}. *)
 
 val push_batch :
   Erwin_common.t ->
@@ -34,41 +49,24 @@ val push_batch :
   truncate_from:int option ->
   (int * Types.entry) list ->
   unit
-(** Pushes positioned entries to the shards and waits for all of them to
-    acknowledge (replication included). With [truncate_from], every shard
-    first logically overwrites log 0's tail from that position — the
-    recovery flush path (section 4.5). [truncate_logs] does the same for
-    tenant logs: each packed frontier unbinds its own log from that
-    position up. Both travel in the same message as the rebinding slots
-    (so the unbind/rebind pair is atomic per shard), and neither touches
-    another log's positions. Also used by {!Reconfig}. *)
+(** {!push} with [truncate] split as [truncate_from] (log 0's frontier)
+    followed by [truncate_logs]. *)
 
 val assign_positions :
-  frontier:(int -> int) ->
-  next0:int ref ->
-  tbl:(int, int) Hashtbl.t ->
+  cursors:Log_table.t ->
   Types.entry array ->
-  (int * Types.entry) array * (int * int) list
-(** Assigns positions to a batch in entry order: log-0 entries take
-    [!next0], [!next0 + 1], ...; each tenant log's entries take the next
-    positions of its packed cursor in [tbl], seeded from [frontier log]
-    on first touch. Both cursors are advanced. Returns the positioned
-    slots and the final cursor of every tenant log the batch advanced.
-    Shared by the orderer and the recovery flush ({!Reconfig}). *)
+  (int * Types.entry) array * int list
+(** Assigns positions to a batch in entry order: each entry takes the
+    next position of its own log's cursor in [cursors], which advances.
+    Returns the positioned slots and the cursor of log 0 and of every
+    other log the batch advanced, in log order. Shared by the orderer
+    and the recovery flush ({!Reconfig}). *)
 
 val broadcast_stable :
   Erwin_common.t -> (Proto.req, Proto.resp) Rpc.endpoint -> int -> unit
-(** Advances the cluster's stable-gp mirror and notifies every shard. *)
-
-val broadcast_stable_logs :
-  Erwin_common.t ->
-  (Proto.req, Proto.resp) Rpc.endpoint ->
-  new_gp:int ->
-  new_gps:(int * int) list ->
-  unit
-(** {!broadcast_stable} for the log-0 frontier plus one merge/notify round
-    per advanced tenant frontier ([(log, packed gp)]). With [new_gps = []]
-    this is exactly {!broadcast_stable}. *)
+(** Advances the stable frontier of the packed bound's log in the
+    cluster's mirror (probe and [on_stable] hook included, when it
+    rises) and notifies every shard. *)
 
 (** Batch-size controller for the pipelined orderer: grows the batch while
     claims come out full with backlog remaining, shrinks it once the

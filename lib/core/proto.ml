@@ -22,19 +22,19 @@ type req =
           whose bound position the leader must remember for a later
           [Sr_wait_ordered] (appendSync support). *)
   | Sr_check_tail of { view : int; log : int }
-      (** Tail of one log ([log = 0] is the legacy single log). *)
+      (** Tail of one log ([log = 0] is the root log). *)
   | Sr_gc of { view : int; slots : (gp * Types.Rid.t) list; new_gp : gp }
       (** Leader -> follower: the listed rids were bound; drop them and
           advance last-ordered-gp. *)
   | Sr_seal of { view : int }
   | Sr_get_state
-      (** Controller -> recovery replica: unordered log + last-ordered-gp. *)
+      (** Controller -> recovery replica: unordered log + last-ordered-gp
+          of every log. *)
   | Sr_install_view of {
       new_view : int;
-      new_gp : gp;
-      gps : (int * gp) list;
-          (** per-log ordering frontiers for logs beyond log 0 (empty
-              outside the multi-log fabric) *)
+      frontiers : gp list;
+          (** the new view's last-ordered-gp of every log, packed (each
+              names its own log), log 0 first *)
       flushed : (gp * Types.Rid.t) list;
     }
   | Sr_wait_ordered of { rid : Types.Rid.t }
@@ -54,32 +54,23 @@ type req =
   | Sh_trim of { upto : gp }
   (* --- Erwin-m shards: background pushes of full records ---
 
-     [truncate_logs] carries per-log truncation frontiers for tenant logs
-     (empty outside the multi-log fabric); it rides in the same message as
-     the slots so a recovery's unbind and rebind stay atomic per shard
-     even when several logs flush at once. *)
-  | Msh_push of {
-      truncate_from : gp option;
-      truncate_logs : gp list;
-      slots : (gp * Types.record) list;
-    }
-  | Msh_replicate of {
-      truncate_from : gp option;
-      truncate_logs : gp list;
-      slots : (gp * Types.record) list;
-    }
+     [truncate] lists packed frontiers, at most one per log: each unbinds
+     its own log from that position up, and no other log's positions.
+     It is empty except in a recovery flush, and rides in the same
+     message as the slots so a recovery's unbind and rebind stay atomic
+     per shard even when several logs flush at once. *)
+  | Msh_push of { truncate : gp list; slots : (gp * Types.record) list }
+  | Msh_replicate of { truncate : gp list; slots : (gp * Types.record) list }
   (* --- Erwin-st shards: uncoordinated data writes + metadata ordering --- *)
   | Ssh_data_write of { record : Types.record }
       (** Client -> every shard replica, in parallel: stage the record. *)
   | Ssh_order of {
-      truncate_from : gp option;
-      truncate_logs : gp list;
+      truncate : gp list;
       bindings : (gp * Types.Rid.t) list;  (** this shard's records *)
       map_chunk : (gp * int) list;  (** position -> shard, full batch *)
     }
   | Ssh_replicate_order of {
-      truncate_from : gp option;
-      truncate_logs : gp list;
+      truncate : gp list;
       bindings : (gp * Types.Rid.t) list;
       noops : Types.Rid.t list;
       map_chunk : (gp * int) list;
@@ -124,9 +115,9 @@ type resp =
           [Ssh_data_write] reuse it as a plain ok/fail (shards answer
           with [view = 0]). *)
   | R_tail of { ok : bool; tail : int }
-  | R_state of { gp : gp; gps : (int * gp) list; entries : Types.entry list }
-      (** [gps] lists the per-log last-ordered frontiers beyond log 0
-          (empty outside the multi-log fabric). *)
+  | R_state of { frontiers : gp list; entries : Types.entry list }
+      (** [frontiers]: the replica's last-ordered-gp of every log it has
+          ordered, packed, log 0 first. *)
   | R_gp of { gp : gp }
   | R_records of { records : (gp * Types.record) list; stable : gp }
       (** [stable] piggybacks the responder's stable mirror: read traffic
@@ -162,6 +153,14 @@ let record_wire (r : Types.record) = r.size + 16
 let slots_wire slots =
   List.fold_left (fun acc (_, r) -> acc + record_wire r) 0 slots
 
+(* Log 0's frontier rides free in a message's fixed header; every other
+   log's costs [each] bytes (16 in a state transfer, 8 in a
+   truncation). *)
+let rec frontiers_wire ~each = function
+  | [] -> 0
+  | g :: rest ->
+    (if Logid.log_of g = 0 then 0 else each) + frontiers_wire ~each rest
+
 let rec entries_wire entries acc =
   match entries with
   | [] -> acc
@@ -174,21 +173,20 @@ let req_size = function
        shares the header. *)
     entries_wire entries 12
   | Sr_gc { slots; _ } -> (24 * List.length slots) + 16
-  | Sr_install_view { flushed; gps; _ } ->
-    (24 * List.length flushed) + (16 * List.length gps) + 32
-  | Msh_push { slots; truncate_logs; _ }
-  | Msh_replicate { slots; truncate_logs; _ } ->
-    slots_wire slots + (8 * List.length truncate_logs)
+  | Sr_install_view { flushed; frontiers; _ } ->
+    (24 * List.length flushed) + frontiers_wire ~each:16 frontiers + 32
+  | Msh_push { slots; truncate } | Msh_replicate { slots; truncate } ->
+    slots_wire slots + frontiers_wire ~each:8 truncate
   | Ssh_data_write { record } -> record_wire record
-  | Ssh_order { bindings; map_chunk; truncate_logs; _ } ->
+  | Ssh_order { bindings; map_chunk; truncate } ->
     (24 * List.length bindings)
     + (12 * List.length map_chunk)
-    + (8 * List.length truncate_logs)
-  | Ssh_replicate_order { bindings; map_chunk; noops; truncate_logs; _ } ->
+    + frontiers_wire ~each:8 truncate
+  | Ssh_replicate_order { bindings; map_chunk; noops; truncate } ->
     (24 * List.length bindings)
     + (12 * List.length map_chunk)
     + (16 * List.length noops)
-    + (8 * List.length truncate_logs)
+    + frontiers_wire ~each:8 truncate
   | Ssh_backfill { slots } -> slots_wire slots
   | Sh_read { positions; _ } -> (8 * List.length positions) + 8
   | St_push { records; _ } -> slots_wire records + 32
@@ -199,10 +197,10 @@ let req_size = function
 
 let resp_size = function
   | R_records { records; _ } -> slots_wire records
-  | R_state { entries; gps; _ } ->
+  | R_state { entries; frontiers } ->
     List.fold_left
       (fun acc e -> acc + Types.entry_wire_size e)
-      (16 + (16 * List.length gps))
+      (16 + frontiers_wire ~each:16 frontiers)
       entries
   | R_map { chunk; _ } -> 12 * List.length chunk
   | R_missing { rids } -> 16 * List.length rids

@@ -47,40 +47,35 @@ let run_view_change (cluster : t) ep ~detect ?(exclude = fun _ -> false) () =
        we pick the first. *)
     let t0 = Engine.now () in
     let recovery = List.hd survivors in
-    let gp, gps, entries =
+    let frontiers, entries =
       match
         Rpc.call_retry ep ~dst:(Seq_replica.node_id recovery)
           ~timeout:(Engine.ms 10) ~max_tries:50 Proto.Sr_get_state
       with
-      | Some (Proto.R_state { gp; gps; entries }) -> (gp, gps, entries)
+      | Some (Proto.R_state { frontiers; entries }) -> (frontiers, entries)
       | Some _ | None -> failwith "reconfig: bad get_state response"
     in
     (* Reassign each surviving unordered entry from its own log's
        recovered frontier, with the orderer's assignment, and truncate
        every log that could hold half-pushed positions from that
-       frontier: log 0 from [gp], and each tenant log with a replicated
-       frontier or a surviving entry from its own. *)
-    let fronts = Hashtbl.create 8 in
-    List.iter (fun (lg, g) -> Hashtbl.replace fronts lg g) gps;
+       frontier: log 0 and each log with a replicated frontier or a
+       surviving entry. *)
+    let fronts = Log_table.create ~default:(fun log -> Logid.base ~log) in
+    Log_table.set_packed fronts frontiers;
     List.iter
       (fun e ->
-        let lg = Types.entry_log e in
-        if lg <> 0 && not (Hashtbl.mem fronts lg) then
-          Hashtbl.replace fronts lg (Logid.base ~log:lg))
+        let log = Types.entry_log e in
+        ignore (Log_table.merge fronts log (Logid.base ~log) : bool))
       entries;
-    let truncate_logs = Hashtbl.fold (fun _ f acc -> f :: acc) fronts [] in
-    let next0 = ref gp in
+    let truncate = Log_table.to_list fronts in
     let slots, _ =
-      Orderer.assign_positions
-        ~frontier:(fun log -> Logid.base ~log)
-        ~next0 ~tbl:fronts (Array.of_list entries)
+      Orderer.assign_positions ~cursors:fronts (Array.of_list entries)
     in
     let slots = Array.to_list slots in
-    let new_gp = !next0 in
-    (* Every tenant frontier, advanced or not: the new view installs the
-       whole table. *)
-    let new_gps = Hashtbl.fold (fun lg g acc -> (lg, g) :: acc) fronts [] in
-    Orderer.push_batch cluster ep ~truncate_logs ~truncate_from:(Some gp) slots;
+    (* Every frontier, advanced or not: the new view installs the whole
+       table. *)
+    let frontiers = Log_table.to_list fronts in
+    Orderer.push cluster ep ~truncate slots;
     let flush_d = Engine.now () - t0 in
     (* New view: configuration to ZooKeeper first, then install, and only
        then advance stable-gp. *)
@@ -92,13 +87,13 @@ let run_view_change (cluster : t) ep ~detect ?(exclude = fun _ -> false) () =
     let installs =
       List.map
         (retried
-           (Proto.Sr_install_view { new_view; new_gp; gps = new_gps; flushed }))
+           (Proto.Sr_install_view { new_view; frontiers; flushed }))
         survivors
     in
     ignore (Ivar.join_all installs : Proto.resp list);
     cluster.replicas <- survivors;
     cluster.view <- new_view;
-    Orderer.broadcast_stable_logs cluster ep ~new_gp ~new_gps;
+    List.iter (Orderer.broadcast_stable cluster ep) frontiers;
     let new_view_d = Engine.now () - t0 in
     cluster.reconfiguring <- false;
     cluster.crash_time <- None;

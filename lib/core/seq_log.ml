@@ -7,15 +7,11 @@ type t = {
   ordered_seq : Int_table.t;  (* client -> max ordered seq *)
   mutable first : int;  (* lowest possibly-live slot *)
   mutable next : int;  (* next slot *)
-  mutable live : int;
-  mutable gp : int;
-  (* Multi-log fabric: per-log last-ordered frontier and live count for
-     logs beyond 0 (log 0 stays in the scalar [gp] / implied live count,
-     so the single-log path is untouched). Frontiers are packed positions
-     ({!Logid}). *)
-  gps : (int, int) Hashtbl.t;
-  live_logs : (int, int) Hashtbl.t;
-  mutable live_other : int;  (* total live entries in logs > 0 *)
+  mutable live : int;  (* live entries, all logs *)
+  (* The paper's last-ordered-gp, one per log (packed positions,
+     {!Logid}), and each log's share of [live]. *)
+  frontiers : Log_table.t;
+  log_live : Log_table.t;
   (* Pipelined ordering: slots below [claimed] belong to an in-flight
      ordering batch and must not be claimed again; [claimed_live] counts
      the live entries among them. *)
@@ -33,10 +29,8 @@ let create ~capacity =
     first = 0;
     next = 0;
     live = 0;
-    gp = 0;
-    gps = Hashtbl.create 8;
-    live_logs = Hashtbl.create 8;
-    live_other = 0;
+    frontiers = Log_table.create ~default:(fun log -> Logid.base ~log);
+    log_live = Log_table.create ~default:(fun _ -> 0);
     claimed = 0;
     claimed_live = 0;
     space = Waitq.create ();
@@ -49,14 +43,7 @@ let already_ordered t (rid : Types.Rid.t) =
 
 let is_duplicate t rid = Hashtbl.mem t.by_rid rid || already_ordered t rid
 
-let bump_live t lg d =
-  if lg <> 0 then begin
-    t.live_other <- t.live_other + d;
-    let cur =
-      match Hashtbl.find_opt t.live_logs lg with Some n -> n | None -> 0
-    in
-    Hashtbl.replace t.live_logs lg (cur + d)
-  end
+let bump_live t lg d = Log_table.add t.log_live lg d
 
 let do_append t e =
   let slot = t.next in
@@ -211,38 +198,17 @@ let clear t =
   Hashtbl.reset t.entries;
   Hashtbl.reset t.by_rid;
   t.live <- 0;
-  Hashtbl.reset t.live_logs;
-  t.live_other <- 0;
+  Log_table.reset t.log_live;
   t.first <- t.next;
   t.claimed <- t.next;
   t.claimed_live <- 0;
   Waitq.broadcast t.space
 
-let last_ordered_gp t = t.gp
+let frontiers t = t.frontiers
 
-let set_last_ordered_gp t gp = t.gp <- gp
+let last_ordered_gp t ~log = Log_table.get t.frontiers log
 
-(* Per-log frontier accessors. Log 0 aliases the scalar [gp]; a log with
-   no frontier yet starts at its base position. *)
-let last_ordered_gp_for t ~log =
-  if log = 0 then t.gp
-  else
-    match Hashtbl.find_opt t.gps log with
-    | Some g -> g
-    | None -> Logid.base ~log
-
-let set_last_ordered_gp_for t ~log g =
-  if log = 0 then t.gp <- g else Hashtbl.replace t.gps log g
-
-let log_gps t = Hashtbl.fold (fun log g acc -> (log, g) :: acc) t.gps []
-
-let set_log_gps t gps =
-  Hashtbl.reset t.gps;
-  List.iter (fun (log, g) -> Hashtbl.replace t.gps log g) gps
-
-let live_count_for t ~log =
-  if log = 0 then t.live - t.live_other
-  else match Hashtbl.find_opt t.live_logs log with Some n -> n | None -> 0
+let live_count_for t ~log = Log_table.get t.log_live log
 
 let mem t rid = Hashtbl.mem t.by_rid rid
 

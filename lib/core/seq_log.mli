@@ -77,26 +77,14 @@ val clear : t -> unit
 (** Drops all live entries (view change reset); the duplicate filter is
     retained. *)
 
-val last_ordered_gp : t -> int
-(** Number of globally ordered positions this replica knows of (the next
-    position to be assigned). The paper's last-ordered-gp counter. *)
+val frontiers : t -> Log_table.t
+(** The paper's last-ordered-gp counter, one per log: each log's next
+    position to be assigned, as a packed {!Logid} position ([Logid.base
+    ~log] for a log never ordered). Garbage collection and view installs
+    set it; recovery state transfer reads it whole. *)
 
-val set_last_ordered_gp : t -> int -> unit
-
-val last_ordered_gp_for : t -> log:int -> int
-(** Per-log last-ordered frontier (a packed {!Logid} position; the next
-    position of [log] to be assigned). Log 0 aliases
-    {!last_ordered_gp}; a log never ordered yet starts at
-    [Logid.base ~log]. *)
-
-val set_last_ordered_gp_for : t -> log:int -> int -> unit
-
-val log_gps : t -> (int * int) list
-(** The per-log frontiers beyond log 0 (unordered list), for recovery
-    state transfer. *)
-
-val set_log_gps : t -> (int * int) list -> unit
-(** Replace the per-log frontiers beyond log 0 (view install). *)
+val last_ordered_gp : t -> log:int -> int
+(** One log's entry of {!frontiers}. *)
 
 val live_count_for : t -> log:int -> int
 (** Live (unordered) entries belonging to one log. *)

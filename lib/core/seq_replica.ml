@@ -45,10 +45,9 @@ let record_bindings t slots =
     slots;
   Waitq.broadcast t.bound_watch
 
-let apply_gc ?(gps = []) t ~slots ~new_gp =
+let apply_gc t ~frontiers ~slots =
   Seq_log.remove_ordered t.slog (List.map snd slots);
-  Seq_log.set_last_ordered_gp t.slog new_gp;
-  List.iter (fun (log, g) -> Seq_log.set_last_ordered_gp_for t.slog ~log g) gps;
+  Log_table.set_packed (Seq_log.frontiers t.slog) frontiers;
   record_bindings t slots
 
 let rec track_all t = function
@@ -86,14 +85,14 @@ let handle t ~src:_ (req : Proto.req) ~reply =
            {
              ok = true;
              tail =
-               Logid.pos_of (Seq_log.last_ordered_gp_for t.slog ~log)
+               Logid.pos_of (Seq_log.last_ordered_gp t.slog ~log)
                + Seq_log.live_count_for t.slog ~log;
            })
   | Sr_gc { view; slots; new_gp } ->
     if view <> t.view || t.sealed then
       reply (Proto.R_append { ok = false; view = t.view })
     else begin
-      apply_gc t ~slots ~new_gp;
+      apply_gc t ~frontiers:[ new_gp ] ~slots;
       reply (Proto.R_append { ok = true; view = t.view })
     end
   | Sr_seal { view } ->
@@ -109,15 +108,14 @@ let handle t ~src:_ (req : Proto.req) ~reply =
     reply
       (Proto.R_state
          {
-           gp = Seq_log.last_ordered_gp t.slog;
-           gps = Seq_log.log_gps t.slog;
+           frontiers = Log_table.to_list (Seq_log.frontiers t.slog);
            entries = Seq_log.unordered t.slog ();
          })
-  | Sr_install_view { new_view; new_gp; gps; flushed } ->
+  | Sr_install_view { new_view; frontiers; flushed } ->
     Seq_log.clear t.slog;
     Seq_log.mark_ordered t.slog (List.map snd flushed);
-    Seq_log.set_last_ordered_gp t.slog new_gp;
-    Seq_log.set_log_gps t.slog gps;
+    Log_table.reset (Seq_log.frontiers t.slog);
+    Log_table.set_packed (Seq_log.frontiers t.slog) frontiers;
     record_bindings t flushed;
     t.view <- new_view;
     t.sealed <- false;

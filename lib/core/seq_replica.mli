@@ -37,12 +37,10 @@ val view : t -> int
 val is_sealed : t -> bool
 
 val apply_gc :
-  ?gps:(int * int) list -> t -> slots:(int * Types.Rid.t) list ->
-  new_gp:int -> unit
-(** Local equivalent of [Sr_gc], used by the orderer on the leader.
-    [gps] carries the tenant logs' ordered frontiers ([(log, packed
-    gp)], logs > 0) advanced by the same ordering pass; empty (the
-    default) for a batch of log-0 entries only. *)
+  t -> frontiers:int list -> slots:(int * Types.Rid.t) list -> unit
+(** Local equivalent of [Sr_gc], used by the orderer on every replica:
+    drops the ordered [slots] and sets the last-ordered-gp of each log
+    in [frontiers] (packed positions, one per log) to that value. *)
 
 val ingress : t -> Ingress.t option
 (** The weighted-fair ingress scheduler, present iff the replica was

@@ -17,16 +17,13 @@ type replica = {
   nooped : (Types.Rid.t, unit) Hashtbl.t;
   staging_watch : Waitq.t;
   map_log : (int, int) Hashtbl.t;  (* position -> shard id *)
-  (* Per-replica stable-gp mirror: the primary's is authoritative for the
-     shard; backups keep their own (fed by the primary's relay, by client
-     stable hints, and by the stable piggybacked on forwarded reads) so
-     they can serve bound positions without consulting the primary.
-     [stable] is log 0's frontier (the whole log outside the multi-log
-     fabric); tenant logs keep theirs in [stables], keyed by log id with
-     packed values. One watch covers all logs — waiters re-check their
-     own predicate. *)
-  mutable stable : int;
-  stables : (int, int) Hashtbl.t;
+  (* Per-replica stable-gp mirror, one packed frontier per log: the
+     primary's is authoritative for the shard; backups keep their own
+     (fed by the primary's relay, by client stable hints, and by the
+     stable piggybacked on forwarded reads) so they can serve bound
+     positions without consulting the primary. One watch covers all
+     logs — waiters re-check their own predicate. *)
+  stable : Log_table.t;
   stable_watch : Waitq.t;
 }
 
@@ -41,20 +38,13 @@ type t = {
          when [cfg.read_demand] *)
 }
 
-(* [stable] is log 0's frontier; tenant logs fall back to their packed
-   base until first advanced. *)
-let stable_for r ~log =
-  if log = 0 then r.stable
-  else
-    match Hashtbl.find_opt r.stables log with
-    | Some g -> g
-    | None -> Logid.base ~log
+let stable_for r ~log = Log_table.get r.stable log
 
 let shard_id t = t.sid
 let primary_id t = Fabric.id t.primary.node
 let replica_ids t = List.map (fun r -> Fabric.id r.node) (t.primary :: t.backups)
-let stable_gp t = t.primary.stable
 let stable_gp_for t ~log = stable_for t.primary ~log
+let stable_gp t = stable_gp_for t ~log:0
 let set_demand_target t dst = t.demand_target <- dst
 let read_local t pos = Flushed_store.read t.primary.store ~pos
 let bound_positions t = Flushed_store.entries t.primary.store
@@ -94,12 +84,14 @@ let unbind_log r from =
   in
   List.iter (Hashtbl.remove r.map_log) stale
 
-(* [truncate_from] is log 0's frontier, [truncate_logs] the tenant
-   logs' (packed). Every push runs this, so the common no-truncate case
-   allocates nothing (no partial application of [unbind_log]). *)
-let apply_truncate r ~truncate_from ~truncate_logs =
-  (match truncate_from with Some from -> unbind_log r from | None -> ());
-  if truncate_logs <> [] then List.iter (unbind_log r) truncate_logs
+(* One packed frontier per truncated log. Every push runs this, so the
+   common no-truncate case allocates nothing (no partial application of
+   [unbind_log]). *)
+let rec apply_truncate r = function
+  | [] -> ()
+  | from :: rest ->
+    unbind_log r from;
+    apply_truncate r rest
 
 (* [charged = true] pays the device for the record bytes (Erwin-m pushes,
    where this is the first time the shard sees the data); [charged =
@@ -140,16 +132,12 @@ let resolve_binding cfg r rid =
 
 (* Probe points are primary-only: the primary's bindings are the
    authoritative position -> record map the invariants talk about. *)
-let probe_truncate t ~truncate_from ~truncate_logs =
-  if Probe.active () then begin
-    (match truncate_from with
-    | Some from -> Probe.emit (Probe.Shard_truncated { shard = t.sid; from })
-    | None -> ());
+let probe_truncate t truncate =
+  if Probe.active () then
     (* Packed frontiers: the monitor recovers the log from the position. *)
     List.iter
       (fun from -> Probe.emit (Probe.Shard_truncated { shard = t.sid; from }))
-      truncate_logs
-  end
+      truncate
 
 let probe_stored t slots =
   if Probe.active () then
@@ -172,19 +160,8 @@ let probe_read_served t records =
       records
 
 let note_stable r gp =
-  let log = Logid.log_of gp in
-  if log = 0 then begin
-    if gp > r.stable then begin
-      r.stable <- gp;
-      Waitq.broadcast r.stable_watch
-    end
-  end
-  else
-    match Hashtbl.find_opt r.stables log with
-    | Some g when g >= gp -> ()
-    | _ ->
-      Hashtbl.replace r.stables log gp;
-      Waitq.broadcast r.stable_watch
+  if Log_table.merge r.stable (Logid.log_of gp) gp then
+    Waitq.broadcast r.stable_watch
 
 (* Position [p] is readable once its own log's frontier passes it. *)
 let covered r positions =
@@ -218,13 +195,13 @@ let demand_bind t ~upto =
 let handle_primary t ~src:_ (req : Proto.req) ~reply =
   let r = t.primary in
   match req with
-  | Msh_push { truncate_from; truncate_logs; slots } ->
-    apply_truncate r ~truncate_from ~truncate_logs;
-    probe_truncate t ~truncate_from ~truncate_logs;
+  | Msh_push { truncate; slots } ->
+    apply_truncate r truncate;
+    probe_truncate t truncate;
     store_slots r slots;
     probe_stored t slots;
     (* Retried on loss; replication by explicit position is idempotent. *)
-    let repl_req = Proto.Msh_replicate { truncate_from; truncate_logs; slots } in
+    let repl_req = Proto.Msh_replicate { truncate; slots } in
     let acks =
       List.map
         (fun b ->
@@ -254,9 +231,9 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
       if fresh then journal_record r record;
       reply (Proto.R_append { ok = true; view = 0 })
     end
-  | Ssh_order { truncate_from; truncate_logs; bindings; map_chunk } ->
-    apply_truncate r ~truncate_from ~truncate_logs;
-    probe_truncate t ~truncate_from ~truncate_logs;
+  | Ssh_order { truncate; bindings; map_chunk } ->
+    apply_truncate r truncate;
+    probe_truncate t truncate;
     (* Idempotency under retried pushes: a position already bound must
        not be resolved again (its record left staging on the first
        pass, and re-resolving would wrongly no-op it). *)
@@ -285,8 +262,7 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
     in
     let repl_req =
       Proto.Ssh_replicate_order
-        { truncate_from;
-          truncate_logs;
+        { truncate;
           bindings = List.map (fun (gp, rid, _) -> (gp, rid)) resolved;
           noops;
           map_chunk }
@@ -394,8 +370,8 @@ let forward_to_primary t r req ~reply ~on_resp =
 
 let handle_backup t r ~src:_ (req : Proto.req) ~reply =
   match req with
-  | Msh_replicate { truncate_from; truncate_logs; slots } ->
-    apply_truncate r ~truncate_from ~truncate_logs;
+  | Msh_replicate { truncate; slots } ->
+    apply_truncate r truncate;
     store_slots r slots;
     reply Proto.R_ok
   | Ssh_data_write { record } ->
@@ -409,9 +385,8 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
       if fresh then journal_record r record;
       reply (Proto.R_append { ok = true; view = 0 })
     end
-  | Ssh_replicate_order { truncate_from; truncate_logs; bindings; noops; map_chunk }
-    ->
-    apply_truncate r ~truncate_from ~truncate_logs;
+  | Ssh_replicate_order { truncate; bindings; noops; map_chunk } ->
+    apply_truncate r truncate;
     let missing = ref [] in
     let slots =
       List.filter_map
@@ -516,8 +491,7 @@ let make_replica cfg fabric ~name =
     nooped = Hashtbl.create 64;
     staging_watch = Waitq.create ();
     map_log = Hashtbl.create 1024;
-    stable = 0;
-    stables = Hashtbl.create 8;
+    stable = Log_table.create ~default:(fun log -> Logid.base ~log);
     stable_watch = Waitq.create ();
   }
 
@@ -583,8 +557,9 @@ let replace_backup t ~index =
   Hashtbl.iter (fun rid () -> Hashtbl.replace fresh.nooped rid ()) src.nooped;
   Hashtbl.iter (fun gp sid -> Hashtbl.replace fresh.map_log gp sid) src.map_log;
   (* The copied prefix is readable on the fresh replica right away. *)
-  fresh.stable <- src.stable;
-  Hashtbl.iter (fun log g -> Hashtbl.replace fresh.stables log g) src.stables;
+  Log_table.fold
+    (fun log g () -> Log_table.set fresh.stable log g)
+    src.stable ();
   (* Swap in, then catch up on anything pushed during the bulk copy. The
      delta pass copies whatever the bulk pass missed, by membership:
      packed positions are not monotone across logs, and a late push can

@@ -36,14 +36,13 @@ val primary_id : t -> Fabric.node_id
 val replica_ids : t -> Fabric.node_id list
 (** Primary first — Erwin-st clients write data to all of these. *)
 
-val stable_gp : t -> int
-(** The primary's stable mirror (backups keep their own, possibly
-    lagging, mirror for replica reads). Log 0's frontier — the whole
-    log outside the multi-log fabric. *)
-
 val stable_gp_for : t -> log:int -> int
-(** The primary's stable mirror for one tenant log (packed;
-    [Logid.base ~log] until first advanced). [stable_gp] for log 0. *)
+(** The primary's stable mirror for one log (packed; [Logid.base ~log]
+    until first advanced). Backups keep their own, possibly lagging,
+    mirror for replica reads. *)
+
+val stable_gp : t -> int
+(** [stable_gp_for t ~log:0]. *)
 
 val set_demand_target : t -> Fabric.node_id option -> unit
 (** Where the primary sends [Sr_order_demand] when a read parks beyond

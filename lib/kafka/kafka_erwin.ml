@@ -21,7 +21,7 @@ let create ?(cfg = Config.default) ?(kafka_config = Kafka.default_config) () =
           let slog = Seq_replica.log ldr in
           let entries = Seq_log.unordered slog ~max:cfg.Config.max_batch () in
           if entries <> [] then begin
-            let base = Seq_log.last_ordered_gp slog in
+            let base = Seq_log.last_ordered_gp slog ~log:0 in
             let slots = List.mapi (fun i e -> (base + i, e)) entries in
             let groups = Array.make nparts [] in
             List.iter
@@ -49,7 +49,7 @@ let create ?(cfg = Config.default) ?(kafka_config = Kafka.default_config) () =
               List.map (fun (gp, e) -> (gp, Types.entry_rid e)) slots
             in
             let new_gp = base + List.length entries in
-            Seq_replica.apply_gc ldr ~slots:gc_slots ~new_gp;
+            Seq_replica.apply_gc ldr ~frontiers:[ new_gp ] ~slots:gc_slots;
             let view = cluster.Erwin_common.view in
             let acks =
               List.map

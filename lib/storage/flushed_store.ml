@@ -141,6 +141,8 @@ let trim t n = Mem_log.trim t.log n
 
 let dirty_bytes t = t.dirty_bytes
 
+let evict_cache t = Hashtbl.reset t.cached
+
 let flush_wait t = Waitq.await t.drained (fun () -> Queue.is_empty t.dirty)
 
 let entries t = List.map (fun (pos, (v, _)) -> (pos, v)) (Mem_log.to_list t.log)

@@ -56,6 +56,10 @@ val remove : 'a t -> pos:int -> unit
 val trim : 'a t -> int -> unit
 val dirty_bytes : 'a t -> int
 
+val evict_cache : 'a t -> unit
+(** Drop the segment read cache, so the next read of each segment pays
+    one device fetch (a store reopened cold, e.g. after a restart). *)
+
 val flush_wait : 'a t -> unit
 (** Blocks until everything staged so far is on the device. *)
 

@@ -263,10 +263,12 @@ let start (cluster : Erwin_common.t) =
   in
   Rpc.set_handler ep (fun ~src req ~reply ->
       handle t ~src req ~reply:(fun r -> reply ~size:(Proto.resp_size r) r));
-  (* Push trigger: every stable advance wakes the pumps. The hook is the
-     only piece that runs outside an opt-in code path, and it is [None]
-     unless a manager was started. *)
-  cluster.on_stable <- Some (fun _gp -> Waitq.broadcast t.wake);
+  (* Push trigger: every stable advance of log 0, the log subscriptions
+     read, wakes the pumps. The hook is the only piece that runs outside
+     an opt-in code path, and it is [None] unless a manager was
+     started. *)
+  cluster.on_stable <-
+    Some (fun gp -> if Logid.log_of gp = 0 then Waitq.broadcast t.wake);
   (* Failover model: every view change restarts the manager's cursor
      state from the replicated floor. *)
   Engine.spawn ~name:"sub-manager.recovery" (fun () ->

@@ -158,9 +158,8 @@ let test_wire_batch_tracks_rids () =
           | _ -> ());
       Engine.sleep (Engine.us 50);
       checki "still waiting" (-1) !got;
-      Seq_replica.apply_gc r
-        ~slots:[ (7, rid 3 1); (8, rid 3 2) ]
-        ~new_gp:9;
+      Seq_replica.apply_gc r ~frontiers:[ 9 ]
+        ~slots:[ (7, rid 3 1); (8, rid 3 2) ];
       Engine.sleep (Engine.us 50);
       checki "woken with position" 8 !got)
 

@@ -126,9 +126,9 @@ let test_clear_keeps_filter () =
 
 let test_gp_counter () =
   let l = Seq_log.create ~capacity:16 in
-  checki "initial" 0 (Seq_log.last_ordered_gp l);
-  Seq_log.set_last_ordered_gp l 42;
-  checki "set" 42 (Seq_log.last_ordered_gp l)
+  checki "initial" 0 (Seq_log.last_ordered_gp l ~log:0);
+  Log_table.set (Seq_log.frontiers l) 0 42;
+  checki "set" 42 (Seq_log.last_ordered_gp l ~log:0)
 
 let prop_no_duplicate_rids =
   (* Whatever interleaving of appends/GCs happens, the live log never holds

@@ -31,6 +31,88 @@ let test_logid_pack () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "oversized position accepted"
 
+(* ---------- per-log table ---------- *)
+
+(* Random operation sequences against a [Map] model of the held logs.
+   Logs are the root log 0, dense tenant ids and one high id; values sit
+   around each log's packed base, so max-merges both rise and fall. *)
+module Im = Map.Make (Int)
+
+let prop_log_table_matches_model =
+  let log_gen = QCheck.Gen.(oneof [ return 0; int_range 1 6; return 1000 ]) in
+  let op_gen = QCheck.Gen.(triple (int_bound 7) log_gen (int_range (-3) 10)) in
+  QCheck.Test.make ~name:"log_table matches Map model" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 100) op_gen))
+    (fun ops ->
+      let default log = Logid.base ~log in
+      let t = Log_table.create ~default in
+      let fresh = Im.singleton 0 (default 0) in
+      let m = ref fresh in
+      let model_get log =
+        match Im.find_opt log !m with Some v -> v | None -> default log
+      in
+      List.for_all
+        (fun (op, log, d) ->
+          let v = default log + d in
+          let merged =
+            match op with
+            | 0 | 1 ->
+              Log_table.set t log v;
+              m := Im.add log v !m;
+              true
+            | 2 | 3 ->
+              let rises = (not (Im.mem log !m)) || v > model_get log in
+              if rises then m := Im.add log v !m;
+              Log_table.merge t log v = rises
+            | 6 ->
+              Log_table.add t log d;
+              m := Im.add log (model_get log + d) !m;
+              true
+            | 4 ->
+              Log_table.reset t;
+              m := fresh;
+              true
+            | 5 ->
+              (* A frontier list: packed positions naming their logs. *)
+              let gps = [ Logid.pack ~log (abs d); Logid.pack ~log:3 1 ] in
+              Log_table.reset t;
+              Log_table.set_packed t gps;
+              m :=
+                List.fold_left
+                  (fun acc g -> Im.add (Logid.log_of g) g acc)
+                  fresh gps;
+              true
+            | _ -> true
+          in
+          merged
+          && Log_table.get t log = model_get log
+          && Log_table.get t 5 = model_get 5
+          && List.rev (Log_table.fold (fun l v acc -> (l, v) :: acc) t [])
+             = Im.bindings !m
+          && Log_table.to_list t = List.map snd (Im.bindings !m))
+        ops)
+
+let test_log_table_bounds () =
+  let t = Log_table.create ~default:(fun _ -> -1) in
+  checki "default for a log never set" (-1)
+    (Log_table.get t (Logid.max_logs - 1));
+  Alcotest.(check (list int))
+    "created holding log 0" [ -1 ] (Log_table.to_list t);
+  Log_table.set t 100_000 7;
+  checki "high id set" 7 (Log_table.get t 100_000);
+  checki "ids between stay unheld" (-1) (Log_table.get t 99_999);
+  Alcotest.(check (list int)) "fold skips unheld ids" [ -1; 7 ]
+    (Log_table.to_list t);
+  (match Log_table.set t Logid.max_logs 0 with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "log id past max_logs accepted");
+  (* [reset] re-evaluates the default for log 0. *)
+  let base = ref 5 in
+  let t = Log_table.create ~default:(fun _ -> !base) in
+  base := 9;
+  Log_table.reset t;
+  checki "log 0 reseeded on reset" 9 (Log_table.get t 0)
+
 (* ---------- Ivar zero-budget regression ---------- *)
 
 let test_join_all_timeout_zero_budget () =
@@ -101,6 +183,14 @@ let test_st_tenant_roundtrip () =
 
 (* ---------- per-log cursors across a view change ---------- *)
 
+let tenant_of (r : Types.record) = Char.code r.data.[0] - Char.code '0'
+
+(* Two inputs. Concurrent writers with a follower crash mid-stream: the
+   recovery flush must reassign each tenant's surviving entries onto that
+   tenant's own frontier. And a leader crash while log 0 and both tenant
+   logs hold unordered entries: every log resumes densely from its own
+   recovered frontier, and no log's truncation unbinds another log's
+   positions. *)
 let test_cursors_survive_view_change () =
   Engine.run (fun () ->
       let cluster = Erwin_m.create ~cfg:mcfg () in
@@ -117,9 +207,6 @@ let test_cursors_survive_view_change () =
               done;
               incr writers_done))
         handles;
-      (* Crash a follower mid-stream: the view change's recovery flush
-         must reassign each tenant's surviving entries onto that tenant's
-         own frontier. *)
       Engine.after (Engine.ms 2) (fun () ->
           Erwin_common.crash_replica cluster (List.nth cluster.replicas 1));
       let wq = Waitq.create () in
@@ -143,8 +230,7 @@ let test_cursors_survive_view_change () =
               checkb
                 ("tenant-pure read: " ^ r.data)
                 true
-                (String.length r.data >= 2
-                && r.data.[0] = Char.chr (Char.code '0' + l));
+                (String.length r.data >= 2 && tenant_of r = l);
               (* ...and exactly once. *)
               checkb ("no duplicate " ^ r.data) false (Hashtbl.mem seen r.data);
               Hashtbl.replace seen r.data ())
@@ -156,6 +242,86 @@ let test_cursors_survive_view_change () =
                 checkb ("acked survives: " ^ data) true (Hashtbl.mem seen data))
             acked)
         handles;
+      Engine.stop ());
+  Engine.run (fun () ->
+      (* A lazy cadence, so entries wait unordered between passes. *)
+      let cluster =
+        Erwin_m.create ~cfg:{ mcfg with Config.order_interval = Engine.ms 5 } ()
+      in
+      let logs = [ 0; 1; 2 ] in
+      let handles = List.map (fun l -> (l, Erwin_m.client ~log:l cluster)) logs in
+      let append_each lo hi =
+        List.iter
+          (fun (l, (h : Log_api.t)) ->
+            for i = lo to hi do
+              checkb "append acked" true
+                (h.append ~size:256 ~data:(Printf.sprintf "%d-%d" l i))
+            done)
+          handles
+      in
+      append_each 1 10;
+      Engine.sleep (Engine.ms 12);
+      List.iter
+        (fun l ->
+          checki "first ten ordered" (Logid.pack ~log:l 10)
+            (Erwin_common.stable_for cluster ~log:l))
+        logs;
+      append_each 11 15;
+      let ldr = Erwin_common.leader cluster in
+      List.iter
+        (fun r ->
+          List.iter
+            (fun l ->
+              checki "five unordered at the crash" 5
+                (Seq_log.live_count_for (Seq_replica.log r) ~log:l))
+            logs)
+        cluster.Erwin_common.replicas;
+      Erwin_common.crash_replica cluster ldr;
+      let deadline = Engine.now () + Engine.ms 200 in
+      while cluster.Erwin_common.view = 0 && Engine.now () < deadline do
+        Engine.sleep (Engine.ms 1)
+      done;
+      checki "view advanced" 1 cluster.Erwin_common.view;
+      (* The flush placed each log's survivors right after its own
+         recovered frontier... *)
+      List.iter
+        (fun l ->
+          checki "flushed onto the recovered frontier" (Logid.pack ~log:l 15)
+            (Erwin_common.stable_for cluster ~log:l))
+        logs;
+      (* ...and the new view keeps each log dense from there. *)
+      append_each 16 20;
+      Engine.sleep (Engine.ms 12);
+      List.iter
+        (fun (l, (h : Log_api.t)) ->
+          checki "per-log tail" 20 (h.check_tail ());
+          Alcotest.(check (list string))
+            "dense, in append order"
+            (List.init 20 (fun i -> Printf.sprintf "%d-%d" l (i + 1)))
+            (List.map
+               (fun (r : Types.record) -> r.data)
+               (h.read ~from:0 ~len:20)))
+        handles;
+      (* No truncation unbound another log's positions: the shards hold
+         exactly positions 0..19 of every log, each with its own log's
+         record. *)
+      let bound =
+        List.concat_map Shard.bound_positions cluster.Erwin_common.shards
+      in
+      List.iter
+        (fun l ->
+          let mine =
+            List.filter (fun (gp, _) -> Logid.log_of gp = l) bound
+            |> List.sort (fun (a, _) (b, _) -> compare a b)
+          in
+          Alcotest.(check (list int))
+            "bound positions" (List.init 20 Fun.id)
+            (List.map (fun (gp, _) -> Logid.pos_of gp) mine);
+          List.iter
+            (fun (_, r) ->
+              checki ("bound in its own log: " ^ r.Types.data) l (tenant_of r))
+            mine)
+        logs;
       Engine.stop ())
 
 (* ---------- weighted-fair ingress ---------- *)
@@ -307,6 +473,10 @@ let () =
     [
       ( "packing",
         [ Alcotest.test_case "logid pack/unpack" `Quick test_logid_pack ] );
+      ( "log_table",
+        [ Alcotest.test_case "bounds and reset" `Quick test_log_table_bounds ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_log_table_matches_model ]
+      );
       ( "engine",
         [
           Alcotest.test_case "join_all_timeout zero budget" `Quick

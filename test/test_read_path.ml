@@ -88,9 +88,9 @@ let test_parked_read_woken_by_view_change () =
       Engine.stop ())
 
 let test_demand_survives_view_change () =
-  (* Directed test for the orderer's demand_upto max-merge across a view
+  (* Directed test for the orderer's demand max-merge across a view
      change. A demand for positions well past the appended tail is
-     parked in the orderer (max-merged into [demand_upto], which lives
+     parked in the orderer (max-merged into [demand], which lives
      on the cluster record, not in view state) when the leader dies.
      After the reconfiguration, the outstanding demand must neither
      wedge the new ordering passes nor bind anything twice: fresh
@@ -111,7 +111,7 @@ let test_demand_survives_view_change () =
        with
       | Some Proto.R_ok -> ()
       | _ -> Alcotest.fail "demand not accepted");
-      checki "demand max-merged" 40 cluster.Erwin_common.demand_upto;
+      checki "demand max-merged" 40 (Erwin_common.demand_for cluster ~log:0);
       Erwin_common.crash_replica cluster (Erwin_common.leader cluster);
       let deadline = Engine.now () + Engine.ms 100 in
       while cluster.Erwin_common.view = 0 && Engine.now () < deadline do
@@ -119,7 +119,7 @@ let test_demand_survives_view_change () =
       done;
       checki "view advanced" 1 cluster.Erwin_common.view;
       checkb "demand survived the view change" true
-        (cluster.Erwin_common.demand_upto = 40);
+        (Erwin_common.demand_for cluster ~log:0 = 40);
       (* New-view appends are covered by the surviving demand: a tail
          read binds well before the 20 ms cadence without issuing any
          further demand. *)

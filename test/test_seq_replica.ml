@@ -51,13 +51,13 @@ let test_seal_rejects_then_install_unseals () =
       (match
          call r ep
            (Proto.Sr_install_view
-              { new_view = 1; new_gp = 1; gps = []; flushed = [ (0, rid 1 1) ] })
+              { new_view = 1; frontiers = [ 1 ]; flushed = [ (0, rid 1 1) ] })
        with
       | Proto.R_ok -> ()
       | _ -> Alcotest.fail "install failed");
       checkb "unsealed" false (Seq_replica.is_sealed r);
       checki "view" 1 (Seq_replica.view r);
-      checki "gp" 1 (Seq_log.last_ordered_gp (Seq_replica.log r));
+      checki "gp" 1 (Seq_log.last_ordered_gp (Seq_replica.log r) ~log:0);
       checkb "flushed rid filtered" true (append ~view:1 r ep (entry 1 1));
       checki "still empty (duplicate)" 0 (Seq_log.live_count (Seq_replica.log r));
       checkb "fresh rid accepted" true (append ~view:1 r ep (entry 1 2)))
@@ -67,8 +67,8 @@ let test_get_state_returns_unordered () =
       ignore (append r ep (entry 1 1));
       ignore (append r ep (entry 2 1));
       match call r ep Proto.Sr_get_state with
-      | Proto.R_state { gp; entries; _ } ->
-        checki "gp" 0 gp;
+      | Proto.R_state { frontiers; entries } ->
+        Alcotest.(check (list int)) "gp" [ 0 ] frontiers;
         checki "both entries" 2 (List.length entries)
       | _ -> Alcotest.fail "bad state response")
 
@@ -76,7 +76,7 @@ let test_check_tail_includes_unordered () =
   with_replica (fun r ep ->
       ignore (append r ep (entry 1 1));
       ignore (append r ep (entry 1 2));
-      Seq_replica.apply_gc r ~slots:[ (0, rid 1 1) ] ~new_gp:1;
+      Seq_replica.apply_gc r ~frontiers:[ 1 ] ~slots:[ (0, rid 1 1) ];
       match call r ep (Proto.Sr_check_tail { view = 0; log = 0 }) with
       | Proto.R_tail { ok = true; tail } -> checki "gp + live" 2 tail
       | _ -> Alcotest.fail "bad tail response")
@@ -99,7 +99,7 @@ let test_gc_over_wire () =
       | Proto.R_append { ok = true; _ } -> ()
       | _ -> Alcotest.fail "gc failed");
       checki "one left" 1 (Seq_log.live_count (Seq_replica.log r));
-      checki "gp" 1 (Seq_log.last_ordered_gp (Seq_replica.log r));
+      checki "gp" 1 (Seq_log.last_ordered_gp (Seq_replica.log r) ~log:0);
       (* GC in a stale view must be refused (the controller owns views). *)
       match call r ep (Proto.Sr_gc { view = 9; slots = []; new_gp = 5 }) with
       | Proto.R_append { ok; _ } -> checkb "stale gc refused" false ok
@@ -115,7 +115,7 @@ let test_wait_ordered_tracks () =
           | _ -> ());
       Engine.sleep (Engine.us 50);
       checki "still waiting" (-1) !got;
-      Seq_replica.apply_gc r ~slots:[ (42, rid 3 1) ] ~new_gp:43;
+      Seq_replica.apply_gc r ~frontiers:[ 43 ] ~slots:[ (42, rid 3 1) ];
       Engine.sleep (Engine.us 50);
       checki "woken with position" 42 !got)
 
@@ -159,6 +159,45 @@ let test_append_cost_model () =
       checki "batch service time" (cpu bytes + (50 * 2))
         (Rpc.service_time_of ep batch))
 
+(* One list of packed frontiers costs exactly what log 0's scalar plus
+   the tenant list did: log 0's frontier rides free in the fixed header,
+   and each tenant frontier costs 16 B in a state transfer, 8 B in a
+   truncation. This identity keeps every recovery schedule unchanged. *)
+let test_frontier_wire_cost () =
+  let flushed = [ (0, rid 1 1); (1, rid 1 2) ] in
+  let e = entry ~size:100 1 3 in
+  List.iter
+    (fun n ->
+      let frontiers =
+        12 :: List.init n (fun i -> Logid.pack ~log:(i + 1) 7)
+      in
+      checki
+        (Printf.sprintf "install view, %d tenant frontiers" n)
+        ((24 * 2) + (16 * n) + 32)
+        (Proto.req_size
+           (Proto.Sr_install_view { new_view = 1; frontiers; flushed }));
+      checki
+        (Printf.sprintf "state, %d tenant frontiers" n)
+        (16 + (16 * n) + Types.entry_wire_size e)
+        (Proto.resp_size (Proto.R_state { frontiers; entries = [ e ] })))
+    [ 0; 1; 3 ];
+  let r = Types.record ~rid:(rid 1 1) ~size:100 () in
+  let slots = [ (5, r) ] in
+  let truncate = [ 4; Logid.pack ~log:1 2; Logid.pack ~log:2 0 ] in
+  checki "log-0 truncation is free" (Proto.record_wire r)
+    (Proto.req_size (Proto.Msh_push { truncate = [ 4 ]; slots }));
+  checki "truncating push" (Proto.record_wire r + (8 * 2))
+    (Proto.req_size (Proto.Msh_push { truncate; slots }));
+  checki "truncating order"
+    (24 + (12 * 2) + (8 * 2))
+    (Proto.req_size
+       (Proto.Ssh_order
+          {
+            truncate;
+            bindings = [ (5, rid 1 1) ];
+            map_chunk = [ (5, 0); (6, 1) ];
+          }))
+
 let () =
   Alcotest.run "seq_replica"
     [
@@ -183,5 +222,7 @@ let () =
             test_seal_releases_blocked_appends;
           Alcotest.test_case "append cost: one entry = one record" `Quick
             test_append_cost_model;
+          Alcotest.test_case "frontier cost: log 0 rides free" `Quick
+            test_frontier_wire_cost;
         ] );
     ]

@@ -29,9 +29,9 @@ let with_shard ?(cfg = Config.default) f =
 let call ep shard req =
   Rpc.call ep ~dst:(Shard.primary_id shard) ~size:(Proto.req_size req) req
 
-let push ep shard ?truncate_from slots =
+let push ep shard ?(truncate = []) slots =
   match
-    call ep shard (Proto.Msh_push { truncate_from; truncate_logs = []; slots })
+    call ep shard (Proto.Msh_push { truncate; slots })
   with
   | Proto.R_ok -> ()
   | _ -> Alcotest.fail "push failed"
@@ -83,8 +83,7 @@ let test_replication_to_backups () =
           ignore
             (call ep shard
                (Proto.Msh_push
-                  { truncate_from = None;
-                    truncate_logs = [];
+                  { truncate = [];
                     slots = [ (0, record 1 1 "a") ] }));
           answered := true);
       Engine.sleep (Engine.ms 5);
@@ -95,7 +94,7 @@ let test_truncate_overwrite () =
   with_shard (fun shard ep ->
       push ep shard [ (0, record 1 1 "old0"); (1, record 1 2 "old1") ];
       (* Recovery overwrites the tail from position 1. *)
-      push ep shard ~truncate_from:1 [ (1, record 2 1 "new1") ];
+      push ep shard ~truncate:[ 1 ] [ (1, record 2 1 "new1") ];
       set_stable ep shard 2;
       let records = read ep shard [ 0; 1 ] in
       Alcotest.(check (list string))
@@ -116,7 +115,7 @@ let test_truncate_scoped_to_log () =
           (p1 0, record 2 1 "b0");
           (p1 1, record 2 2 "b1");
         ];
-      push ep shard ~truncate_from:1 [];
+      push ep shard ~truncate:[ 1 ] [];
       checkb "log-0 tail unbound" true
         (Shard.read_local shard 1 = None && Shard.read_local shard 2 = None);
       set_stable ep shard 1;
@@ -141,8 +140,7 @@ let test_st_unbind_restages () =
       (match
          call ep shard
            (Proto.Ssh_order
-              { truncate_from = None;
-                truncate_logs = [];
+              { truncate = [];
                 bindings = [ (5, rid 1 1) ];
                 map_chunk = [ (5, 0) ] })
        with
@@ -153,8 +151,7 @@ let test_st_unbind_restages () =
       (match
          call ep shard
            (Proto.Ssh_order
-              { truncate_from = Some 2;
-                truncate_logs = [];
+              { truncate = [ 2 ];
                 bindings = [ (3, rid 1 1) ];
                 map_chunk = [ (3, 0) ] })
        with
@@ -173,8 +170,7 @@ let test_get_map_waits_and_serves () =
       ignore
         (call ep shard
            (Proto.Ssh_order
-              { truncate_from = None;
-                truncate_logs = [];
+              { truncate = [];
                 bindings = [ (0, rid 1 1) ];
                 map_chunk = [ (0, 0); (1, 2); (2, 1) ] }));
       set_stable ep shard 3;
@@ -218,8 +214,7 @@ let test_get_map_stable_hint () =
       ignore
         (call ep shard
            (Proto.Ssh_order
-              { truncate_from = None;
-                truncate_logs = [];
+              { truncate = [];
                 bindings = [ (0, rid 1 1) ];
                 map_chunk = [ (0, 0) ] }));
       (* No Sh_set_stable: the request's hint stands in for it. *)
@@ -251,8 +246,7 @@ let test_backfill_to_backup () =
       (match
          Rpc.call ep ~dst:(Shard.primary_id shard)
            (Proto.Ssh_order
-              { truncate_from = None;
-                truncate_logs = [];
+              { truncate = [];
                 bindings = [ (0, rid 1 1) ];
                 map_chunk = [ (0, 0) ] })
        with
@@ -340,8 +334,7 @@ let test_replacement_under_st_staging () =
       (match
          call ep shard
            (Proto.Ssh_order
-              { truncate_from = None;
-                truncate_logs = [];
+              { truncate = [];
                 bindings = [ (0, rid 7 1) ];
                 map_chunk = [ (0, 0) ] })
        with
