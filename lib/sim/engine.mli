@@ -49,8 +49,14 @@ val to_sec : time -> float
 
 (** {1 Fiber primitives}
 
-    All of these must be called from inside a fiber running under {!run};
-    calling them elsewhere raises [Failure]. *)
+    All of these must be called while {!run} is executing; calling them
+    elsewhere raises [Failure]. {!sleep}, {!sleep_until}, {!yield} and
+    {!suspend} block, so they must be called from a fiber; the others are
+    also legal from bare {!call_at} callbacks.
+
+    Blocking costs no allocation beyond the continuation OCaml captures:
+    [sleep] and [suspend] are constant effects whose argument is stashed in
+    the domain-local engine state for a preallocated handler. *)
 
 val now : unit -> time
 (** Current simulated time. Reads the engine clock directly (not an
@@ -65,18 +71,32 @@ val sleep_until : time -> unit
 
 val spawn : ?name:string -> (unit -> unit) -> unit
 (** [spawn f] schedules fiber [f] to start at the current instant. [name] is
-    used in crash reports. *)
+    used in crash reports. Scheduling needs no effect, so [spawn] is legal
+    from bare {!call_at} callbacks as well as from fibers; the caller keeps
+    running. *)
+
+val start_now : ?name:string -> (unit -> unit) -> unit
+(** [start_now f] runs [f] as a new fiber at once, on the caller's stack,
+    until it first blocks or returns, then returns to the caller. Called
+    from a bare {!call_at} callback, the fiber starts exactly where a
+    {!spawn}ed fiber scheduled for that callback's position would have, at
+    no extra event: the callback can do the common non-blocking case bare
+    and start a fiber only when it finds it must block. *)
 
 val yield : unit -> unit
 
 type 'a waker
-(** A one-shot resumption capability for a suspended fiber. *)
+(** A one-shot resumption capability for a suspended fiber. A waker holds
+    the fiber's continuation, the value to resume it with and the token of
+    its armed deadline: {!wake} schedules the waker itself as the resume
+    event, so waking allocates no closure. *)
 
 val wake : 'a waker -> 'a -> bool
-(** [wake w v] resumes the fiber suspended on [w] with value [v]. Returns
-    [true] if this call performed the wake-up and [false] if the waker had
-    already fired (each waker fires at most once). May be called from any
-    fiber or from a scheduled callback. *)
+(** [wake w v] resumes the fiber suspended on [w] with value [v], on a
+    fresh event at the current instant. Returns [true] if this call
+    performed the wake-up and [false] if the waker had already fired (each
+    waker fires at most once). May be called from any fiber or from a
+    scheduled callback. *)
 
 val is_woken : 'a waker -> bool
 
@@ -97,9 +117,10 @@ val call_at : time -> (unit -> unit) -> unit
 (** [call_at t f] schedules [f] at absolute time [t] (clamped to now if in
     the past), run {e bare} in the scheduler loop rather than on a fiber:
     no fiber start cost and no closure beyond [f] itself. [f] must not
-    perform fiber effects ({!sleep}, {!spawn}, {!suspend}) — use {!at}
-    for callbacks that do. Calling {!now}, {!wake} or scheduling further
-    events from [f] is fine (wake thunks already run this way). *)
+    block ({!sleep}, {!sleep_until}, {!yield}, {!suspend}) — use {!at} for
+    callbacks that do, or {!start_now} from [f] to continue on a fiber.
+    Calling {!now}, {!wake}, {!spawn} or scheduling further events from
+    [f] is fine. *)
 
 val call_after : time -> (unit -> unit) -> unit
 (** [call_after d f] is [call_at (now () + d) f]. *)
@@ -137,9 +158,9 @@ val arm_timeout : 'a waker -> time -> 'a -> unit
 (** [arm_timeout w d v] arms a deadline on waker [w]: after [d] ns, [w] is
     woken with [v] unless it fired first. A normal {!wake} before the
     deadline cancels the timer automatically — this is the primitive the
-    timed waits in Mailbox/Waitq/Ivar are built on. At most one deadline
-    per waker; re-arming overwrites the token without cancelling the
-    previous timer. *)
+    timed waits in Mailbox/Waitq/Ivar are built on. The deadline event is
+    the waker itself, so arming allocates nothing. At most one deadline
+    per waker: [v] is kept in the waker, so re-arming replaces it. *)
 
 val timers_cancelled : unit -> int
 (** Number of timers removed by {!cancel} so far in this run
