@@ -5,9 +5,13 @@
     Because acknowledged entries appear on every replica but possibly
     interleaved with unacknowledged ones, followers must be able to remove
     an arbitrary {e set} of entries (the batch the leader just ordered),
-    not only a prefix — so the implementation is an ordered log with
-    rid-keyed tombstoning plus a live-entry capacity bound that exerts
-    backpressure on appends.
+    not only a prefix — so the implementation is a flat slot ring with
+    holes, sized by the span from the oldest live slot to the tail and
+    doubled when an append would wrap, a rid index on an allocation-free
+    {!Ll_sim.Int_table}, and a live-entry capacity bound that exerts
+    backpressure on appends. Rids must satisfy [-1 <= client < 2^30 - 1]
+    and [-1 <= seq < 2^32 - 1] (the no-op rid [{-1, -1}] included);
+    others raise [Invalid_argument].
 
     The log also owns the duplicate filter (section 4.5: "If the retries
     result in duplicates, Erwin correctly filters them using request-ids"):
@@ -41,6 +45,12 @@ val append_or_wait : t -> Types.entry list -> cancel:(unit -> bool) -> bool
     returns [false] with {e no} entry appended: the entries never
     half-append. Callers flipping the cancel condition must call
     {!kick}. *)
+
+val try_admit : t -> Types.entry list -> bool
+(** {!append_or_wait}'s admission without the wait: when the log can hold
+    every non-duplicate entry it appends them and returns [true];
+    otherwise it returns [false] and changes nothing. Never blocks, so the
+    replica calls it from its bare request path. *)
 
 val kick : t -> unit
 (** Wake fibers blocked in {!append_or_wait} so they re-check [cancel]. *)

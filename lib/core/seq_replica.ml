@@ -146,6 +146,28 @@ let handle t ~src:_ (req : Proto.req) ~reply =
   | Ssh_backfill _ | Ssh_get_map _ | St_subscribe _ | St_push _ ->
     failwith (t.rname ^ ": shard request sent to a sequencing replica")
 
+(* The bare request path (Rpc.set_bare_handler): an append the view check
+   refuses, or whose entries fit the log now, is answered without a
+   fiber. An append that must wait for capacity, and every other request,
+   goes to [handle] on a fiber, untouched. *)
+let handle_bare t ~src:_ (req : Proto.req)
+    ~(reply : ?size:int -> Proto.resp -> unit) =
+  match req with
+  | Sr_append { view; entries; tracked } ->
+    if view <> t.view || t.sealed then begin
+      let r = Proto.R_append { ok = false; view = t.view } in
+      reply ~size:(Proto.resp_size r) r;
+      true
+    end
+    else if Seq_log.try_admit t.slog entries then begin
+      track_all t tracked;
+      let r = Proto.R_append { ok = true; view = t.view } in
+      reply ~size:(Proto.resp_size r) r;
+      true
+    end
+    else false
+  | _ -> false
+
 let rec entries_bytes acc = function
   | [] -> acc
   | e :: rest -> entries_bytes (acc + Types.entry_wire_size e) rest
@@ -192,6 +214,7 @@ let create ~cfg ~fabric ~name:rname =
   Rpc.set_service_time ep (service_time cfg);
   Rpc.set_handler ep (fun ~src req ~reply ->
       handle t ~src req ~reply:(fun r -> reply ~size:(Proto.resp_size r) r));
+  Rpc.set_bare_handler ep (handle_bare t);
   if cfg.Config.fair_ingress then
     t.fair <- Some (Ingress.install ~cfg ~view:(fun () -> t.view) ep);
   t

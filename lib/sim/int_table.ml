@@ -108,3 +108,9 @@ let remove t k =
       t.size <- t.size - 1
     end
   end
+
+let clear t =
+  if t.size > 0 then begin
+    Array.fill t.data 0 (Array.length t.data) empty;
+    t.size <- 0
+  end

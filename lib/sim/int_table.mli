@@ -23,6 +23,9 @@ val find : t -> int -> default:int -> int
 val remove : t -> int -> unit
 (** Drops the key's binding; no-op when absent. *)
 
+val clear : t -> unit
+(** Drops every binding, keeping the table's capacity. *)
+
 (** {1 Insertion and update}
 
     [slot] finds or inserts a key and returns the index of its slot, so a
