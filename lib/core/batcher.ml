@@ -56,18 +56,7 @@ let flush t =
     Engine.spawn ~name:"append.batcher" (fun () ->
         let view = cluster.Erwin_common.view in
         let req = Proto.Sr_append { view; entries; tracked } in
-        let ivs = Erwin_common.seq_fanout cluster t.ep req in
-        let ok =
-          match
-            Ivar.join_all_timeout ivs
-              ~timeout:cluster.Erwin_common.cfg.Config.append_timeout
-          with
-          | Some resps ->
-            List.for_all
-              (function Proto.R_append { ok; _ } -> ok | _ -> false)
-              resps
-          | None -> false
-        in
+        let ok = Erwin_common.seq_append cluster t.ep req in
         let result = if ok then `Ok else `Fail view in
         List.iter (fun w -> Ivar.fill w result) waiters)
   end

@@ -13,14 +13,8 @@ let install_retry_budget (cluster : t) ep =
     Rpc.set_retry_budget ep (Rpc.Retry_budget.create ())
 
 let try_append_seq (cluster : t) ep ~view ~track entry =
-  let ivs = seq_fanout cluster ep (Proto.append_one ~view ~track entry) in
-  match Ivar.join_all_timeout ivs ~timeout:cluster.cfg.Config.append_timeout with
-  | Some resps
-    when List.for_all
-           (function Proto.R_append { ok; _ } -> ok | _ -> false)
-           resps ->
-    `Ok
-  | Some _ | None -> `Fail view
+  if seq_append cluster ep (Proto.append_one ~view ~track entry) then `Ok
+  else `Fail view
 
 let await_view_after (cluster : t) view =
   ignore

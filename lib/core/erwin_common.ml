@@ -203,11 +203,19 @@ let new_endpoint t ~name =
   in
   Rpc.endpoint t.fabric node
 
-let seq_fanout t ep req =
+let seq_group_calls t g req =
   let size = Proto.req_size req in
-  List.map
-    (fun r -> Rpc.call_async ep ~dst:(Seq_replica.node_id r) ~size req)
+  List.iter
+    (fun r -> Rpc.group_call g ~dst:(Seq_replica.node_id r) ~size req)
     t.replicas
+
+let append_ok = function Proto.R_append { ok; _ } -> ok | _ -> false
+
+let seq_append t ep req =
+  let g = Rpc.group ep (List.length t.replicas) in
+  seq_group_calls t g req;
+  Rpc.group_await g ~timeout:t.cfg.Config.append_timeout
+  && Rpc.group_for_all g append_ok
 
 let crash_replica t r =
   t.crash_time <- Some (Engine.now ());

@@ -144,15 +144,20 @@ val ordering_throughput : t -> float
 val new_endpoint : t -> name:string -> (Proto.req, Proto.resp) Rpc.endpoint
 (** A fresh fabric node + endpoint (for clients and the controller). *)
 
-val seq_fanout :
-  t ->
-  (Proto.req, Proto.resp) Rpc.endpoint ->
-  Proto.req ->
-  Proto.resp Ivar.t list
+val seq_group_calls :
+  t -> (Proto.req, Proto.resp) Rpc.group -> Proto.req -> unit
 (** Sends one append request to every current sequencing replica in
-    parallel, in replica order, and returns the reply ivars in that
-    order — the coordination-free write of section 4.1, shared by the
-    per-record, batched and Erwin-st metadata paths. *)
+    parallel, in replica order, as the group's next members — the
+    coordination-free write of section 4.1. *)
+
+val append_ok : Proto.resp -> bool
+(** The reply is [R_append { ok = true }]. *)
+
+val seq_append :
+  t -> (Proto.req, Proto.resp) Rpc.endpoint -> Proto.req -> bool
+(** The write of section 4.1 and its 1-RTT join: {!seq_group_calls} on a
+    fresh group, then one wait with the append timeout. [true] when every
+    replica acked. Shared by the per-record and batched paths. *)
 
 val crash_replica : t -> Seq_replica.t -> unit
 (** Fault injection: crashes the replica's node and stamps [crash_time]. *)

@@ -11,81 +11,65 @@ let create ?(cfg = Config.default) () =
     cluster.shards;
   cluster
 
+(* A data write refused because the rid was no-op'ed is permanent: is
+   one of the group's first [n] replies (the data writes) such a refusal? *)
+let poisoned g n =
+  let rec go m =
+    m < n
+    && ((match Rpc.group_reply g m with
+        | Proto.R_append { ok = false; view = 0 } -> true
+        | _ -> false)
+       || go (m + 1))
+  in
+  go 0
+
 (* One full append attempt: data to every replica of the chosen shard and
    metadata to every sequencing replica, all in parallel (1 RTT,
    section 5.1). [`Poisoned] means a shard replica already no-op'ed this
    rid (a too-late retry, section 5.4): retry with a fresh rid. *)
 let try_append_once (cluster : Erwin_common.t) ep ~track record shard =
   let view = cluster.view in
+  let timeout = cluster.cfg.Config.append_timeout in
+  let batching = cluster.cfg.Config.append_batching in
   let data_req = Proto.Ssh_data_write { record } in
-  let data_ivs =
-    List.map
-      (fun dst -> Rpc.call_async ep ~dst ~size:(Proto.req_size data_req) data_req)
-      (Shard.replica_ids shard)
+  let data_dsts = Shard.replica_ids shard in
+  let ndata = List.length data_dsts in
+  (* Without group commit, data and metadata share one group and one
+     deadline; with it, the data writes join on their own. *)
+  let g =
+    Rpc.group ep
+      (if batching then ndata else ndata + List.length cluster.replicas)
   in
+  List.iter
+    (fun dst -> Rpc.group_call g ~dst ~size:(Proto.req_size data_req) data_req)
+    data_dsts;
   let meta : Types.entry =
     Types.Meta
       { rid = record.Types.rid; shard = Shard.shard_id shard;
         size = record.Types.size; log = record.Types.log }
   in
-  if cluster.cfg.Config.append_batching then begin
+  if batching then begin
     (* Group commit: the metadata entry rides the shared linger batch while
        the shard data writes are already in flight; both legs still overlap
        (the data RTT runs under the batch's linger + fan-out). A failed
        batch fails this attempt, and the retry re-sends data and metadata
        in lockstep — the shard stages the duplicate write idempotently. *)
     let meta_res = (Batcher.get cluster).submit_entry ~track meta in
-    let data_resps =
-      Ivar.join_all_timeout data_ivs
-        ~timeout:cluster.cfg.Config.append_timeout
-    in
     let fail () =
       match meta_res with `Fail v -> `Fail v | `Ok -> `Fail view
     in
-    match data_resps with
-    | Some resps ->
-      let data_ok =
-        List.for_all
-          (function Proto.R_append { ok; _ } -> ok | _ -> false)
-          resps
-      in
-      if data_ok && meta_res = `Ok then `Ok
-      else if
-        (* A data write refused because the rid was no-op'ed is permanent. *)
-        List.exists
-          (function
-            | Proto.R_append { ok = false; view = 0 } -> true
-            | _ -> false)
-          resps
-      then `Poisoned
-      else fail ()
-    | None -> fail ()
+    if not (Rpc.group_await g ~timeout) then fail ()
+    else if Rpc.group_for_all g append_ok && meta_res = `Ok then `Ok
+    else if poisoned g ndata then `Poisoned
+    else fail ()
   end
-  else
-    let meta_ivs =
-      seq_fanout cluster ep (Proto.append_one ~view ~track meta)
-    in
-    match
-      Ivar.join_all_timeout (data_ivs @ meta_ivs)
-        ~timeout:cluster.cfg.Config.append_timeout
-    with
-    | Some resps ->
-      let ok =
-        List.for_all
-          (function Proto.R_append { ok; _ } -> ok | _ -> false)
-          resps
-      in
-      if ok then `Ok
-      else if
-        (* A data write refused because the rid was no-op'ed is permanent. *)
-        List.exists
-          (function
-            | Proto.R_append { ok = false; view = 0 } -> true
-            | _ -> false)
-          (List.filteri (fun i _ -> i < List.length data_ivs) resps)
-      then `Poisoned
-      else `Fail view
-    | None -> `Fail view
+  else begin
+    seq_group_calls cluster g (Proto.append_one ~view ~track meta);
+    if not (Rpc.group_await g ~timeout) then `Fail view
+    else if Rpc.group_for_all g append_ok then `Ok
+    else if poisoned g ndata then `Poisoned
+    else `Fail view
+  end
 
 (* Position-to-shard resolution through a cached map (section 5.3), plus
    the grouped shard reads behind it. Exported separately from [client] so
