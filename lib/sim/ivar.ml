@@ -11,6 +11,11 @@ type 'a t = {
 
 let unit_obj = Obj.repr 0
 
+(* Waiters are woken with the value itself, untyped, so a wake allocates
+   no option; a timed read's deadline wakes with this unique marker
+   instead. *)
+let timed_out = Obj.repr (ref ())
+
 let create () =
   { full = false; value = unit_obj; whead = Slab.nil; wtail = Slab.nil }
 
@@ -23,10 +28,10 @@ let try_fill t v =
     t.whead <- Slab.nil;
     t.wtail <- Slab.nil;
     while !c >= 0 do
-      let w : 'a option Engine.waker = Obj.obj (Slab.get !c) in
+      let w : Obj.t Engine.waker = Obj.obj (Slab.get !c) in
       let next = Slab.next !c in
       Slab.free !c;
-      ignore (Engine.wake w (Some v) : bool);
+      ignore (Engine.wake w t.value : bool);
       c := next
     done;
     true
@@ -46,28 +51,26 @@ let park t w =
 
 let read t =
   if t.full then (Obj.obj t.value : 'a)
-  else begin
-    let r =
-      Engine.suspend (fun w ->
-          (* re-check: a fill may have raced in before the suspension *)
-          if t.full then ignore (Engine.wake w (Some (Obj.obj t.value)) : bool)
-          else park t w)
-    in
-    match r with
-    | Some v -> v
-    | None -> assert false (* only timeouts wake with [None] *)
-  end
+  else
+    Obj.obj
+      (Engine.suspend (fun (w : Obj.t Engine.waker) ->
+           (* re-check: a fill may have raced in before the suspension *)
+           if t.full then ignore (Engine.wake w t.value : bool)
+           else park t w))
 
 let read_timeout t ~timeout =
   if t.full then Some (Obj.obj t.value : 'a)
   else
-    Engine.suspend (fun w ->
-        if t.full then ignore (Engine.wake w (Some (Obj.obj t.value)) : bool)
-        else begin
-          park t w;
-          (* the fill that wakes this waiter cancels the deadline cell *)
-          Engine.arm_timeout w timeout None
-        end)
+    let r =
+      Engine.suspend (fun (w : Obj.t Engine.waker) ->
+          if t.full then ignore (Engine.wake w t.value : bool)
+          else begin
+            park t w;
+            (* the fill that wakes this waiter cancels the deadline cell *)
+            Engine.arm_timeout w timeout timed_out
+          end)
+    in
+    if r == timed_out then None else Some (Obj.obj r : 'a)
 
 let join_all ts = List.map read ts
 

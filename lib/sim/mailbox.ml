@@ -20,6 +20,11 @@ let create () =
     wtail = Slab.nil;
   }
 
+(* Waiters are woken with the message itself, untyped, so neither a wake
+   nor a receive allocates an option; a timed receive's deadline wakes
+   with this unique marker instead. *)
+let timed_out = Obj.repr (ref ())
+
 (* Deliver [v] to the first waiter that has not already been woken (e.g. by
    a timeout); returns false when no live waiter remains. Dead waiters'
    nodes are freed here, lazily, exactly when the old queue dropped them. *)
@@ -28,11 +33,11 @@ let rec deliver_to_waiter : 'a. 'a t -> 'a -> bool =
   if t.whead < 0 then false
   else begin
     let n = t.whead in
-    let w : 'a option Engine.waker = Obj.obj (Slab.get n) in
+    let w : Obj.t Engine.waker = Obj.obj (Slab.get n) in
     t.whead <- Slab.next n;
     if t.whead < 0 then t.wtail <- Slab.nil;
     Slab.free n;
-    if Engine.wake w (Some v) then true else deliver_to_waiter t v
+    if Engine.wake w (Obj.repr v) then true else deliver_to_waiter t v
   end
 
 let send t v =
@@ -43,17 +48,17 @@ let send t v =
     t.ilen <- t.ilen + 1
   end
 
-let take_item t =
-  if t.ihead < 0 then None
-  else begin
-    let n = t.ihead in
-    let v = Obj.obj (Slab.get n) in
-    t.ihead <- Slab.next n;
-    if t.ihead < 0 then t.itail <- Slab.nil;
-    Slab.free n;
-    t.ilen <- t.ilen - 1;
-    Some v
-  end
+(* Pops the head item; the list must be nonempty. *)
+let pop_item t =
+  let n = t.ihead in
+  let v = Obj.obj (Slab.get n) in
+  t.ihead <- Slab.next n;
+  if t.ihead < 0 then t.itail <- Slab.nil;
+  Slab.free n;
+  t.ilen <- t.ilen - 1;
+  v
+
+let take_item t = if t.ihead < 0 then None else Some (pop_item t)
 
 let park t w =
   let n = Slab.alloc (Obj.repr w) in
@@ -61,22 +66,20 @@ let park t w =
   t.wtail <- n
 
 let recv t =
-  match take_item t with
-  | Some v -> v
-  | None -> (
-    match Engine.suspend (fun w -> park t w) with
-    | Some v -> v
-    | None -> assert false)
+  if t.ihead >= 0 then pop_item t
+  else Obj.obj (Engine.suspend (fun (w : Obj.t Engine.waker) -> park t w))
 
 let recv_timeout t ~timeout =
-  match take_item t with
-  | Some v -> Some v
-  | None ->
-    Engine.suspend (fun w ->
-        park t w;
-        (* the deadline cell is cancelled automatically when a send wakes
-           this waiter first — no dead timer left in the wheel *)
-        Engine.arm_timeout w timeout None)
+  if t.ihead >= 0 then Some (pop_item t)
+  else
+    let r =
+      Engine.suspend (fun (w : Obj.t Engine.waker) ->
+          park t w;
+          (* the deadline cell is cancelled automatically when a send
+             wakes this waiter first — no dead timer left in the wheel *)
+          Engine.arm_timeout w timeout timed_out)
+    in
+    if r == timed_out then None else Some (Obj.obj r)
 
 let try_recv t = take_item t
 
