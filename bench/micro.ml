@@ -177,16 +177,32 @@ let run_saturation () =
   Harness.row "pipelined (depth=4, adaptive)"
     [ Harness.f1 lmean_p; Harness.f1 lp99_p ]
 
+(* The sequencing log's slot ring (the paper's ring buffer): 256 appends
+   into a 64-entry log, garbage collecting the oldest 32 whenever it
+   fills. *)
+let ring_entries =
+  Array.init 256 (fun i ->
+      Lazylog.Types.Data
+        (Lazylog.Types.record
+           ~rid:{ Lazylog.Types.Rid.client = 0; seq = i }
+           ~size:64 ()))
+
 let ring_test =
-  Test.make ~name:"ring_buffer append+gc"
+  Test.make ~name:"seq_log ring append+gc"
     (Staged.stage (fun () ->
-         let r = Ll_storage.Ring_buffer.create ~capacity:64 in
-         for i = 0 to 255 do
-           ignore (Ll_storage.Ring_buffer.try_append r i);
-           if Ll_storage.Ring_buffer.is_full r then
-             Ll_storage.Ring_buffer.advance_head r
-               (Ll_storage.Ring_buffer.head r + 32)
-         done))
+         let open Lazylog in
+         let r = Seq_log.create ~capacity:64 in
+         let head = ref 0 in
+         Array.iter
+           (fun e ->
+             ignore (Seq_log.try_append r e);
+             if Seq_log.live_count r = 64 then begin
+               Seq_log.remove_ordered r
+                 (List.init 32 (fun k ->
+                      Types.entry_rid ring_entries.(!head + k)));
+               head := !head + 32
+             end)
+           ring_entries))
 
 let heap_test =
   Test.make ~name:"heap push/pop x256"

@@ -1,5 +1,6 @@
-(* Tests for the storage substrate: mem log, ring buffer, disk model,
-   segment log, and the write-buffered store. *)
+(* Tests for the storage substrate: mem log, disk model and the
+   write-buffered store. The paper's ring buffer is the sequencing log's
+   slot ring; its tests are in test_seq_log.ml. *)
 
 open Ll_sim
 open Ll_storage
@@ -105,69 +106,6 @@ let prop_mem_log_matches_model =
           && listing a = model_range a max_int
           && Mem_log.to_list l = Im.bindings !m)
         ops)
-
-(* --- Ring buffer --- *)
-
-let test_ring_basic () =
-  let r = Ring_buffer.create ~capacity:4 in
-  checki "i0" 0 (Option.get (Ring_buffer.try_append r "a"));
-  checki "i1" 1 (Option.get (Ring_buffer.try_append r "b"));
-  Alcotest.(check (option string)) "get" (Some "a") (Ring_buffer.get r 0);
-  ignore (Ring_buffer.try_append r "c");
-  ignore (Ring_buffer.try_append r "d");
-  checkb "full" true (Ring_buffer.is_full r);
-  checkb "rejects when full" true (Ring_buffer.try_append r "e" = None);
-  Ring_buffer.advance_head r 2;
-  checki "head" 2 (Ring_buffer.head r);
-  Alcotest.(check (option string)) "gc'd" None (Ring_buffer.get r 0);
-  checki "i4 wraps" 4 (Option.get (Ring_buffer.try_append r "e"));
-  Alcotest.(check (list (pair int string)))
-    "snapshot"
-    [ (2, "c"); (3, "d"); (4, "e") ]
-    (Ring_buffer.snapshot r)
-
-let test_ring_backpressure () =
-  Engine.run (fun () ->
-      let r = Ring_buffer.create ~capacity:2 in
-      ignore (Ring_buffer.try_append r 1);
-      ignore (Ring_buffer.try_append r 2);
-      let appended_at = ref (-1) in
-      Engine.spawn (fun () ->
-          ignore (Ring_buffer.append_wait r 3);
-          appended_at := Engine.now ());
-      Engine.sleep (Engine.us 10);
-      checki "still blocked" (-1) !appended_at;
-      Ring_buffer.advance_head r 1;
-      Engine.sleep 1;
-      checkb "unblocked after gc" true (!appended_at >= 0))
-
-let prop_ring_matches_model =
-  (* Random append/gc sequences agree with a simple list model. *)
-  QCheck.Test.make ~name:"ring buffer matches model" ~count:200
-    QCheck.(list (pair bool small_nat))
-    (fun ops ->
-      let r = Ring_buffer.create ~capacity:8 in
-      let model = Hashtbl.create 16 in
-      let ok = ref true in
-      List.iter
-        (fun (is_append, v) ->
-          if is_append then (
-            match Ring_buffer.try_append r v with
-            | Some i -> Hashtbl.replace model i v
-            | None -> ())
-          else begin
-            let n = Ring_buffer.head r + (v mod 4) in
-            Ring_buffer.advance_head r n;
-            Hashtbl.iter
-              (fun i _ -> if i < Ring_buffer.head r then Hashtbl.remove model i)
-              (Hashtbl.copy model)
-          end;
-          (* every live index agrees *)
-          Hashtbl.iter
-            (fun i v -> if Ring_buffer.get r i <> Some v then ok := false)
-            model)
-        ops;
-      !ok)
 
 (* --- Disk --- *)
 
@@ -324,12 +262,6 @@ let () =
           Alcotest.test_case "trim/truncate" `Quick test_mem_log_trim_truncate;
         ]
         @ qc [ prop_mem_log_matches_model ] );
-      ( "ring_buffer",
-        [
-          Alcotest.test_case "basic" `Quick test_ring_basic;
-          Alcotest.test_case "backpressure" `Quick test_ring_backpressure;
-        ]
-        @ qc [ prop_ring_matches_model ] );
       ( "disk",
         [
           Alcotest.test_case "serializes" `Quick test_disk_serializes;
