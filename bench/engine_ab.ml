@@ -4,12 +4,16 @@
    [Unix.times] user time excludes it, so this is the number to trust
    when comparing two engine builds. Usage:
 
-     engine_ab.exe <workload> <n-events> <reps>
+     engine_ab.exe <workload> <n-events> <reps> [--max-words W]
 
    Workloads: timer-callback | mixed-hop | deep-timer | deep-fiber |
-   ready-ivar | ready-mailbox | fifo-fanin | mem-log-bind
+   ready-ivar | ready-mailbox | fifo-fanin | mem-log-bind |
+   suspend-wake | quorum-join | seq-log-churn
 
-   Each rep prints user-CPU ns/op and allocated words/op. *)
+   Each rep prints user-CPU ns/op and allocated words/op. Allocated words
+   are exact and repeat run to run, so [--max-words W] is a ceiling that
+   can gate CI without timing noise: the run exits 1 if any rep
+   allocates more than W words per op. *)
 
 let callback_chains n =
   Ll_sim.Engine.run (fun () ->
@@ -143,14 +147,85 @@ let mem_log_bind n =
     ignore (Mem_log.get l pos : (string * int) option)
   done
 
+(* Park and wake: a fiber blocks on an empty ivar that a bare callback
+   fills one nanosecond later, n times. Each op is one suspend, one wake
+   and one resume. *)
+let suspend_wake n =
+  Ll_sim.Engine.run (fun () ->
+      let open Ll_sim in
+      for i = 1 to n do
+        let iv = Ivar.create () in
+        Engine.call_after 1 (fun () -> Ivar.fill iv i);
+        ignore (Ivar.read iv : int)
+      done)
+
+(* A 3-way RPC fan-out and its join, the shape of an Erwin append: one
+   client calls three echo servers as one group and waits for all three
+   replies under a deadline, n times. Includes the fabric hops and the
+   servers' handler fibers. *)
+let quorum_join n =
+  Ll_sim.Engine.run (fun () ->
+      let open Ll_sim in
+      let open Ll_net in
+      let fab = Fabric.create ~seed:1 () in
+      let servers =
+        Array.init 3 (fun i ->
+            let node = Fabric.add_node fab ~name:(string_of_int i) () in
+            let ep = Rpc.endpoint fab node in
+            Rpc.set_handler ep (fun ~src:_ (x : int) ~reply -> reply x);
+            Fabric.id node)
+      in
+      let client = Rpc.endpoint fab (Fabric.add_node fab ~name:"c" ()) in
+      for i = 1 to n do
+        let g = Rpc.group client 3 in
+        Array.iter (fun dst -> Rpc.group_call g ~dst i) servers;
+        if not (Rpc.group_await g ~timeout:(Engine.ms 1)) then
+          failwith "quorum-join: timed out"
+      done)
+
+(* The sequencing log's churn under batched ordering: append a batch of
+   17 entries, claim them, garbage collect them, n entries in all. Each
+   op is one entry through append, claim and removal. *)
+let seq_log_churn n =
+  let open Lazylog in
+  let batch = 17 in
+  let t = Seq_log.create ~capacity:4096 in
+  let seq = ref 0 in
+  for _ = 1 to n / batch do
+    for _ = 1 to batch do
+      incr seq;
+      ignore
+        (Seq_log.try_append t
+           (Types.Data
+              (Types.record
+                 ~rid:{ Types.Rid.client = 0; seq = !seq }
+                 ~size:64 ()))
+          : Seq_log.append_result option)
+    done;
+    let claimed = Seq_log.claim_unordered t ~max:batch in
+    Seq_log.remove_ordered t
+      (Array.fold_right (fun e acc -> Types.entry_rid e :: acc) claimed [])
+  done
+
 let allocated_words () =
   let minor, promoted, major = Gc.counters () in
   minor +. major -. promoted
 
 let () =
-  let workload = Sys.argv.(1) in
-  let n = int_of_string Sys.argv.(2) in
-  let reps = int_of_string Sys.argv.(3) in
+  let args = List.tl (Array.to_list Sys.argv) in
+  let rec split pos max_words = function
+    | "--max-words" :: w :: rest -> split pos (Some (float_of_string w)) rest
+    | a :: rest -> split (a :: pos) max_words rest
+    | [] -> (List.rev pos, max_words)
+  in
+  let workload, n, reps, max_words =
+    match split [] None args with
+    | [ w; n; r ], mw -> (w, int_of_string n, int_of_string r, mw)
+    | _ ->
+      prerr_endline
+        "usage: engine_ab.exe <workload> <n-events> <reps> [--max-words W]";
+      exit 2
+  in
   let f =
     match workload with
     | "timer-callback" -> callback_chains
@@ -161,10 +236,14 @@ let () =
     | "ready-mailbox" -> ready_mailbox
     | "fifo-fanin" -> fifo_fanin
     | "mem-log-bind" -> mem_log_bind
+    | "suspend-wake" -> suspend_wake
+    | "quorum-join" -> quorum_join
+    | "seq-log-churn" -> seq_log_churn
     | w -> failwith ("unknown workload: " ^ w)
   in
   f (n / 10) (* warmup *);
   let best = ref infinity in
+  let worst_words = ref 0.0 in
   for r = 1 to reps do
     let w0 = allocated_words () in
     let t0 = (Unix.times ()).tms_utime in
@@ -174,6 +253,8 @@ let () =
     let ev = Ll_sim.Engine.events_executed () in
     let rate = float_of_int ev /. dt /. 1e6 in
     if dt < !best then best := dt;
+    let wpo = words /. float_of_int n in
+    if wpo > !worst_words then worst_words := wpo;
     Printf.printf
       "  rep %d: %d events  %.1f ms cpu  %.2f Mev/s  %.1f ns/op  %.1f words/op\n%!"
       r ev (dt *. 1000.) rate
@@ -181,4 +262,13 @@ let () =
       (words /. float_of_int n)
   done;
   Printf.printf "%s best: %.1f ms cpu (%.1f ns/op over %d ops)\n%!" workload
-    (!best *. 1000.) (!best *. 1e9 /. float_of_int n) n
+    (!best *. 1000.) (!best *. 1e9 /. float_of_int n) n;
+  match max_words with
+  | Some w when !worst_words > w ->
+    Printf.printf "%s: %.2f words/op exceeds the ceiling of %.2f\n%!" workload
+      !worst_words w;
+    exit 1
+  | Some w ->
+    Printf.printf "%s: %.2f words/op within the ceiling of %.2f\n%!" workload
+      !worst_words w
+  | None -> ()
