@@ -102,14 +102,23 @@ let append t v =
   set t pos v;
   pos
 
-let get t pos =
-  if pos < t.first || pos >= t.next then None
+(* The slot at [pos], or [absent]: the lookups below share it and
+   allocate nothing. *)
+let slot t pos =
+  if pos < t.first || pos >= t.next then absent
   else
     let c = find_chunk t (pos lsr chunk_bits) and off = pos land chunk_mask in
-    if off >= Array.length c.slots then None
-    else
-      let v = Array.unsafe_get c.slots off in
-      if v == absent then None else Some (Obj.obj v)
+    if off >= Array.length c.slots then absent else Array.unsafe_get c.slots off
+
+let get t pos =
+  let v = slot t pos in
+  if v == absent then None else Some (Obj.obj v)
+
+let mem t pos = slot t pos != absent
+
+let find t pos =
+  let v = slot t pos in
+  if v == absent then raise Not_found else Obj.obj v
 
 let length t = t.next
 
@@ -142,7 +151,7 @@ let chunks_in t ~from ~upto =
     !acc
   end
 
-let clear_range t ~from ~upto =
+let remove_range t ~from ~upto =
   List.iter
     (fun no ->
       let base = no lsl chunk_bits in
@@ -158,14 +167,14 @@ let clear_range t ~from ~upto =
 let truncate t n =
   let n = if n < t.first then t.first else n in
   if n < t.next then begin
-    clear_range t ~from:n ~upto:t.next;
+    remove_range t ~from:n ~upto:t.next;
     t.next <- n
   end
 
 let trim t n =
   let n = if n > t.next then t.next else n in
   if n > t.first then begin
-    clear_range t ~from:t.first ~upto:n;
+    remove_range t ~from:t.first ~upto:n;
     t.first <- n
   end
 

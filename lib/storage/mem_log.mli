@@ -21,6 +21,13 @@ val set : 'a t -> int -> 'a -> unit
 val get : 'a t -> int -> 'a option
 (** [None] if trimmed away or beyond the tail. *)
 
+val mem : 'a t -> int -> bool
+(** Whether {!get} would find an entry; allocates nothing. *)
+
+val find : 'a t -> int -> 'a
+(** The entry at a position, with no option box.
+    @raise Not_found where {!get} returns [None]. *)
+
 val length : 'a t -> int
 (** Tail position: total entries ever appended minus nothing — i.e. the
     next position to be written. *)
@@ -33,6 +40,11 @@ val remove : 'a t -> int -> unit
     leaving [first]/[length] untouched. The view-change path uses this
     to unbind one log's tail positions without disturbing interleaved
     positions of other logs. *)
+
+val remove_range : 'a t -> from:int -> upto:int -> unit
+(** [remove_range t ~from ~upto] deletes every entry at positions in
+    [\[from, upto)], leaving [first]/[length] untouched. Like {!truncate},
+    it visits only the chunks that exist in the range. *)
 
 val truncate : 'a t -> int -> unit
 (** [truncate t n] drops entries at positions [>= n]. Whole chunks of

@@ -35,6 +35,38 @@ let test_mem_log_trim_truncate () =
     [ (4, 4); (5, 5); (6, 6) ]
     (Mem_log.to_list l)
 
+(* The option-free lookups agree with [get] on a hole, past the tail, on
+   a trimmed position and across sparse chunks, packed positions among
+   them; [remove_range] clears only its range. *)
+let test_mem_log_mem_find () =
+  let l = Mem_log.create () in
+  let packed = Lazylog.Logid.pack ~log:2 7 in
+  List.iter (fun p -> Mem_log.set l p (p * 10)) [ 3; 5; 5_000; packed ];
+  let found p = if Mem_log.mem l p then Some (Mem_log.find l p) else None in
+  let check_pos msg p =
+    Alcotest.(check (option int)) msg (Mem_log.get l p) (found p);
+    if not (Mem_log.mem l p) then
+      Alcotest.check_raises (msg ^ " raises") Not_found (fun () ->
+          ignore (Mem_log.find l p : int))
+  in
+  checki "present" 30 (Mem_log.find l 3);
+  checki "sparse chunk" 50_000 (Mem_log.find l 5_000);
+  checki "packed" (packed * 10) (Mem_log.find l packed);
+  checkb "hole" false (Mem_log.mem l 4);
+  checkb "past the tail" false (Mem_log.mem l (packed + 1));
+  checkb "between chunks" false (Mem_log.mem l 2_000);
+  List.iter
+    (fun p -> check_pos (string_of_int p) p)
+    [ 0; 3; 4; 5; 2_000; 5_000; packed - 1; packed; packed + 1 ];
+  Mem_log.trim l 4;
+  checkb "trimmed" false (Mem_log.mem l 3);
+  check_pos "trimmed" 3;
+  Mem_log.remove_range l ~from:4_000 ~upto:packed;
+  checkb "removed range" false (Mem_log.mem l 5_000);
+  checkb "below the range kept" true (Mem_log.mem l 5);
+  checkb "upto excluded" true (Mem_log.mem l packed);
+  checki "length untouched" (packed + 1) (Mem_log.length l)
+
 (* Random operation sequences against a [Map] model. Positions are dense
    log-0 positions spread over a few 1024-position chunks (a third of
    them next to a chunk edge), or packed positions of logs 1-3, so both
@@ -100,6 +132,7 @@ let prop_mem_log_matches_model =
           | _ -> ());
           Mem_log.get l a = model_get a
           && Mem_log.get l b = model_get b
+          && Mem_log.mem l a = (model_get a <> None)
           && Mem_log.length l = !next
           && Mem_log.first l = !first
           && listing ~upto:(max a b) (min a b) = model_range (min a b) (max a b)
@@ -226,6 +259,56 @@ let test_flushed_store_backpressure () =
       checkb "second append backpressured" true
         (Engine.now () - t0 >= Engine.us 100))
 
+(* The dirty sizes sit on a ring that starts at 64 slots. A batch of 100
+   grows it; appends held back by the dirty limit then wrap it and grow it
+   again while the flusher drains from the middle. At least 8 entries stay
+   dirty until the last appends, so the flusher writes back to back, 8
+   entries per device op (one per 10 us), and sampling the device between
+   ops must see exactly the prefix sums of the sizes in staging order. *)
+let test_flushed_store_dirty_ring () =
+  Engine.run (fun () ->
+      let disk = Disk.create ~base_latency:(Engine.us 10) ~ns_per_byte:0.0 () in
+      let s =
+        Flushed_store.create ~disk ~dirty_limit_bytes:1_000
+          ~entries_per_file:8 ()
+      in
+      let first = List.init 100 (fun i -> 15 + (i mod 11)) in
+      let rest = List.init 300 (fun i -> (i mod 13) + 1) in
+      let sizes = Array.of_list (first @ rest) in
+      let n = Array.length sizes in
+      let ops = (n + 7) / 8 in
+      let samples = ref [] in
+      Engine.spawn (fun () ->
+          Engine.sleep 1;
+          for _ = 1 to ops do
+            samples := Disk.bytes_written disk :: !samples;
+            Engine.sleep (Engine.us 10)
+          done);
+      Flushed_store.append_batch s
+        (List.mapi (fun pos size -> (pos, size, pos)) first);
+      List.iteri
+        (fun i size -> Flushed_store.append s ~pos:(100 + i) ~size (100 + i))
+        rest;
+      checkb "appends held back by the dirty limit" true
+        (Engine.now () > Engine.us 100);
+      Flushed_store.flush_wait s;
+      Engine.sleep (Engine.us 20);
+      let prefix k =
+        let sum = ref 0 in
+        for i = 0 to min k n - 1 do
+          sum := !sum + sizes.(i)
+        done;
+        !sum
+      in
+      Alcotest.(check (list int))
+        "bytes flushed after each op"
+        (List.init ops (fun k -> prefix (8 * (k + 1))))
+        (List.rev !samples);
+      checki "one op per 8 entries" ops (Disk.ops disk);
+      checki "drained" 0 (Flushed_store.dirty_bytes s);
+      Alcotest.(check (option int)) "last entry" (Some (n - 1))
+        (Flushed_store.read s ~pos:(n - 1)))
+
 let test_flushed_store_truncate_rewrite () =
   Engine.run (fun () ->
       let disk = Disk.create () in
@@ -260,6 +343,7 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_mem_log_basic;
           Alcotest.test_case "trim/truncate" `Quick test_mem_log_trim_truncate;
+          Alcotest.test_case "mem/find" `Quick test_mem_log_mem_find;
         ]
         @ qc [ prop_mem_log_matches_model ] );
       ( "disk",
@@ -275,6 +359,7 @@ let () =
           Alcotest.test_case "cold read" `Quick test_flushed_store_cold_read;
           Alcotest.test_case "backpressure" `Quick
             test_flushed_store_backpressure;
+          Alcotest.test_case "dirty ring" `Quick test_flushed_store_dirty_ring;
           Alcotest.test_case "truncate then rewrite" `Quick
             test_flushed_store_truncate_rewrite;
           Alcotest.test_case "entries_from" `Quick
