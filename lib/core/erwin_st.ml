@@ -1,5 +1,6 @@
 open Ll_sim
 open Ll_net
+open Ll_storage
 open Erwin_common
 
 let create ?(cfg = Config.default) () =
@@ -80,7 +81,7 @@ let try_append_once (cluster : Erwin_common.t) ep ~track record shard =
    pin to the head shard's primary. [rr0] seeds the rotation so distinct
    readers interleave instead of marching in lockstep. *)
 let reader (cluster : Erwin_common.t) ep ~rr0 =
-  let map_cache : (int, int) Hashtbl.t = Hashtbl.create 4096 in
+  let map_cache : int Mem_log.t = Mem_log.create () in
   let map_rr = ref rr0 in
   let fetch_map_chunk dst ~tries req =
     match
@@ -93,7 +94,7 @@ let reader (cluster : Erwin_common.t) ep ~rr0 =
     | Some _ | None -> None
   in
   let rec ensure_mapped positions =
-    match List.find_opt (fun p -> not (Hashtbl.mem map_cache p)) positions with
+    match List.find_opt (fun p -> not (Mem_log.mem map_cache p)) positions with
     | None -> ()
     | Some missing ->
       let req =
@@ -129,10 +130,10 @@ let reader (cluster : Erwin_common.t) ep ~rr0 =
           | Some c -> c
           | None -> failwith "erwin-st: bad map response"
       in
-      List.iter (fun (gp, sid) -> Hashtbl.replace map_cache gp sid) chunk;
+      List.iter (fun (gp, sid) -> Mem_log.set map_cache gp sid) chunk;
       ensure_mapped positions
   in
-  let shard_of p = shard_by_id cluster (Hashtbl.find map_cache p) in
+  let shard_of p = shard_by_id cluster (Mem_log.find map_cache p) in
   fun positions ->
     ensure_mapped positions;
     Client_core.read_grouped ~rr:map_rr cluster ep ~shard_of positions

@@ -16,7 +16,7 @@ type replica = {
   staged_at : (Types.Rid.t, Engine.time) Hashtbl.t;
   nooped : (Types.Rid.t, unit) Hashtbl.t;
   staging_watch : Waitq.t;
-  map_log : (int, int) Hashtbl.t;  (* position -> shard id *)
+  map_log : int Mem_log.t;  (* position -> shard id *)
   (* Per-replica stable-gp mirror, one packed frontier per log: the
      primary's is authoritative for the shard; backups keep their own
      (fed by the primary's relay, by client stable hints, and by the
@@ -63,7 +63,9 @@ let make_disk cfg =
    staging and drop their map entries: recovery may rebind them at
    different positions (section 4.5's tail overwrite, realized
    logically). Scoped to that one log: the walk stops below the next
-   log's base, so packed positions of other logs survive. *)
+   log's base, so packed positions of other logs survive. A re-staged
+   record is stamped now, so the orphan scrubber gives it a full age
+   before it may drop it (a rebind may still be on its way). *)
 let unbind_log r from =
   let log = Logid.log_of from in
   let upto =
@@ -73,16 +75,11 @@ let unbind_log r from =
     (fun (gp, (rec_ : Types.record)) ->
       if not (Types.is_no_op rec_) then begin
         Hashtbl.replace r.staging rec_.Types.rid rec_;
-        Hashtbl.replace r.staged_at rec_.Types.rid 0
+        Hashtbl.replace r.staged_at rec_.Types.rid (Engine.now ())
       end;
       Flushed_store.remove r.store ~pos:gp)
     (Flushed_store.entries_from r.store ~upto from);
-  let stale =
-    Hashtbl.fold
-      (fun gp _ acc -> if gp >= from && gp < upto then gp :: acc else acc)
-      r.map_log []
-  in
-  List.iter (Hashtbl.remove r.map_log) stale
+  Mem_log.remove_range r.map_log ~from ~upto
 
 (* One packed frontier per truncated log. Every push runs this, so the
    common no-truncate case allocates nothing (no partial application of
@@ -109,7 +106,16 @@ let journal_record r (record : Types.record) =
   Flushed_store.append r.journal ~pos ~size:record.Types.size ()
 
 let record_map r chunk =
-  List.iter (fun (gp, sid) -> Hashtbl.replace r.map_log gp sid) chunk
+  List.iter (fun (gp, sid) -> Mem_log.set r.map_log gp sid) chunk
+
+(* The map entries at positions in [from, upto), ascending. *)
+let map_chunk r ~from ~upto =
+  let chunk = ref [] in
+  for gp = upto - 1 downto from do
+    if Mem_log.mem r.map_log gp then
+      chunk := (gp, Mem_log.find r.map_log gp) :: !chunk
+  done;
+  !chunk
 
 (* Resolve one Erwin-st binding on a replica that is expected to hold the
    staged record: wait [data_wait_timeout] for in-flight data, then no-op
@@ -322,13 +328,9 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
     if stable_for r ~log <= from then demand_bind t ~upto:(from + 1);
     Waitq.await r.stable_watch (fun () -> stable_for r ~log > from);
     let upto = min (stable_for r ~log) (from + count) in
-    let chunk = ref [] in
-    for gp = upto - 1 downto from do
-      match Hashtbl.find_opt r.map_log gp with
-      | Some sid -> chunk := (gp, sid) :: !chunk
-      | None -> ()
-    done;
-    reply (Proto.R_map { chunk = !chunk; stable = stable_for r ~log })
+    reply
+      (Proto.R_map
+         { chunk = map_chunk r ~from ~upto; stable = stable_for r ~log })
   | Sh_set_stable { gp } ->
     note_stable r gp;
     (* Backup replicas serve reads only below their own mirror: relay the
@@ -443,13 +445,9 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
     let log = read_log ~max_pos:from in
     if stable_for r ~log > from then begin
       let upto = min (stable_for r ~log) (from + count) in
-      let chunk = ref [] in
-      for gp = upto - 1 downto from do
-        match Hashtbl.find_opt r.map_log gp with
-        | Some sid -> chunk := (gp, sid) :: !chunk
-        | None -> ()
-      done;
-      reply (Proto.R_map { chunk = !chunk; stable = stable_for r ~log })
+      reply
+        (Proto.R_map
+           { chunk = map_chunk r ~from ~upto; stable = stable_for r ~log })
     end
     else
       forward_to_primary t r req ~reply ~on_resp:(function
@@ -490,7 +488,7 @@ let make_replica cfg fabric ~name =
     staged_at = Hashtbl.create 256;
     nooped = Hashtbl.create 64;
     staging_watch = Waitq.create ();
-    map_log = Hashtbl.create 1024;
+    map_log = Mem_log.create ();
     stable = Log_table.create ~default:(fun log -> Logid.base ~log);
     stable_watch = Waitq.create ();
   }
@@ -555,7 +553,7 @@ let replace_backup t ~index =
   Hashtbl.iter (fun rid r -> Hashtbl.replace fresh.staging rid r) src.staging;
   Hashtbl.iter (fun rid at -> Hashtbl.replace fresh.staged_at rid at) src.staged_at;
   Hashtbl.iter (fun rid () -> Hashtbl.replace fresh.nooped rid ()) src.nooped;
-  Hashtbl.iter (fun gp sid -> Hashtbl.replace fresh.map_log gp sid) src.map_log;
+  Mem_log.iter src.map_log ~from:0 (Mem_log.set fresh.map_log);
   (* The copied prefix is readable on the fresh replica right away. *)
   Log_table.fold
     (fun log g () -> Log_table.set fresh.stable log g)

@@ -46,6 +46,23 @@ let read ep shard positions =
   | Proto.R_records { records; _ } -> records
   | _ -> Alcotest.fail "read failed"
 
+let stage ep shard record =
+  match call ep shard (Proto.Ssh_data_write { record }) with
+  | Proto.R_append { ok = true; _ } -> ()
+  | _ -> Alcotest.fail "stage failed"
+
+let order ep shard ?(truncate = []) bindings ~map_chunk =
+  match call ep shard (Proto.Ssh_order { truncate; bindings; map_chunk }) with
+  | Proto.R_ok -> ()
+  | _ -> Alcotest.fail "order failed"
+
+let get_map ?dst ep shard ~from ~count =
+  let req = Proto.Ssh_get_map { from; count; stable_hint = 0 } in
+  let dst = Option.value dst ~default:(Shard.primary_id shard) in
+  match Rpc.call ep ~dst ~size:(Proto.req_size req) req with
+  | Proto.R_map { chunk; _ } -> chunk
+  | _ -> Alcotest.fail "bad map response"
+
 let test_push_and_read () =
   with_shard (fun shard ep ->
       push ep shard [ (0, record 1 1 "a"); (1, record 1 2 "b") ];
@@ -161,7 +178,66 @@ let test_st_unbind_restages () =
       (match read ep shard [ 3 ] with
       | [ (3, r) ] -> Alcotest.(check string) "rebound" "x" r.Types.data
       | l -> Alcotest.failf "expected 1, got %d" (List.length l));
-      checkb "old position gone" true (Shard.read_local shard 5 = None))
+      checkb "old position gone" true (Shard.read_local shard 5 = None);
+      (* The map entry at the old position went with the binding. *)
+      set_stable ep shard 6;
+      Alcotest.(check (list (pair int int)))
+        "map follows the rebind" [ (3, 0) ]
+        (get_map ep shard ~from:0 ~count:10))
+
+(* The orphan scrubber (age 100 ms, every 50 ms, as Erwin-st runs it) must
+   not drop a record that a truncate just moved back to staging: the
+   rebind that follows may first wait out [data_wait_timeout] on another
+   binding, and a scrubber tick landing in that wait would otherwise turn
+   an acked record into a no-op. *)
+let test_restaged_survives_scrubber () =
+  let cfg = { Config.default with shard_backup_count = 0 } in
+  with_shard ~cfg (fun shard ep ->
+      Shard.start_scrubber shard ~age:(Engine.ms 100) ~every:(Engine.ms 50);
+      stage ep shard (record 1 1 "x");
+      order ep shard [ (5, rid 1 1) ] ~map_chunk:[ (5, 0) ];
+      Engine.sleep_until (Engine.ms 198);
+      (* Position 2's rid never arrives; the tick at 200 ms falls inside
+         its wait. *)
+      order ep shard ~truncate:[ 2 ]
+        [ (2, rid 9 9); (3, rid 1 1) ]
+        ~map_chunk:[ (2, 0); (3, 0) ];
+      set_stable ep shard 4;
+      Alcotest.(check (list string))
+        "missing rid no-op'ed, re-staged record rebound" [ "<no-op>"; "x" ]
+        (List.map
+           (fun (_, (r : Types.record)) ->
+             if Types.is_no_op r then "<no-op>" else r.data)
+           (read ep shard [ 2; 3 ])))
+
+(* Map entries are unbound per log, like the records: a log-0 truncate
+   keeps log 1's entries although they sit at numerically higher
+   positions, and a log-1 truncate keeps log 0's. *)
+let test_map_truncate_scoped_to_log () =
+  with_shard (fun shard ep ->
+      let p1 = Logid.pack ~log:1 in
+      List.iter
+        (fun (c, data) -> stage ep shard (record c 1 data))
+        [ (1, "a0"); (2, "a1"); (3, "b0"); (4, "b1") ];
+      order ep shard
+        [ (0, rid 1 1); (1, rid 2 1); (p1 0, rid 3 1); (p1 1, rid 4 1) ]
+        ~map_chunk:[ (0, 0); (1, 0); (p1 0, 0); (p1 1, 0) ];
+      set_stable ep shard 2;
+      set_stable ep shard (p1 2);
+      order ep shard ~truncate:[ 1 ] [] ~map_chunk:[];
+      Alcotest.(check (list (pair int int)))
+        "log-0 tail unmapped" [ (0, 0) ]
+        (get_map ep shard ~from:0 ~count:10);
+      Alcotest.(check (list (pair int int)))
+        "log-1 entries kept" [ (p1 0, 0); (p1 1, 0) ]
+        (get_map ep shard ~from:(p1 0) ~count:10);
+      order ep shard ~truncate:[ p1 1 ] [] ~map_chunk:[];
+      Alcotest.(check (list (pair int int)))
+        "log-1 tail unmapped" [ (p1 0, 0) ]
+        (get_map ep shard ~from:(p1 0) ~count:10);
+      Alcotest.(check (list (pair int int)))
+        "log-0 prefix kept" [ (0, 0) ]
+        (get_map ep shard ~from:0 ~count:10))
 
 let test_get_map_waits_and_serves () =
   with_shard (fun shard ep ->
@@ -346,6 +422,32 @@ let test_replacement_under_st_staging () =
       | _ -> Alcotest.fail "read failed");
       Engine.stop ())
 
+let test_replacement_copies_map () =
+  (* A replacement backup serves the map it copied, on its own: the
+     primary is down by the time it is asked. *)
+  Engine.run (fun () ->
+      let cfg = { Config.default with shard_backup_count = 1 } in
+      let fabric = Fabric.create () in
+      let shard = Shard.create ~cfg ~fabric ~shard_id:0 in
+      let ep = Rpc.endpoint fabric (Fabric.add_node fabric ~name:"probe" ()) in
+      let p1 = Logid.pack ~log:1 in
+      stage ep shard (record 7 1 "x");
+      stage ep shard (record 7 2 "y");
+      let map = [ (0, 0); (1, 2); (2, 1); (p1 0, 0) ] in
+      order ep shard [ (0, rid 7 1); (p1 0, rid 7 2) ] ~map_chunk:map;
+      set_stable ep shard 3;
+      set_stable ep shard (p1 1);
+      Shard.replace_backup shard ~index:0;
+      Fabric.crash fabric (Fabric.node_by_id fabric (Shard.primary_id shard));
+      let dst = List.hd (Shard.backup_ids shard) in
+      Alcotest.(check (list (pair int int)))
+        "log-0 map copied" [ (0, 0); (1, 2); (2, 1) ]
+        (get_map ~dst ep shard ~from:0 ~count:10);
+      Alcotest.(check (list (pair int int)))
+        "log-1 map copied" [ (p1 0, 0) ]
+        (get_map ~dst ep shard ~from:(p1 0) ~count:10);
+      Engine.stop ())
+
 let () =
   Alcotest.run "shard"
     [
@@ -365,6 +467,10 @@ let () =
       ( "erwin-st paths",
         [
           Alcotest.test_case "unbind restages" `Quick test_st_unbind_restages;
+          Alcotest.test_case "restaged survives scrubber" `Quick
+            test_restaged_survives_scrubber;
+          Alcotest.test_case "map truncate scoped to its log" `Quick
+            test_map_truncate_scoped_to_log;
           Alcotest.test_case "get_map" `Quick test_get_map_waits_and_serves;
           Alcotest.test_case "backup backfill" `Quick test_backfill_to_backup;
           Alcotest.test_case "journal retry dedup" `Quick
@@ -383,5 +489,7 @@ let () =
             test_backup_replacement;
           Alcotest.test_case "staged state carried over" `Quick
             test_replacement_under_st_staging;
+          Alcotest.test_case "map carried over" `Quick
+            test_replacement_copies_map;
         ] );
     ]
