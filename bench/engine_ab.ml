@@ -8,7 +8,7 @@
 
    Workloads: timer-callback | mixed-hop | deep-timer | deep-fiber |
    ready-ivar | ready-mailbox | fifo-fanin | mem-log-bind | store-stage |
-   suspend-wake | quorum-join | seq-log-churn
+   suspend-wake | quorum-join | rpc-serve | seq-log-churn
 
    Each rep prints user-CPU ns/op and allocated words/op. Allocated words
    are exact and repeat run to run, so [--max-words W] is a ceiling that
@@ -203,6 +203,34 @@ let quorum_join n =
           failwith "quorum-join: timed out"
       done)
 
+(* Requests into one server endpoint shaped like a sequencing replica: a
+   750 ns service time per request and a bare handler that answers it, so
+   each request is received, charged, answered bare and its reply
+   completed at the client, with no handler fiber. The client keeps 16
+   calls in flight, n requests in all. *)
+let rpc_serve n =
+  Ll_sim.Engine.run (fun () ->
+      let open Ll_sim in
+      let open Ll_net in
+      let fab = Fabric.create ~seed:1 () in
+      let node = Fabric.add_node fab ~name:"s" () in
+      let server = Rpc.endpoint fab node in
+      Rpc.set_service_time server (fun _ -> 750);
+      Rpc.set_handler server (fun ~src:_ (x : int) ~reply -> reply x);
+      Rpc.set_bare_handler server (fun ~src:_ x ~reply ->
+          reply x;
+          true);
+      let client = Rpc.endpoint fab (Fabric.add_node fab ~name:"c" ()) in
+      let window = 16 in
+      let ivs = Array.make window (Ivar.create ()) in
+      for r = 0 to (n / window) - 1 do
+        for i = 0 to window - 1 do
+          ivs.(i) <-
+            Rpc.call_async client ~dst:(Fabric.id node) ((r * window) + i)
+        done;
+        Array.iter (fun iv -> ignore (Ivar.read iv : int)) ivs
+      done)
+
 (* The sequencing log's churn under batched ordering: append a batch of
    17 entries, claim them, garbage collect them, n entries in all. Each
    op is one entry through append, claim and removal. *)
@@ -259,6 +287,7 @@ let () =
     | "store-stage" -> store_stage
     | "suspend-wake" -> suspend_wake
     | "quorum-join" -> quorum_join
+    | "rpc-serve" -> rpc_serve
     | "seq-log-churn" -> seq_log_churn
     | w -> failwith ("unknown workload: " ^ w)
   in

@@ -13,10 +13,11 @@
    light victim tenant (open-loop, small records) shares the cluster
    with an aggressor tenant running saturating closed-loop large
    appends. The sequencing replica's CPU is a single queue (service
-   time is charged serially in the demux fiber), so with FIFO ingress
-   the victim's appends wait behind the aggressor's backlog; DRR
-   weighted-fair scheduling caps the victim's wait at roughly one
-   aggressor quantum. Reported against the no-aggressor baseline. *)
+   time is charged serially on the endpoint's receive path), so with
+   FIFO ingress the victim's appends wait behind the aggressor's
+   backlog; DRR weighted-fair scheduling caps the victim's wait at
+   roughly one aggressor quantum. Reported against the no-aggressor
+   baseline. *)
 
 open Ll_sim
 open Lazylog

@@ -60,6 +60,13 @@ val recv : 'm node -> node_id * 'm
 
 val recv_timeout : 'm node -> timeout:Engine.time -> (node_id * 'm) option
 
+val take_or_park :
+  'm node -> (node_id * 'm) Engine.waker -> (node_id * 'm -> unit) -> unit
+(** [take_or_park n w f] passes the next queued message to [f], or, with
+    none queued, parks [w] to be woken with the next one to arrive
+    ({!Ll_sim.Mailbox.take_or_park}). An RPC endpoint receives this way,
+    on an {!Ll_sim.Engine.callback_waker}, without a fiber. *)
+
 val inbox_length : 'm node -> int
 
 (** {1 Fault injection} *)
@@ -68,7 +75,8 @@ val crash : 'm t -> 'm node -> unit
 (** Crash: pending and future messages are dropped, inbox is cleared, and
     per-pair FIFO bookkeeping involving the node is forgotten (a revived
     node starts with fresh connections, not delayed behind pre-crash
-    traffic). Fibers blocked in {!recv} stay blocked. *)
+    traffic). Fibers blocked in {!recv}, and wakers parked by
+    {!take_or_park}, stay parked. *)
 
 val recover : 'm t -> 'm node -> unit
 val is_alive : 'm node -> bool

@@ -42,6 +42,28 @@ module Retry_budget = struct
   let tokens t = t.tokens
 end
 
+(* What a server endpoint adds, created by {!set_handler}, so a
+   client-only endpoint carries none of it. The endpoint serves one
+   request at a time on its "CPU": while a request's service time runs,
+   the request waits in the [s_] fields for [step], the one event that
+   ends its service. A request for the bare path waits in the [b_]
+   fields for [drain], the one thunk scheduled where its handler would
+   start. *)
+type ('req, 'resp) server = {
+  mutable handler :
+    src:node_id -> 'req -> reply:(?size:int -> 'resp -> unit) -> unit;
+  handler_name : string;  (* fiber name for every request's handler *)
+  mutable s_src : node_id;
+  mutable s_req : Obj.t;
+  mutable s_reply : ?size:int -> 'resp -> unit;
+  mutable b_busy : bool;  (* [drain] is scheduled for the [b_] request *)
+  mutable b_src : node_id;
+  mutable b_req : Obj.t;
+  mutable b_reply : ?size:int -> 'resp -> unit;
+  step : unit -> unit;
+  drain : unit -> unit;
+}
+
 (* Pending calls live in an open-addressing table keyed by token, flat
    in two arrays: [pk] holds each slot's token ([no_call] when free), send
    time, and destination and group member packed in one int, at stride
@@ -51,7 +73,11 @@ end
    slots (18 words) at its first call, eight (34 words) past three calls
    in flight: the table stays within the 38 words of the 32-bucket
    [Hashtbl] it replaces for up to seven calls in flight, and a call
-   allocates no record, bucket or option. *)
+   allocates no record, bucket or option.
+
+   Messages are received without a fiber: [rx] is a callback waker that
+   runs [on_msg] on each message delivered while the endpoint waits, and
+   [on_msg] takes any queued ones after it (see [receive]). *)
 type ('req, 'resp) endpoint = {
   fabric : ('req, 'resp) msg Fabric.t;
   node : ('req, 'resp) msg Fabric.node;
@@ -60,14 +86,11 @@ type ('req, 'resp) endpoint = {
   mutable pn : int;  (* pending calls *)
   peers : (node_id, peer_stats) Hashtbl.t;
   mutable next_token : int;
-  mutable handler :
-    (src:node_id -> 'req -> reply:(?size:int -> 'resp -> unit) -> unit)
-      option;
-  (* The non-blocking fast path tried before [handler]; see {!serve}. *)
+  mutable srv : ('req, 'resp) server option;
+  (* The non-blocking fast path tried before the handler; see {!serve}. *)
   mutable bare :
     (src:node_id -> 'req -> reply:(?size:int -> 'resp -> unit) -> bool)
       option;
-  handler_name : string;  (* fiber name for every request's handler *)
   mutable service_time : 'req -> Engine.time;
   mutable budget : Retry_budget.t option;
   (* Ingress scheduler hook: when installed, every incoming request is
@@ -79,6 +102,8 @@ type ('req, 'resp) endpoint = {
   mutable ingress :
     (src:node_id -> 'req -> reply:(?size:int -> 'resp -> unit) -> bool)
       option;
+  mutable rx : (node_id * ('req, 'resp) msg) Engine.waker;
+  on_msg : node_id * ('req, 'resp) msg -> unit;
 }
 
 (* Per-domain counters over every endpoint in the run — the retry-path
@@ -281,58 +306,108 @@ let group_reply_in g member resp =
       ignore (Engine.wake (Obj.obj g.g_waiter : bool Engine.waker) true : bool)
   end
 
-(* The default service discipline: charge the request's service time
-   serially (this runs in the demux fiber, so the endpoint's "CPU" is a
-   single queue), then run the handler where a handler fiber would start.
-   With a bare path installed, that start is a bare callback: the bare
-   path handles the request there when it can without blocking, and only
-   otherwise does the handler start on a fiber, at that same point. Also
-   the re-entry point for an ingress scheduler once it dequeues a
-   request. *)
+(* ---------- the receive path ---------- *)
+
+let ignore_reply ?size:_ _ = ()
+
+(* Where a handler fiber would start: the bare path runs there as a bare
+   callback when installed, and the handler starts on a fiber otherwise,
+   or when the bare path declines. *)
+let run_bare t s ~src req ~reply =
+  match t.bare with
+  | Some b when b ~src req ~reply -> ()
+  | _ ->
+    let h = s.handler in
+    Engine.start_now ~name:s.handler_name (fun () -> h ~src req ~reply)
+
+(* A request's service has ended: unless the endpoint crashed while the
+   request was "on CPU", start its handler. Without a bare path that is
+   a fiber start. With one it is a bare callback at the same point: the
+   preallocated [drain] for the [b_] fields, or, in the rare case they
+   are taken (two services ending in one instant), a closure of its own,
+   so each request stays tied to its own event under any tie order. *)
+let start t s ~src req ~reply =
+  if Fabric.is_alive t.node then
+    match t.bare with
+    | None ->
+      let h = s.handler in
+      Engine.spawn ~name:s.handler_name (fun () -> h ~src req ~reply)
+    | Some _ when s.b_busy ->
+      Engine.call_after 0 (fun () -> run_bare t s ~src req ~reply)
+    | Some _ ->
+      s.b_busy <- true;
+      s.b_src <- src;
+      s.b_req <- Obj.repr req;
+      s.b_reply <- reply;
+      Engine.call_after 0 s.drain
+
+let drain t s =
+  let src = s.b_src and req = Obj.obj s.b_req and reply = s.b_reply in
+  s.b_busy <- false;
+  s.b_req <- unit_obj;
+  s.b_reply <- ignore_reply;
+  run_bare t s ~src req ~reply
+
+(* The default service discipline, as an ingress scheduler's fiber runs
+   it: charge the request's service time by blocking the calling fiber,
+   then start the handler. *)
 let serve t ~src req ~reply =
-  match t.handler with
+  match t.srv with
   | None -> ()
-  | Some h -> (
+  | Some s ->
     let st = t.service_time req in
     if st > 0 then Engine.sleep st;
-    (* The endpoint may have crashed while the request was "on CPU". *)
-    if Fabric.is_alive t.node then
-      match t.bare with
-      | None -> Engine.spawn ~name:t.handler_name (fun () -> h ~src req ~reply)
-      | Some b ->
-        Engine.call_after 0 (fun () ->
-            if not (b ~src req ~reply) then
-              Engine.start_now ~name:t.handler_name (fun () ->
-                  h ~src req ~reply)))
+    start t s ~src req ~reply
 
-let dispatch t ~src req ~reply =
-  match t.handler with
-  | None -> ()
-  | Some _ -> (
-    match t.ingress with
-    | Some f -> if not (f ~src req ~reply) then serve t ~src req ~reply
-    | None -> serve t ~src req ~reply)
+(* Offer the request to the ingress hook, else serve it by the same
+   discipline on the endpoint's own receive path: the service time is
+   the one [step] event, and the endpoint takes no message until it
+   fires, so the endpoint's "CPU" is a single queue. [false] when the
+   request went into service. *)
+let dispatch t s ~src req ~reply =
+  match t.ingress with
+  | Some f when f ~src req ~reply -> true
+  | _ ->
+    let st = t.service_time req in
+    if st <= 0 then begin
+      start t s ~src req ~reply;
+      true
+    end
+    else begin
+      s.s_src <- src;
+      s.s_req <- Obj.repr req;
+      s.s_reply <- reply;
+      Engine.call_after st s.step;
+      false
+    end
 
-let demux_loop t () =
-  let rec loop () =
-    let src, m = Fabric.recv t.node in
-    (match m with
-    | Response (token, resp) ->
-      (* A token no longer pending answers a call that already timed
-         out: it is ignored. *)
-      if t.pn > 0 then begin
-        let i = probe t token in
-        if t.pk.(3 * i) = token then begin
-          let sent = t.pk.((3 * i) + 1) and d = t.pk.((3 * i) + 2) in
-          let v = t.pv.(i) in
-          remove_at t i;
-          note_sample t (dst_of d) (Engine.now () - sent);
-          let member = member_of d in
-          if member = lone then ignore (Ivar.try_fill (Obj.obj v) resp : bool)
-          else group_reply_in (Obj.obj v) member resp
-        end
-      end
-    | Request (token, req) ->
+let complete t token resp =
+  (* A token no longer pending answers a call that already timed out: it
+     is ignored. *)
+  if t.pn > 0 then begin
+    let i = probe t token in
+    if t.pk.(3 * i) = token then begin
+      let sent = t.pk.((3 * i) + 1) and d = t.pk.((3 * i) + 2) in
+      let v = t.pv.(i) in
+      remove_at t i;
+      note_sample t (dst_of d) (Engine.now () - sent);
+      let member = member_of d in
+      if member = lone then ignore (Ivar.try_fill (Obj.obj v) resp : bool)
+      else group_reply_in (Obj.obj v) member resp
+    end
+  end
+
+(* Handle one message; [false] when a request went into service, whose
+   [step] then takes the endpoint's next message. *)
+let handle t (src, m) =
+  match m with
+  | Response (token, resp) ->
+    complete t token resp;
+    true
+  | Request (token, req) -> (
+    match t.srv with
+    | None -> true
+    | Some s ->
       let replied = ref false in
       let reply ?(size = 64) resp =
         if not !replied then begin
@@ -341,14 +416,46 @@ let demux_loop t () =
             (Response (token, resp))
         end
       in
-      dispatch t ~src req ~reply
-    | Oneway req -> dispatch t ~src req ~reply:(fun ?size:_ _ -> ()));
-    loop ()
-  in
-  loop ()
+      dispatch t s ~src req ~reply)
+  | Oneway req -> (
+    match t.srv with
+    | None -> true
+    | Some s -> dispatch t s ~src req ~reply:ignore_reply)
+
+(* The wake value of the event, scheduled when the endpoint is created,
+   that begins its first receive. *)
+let start_rx = Obj.repr (ref ())
+
+(* Handling a message runs on no fiber, so a failure in it is tagged
+   here with the endpoint's receive name, "<node>.demux", as a fiber's
+   failure is tagged with the fiber's name. *)
+let receive t v =
+  if
+    Obj.repr v == start_rx
+    ||
+    match handle t v with
+    | more -> more
+    | exception (Engine.Fiber_failure _ as e) -> raise e
+    | exception e ->
+      raise (Engine.Fiber_failure (Fabric.name t.node ^ ".demux", e))
+  then Fabric.take_or_park t.node t.rx t.on_msg
+
+(* The in-service request's service time has ended. *)
+let step t s =
+  let src = s.s_src and req = Obj.obj s.s_req and reply = s.s_reply in
+  s.s_req <- unit_obj;
+  s.s_reply <- ignore_reply;
+  start t s ~src req ~reply;
+  Fabric.take_or_park t.node t.rx t.on_msg
+
+(* Stands in for an endpoint's waker until [endpoint] has made the
+   endpoint the waker's callback needs. A waker's type parameter only
+   records what [wake] must be given, so one placeholder serves every
+   endpoint type. *)
+let no_rx : Obj.t Engine.waker = Engine.callback_waker ignore
 
 let endpoint fabric node =
-  let t =
+  let rec t =
     {
       fabric;
       node;
@@ -357,18 +464,39 @@ let endpoint fabric node =
       pn = 0;
       peers = Hashtbl.create 8;
       next_token = 0;
-      handler = None;
+      srv = None;
       bare = None;
-      handler_name = Fabric.name node ^ ".handler";
       service_time = (fun _ -> 0);
       budget = None;
       ingress = None;
+      rx = Obj.magic no_rx;
+      on_msg = (fun v -> receive t v);
     }
   in
-  Engine.spawn ~name:(Fabric.name node ^ ".demux") (demux_loop t);
+  t.rx <- Engine.callback_waker t.on_msg;
+  ignore (Engine.wake t.rx (Obj.obj start_rx) : bool);
   t
 
-let set_handler t h = t.handler <- Some h
+let set_handler t h =
+  match t.srv with
+  | Some s -> s.handler <- h
+  | None ->
+    let rec s =
+      {
+        handler = h;
+        handler_name = Fabric.name t.node ^ ".handler";
+        s_src = 0;
+        s_req = unit_obj;
+        s_reply = ignore_reply;
+        b_busy = false;
+        b_src = 0;
+        b_req = unit_obj;
+        b_reply = ignore_reply;
+        step = (fun () -> step t s);
+        drain = (fun () -> drain t s);
+      }
+    in
+    t.srv <- Some s
 
 let set_bare_handler t b = t.bare <- Some b
 

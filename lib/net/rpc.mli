@@ -9,6 +9,14 @@
     with a bare path ({!set_bare_handler}) runs the requests that path
     accepts without a fiber.
 
+    The endpoint itself receives without a fiber: one reusable
+    {!Ll_sim.Engine.callback_waker} takes each message as it is handed
+    over, and a request's service time is one timer, so receiving costs
+    no suspension. It schedules exactly the events a receiving fiber
+    would. A failure raised while the endpoint handles a message (in an
+    ingress hook or a service-time function) aborts the run as
+    [Fiber_failure ("<node>.demux", e)].
+
     A server that crashes (via {!Fabric.crash}) silently drops traffic;
     callers should use {!call_timeout} on paths where failures are
     expected. *)
@@ -24,7 +32,8 @@ type ('req, 'resp) endpoint
 val endpoint :
   ('req, 'resp) msg Fabric.t -> ('req, 'resp) msg Fabric.node
   -> ('req, 'resp) endpoint
-(** Creates the endpoint and starts its demux fiber. *)
+(** Creates the endpoint. It starts receiving at one event scheduled at
+    the current instant. *)
 
 val node : ('req, 'resp) endpoint -> ('req, 'resp) msg Fabric.node
 val endpoint_id : ('req, 'resp) endpoint -> node_id
@@ -36,7 +45,9 @@ val set_handler :
 (** Installs the request handler. [reply] may be invoked at most once, from
     any fiber, and sends the response back to the caller ([size] is the
     response payload size in bytes, default 64). Requests arriving at an
-    endpoint with no handler are dropped. *)
+    endpoint with no handler are dropped. The first call also sets up the
+    endpoint's server state, so an endpoint that only makes calls carries
+    none. *)
 
 val set_bare_handler :
   ('req, 'resp) endpoint ->
@@ -64,7 +75,8 @@ val set_ingress :
   (src:node_id -> 'req -> reply:(?size:int -> 'resp -> unit) -> bool) ->
   unit
 (** Installs an ingress scheduler: every incoming request is offered to it
-    (from the demux fiber, before any service-time charge). Returning
+    (on the endpoint's receive path, before any service-time charge; it
+    must not block). Returning
     [true] transfers ownership — the scheduler queues the request under
     its own service discipline (re-entering via {!serve} when it dequeues)
     or sheds it by invoking [reply] directly. Returning [false] falls
@@ -75,9 +87,10 @@ val serve :
   ('req, 'resp) endpoint ->
   src:node_id -> 'req -> reply:(?size:int -> 'resp -> unit) -> unit
 (** The default service discipline: charge the request's service time
-    (blocking the calling fiber — serial service) and run the installed
-    handler on a fresh fiber. Ingress schedulers call this from their
-    drain fiber for each dequeued request. *)
+    (blocking the calling fiber — serial service), then start the
+    installed handler exactly as the endpoint's own receive path does
+    (the bare path first, if installed). Ingress schedulers call this
+    from their drain fiber for each dequeued request. *)
 
 val service_time_of : ('req, 'resp) endpoint -> 'req -> Engine.time
 (** The endpoint's modeled CPU cost for one request (what {!serve} will

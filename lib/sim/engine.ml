@@ -36,7 +36,7 @@ let k_thunk = 0 (* payload : unit -> unit, called bare in the loop *)
 let k_cont = 1 (* payload : (unit, unit) continuation (a sleeping fiber) *)
 let k_fiber = 2 (* payload : unit -> unit, started as a fiber via [exec] *)
 let k_dead = 3 (* cancelled timer awaiting reclamation (overflow heap) *)
-let k_wake = 4 (* payload : a woken waker; resumes its fiber *)
+let k_wake = 4 (* payload : a woken waker; resumes its fiber or callback *)
 let k_deadline = 5 (* payload : a waker whose {!arm_timeout} deadline hit *)
 
 (* Wheel geometry: 3 levels of 2048 slots. Level 0 buckets by exact
@@ -558,15 +558,24 @@ let cancel tok =
    and neither a resume closure nor a wake thunk is allocated. While a
    deadline is armed, [value] holds the deadline's value; a normal wake
    overwrites it. The type parameter only records what [wake] must be
-   given: the fields are untyped. *)
+   given: the fields are untyped.
+
+   A callback waker ({!callback_waker}) holds a function in [k] instead of
+   a continuation: its [k_wake] cell calls the function with the value,
+   bare, and re-arms the waker for its next wake. [state] tells the two
+   kinds apart without another field: bit 0 is "fired", bit 1 marks a
+   callback waker. *)
 type 'a waker = {
-  mutable fired : bool;
-  mutable k : Obj.t;  (* (Obj.t, unit) continuation until resumed *)
+  mutable state : int;
+  mutable k : Obj.t;  (* (Obj.t, unit) continuation, or Obj.t -> unit *)
   mutable value : Obj.t;
   mutable deadline : timer;
 }
 
-let is_woken w = w.fired
+let w_fired = 1
+let w_callback = 2
+
+let is_woken w = w.state land w_fired <> 0
 
 type _ Effect.t += Sleep : unit Effect.t | Suspend : Obj.t Effect.t
 
@@ -609,7 +618,7 @@ let on_suspend =
       let s = state () in
       let register : Obj.t waker -> unit = Obj.obj s.stash_reg in
       register
-        { fired = false; k = Obj.repr k; value = unit_obj; deadline = no_timer })
+        { state = 0; k = Obj.repr k; value = unit_obj; deadline = no_timer })
 
 let handler : (unit, unit) Effect.Deep.handler =
   {
@@ -644,9 +653,9 @@ let exec s name f =
 let schedule at fn = schedule_cell (state ()) at k_fiber (Obj.repr fn) "at"
 
 let wake w v =
-  if w.fired then false
+  if w.state land w_fired <> 0 then false
   else begin
-    w.fired <- true;
+    w.state <- w.state lor w_fired;
     (* A normal wake cancels the waker's armed deadline (if any), so a
        completed timed wait leaves no dead timer behind in the wheel. *)
     (match w.deadline with
@@ -663,20 +672,32 @@ let wake w v =
     true
   end
 
-(* Dispatch of a [k_wake] cell: resume the fiber with the wake value.
-   The fields are not cleared: a resumed continuation holds no stack,
-   and the waker is garbage once its waiter lists have dropped it. *)
+let callback_waker f =
+  { state = w_callback; k = Obj.repr f; value = unit_obj; deadline = no_timer }
+
+(* Dispatch of a [k_wake] cell: resume the fiber with the wake value, or
+   re-arm a callback waker and call its function. A fiber waker's fields
+   are not cleared: a resumed continuation holds no stack, and the waker
+   is garbage once its waiter lists have dropped it. A callback waker
+   lives on, so it drops the value rather than keep it reachable. *)
 let resume (w : Obj.t waker) =
-  Effect.Deep.continue
-    (Obj.obj w.k : (Obj.t, unit) Effect.Deep.continuation)
-    w.value
+  if w.state = w_callback lor w_fired then begin
+    w.state <- w_callback;
+    let v = w.value in
+    w.value <- unit_obj;
+    (Obj.obj w.k : Obj.t -> unit) v
+  end
+  else
+    Effect.Deep.continue
+      (Obj.obj w.k : (Obj.t, unit) Effect.Deep.continuation)
+      w.value
 
 (* Dispatch of a [k_deadline] cell: the deadline beat every normal wake,
    so wake the waker with the value {!arm_timeout} stashed. Its own cell
    has just retired, so there is nothing left to cancel. *)
 let expire s (w : Obj.t waker) =
-  if not w.fired then begin
-    w.fired <- true;
+  if w.state land w_fired = 0 then begin
+    w.state <- w.state lor w_fired;
     w.deadline <- no_timer;
     schedule_cell s s.clock k_wake (Obj.repr w) no_name
   end
@@ -757,7 +778,7 @@ let timer_after d fn =
 let arm_timeout w d v =
   let s = state () in
   if not s.running then failwith "arm_timeout: not inside Engine.run";
-  if not w.fired then w.value <- Obj.repr v;
+  if w.state land w_fired = 0 then w.value <- Obj.repr v;
   let tok = next_token s in
   schedule_cell s (s.clock + d) k_deadline (Obj.repr w) no_name;
   w.deadline <- tok

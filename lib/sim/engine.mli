@@ -86,10 +86,11 @@ val start_now : ?name:string -> (unit -> unit) -> unit
 val yield : unit -> unit
 
 type 'a waker
-(** A one-shot resumption capability for a suspended fiber. A waker holds
-    the fiber's continuation, the value to resume it with and the token of
-    its armed deadline: {!wake} schedules the waker itself as the resume
-    event, so waking allocates no closure. *)
+(** A one-shot resumption capability for a suspended fiber, or a reusable
+    one for a callback ({!callback_waker}). A waker holds the fiber's
+    continuation (or the callback), the value to resume it with and the
+    token of its armed deadline: {!wake} schedules the waker itself as the
+    resume event, so waking allocates no closure. *)
 
 val wake : 'a waker -> 'a -> bool
 (** [wake w v] resumes the fiber suspended on [w] with value [v], on a
@@ -99,6 +100,19 @@ val wake : 'a waker -> 'a -> bool
     scheduled callback. *)
 
 val is_woken : 'a waker -> bool
+(** Whether the waker has fired. A callback waker reads [true] from its
+    wake until its callback runs, and [false] again after. *)
+
+val callback_waker : ('a -> unit) -> 'a waker
+(** [callback_waker f] is a reusable waker that runs a function instead of
+    resuming a fiber. {!wake} schedules it exactly as it schedules a
+    fiber's waker, and when that event fires, the waker is re-armed and
+    [f v] runs {e bare} in the scheduler loop, with {!call_at}'s rules: it
+    must not block. Once re-armed the waker may be parked and woken
+    again, so an event-driven receiver needs one waker for its whole life
+    where a fiber allocates a waker and a continuation per wait. A wake
+    that finds the waker already fired, before [f] ran, returns
+    [false]. *)
 
 val suspend : ('a waker -> unit) -> 'a
 (** [suspend register] parks the calling fiber and hands its waker to

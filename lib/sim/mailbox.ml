@@ -65,6 +65,8 @@ let park t w =
   if t.wtail < 0 then t.whead <- n else Slab.set_next t.wtail n;
   t.wtail <- n
 
+let take_or_park t w f = if t.ihead >= 0 then f (pop_item t) else park t w
+
 let recv t =
   if t.ihead >= 0 then pop_item t
   else Obj.obj (Engine.suspend (fun (w : Obj.t Engine.waker) -> park t w))

@@ -18,6 +18,13 @@ val recv_timeout : 'a t -> timeout:Engine.time -> 'a option
 
 val try_recv : 'a t -> 'a option
 
+val take_or_park : 'a t -> 'a Engine.waker -> ('a -> unit) -> unit
+(** [take_or_park t w f] pops the head message and passes it to [f], or,
+    with none queued, parks [w] as a receiver: the next {!send} then wakes
+    [w] with its message. The receive step of an event-driven receiver,
+    whose [w] is an {!Engine.callback_waker} running [f]: it allocates
+    nothing, where {!recv} costs a fiber a suspension per empty wait. *)
+
 val length : 'a t -> int
 (** Number of queued (undelivered) messages. *)
 

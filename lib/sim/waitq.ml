@@ -3,9 +3,17 @@
    [List.rev] allocation of the full waiter set — hot on every stable-gp
    advance; draining the slab list head-first wakes in the same FIFO
    order with zero allocation. *)
-type t = { mutable whead : int; mutable wtail : int; mutable n : int }
+type t = {
+  mutable whead : int;
+  mutable wtail : int;
+  mutable n : int;
+  mutable sweep_at : int;  (* [n] at which {!park} next sweeps the list *)
+}
 
-let create () = { whead = Slab.nil; wtail = Slab.nil; n = 0 }
+let min_sweep = 8
+
+let create () =
+  { whead = Slab.nil; wtail = Slab.nil; n = 0; sweep_at = min_sweep }
 
 let broadcast t =
   (* Detach the current waiter set first: wakes only schedule resumption
@@ -15,6 +23,7 @@ let broadcast t =
   t.whead <- Slab.nil;
   t.wtail <- Slab.nil;
   t.n <- 0;
+  t.sweep_at <- min_sweep;
   while !c >= 0 do
     let w : bool Engine.waker = Obj.obj (Slab.get !c) in
     let next = Slab.next !c in
@@ -23,7 +32,39 @@ let broadcast t =
     c := next
   done
 
+let fired nd = Engine.is_woken (Obj.obj (Slab.get nd) : bool Engine.waker)
+
+(* A waiter whose timed wait expired stays linked until something drops
+   it: left to the next broadcast, an idle queue with a periodic timed
+   waiter would grow by one dead node per timeout. Waking a fired waker
+   schedules nothing, so dropping one early changes no schedule. [park]
+   drops the fired run at the head every time, and sweeps the whole list
+   once it has doubled since the last sweep, which bounds it at twice the
+   live waiters (plus [min_sweep]) for amortized O(1) per park. *)
+let sweep t =
+  let prev = ref Slab.nil and c = ref t.whead in
+  while !c >= 0 do
+    let next = Slab.next !c in
+    if fired !c then begin
+      if !prev < 0 then t.whead <- next else Slab.set_next !prev next;
+      Slab.free !c;
+      t.n <- t.n - 1
+    end
+    else prev := !c;
+    c := next
+  done;
+  t.wtail <- !prev;
+  t.sweep_at <- max min_sweep (2 * t.n)
+
 let park t w =
+  while t.whead >= 0 && fired t.whead do
+    let nd = t.whead in
+    t.whead <- Slab.next nd;
+    Slab.free nd;
+    t.n <- t.n - 1
+  done;
+  if t.whead < 0 then t.wtail <- Slab.nil;
+  if t.n >= t.sweep_at then sweep t;
   let nd = Slab.alloc (Obj.repr w) in
   if t.wtail < 0 then t.whead <- nd else Slab.set_next t.wtail nd;
   t.wtail <- nd;

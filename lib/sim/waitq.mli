@@ -21,3 +21,7 @@ val broadcast : t -> unit
 (** Wake all current waiters so they re-check their predicates. *)
 
 val waiters : t -> int
+(** Parked waiters, counting timed-out waiters not yet dropped: a waiter
+    whose {!await_timeout} expired is dropped by a later park or
+    broadcast, so a queue's count stays within twice its live waiters
+    plus a small constant. *)

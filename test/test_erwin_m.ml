@@ -276,6 +276,16 @@ let test_whole_system_determinism () =
   let b = snapshot () in
   checkb "identical logs across runs" true (a = b)
 
+(* With demand reads on, the idle orderer waits on [order_wake] with a
+   timeout every ordering interval. A timed-out wait must not stay queued
+   until a broadcast: an idle cluster used to gain one dead waiter per
+   interval (5 075 after 100 ms). *)
+let test_idle_order_wake_bounded () =
+  with_cluster ~cfg:{ Config.default with read_demand = true } (fun cluster ->
+      Engine.sleep (Engine.ms 100);
+      checkb "at most one waiter" true
+        (Waitq.waiters cluster.Erwin_common.order_wake <= 1))
+
 let () =
   Alcotest.run "erwin-m"
     [
@@ -294,6 +304,8 @@ let () =
           Alcotest.test_case "appendSync returns positions" `Quick
             test_append_sync_positions;
           Alcotest.test_case "trim" `Quick test_trim;
+          Alcotest.test_case "idle order_wake stays bounded" `Quick
+            test_idle_order_wake_bounded;
         ] );
       ( "concurrency",
         [

@@ -455,6 +455,193 @@ let test_bare_path () =
       checki "handler fiber ran" 1 !fibered;
       checkb "and blocked" true (Engine.now () - t0 >= Engine.ms 1))
 
+(* --- the receive path --- *)
+
+(* A request still on the server's CPU when the server crashes is
+   dropped when its service ends; the recovered server serves again. *)
+let test_service_spans_crash () =
+  Engine.run (fun () ->
+      let fab = Fabric.create () in
+      let sn, server, client = setup fab in
+      let served = ref 0 in
+      Rpc.set_service_time server (fun _ -> Engine.us 20);
+      Rpc.set_handler server (fun ~src:_ req ~reply ->
+          incr served;
+          match req with Echo n | Slow n -> reply n);
+      let iv = Rpc.call_async client ~dst:(Fabric.id sn) (Echo 1) in
+      Engine.sleep (Engine.us 10);
+      checki "request delivered" 1 (Fabric.node_messages_in sn);
+      checki "and taken into service" 0 (Fabric.inbox_length sn);
+      Fabric.crash fab sn;
+      Engine.sleep (Engine.us 50);
+      checki "dropped when its service ended" 0 !served;
+      checkb "never answered" false (Ivar.is_full iv);
+      Fabric.recover fab sn;
+      checkb "served again after recovery" true
+        (Rpc.call_timeout client ~dst:(Fabric.id sn) ~timeout:(Engine.ms 1)
+           (Echo 2)
+        = Some 2);
+      checki "one request served" 1 !served)
+
+(* A reply handed to the client's endpoint (its waker woken) before the
+   client crashes is still taken: the crash clears only messages still
+   queued in the inbox. *)
+let test_woken_message_survives_crash () =
+  Engine.run (fun () ->
+      let link = { Fabric.one_way = 1_000; per_byte_ns = 0.0; jitter = 0 } in
+      let fab = Fabric.create ~link () in
+      let sn, server, client = setup fab in
+      let cn = Rpc.node client in
+      Rpc.set_handler server (fun ~src:_ req ~reply ->
+          match req with
+          | Echo n | Slow n ->
+            reply n;
+            (* The reply arrives 500 + 1000 + 500 ns from now. This
+               crash, at that instant but scheduled after the delivery,
+               runs between the delivery waking the client's endpoint
+               and the endpoint taking the reply. *)
+            Engine.call_after 2_000 (fun () -> Fabric.crash fab cn));
+      checkb "reply taken despite the crash" true
+        (Rpc.call_timeout client ~dst:(Fabric.id sn) ~timeout:(Engine.ms 1)
+           (Echo 7)
+        = Some 7);
+      checkb "client is down" false (Fabric.is_alive cn))
+
+(* An ingress hook that declines a request leaves it to the default
+   service, service time included; one that takes it owns it. *)
+let test_ingress_decline_falls_through () =
+  Engine.run (fun () ->
+      let fab = Fabric.create () in
+      let sn, server, client = setup fab in
+      let offered = ref 0 and handled = ref 0 in
+      Rpc.set_service_time server (fun _ -> Engine.us 10);
+      Rpc.set_handler server (fun ~src:_ req ~reply ->
+          incr handled;
+          match req with Echo n | Slow n -> reply n);
+      Rpc.set_ingress server (fun ~src:_ req ~reply ->
+          incr offered;
+          match req with
+          | Echo _ -> false
+          | Slow n ->
+            reply (-n);
+            true);
+      let t0 = Engine.now () in
+      checki "declined: the handler answers" 3
+        (Rpc.call client ~dst:(Fabric.id sn) (Echo 3));
+      checkb "after the service time" true
+        (Engine.now () - t0 >= Engine.us 10);
+      let t1 = Engine.now () in
+      checki "taken: the hook answers" (-4)
+        (Rpc.call client ~dst:(Fabric.id sn) (Slow 4));
+      checkb "with no service time" true (Engine.now () - t1 < Engine.us 10);
+      checki "both offered" 2 !offered;
+      checki "one handled" 1 !handled)
+
+(* A failure while an endpoint handles a message, in an ingress hook or
+   a service-time function, names the endpoint. *)
+let test_receive_failure_names_endpoint () =
+  let fail_in install =
+    match
+      Engine.run (fun () ->
+          let fab = Fabric.create () in
+          let sn, server, client = setup fab in
+          Rpc.set_handler server (fun ~src:_ _ ~reply:_ -> ());
+          install server;
+          Rpc.send_oneway client ~dst:(Fabric.id sn) (Echo 1);
+          Engine.sleep (Engine.ms 1))
+    with
+    | () -> None
+    | exception Engine.Fiber_failure (name, Failure m) -> Some (name, m)
+  in
+  let named = Alcotest.(check (option (pair string string))) in
+  named "ingress hook" (Some ("server.demux", "hook"))
+    (fail_in (fun ep ->
+         Rpc.set_ingress ep (fun ~src:_ _ ~reply:_ -> failwith "hook")));
+  named "service time" (Some ("server.demux", "cost"))
+    (fail_in (fun ep -> Rpc.set_service_time ep (fun _ -> failwith "cost")))
+
+(* Two services ending in one instant, one run by an ingress scheduler's
+   fiber through [Rpc.serve] and one by the endpoint itself, both start
+   on the bare path, each with its own request. *)
+let test_same_instant_bare_starts () =
+  Engine.run (fun () ->
+      let link = { Fabric.one_way = 1_000; per_byte_ns = 0.0; jitter = 0 } in
+      let fab = Fabric.create ~link () in
+      let sn, server, client = setup fab in
+      let starts = ref [] in
+      Rpc.set_service_time server (fun _ -> Engine.us 5);
+      Rpc.set_handler server (fun ~src:_ _ ~reply:_ ->
+          Alcotest.fail "no request needs a fiber");
+      Rpc.set_bare_handler server (fun ~src:_ req ~reply ->
+          let n = match req with Echo n | Slow n -> n in
+          starts := (n, Engine.now ()) :: !starts;
+          reply n;
+          true);
+      (* [Slow] goes to a scheduler fiber that waits 1 ns before serving
+         it: exactly the gap between the two requests' arrivals. *)
+      Rpc.set_ingress server (fun ~src req ~reply ->
+          match req with
+          | Echo _ -> false
+          | Slow _ ->
+            Engine.spawn (fun () ->
+                Engine.sleep 1;
+                Rpc.serve server ~src req ~reply);
+            true);
+      let a = Rpc.call_async client ~dst:(Fabric.id sn) (Slow 1) in
+      let b = Rpc.call_async client ~dst:(Fabric.id sn) (Echo 2) in
+      checki "scheduled request answered" 1 (Ivar.read a);
+      checki "default request answered" 2 (Ivar.read b);
+      match List.rev !starts with
+      | [ (1, t1); (2, t2) ] -> checki "in one instant" t1 t2
+      | _ -> Alcotest.fail "each request starts once, in service order")
+
+(* A server shaped like a sequencing replica (a service time, a bare
+   path that answers most requests, a fiber fallback that blocks) under
+   two clients whose calls and replies interleave. The reply order and
+   the event count are pinned to what the receive path scheduled when a
+   parked fiber did the receiving: an event-driven receive path must
+   schedule exactly the same events. *)
+let test_receive_schedule_pinned () =
+  let order = ref [] in
+  Engine.run ~seed:5 (fun () ->
+      let fab = Fabric.create ~seed:3 () in
+      let sn = Fabric.add_node fab ~name:"server" () in
+      let server = Rpc.endpoint fab sn in
+      let c1 = Rpc.endpoint fab (Fabric.add_node fab ~name:"c1" ()) in
+      let c2 = Rpc.endpoint fab (Fabric.add_node fab ~name:"c2" ()) in
+      Rpc.set_service_time server (function
+        | Echo _ -> Engine.us 2
+        | Slow _ -> 0);
+      Rpc.set_handler server (fun ~src:_ req ~reply ->
+          match req with
+          | Slow n ->
+            Engine.sleep (Engine.us 3);
+            reply n
+          | Echo n -> reply n);
+      Rpc.set_bare_handler server (fun ~src:_ req ~reply ->
+          match req with
+          | Echo n when n mod 3 <> 0 ->
+            reply n;
+            true
+          | _ -> false);
+      let go c base =
+        for i = 0 to 5 do
+          let n = base + i in
+          let req = if i mod 4 = 1 then Slow n else Echo n in
+          Engine.spawn (fun () ->
+              let r = Rpc.call c ~dst:(Fabric.id sn) req in
+              order := r :: !order);
+          if i mod 2 = 0 then Engine.sleep (Engine.ns 700)
+        done
+      in
+      Engine.spawn (fun () -> go c1 0);
+      go c2 100);
+  Alcotest.(check (list int))
+    "reply order"
+    [ 100; 0; 2; 1; 102; 101; 3; 4; 103; 104; 5; 105 ]
+    (List.rev !order);
+  checki "events executed" 96 (Engine.events_executed ())
+
 let test_rpc_retry_backoff_schedule () =
   (* Exponential backoff with seeded jitter: attempt n sleeps
      base/2 + jitter with base = backoff * 2^min(n, 6) and
@@ -661,6 +848,18 @@ let () =
             test_pending_table_churn;
           Alcotest.test_case "bare path, fiber fallback" `Quick
             test_bare_path;
+          Alcotest.test_case "service spanning a crash is dropped" `Quick
+            test_service_spans_crash;
+          Alcotest.test_case "woken message survives a crash" `Quick
+            test_woken_message_survives_crash;
+          Alcotest.test_case "declining ingress falls through" `Quick
+            test_ingress_decline_falls_through;
+          Alcotest.test_case "receive failure names the endpoint" `Quick
+            test_receive_failure_names_endpoint;
+          Alcotest.test_case "same-instant bare starts" `Quick
+            test_same_instant_bare_starts;
+          Alcotest.test_case "receive schedule pinned" `Quick
+            test_receive_schedule_pinned;
         ] );
       ( "group",
         [

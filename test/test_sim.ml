@@ -281,6 +281,56 @@ let test_waitq_timeout () =
       let ok = Waitq.await_timeout wq ~timeout:(Engine.us 5) (fun () -> false) in
       checkb "predicate false on timeout" false ok)
 
+(* A timed-out waiter is dropped when the queue is next parked on, not
+   left until a broadcast that may never come: a waiter that times out
+   over and over on an idle queue keeps it at one waiter. Behind a waiter
+   that stays parked, timed-out ones are swept in bulk. *)
+let test_waitq_timeouts_do_not_accumulate () =
+  Engine.run (fun () ->
+      let wq = Waitq.create () in
+      for _ = 1 to 1000 do
+        ignore
+          (Waitq.await_timeout wq ~timeout:(Engine.us 5) (fun () -> false))
+      done;
+      check "one timed-out waiter left" 1 (Waitq.waiters wq);
+      let released = ref false in
+      Engine.spawn (fun () -> Waitq.await wq (fun () -> !released));
+      Engine.yield ();
+      for _ = 1 to 1000 do
+        ignore
+          (Waitq.await_timeout wq ~timeout:(Engine.us 5) (fun () -> false))
+      done;
+      checkb "bounded behind a parked waiter" true (Waitq.waiters wq <= 10);
+      released := true;
+      Waitq.broadcast wq;
+      Engine.yield ();
+      check "nothing left after the broadcast" 0 (Waitq.waiters wq))
+
+(* A callback waker runs its function on a fresh event with the wake
+   value, is re-armed before it runs, and can be woken again. *)
+let test_callback_waker () =
+  Engine.run (fun () ->
+      let got = ref [] in
+      let rec w =
+        lazy
+          (Engine.callback_waker (fun v ->
+               let fired = Engine.is_woken (Lazy.force w) in
+               got := (v, Engine.now (), fired) :: !got))
+      in
+      let w = Lazy.force w in
+      checkb "first wake" true (Engine.wake w 1);
+      checkb "second wake before it runs" false (Engine.wake w 2);
+      checkb "fired" true (Engine.is_woken w);
+      check "not run inline" 0 (List.length !got);
+      Engine.sleep 10;
+      checkb "re-armed" false (Engine.is_woken w);
+      checkb "wake again" true (Engine.wake w 3);
+      Engine.yield ();
+      Alcotest.(check (list (triple int int bool)))
+        "runs once per wake, re-armed"
+        [ (1, 0, false); (3, 10, false) ]
+        (List.rev !got))
+
 (* --- Rng --- *)
 
 let test_exponential_mean () =
@@ -512,6 +562,8 @@ let () =
             test_sleep_until_past_is_yield;
           Alcotest.test_case "stale cancel token loses to a reused cell"
             `Quick test_stale_token;
+          Alcotest.test_case "callback waker is reusable" `Quick
+            test_callback_waker;
         ] );
       ( "ivar",
         [
@@ -531,6 +583,8 @@ let () =
         [
           Alcotest.test_case "await/broadcast" `Quick test_waitq;
           Alcotest.test_case "await timeout" `Quick test_waitq_timeout;
+          Alcotest.test_case "timed-out waiters do not accumulate" `Quick
+            test_waitq_timeouts_do_not_accumulate;
         ] );
       ( "rng",
         [
