@@ -341,12 +341,5 @@ let subscribe_stream (cluster : t) ep ~manager ~name ~from ~window =
   go ()
 
 let trim_all (cluster : t) ep ~upto =
-  let acks =
-    List.map
-      (fun shard ->
-        Rpc.call_async ep ~dst:(Shard.primary_id shard)
-          (Proto.Sh_trim { upto }))
-      cluster.shards
-  in
-  ignore (Ivar.join_all acks : Proto.resp list);
-  true
+  let dsts = List.map Shard.primary_id cluster.shards in
+  Rpc.group_join (Rpc.fan_out ep dsts (Proto.Sh_trim { upto }))

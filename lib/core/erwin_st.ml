@@ -18,7 +18,7 @@ let poisoned g n =
   let rec go m =
     m < n
     && ((match Rpc.group_reply g m with
-        | Proto.R_append { ok = false; view = 0 } -> true
+        | Some (Proto.R_append { ok = false; view = 0 }) -> true
         | _ -> false)
        || go (m + 1))
   in

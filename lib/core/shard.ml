@@ -198,6 +198,15 @@ let demand_bind t ~upto =
             : Proto.resp option))
   | _ -> ()
 
+(* Send [req] to every backup as one group, retried on loss, and wait
+   until each has answered or run out of tries. *)
+let replicate t req =
+  let dsts = List.map (fun b -> Fabric.id b.node) t.backups in
+  let size = Proto.req_size req in
+  let g = Rpc.fan_out t.primary.ep dsts ~round:(Engine.ms 10) ~tries:50 ~size req in
+  ignore (Rpc.group_join g : bool);
+  g
+
 let handle_primary t ~src:_ (req : Proto.req) ~reply =
   let r = t.primary in
   match req with
@@ -207,21 +216,7 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
     store_slots r slots;
     probe_stored t slots;
     (* Retried on loss; replication by explicit position is idempotent. *)
-    let repl_req = Proto.Msh_replicate { truncate; slots } in
-    let acks =
-      List.map
-        (fun b ->
-          let iv = Ivar.create () in
-          Engine.spawn (fun () ->
-              ignore
-                (Rpc.call_retry r.ep ~dst:(Fabric.id b.node)
-                   ~size:(Proto.req_size repl_req)
-                   ~timeout:(Engine.ms 10) ~max_tries:50 repl_req);
-              Ivar.fill iv ());
-          iv)
-        t.backups
-    in
-    ignore (Ivar.join_all acks);
+    ignore (replicate t (Proto.Msh_replicate { truncate; slots }) : _ Rpc.group);
     reply Proto.R_ok
   | Ssh_data_write { record } ->
     if Hashtbl.mem r.nooped record.Types.rid then
@@ -273,27 +268,12 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
           noops;
           map_chunk }
     in
-    let acks =
-      List.map
-        (fun b ->
-          let iv = Ivar.create () in
-          Engine.spawn (fun () ->
-              match
-                Rpc.call_retry r.ep ~dst:(Fabric.id b.node)
-                  ~size:(Proto.req_size repl_req) ~timeout:(Engine.ms 10)
-                  ~max_tries:50 repl_req
-              with
-              | Some resp -> Ivar.fill iv resp
-              | None -> Ivar.fill iv Proto.R_ok);
-          iv)
-        t.backups
-    in
-    let resps = Ivar.join_all acks in
+    let g = replicate t repl_req in
     (* Backfill records a backup could not find in its own staging. *)
-    List.iter2
-      (fun b resp ->
-        match resp with
-        | Proto.R_missing { rids } when rids <> [] ->
+    List.iteri
+      (fun m b ->
+        match Rpc.group_reply g m with
+        | Some (Proto.R_missing { rids }) when rids <> [] ->
           let slots =
             List.filter_map
               (fun (gp, rid, rec_) ->
@@ -305,7 +285,7 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
           ignore
             (Rpc.call r.ep ~dst:(Fabric.id b.node) ~size:(Proto.req_size bf) bf)
         | _ -> ())
-      t.backups resps;
+      t.backups;
     reply Proto.R_ok
   | Sh_read { positions; stable_hint } ->
     (* The hint repairs a stable mirror that missed a (lossy, one-way)

@@ -105,14 +105,9 @@ let install_partition p =
         store_batch p.leader.store ~base batch;
         (* acks=all: synchronous replication to every follower. *)
         let r = Replicate { base; batch } in
-        let acks =
-          List.map
-            (fun f ->
-              Rpc.call_async p.leader.ep ~dst:(Fabric.id f.node)
-                ~size:(req_size r) r)
-            p.followers
-        in
-        ignore (Ivar.join_all acks : resp list);
+        let dsts = List.map (fun f -> Fabric.id f.node) p.followers in
+        ignore (Rpc.group_join (Rpc.fan_out p.leader.ep dsts ~size:(req_size r) r)
+          : bool);
         Waitq.broadcast p.written;
         reply (R_base base)
       | Fetch { offset; max } ->

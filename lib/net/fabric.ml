@@ -193,8 +193,6 @@ let send t ~src ~dst ~size msg =
 
 let recv n = Mailbox.recv n.inbox
 
-let recv_timeout n ~timeout = Mailbox.recv_timeout n.inbox ~timeout
-
 let take_or_park n w f = Mailbox.take_or_park n.inbox w f
 
 let inbox_length n = Mailbox.length n.inbox

@@ -58,8 +58,6 @@ val send : 'm t -> src:'m node -> dst:node_id -> size:int -> 'm -> unit
 val recv : 'm node -> node_id * 'm
 (** Blocks until a message arrives at this node; returns the sender. *)
 
-val recv_timeout : 'm node -> timeout:Engine.time -> (node_id * 'm) option
-
 val take_or_park :
   'm node -> (node_id * 'm) Engine.waker -> (node_id * 'm -> unit) -> unit
 (** [take_or_park n w f] passes the next queued message to [f], or, with

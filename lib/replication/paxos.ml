@@ -29,23 +29,13 @@ type 'cmd t = {
 
 let majority t = (Array.length t.acceptors / 2) + 1
 
-(* Issue a request to every acceptor and wait for [need] replies.
-   Crashed acceptors simply never answer. *)
-let quorum_call t req ~need =
-  let got = ref [] in
-  let count = ref 0 in
-  let enough = Ivar.create () in
-  Array.iter
-    (fun a ->
-      let iv = Rpc.call_async t.ep ~dst:(Fabric.id a.node) req in
-      Engine.spawn ~name:"paxos.collect" (fun () ->
-          let r = Ivar.read iv in
-          got := r :: !got;
-          incr count;
-          if !count >= need then ignore (Ivar.try_fill enough ())))
-    t.acceptors;
-  Ivar.read enough;
-  !got
+(* Issue a request to every acceptor and wait for a majority of
+   replies. Crashed acceptors simply never answer. *)
+let quorum_call t req =
+  let dsts = Array.to_list (Array.map (fun a -> Fabric.id a.node) t.acceptors) in
+  let g = Rpc.fan_out t.ep ~need:(majority t) dsts req in
+  ignore (Rpc.group_join g : bool);
+  g
 
 let handle_acceptor a ~src:_ req ~reply =
   match req with
@@ -85,11 +75,9 @@ let commit t slot cmd =
   end
 
 let rec accept_slot t slot cmd =
-  let resps = quorum_call t (Accept { ballot = t.ballot; slot; cmd }) ~need:(majority t) in
-  let ok =
-    List.for_all (function Accepted { ok } -> ok | Promise _ -> false) resps
-  in
-  if ok then commit t slot cmd
+  let g = quorum_call t (Accept { ballot = t.ballot; slot; cmd }) in
+  if Rpc.group_for_all g (function Accepted { ok } -> ok | Promise _ -> false)
+  then commit t slot cmd
   else begin
     (* Preempted by a higher ballot: reclaim leadership and retry. *)
     t.leading <- false;
@@ -100,11 +88,12 @@ let rec accept_slot t slot cmd =
 and become_leader t =
   if not t.leading then begin
     t.ballot <- t.ballot + 1 + Array.length t.acceptors;
-    let resps = quorum_call t (Prepare { ballot = t.ballot }) ~need:(majority t) in
+    let g = quorum_call t (Prepare { ballot = t.ballot }) in
     let promises =
       List.filter_map
-        (function Promise { ok = true; accepted } -> Some accepted | _ -> None)
-        resps
+        (function
+          | Some (Promise { ok = true; accepted }) -> Some accepted | _ -> None)
+        (List.init (Array.length t.acceptors) (Rpc.group_reply g))
     in
     if List.length promises >= majority t then begin
       t.leading <- true;

@@ -325,31 +325,31 @@ let client t : Lazylog.Log_api.t =
         let l = try Hashtbl.find by_shard sid with Not_found -> [] in
         Hashtbl.replace by_shard sid ((gp, lsn) :: l))
       triples;
+    let g = Rpc.group ep (Hashtbl.length by_shard) in
     let calls =
       Hashtbl.fold
         (fun sid pairs acc ->
           let lsns = List.map snd pairs in
-          let iv =
-            Rpc.call_async ep
-              ~dst:(Fabric.id t.shards.(sid).primary)
-              ~size:(req_size (ShardRead { lsns }))
-              (ShardRead { lsns })
-          in
-          (pairs, iv) :: acc)
+          Rpc.group_call g
+            ~dst:(Fabric.id t.shards.(sid).primary)
+            ~size:(req_size (ShardRead { lsns }))
+            (ShardRead { lsns });
+          pairs :: acc)
         by_shard []
     in
-    List.concat_map
-      (fun (pairs, iv) ->
-        match Ivar.read iv with
-        | R_records records ->
-          List.filter_map
-            (fun (gp, lsn) ->
-              match List.assoc_opt lsn records with
-              | Some r -> Some (gp, r)
-              | None -> None)
-            pairs
-        | _ -> failwith "scalog: bad read response")
-      calls
+    ignore (Rpc.group_join g : bool);
+    List.rev calls
+    |> List.mapi (fun m pairs ->
+           match Rpc.group_reply g m with
+           | Some (R_records records) ->
+             List.filter_map
+               (fun (gp, lsn) ->
+                 match List.assoc_opt lsn records with
+                 | Some r -> Some (gp, r)
+                 | None -> None)
+               pairs
+           | _ -> failwith "scalog: bad read response")
+    |> List.concat
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
     |> List.map snd
   in

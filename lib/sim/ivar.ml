@@ -73,23 +73,3 @@ let read_timeout t ~timeout =
     if r == timed_out then None else Some (Obj.obj r : 'a)
 
 let join_all ts = List.map read ts
-
-let join_all_timeout ts ~timeout =
-  let deadline = Engine.now () + timeout in
-  let rec loop acc = function
-    | [] -> Some (List.rev acc)
-    | t :: rest -> (
-      let remaining = deadline - Engine.now () in
-      if remaining <= 0 then
-        (* Budget exhausted: already-full ivars still resolve (matching
-           [read_timeout]'s no-suspend fast path), but an empty one fails
-           immediately — arming a zero-length timeout would park a wheel
-           cell just to fire in the same instant (cf.
-           [Waitq.await_timeout]'s [remaining <= 0] early return). *)
-        if t.full then loop (Obj.obj t.value :: acc) rest else None
-      else
-        match read_timeout t ~timeout:remaining with
-        | Some v -> loop (v :: acc) rest
-        | None -> None)
-  in
-  loop [] ts

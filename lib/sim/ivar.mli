@@ -26,8 +26,6 @@ val read_timeout : 'a t -> timeout:Engine.time -> 'a option
     simulated nanoseconds (including already-filled), else [None]. *)
 
 val join_all : 'a t list -> 'a list
-(** [join_all ts] waits for every ivar and returns their values in order. *)
-
-val join_all_timeout : 'a t list -> timeout:Engine.time -> 'a list option
-(** Waits for every ivar, but gives up [timeout] ns after the call; [None]
-    if any ivar was still empty at the deadline. *)
+(** [join_all ts] waits for every ivar and returns their values in order:
+    the join for fan-outs whose members each run a multi-step protocol.
+    A fan-out of single RPC requests is an [Rpc.group] instead. *)

@@ -15,6 +15,9 @@ val recv : 'a t -> 'a
 (** Blocks the calling fiber until a message is available. *)
 
 val recv_timeout : 'a t -> timeout:Engine.time -> 'a option
+(** [None] if no message came within [timeout] ns. A receiver that timed
+    out is dropped at the next park, so a mailbox's parked receivers
+    stay within twice its live ones plus a small constant. *)
 
 val try_recv : 'a t -> 'a option
 

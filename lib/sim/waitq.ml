@@ -56,7 +56,7 @@ let sweep t =
   t.wtail <- !prev;
   t.sweep_at <- max min_sweep (2 * t.n)
 
-let park t w =
+let park t (w : _ Engine.waker) =
   while t.whead >= 0 && fired t.whead do
     let nd = t.whead in
     t.whead <- Slab.next nd;
@@ -69,6 +69,19 @@ let park t w =
   if t.wtail < 0 then t.whead <- nd else Slab.set_next t.wtail nd;
   t.wtail <- nd;
   t.n <- t.n + 1
+
+(* Pop waiters until one takes [v]: a fired one (a timed-out receiver)
+   is dropped without scheduling anything. *)
+let rec wake_one t v =
+  t.whead >= 0
+  &&
+  let nd = t.whead in
+  let w : Obj.t Engine.waker = Obj.obj (Slab.get nd) in
+  t.whead <- Slab.next nd;
+  if t.whead < 0 then t.wtail <- Slab.nil;
+  Slab.free nd;
+  t.n <- t.n - 1;
+  Engine.wake w (Obj.repr v) || wake_one t v
 
 let await t pred =
   while not (pred ()) do

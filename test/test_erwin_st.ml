@@ -112,12 +112,11 @@ let test_client_failure_noop () =
       let rid = { Types.Rid.client = 999; seq = 1 } in
       let meta = Types.Meta { rid; shard = 0; size = 100; log = 0 } in
       let req = Proto.append_one ~view:cluster.view ~track:false meta in
-      let ivs =
-        List.map
-          (fun r -> Rpc.call_async ep ~dst:(Seq_replica.node_id r) req)
-          cluster.replicas
-      in
-      ignore (Ivar.join_all ivs);
+      let g = Rpc.group ep (List.length cluster.replicas) in
+      List.iter
+        (fun r -> Rpc.group_call g ~dst:(Seq_replica.node_id r) req)
+        cluster.replicas;
+      checkb "every replica answered" true (Rpc.group_join g);
       (* A normal append after it. *)
       let log = Erwin_st.client cluster in
       ignore (log.append ~size:100 ~data:"real");

@@ -1,7 +1,6 @@
 (* Multi-log fabric: per-tenant sequencing (packed positions, per-log
    stable cursors), weighted-fair ingress (DRR + admission control), and
-   isolation across view changes. Also the Ivar zero-budget regression
-   (join_all_timeout with already-full ivars and no time left). *)
+   isolation across view changes. *)
 
 open Ll_sim
 open Lazylog
@@ -112,27 +111,6 @@ let test_log_table_bounds () =
   base := 9;
   Log_table.reset t;
   checki "log 0 reseeded on reset" 9 (Log_table.get t 0)
-
-(* ---------- Ivar zero-budget regression ---------- *)
-
-let test_join_all_timeout_zero_budget () =
-  Engine.run (fun () ->
-      (* All ivars already full: a zero (or fully spent) budget must still
-         return the values instead of reporting a timeout. *)
-      let ivs =
-        List.init 4 (fun i ->
-            let iv = Ivar.create () in
-            Ivar.fill iv i;
-            iv)
-      in
-      (match Ivar.join_all_timeout ivs ~timeout:0 with
-      | Some vs -> Alcotest.(check (list int)) "values" [ 0; 1; 2; 3 ] vs
-      | None -> Alcotest.fail "zero budget lost already-full ivars");
-      (* An empty ivar under zero budget is still a timeout. *)
-      (match Ivar.join_all_timeout [ Ivar.create () ] ~timeout:0 with
-      | Some _ -> Alcotest.fail "empty ivar resolved under zero budget"
-      | None -> ());
-      Engine.stop ())
 
 (* ---------- per-tenant append/read isolation ---------- *)
 
@@ -477,11 +455,6 @@ let () =
         [ Alcotest.test_case "bounds and reset" `Quick test_log_table_bounds ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_log_table_matches_model ]
       );
-      ( "engine",
-        [
-          Alcotest.test_case "join_all_timeout zero budget" `Quick
-            test_join_all_timeout_zero_budget;
-        ] );
       ( "tenants",
         [
           Alcotest.test_case "erwin-m per-tenant roundtrip" `Quick

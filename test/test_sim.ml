@@ -206,16 +206,6 @@ let test_ivar_timeout () =
       checkb "filled now" true
         (Ivar.read_timeout iv ~timeout:(Engine.us 1) = Some 7))
 
-let test_join_all_timeout () =
-  Engine.run (fun () ->
-      let a = Ivar.create () and b = Ivar.create () in
-      Engine.after 5 (fun () -> Ivar.fill a 1);
-      checkb "partial fill times out" true
-        (Ivar.join_all_timeout [ a; b ] ~timeout:(Engine.us 1) = None);
-      Ivar.fill b 2;
-      checkb "both" true
-        (Ivar.join_all_timeout [ a; b ] ~timeout:(Engine.us 1) = Some [ 1; 2 ]))
-
 (* --- Mailbox --- *)
 
 let test_mailbox_fifo () =
@@ -253,6 +243,29 @@ let test_mailbox_timeout_then_send () =
       Alcotest.(check bool) "timed out" true (r1 = None);
       Mailbox.send mb 9;
       check "message preserved" 9 (Mailbox.recv mb))
+
+(* Timed receives on an idle mailbox: each expired receiver is dropped
+   at a later park, so the slab's live nodes stay bounded, behind a
+   receiver that never times out as well as on their own. *)
+let test_mailbox_timed_receivers_bounded () =
+  Engine.run (fun () ->
+      let mb = Mailbox.create () in
+      let spin () =
+        let live0 = Slab.in_use () in
+        for _ = 1 to 1000 do
+          ignore (Mailbox.recv_timeout mb ~timeout:(Engine.us 1) : int option)
+        done;
+        Slab.in_use () - live0
+      in
+      Alcotest.(check bool) "alone: bounded" true (spin () <= 1);
+      let got = ref 0 in
+      Engine.spawn (fun () -> got := Mailbox.recv mb);
+      Engine.yield ();
+      Alcotest.(check bool) "behind a live receiver: bounded" true
+        (spin () <= 16);
+      Mailbox.send mb 4;
+      Engine.yield ();
+      check "the live receiver still gets the message" 4 !got)
 
 (* --- Waitq --- *)
 
@@ -569,7 +582,6 @@ let () =
         [
           Alcotest.test_case "fill wakes all" `Quick test_ivar_basic;
           Alcotest.test_case "timeout" `Quick test_ivar_timeout;
-          Alcotest.test_case "join_all_timeout" `Quick test_join_all_timeout;
         ] );
       ( "mailbox",
         [
@@ -578,6 +590,8 @@ let () =
             test_mailbox_blocking_receivers;
           Alcotest.test_case "timeout does not lose messages" `Quick
             test_mailbox_timeout_then_send;
+          Alcotest.test_case "timed-out receivers do not accumulate" `Quick
+            test_mailbox_timed_receivers_bounded;
         ] );
       ( "waitq",
         [
