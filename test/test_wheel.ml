@@ -377,7 +377,7 @@ let test_equivalence ~perturb () =
    such as wakes that merely re-suspended, moves [events executed]
    alone: re-record it in its own commit and leave the other five. *)
 let heap_reference =
-  (567, 0x1.a7ebf9a0e1bc3p+2, 0x1.dc86594af4f0dp+2, 7382, 612, 36591)
+  (567, 0x1.a7ebf9a0e1bc3p+2, 0x1.dc86594af4f0dp+2, 7382, 612, 35269)
 
 let test_cluster_equivalence () =
   let count, mean, p99, msgs, gp =
