@@ -420,6 +420,39 @@ let test_fanout_timeout_leaves_no_pending () =
         (List.fold_left (fun acc ep -> acc + Ll_net.Rpc.pending_calls ep) 0 eps);
       Engine.stop ())
 
+(* A survivor whose seal is lost and that then crashes does not stall
+   the view change: the next seal round skips it, and the new view
+   leaves it out, instead of resending to it for 50 rounds. *)
+let test_survivor_crash_during_seal () =
+  Engine.run (fun () ->
+      let cluster = Erwin_m.create () in
+      let log = Erwin_m.client cluster in
+      ignore (log.append ~size:256 ~data:"warm");
+      let r0 = List.nth cluster.replicas 0
+      and r1 = List.nth cluster.replicas 1
+      and r2 = List.nth cluster.replicas 2 in
+      (* Every first-round seal is lost. *)
+      Ll_net.Fabric.set_drop_probability cluster.fabric 1.0;
+      Engine.spawn (fun () -> Reconfig.remove_replica cluster r2);
+      Engine.sleep (Engine.us 1);
+      Ll_net.Fabric.set_drop_probability cluster.fabric 0.0;
+      Engine.sleep (Engine.ms 5);
+      Erwin_common.crash_replica cluster r1;
+      let t0 = Engine.now () in
+      while
+        (cluster.view = 0 || cluster.reconfiguring)
+        && Engine.now () - t0 < Engine.ms 100
+      do
+        Engine.sleep (Engine.us 100)
+      done;
+      checkb "view change done by the second seal round" true
+        (Engine.now () - t0 < Engine.ms 10);
+      checkb "only the live survivor is in the view" true
+        (List.map Seq_replica.name cluster.replicas = [ Seq_replica.name r0 ]);
+      checkb "appends go through again" true
+        (log.append ~size:256 ~data:"after");
+      Engine.stop ())
+
 let () =
   Alcotest.run "reconfig"
     [
@@ -461,6 +494,8 @@ let () =
             test_partition_stalls_then_heals;
           Alcotest.test_case "two sequential failures" `Quick
             test_two_sequential_failures;
+          Alcotest.test_case "survivor crash during seal" `Quick
+            test_survivor_crash_during_seal;
           Alcotest.test_case "chaos: loss + straggler + crash" `Quick
             test_chaos;
         ] );
