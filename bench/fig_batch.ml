@@ -20,11 +20,7 @@ let cfg_of ~batching ~linger_us =
       { Lazylog.Config.default with nshards = 5; shard_backup_count = 1 }
   in
   if batching then
-    {
-      base with
-      Lazylog.Config.append_batching = true;
-      linger = Engine.us linger_us;
-    }
+    { base with Lazylog.Config.linger = Some (Engine.us linger_us) }
   else base
 
 let run_mode mode mode_name json =

@@ -34,8 +34,7 @@ let read_latency ~hedged ~victim_delay ~duration =
         {
           Config.default with
           replica_reads = true;
-          hedged_reads = hedged;
-          hedge_floor = Engine.us 20;
+          hedge_floor = (if hedged then Some (Engine.us 20) else None);
         }
       in
       let cluster = Erwin_m.create ~cfg () in

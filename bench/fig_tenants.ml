@@ -29,7 +29,10 @@ open Harness
 let ladder_point ~ntenants ~rate ~size ~duration =
   Runner.in_sim (fun () ->
       let cfg =
-        { Config.default with Config.fair_ingress = true }
+        {
+          Config.default with
+          Config.fair_ingress = Some Config.default_ingress;
+        }
       in
       let cluster = Erwin_m.create ~cfg () in
       let clients =
@@ -60,11 +63,12 @@ let victim_latency ~aggressor ~fair ~duration =
       let cfg =
         {
           Config.default with
-          Config.fair_ingress = fair;
-          (* One aggressor record per DRR round: the victim's worst-case
-             wait under fairness is a single large service, not a whole
-             multi-record quantum. *)
-          drr_quantum = 2048;
+          Config.fair_ingress =
+            (* One aggressor record per DRR round: the victim's worst-case
+               wait under fairness is a single large service, not a whole
+               multi-record quantum. *)
+            (if fair then Some { Config.default_ingress with quantum = 2048 }
+             else None);
         }
       in
       let cluster = Erwin_m.create ~cfg () in

@@ -136,7 +136,11 @@ let run_saturation () =
   let duration = Harness.dur 40 200 in
   let depth1_cfg =
     saturation_cfg
-      { Lazylog.Config.default with pipeline_depth = 1; adaptive_batch = false }
+      {
+        Lazylog.Config.default with
+        pipeline_depth = 1;
+        min_batch = Lazylog.Config.default.max_batch;
+      }
   in
   let piped_cfg = saturation_cfg Lazylog.Config.default in
   let thr_s, mean_s, p99_s, avg_s, max_s =

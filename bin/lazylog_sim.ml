@@ -39,12 +39,7 @@ let system_conv =
 let build_factory system ~shards ~nvme ~batching ~linger_us =
   let disk = if nvme then Config.Nvme else Config.Sata in
   let erwin_cfg cfg =
-    if batching then
-      {
-        cfg with
-        Config.append_batching = true;
-        linger = Engine.us linger_us;
-      }
+    if batching then { cfg with Config.linger = Some (Engine.us linger_us) }
     else cfg
   in
   match system with

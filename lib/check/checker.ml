@@ -13,7 +13,8 @@ let config_of (sc : Artifact.scenario) =
   (* Default linger (20 us) sits well under the checker's 2 ms append
      timeout, so batched appends still retry within the horizon. *)
   let cfg =
-    if sc.batching then { cfg with Config.append_batching = true } else cfg
+    if sc.batching then { cfg with Config.linger = Some Config.default_linger }
+    else cfg
   in
   let cfg =
     if sc.replica_reads then
@@ -32,9 +33,13 @@ let config_of (sc : Artifact.scenario) =
          horizon when the aggressor bursts. *)
       {
         cfg with
-        Config.fair_ingress = true;
-        tenant_weights = [ (1, 2) ];
-        ingress_queue = 8;
+        Config.fair_ingress =
+          Some
+            {
+              Config.default_ingress with
+              weights = [ (1, 2) ];
+              queue_bound = 8;
+            };
       }
     else cfg
   in
@@ -47,7 +52,7 @@ let config_of (sc : Artifact.scenario) =
          exercise the flusher). *)
       {
         cfg with
-        Config.hedged_reads = true;
+        Config.hedge_floor = Some Config.default_hedge_floor;
         retry_budget = true;
         outlier_detection = true;
         dirty_limit_bytes = 32 * 1024;

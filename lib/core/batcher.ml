@@ -26,6 +26,7 @@ let max_batch_bytes = 64 * 1024
 
 type t = {
   cluster : Erwin_common.t;
+  linger : Engine.time;
   ep : (Proto.req, Proto.resp) Ll_net.Rpc.endpoint;
   (* The open batch, each list newest first. *)
   mutable entries : Types.entry list;
@@ -78,15 +79,16 @@ let submit t ~track entry =
        still coalesces: the timer fires after every currently-runnable
        fiber has had the chance to enqueue its append. *)
     let gen = t.gen in
-    Engine.after cfg.Config.linger (fun () -> if t.gen = gen then flush t)
+    Engine.after t.linger (fun () -> if t.gen = gen then flush t)
   end;
   Ivar.read done_
 
-let make cluster =
+let make cluster ~linger =
   let ep = Erwin_common.new_endpoint cluster ~name:"append.batcher" in
   let t =
     {
       cluster;
+      linger;
       ep;
       entries = [];
       tracked = [];
@@ -103,10 +105,10 @@ let make cluster =
     batch_stats = (fun () -> (t.flushes, t.flushed_records));
   }
 
-let get (cluster : Erwin_common.t) =
+let get (cluster : Erwin_common.t) ~linger =
   match cluster.append_batcher with
   | Some b -> b
   | None ->
-    let b = make cluster in
+    let b = make cluster ~linger in
     cluster.append_batcher <- Some b;
     b

@@ -31,9 +31,9 @@ let append_entry (cluster : t) ep ~track entry =
        for its batch's fan-out ack. Retries re-coalesce into new batches;
        replicas that already hold the rid filter it as a duplicate. *)
     let res =
-      if cluster.cfg.Config.append_batching then
-        (Batcher.get cluster).submit_entry ~track entry
-      else try_append_seq cluster ep ~view:cluster.view ~track entry
+      match cluster.cfg.Config.linger with
+      | Some linger -> (Batcher.get cluster ~linger).submit_entry ~track entry
+      | None -> try_append_seq cluster ep ~view:cluster.view ~track entry
     in
     match res with
     | `Ok ->
@@ -163,7 +163,8 @@ let read_grouped ?rr (cluster : t) ep ~shard_of positions =
         let shard = shard_by_id cluster sid in
         let plan = read_plan cluster ?rr shard in
         let plan =
-          if cluster.cfg.Config.hedged_reads then demote_slow_replicas ep plan
+          if Option.is_some cluster.cfg.Config.hedge_floor then
+            demote_slow_replicas ep plan
           else plan
         in
         let req =
@@ -197,28 +198,26 @@ let read_grouped ?rr (cluster : t) ep ~shard_of positions =
             (* Hedged first attempt: send to the plan's first replica and,
                if no response lands within the adaptive deadline (lower
                median of the plan's observed latency scores, floored at
-               [hedge_floor]), race a second copy to the next replica —
-               first R_records wins. A fail-slow replica then costs about
-               one deadline, not a 50 ms timeout. Any hedged failure
-               (both lost, or a non-record response) falls back to the
-               sequential plan walk, which retries from scratch. *)
+               the configured [hedge_floor]), race a second copy to the
+               next replica — first R_records wins. A fail-slow replica
+               then costs about one deadline, not a 50 ms timeout. Any
+               hedged failure (both lost, or a non-record response) falls
+               back to the sequential plan walk, which starts over at the
+               plan's first replica. *)
             let hedged =
-              if not cluster.cfg.Config.hedged_reads then None
-              else
-                match plan with
-                | (d1, _) :: (d2, _) :: _ -> (
-                  let hedge_after =
-                    Rpc.hedge_deadline ep ~dsts:(List.map fst plan)
-                      ~floor:cluster.cfg.Config.hedge_floor
-                  in
-                  match
-                    Rpc.call_hedged ep ~dsts:[ d1; d2 ]
-                      ~size:(Proto.req_size req) ~timeout:(Engine.ms 50)
-                      ~hedge_after req
-                  with
-                  | Some ((Proto.R_records _ as resp), _winner) -> Some resp
-                  | Some _ | None -> None)
-                | _ -> None
+              match (cluster.cfg.Config.hedge_floor, plan) with
+              | Some floor, (d1, _) :: (d2, _) :: _ -> (
+                let hedge_after =
+                  Rpc.hedge_deadline ep ~dsts:(List.map fst plan) ~floor
+                in
+                match
+                  Rpc.call_hedged ep ~dsts:[ d1; d2 ]
+                    ~size:(Proto.req_size req) ~timeout:(Engine.ms 50)
+                    ~hedge_after req
+                with
+                | Some ((Proto.R_records _ as resp), _winner) -> Some resp
+                | Some _ | None -> None)
+              | _ -> None
             in
             match hedged with
             | Some resp -> Ivar.fill iv resp

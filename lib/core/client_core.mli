@@ -25,7 +25,7 @@ val await_view_after : Erwin_common.t -> int -> unit
     a controller-less deployment still makes progress via retries). *)
 
 val append_entry : Erwin_common.t -> ep -> track:bool -> Types.entry -> unit
-(** [try_append_seq] (or, with [cfg.append_batching], a submit to the
+(** [try_append_seq] (or, with [cfg.linger = Some _], a submit to the
     shared {!Batcher}) with retry-across-views until acknowledged. *)
 
 val check_tail : ?log:int -> Erwin_common.t -> ep -> int
@@ -53,14 +53,13 @@ val read_grouped :
     an empty log. Responses' piggybacked stable is max-merged into the
     cluster's stable mirror.
 
-    With [cfg.hedged_reads] (and a plan of at least two replicas) the
-    plan first demotes latency outliers (replicas scoring over 3x the
-    plan's median observed latency move to the back, so steady-state
-    reads avoid a fail-slow replica) and the first attempt is hedged: a
-    second copy races to the next replica after an adaptive deadline
-    (lower median of the plan's observed latency scores, floored at
-    [cfg.hedge_floor]); any hedged failure falls back to the plan walk
-    above. *)
+    With [cfg.hedge_floor = Some floor] (and a plan of at least two
+    replicas) the plan first demotes latency outliers (replicas scoring
+    over 3x the plan's median observed latency move to the back, so
+    steady-state reads avoid a fail-slow replica) and the first attempt
+    is hedged: a second copy races to the next replica after an adaptive
+    deadline (lower median of the plan's observed latency scores, floored
+    at [floor]); any hedged failure falls back to the plan walk above. *)
 
 val note_piggyback : Erwin_common.t -> int -> unit
 (** Max-merge a stable value piggybacked on a read response into the

@@ -3,6 +3,8 @@ open Ll_net
 
 type disk_kind = Sata | Nvme
 
+type ingress = { weights : (int * int) list; quantum : int; queue_bound : int }
+
 type t = {
   seq_replica_count : int;
   nshards : int;
@@ -11,7 +13,6 @@ type t = {
   order_interval : Engine.time;
   max_batch : int;
   min_batch : int;
-  adaptive_batch : bool;
   pipeline_depth : int;
   seq_base_ns : int;
   seq_per_byte_ns : float;
@@ -20,21 +21,16 @@ type t = {
   dirty_limit_bytes : int;
   data_wait_timeout : Engine.time;
   append_timeout : Engine.time;
-  append_batching : bool;
-  linger : Engine.time;
+  linger : Engine.time option;
   read_demand : bool;
   replica_reads : bool;
   readahead : int;
   map_fetch_chunk : int;
   subscriptions : bool;
-  hedged_reads : bool;
-  hedge_floor : Engine.time;
+  hedge_floor : Engine.time option;
   retry_budget : bool;
   outlier_detection : bool;
-  fair_ingress : bool;
-  tenant_weights : (int * int) list;
-  drr_quantum : int;
-  ingress_queue : int;
+  fair_ingress : ingress option;
   link : Fabric.link;
   rpc_overhead : Engine.time;
   debug_no_rid_pinning : bool;
@@ -45,6 +41,10 @@ type t = {
           it. Never enable outside the checker. *)
 }
 
+let default_linger = Engine.us 20
+let default_hedge_floor = Engine.us 100
+let default_ingress = { weights = []; quantum = 4_096; queue_bound = 256 }
+
 let default =
   {
     seq_replica_count = 3;
@@ -54,7 +54,6 @@ let default =
     order_interval = Engine.us 20;
     max_batch = 8192;
     min_batch = 64;
-    adaptive_batch = true;
     pipeline_depth = 4;
     (* ~1.2 M small-record appends/s and ~1.3 M metadata appends/s per
        replica; ~330 K/s at 4 KB (records traverse the replica's 25 Gb NIC
@@ -69,8 +68,7 @@ let default =
     append_timeout = Engine.ms 20;
     (* Group commit defaults off: the paper-fidelity benches (figs 6-18)
        measure the per-record 1-RTT path byte-for-byte unchanged. *)
-    append_batching = false;
-    linger = Engine.us 20;
+    linger = None;
     (* Demand-driven read path defaults off: the paper-fidelity benches
        measure the purely lazy cadence byte-for-byte unchanged. *)
     read_demand = false;
@@ -84,16 +82,12 @@ let default =
     (* Gray-failure mitigations default off: knob-off runs draw nothing
        extra from the rng and schedule nothing, so figs 6-18 stay
        byte-identical. *)
-    hedged_reads = false;
-    hedge_floor = Engine.us 100;
+    hedge_floor = None;
     retry_budget = false;
     outlier_detection = false;
     (* Fair ingress defaults off: no ingress scheduler is installed, so
        figs 6-18 stay byte-identical. *)
-    fair_ingress = false;
-    tenant_weights = [];
-    drr_quantum = 4_096;
-    ingress_queue = 256;
+    fair_ingress = None;
     link = Fabric.default_link;
     rpc_overhead = Engine.ns 500;
     debug_no_rid_pinning = false;

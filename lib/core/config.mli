@@ -10,6 +10,20 @@ open Ll_net
 
 type disk_kind = Sata | Nvme
 
+(** Weighted-fair ingress parameters ({!field-fair_ingress}). *)
+type ingress = {
+  weights : (int * int) list;  (** (log, weight) pairs; unlisted logs weigh 1 *)
+  quantum : int;
+      (** deficit replenished per DRR round, in service-time nanoseconds
+          per weight unit *)
+  queue_bound : int;
+      (** per-tenant queued-append bound; arrivals beyond it are shed
+          immediately *)
+}
+
+(** Each opt-in feature that has parameters is one option field: [None]
+    is off, and [Some p] is on with parameters [p]. A parameter exists
+    only while its feature is on. *)
 type t = {
   seq_replica_count : int;  (** f+1 sequencing replicas (paper runs 3) *)
   nshards : int;
@@ -18,14 +32,15 @@ type t = {
   order_interval : Engine.time;
       (** background-ordering period (how often the leader cuts a batch) *)
   max_batch : int;  (** max entries ordered per background pass *)
-  min_batch : int;  (** adaptive batching floor (see {!field-adaptive_batch}) *)
-  adaptive_batch : bool;
-      (** grow the ordering batch while the sequencing log keeps a backlog,
-          shrink it back to [min_batch] when drained *)
+  min_batch : int;
+      (** adaptive batching floor: the ordering batch grows toward
+          [max_batch] while the sequencing log keeps a backlog and shrinks
+          back to [min_batch] once it drains; [min_batch = max_batch] is a
+          fixed batch *)
   pipeline_depth : int;
       (** max ordering batches in flight at once; at [1] with
-          [adaptive_batch = false] the orderer runs one fixed-size batch
-          at a time, with no overlap between batches *)
+          [min_batch = max_batch] the orderer runs one fixed-size batch at
+          a time, with no overlap between batches *)
   seq_base_ns : int;  (** sequencing-replica CPU per request, base *)
   seq_per_byte_ns : float;  (** sequencing-replica CPU per payload byte *)
   shard_base_ns : int;  (** shard CPU per request *)
@@ -36,15 +51,13 @@ type t = {
       (** Erwin-st: how long a shard waits for a missing record before
           writing a no-op (section 5.4) *)
   append_timeout : Engine.time;  (** client append retry timeout *)
-  append_batching : bool;
-      (** opt-in group commit: coalesce concurrent appends of one client
-          process into a single multi-entry [Sr_append] fan-out. Off by
-          default so the paper-fidelity figures send one entry per
-          request. *)
-  linger : Engine.time;
-      (** group commit: how long an open batch waits for more records
-          before flushing (it flushes earlier once it holds 128 records,
-          or [seq_capacity] if smaller, or 64 KiB of payload) *)
+  linger : Engine.time option;
+      (** opt-in group commit: [Some d] coalesces concurrent appends of one
+          client process into a single multi-entry [Sr_append] fan-out,
+          and an open batch waits [d] for more records before flushing (it
+          flushes earlier once it holds 128 records, or [seq_capacity] if
+          smaller, or 64 KiB of payload). [None] (the default) sends one
+          entry per request, as the paper-fidelity figures do. *)
   read_demand : bool;
       (** opt-in read-triggered eager binding: a shard read (or Erwin-st
           map fetch) of a position beyond stable-gp sends
@@ -77,14 +90,13 @@ type t = {
           ([St_cursor_sync]), and reuses the read-demand wake path so the
           push frontier does not wait out the lazy ordering cadence. Off
           by default so the paper-fidelity figures are untouched. *)
-  hedged_reads : bool;
-      (** opt-in tail-latency hedging on the replica-read path: a client
-          read fires a duplicate to a second replica of the plan after an
-          adaptive deadline ({!Ll_net.Rpc.hedge_deadline} over the
-          endpoint's per-peer latency scores, floored at
-          {!field-hedge_floor}); first response wins, the loser's timer is
-          cancelled. Off by default. *)
-  hedge_floor : Engine.time;  (** minimum hedge deadline *)
+  hedge_floor : Engine.time option;
+      (** opt-in tail-latency hedging on the replica-read path: [Some f]
+          makes a client read fire a duplicate to a second replica of the
+          plan after an adaptive deadline ({!Ll_net.Rpc.hedge_deadline}
+          over the endpoint's per-peer latency scores, floored at [f]);
+          first response wins, the loser's timer is cancelled. [None] (the
+          default) sends no hedge. *)
   retry_budget : bool;
       (** opt-in retry budgets: client endpoints (and shard backup
           endpoints, whose primary-forwards are retried) meter retries
@@ -98,26 +110,19 @@ type t = {
           removal for a replica whose score exceeds 4x the median —
           catching fail-slow (gray) replicas whose heartbeats stay green.
           Off by default. *)
-  fair_ingress : bool;
+  fair_ingress : ingress option;
       (** opt-in weighted-fair scheduling at the sequencing-replica
           ingress, for the multi-log fabric. Tenant logs themselves need
           no knob: a client opened on a tenant log tags its entries with
           the log id, and every log advances its own packed cursors
-          ({!Logid}). Data-plane appends enqueue into per-tenant queues
-          drained by deficit round robin (quantum
-          {!field-drr_quantum} x the tenant's weight), and a per-tenant
-          queue bound ({!field-ingress_queue}) sheds excess arrivals with
-          an immediate failed-append reply — the client's existing
-          retry/backoff (and retry-budget) path absorbs the shed. One hot
-          tenant then costs its weight share, not its arrival share. *)
-  tenant_weights : (int * int) list;
-      (** fair ingress: (log, weight) pairs; unlisted logs weigh 1 *)
-  drr_quantum : int;
-      (** fair ingress: deficit replenished per DRR round, in service-time
-          nanoseconds per weight unit *)
-  ingress_queue : int;
-      (** fair ingress: per-tenant queued-append bound; arrivals beyond it
-          are shed immediately *)
+          ({!Logid}). With [Some p], data-plane appends enqueue into
+          per-tenant queues drained by deficit round robin ([p.quantum] x
+          the tenant's weight), and a per-tenant queue bound
+          ([p.queue_bound]) sheds excess arrivals with an immediate
+          failed-append reply — the client's existing retry/backoff (and
+          retry-budget) path absorbs the shed. One hot tenant then costs
+          its weight share, not its arrival share. [None] (the default)
+          keeps the FIFO ingress. *)
   link : Fabric.link;
   rpc_overhead : Engine.time;  (** per-endpoint software overhead (eRPC) *)
   debug_no_rid_pinning : bool;
@@ -129,7 +134,18 @@ type t = {
 
 val default : t
 (** 3 sequencing replicas, 1 shard with 2 backups, SATA shards, 20 us
-    ordering interval. *)
+    ordering interval; every opt-in feature off. *)
+
+val default_linger : Engine.time
+(** 20 us: the linger a caller turning group commit on without tuning it
+    uses ([linger = Some default_linger]). *)
+
+val default_hedge_floor : Engine.time
+(** 100 us: the hedge floor for hedged reads without tuning. *)
+
+val default_ingress : ingress
+(** Fair-ingress parameters without tuning: no weights (every log weighs
+    1), a 4 096 ns quantum and a 256-append queue bound per tenant. *)
 
 val with_shards : ?backups:int -> t -> int -> t
 

@@ -107,10 +107,7 @@ let create ~cfg ~mode =
       batched_entries = 0;
       shard_index = Array.of_list shards;
       inflight_batches = 0;
-      cur_batch =
-        (if cfg.Config.adaptive_batch then
-           min cfg.Config.min_batch cfg.Config.max_batch
-         else cfg.Config.max_batch);
+      cur_batch = min cfg.Config.min_batch cfg.Config.max_batch;
       order_resync = false;
       metrics = fresh_metrics ();
       append_batcher = None;

@@ -71,7 +71,7 @@ type t = {
           the orderer re-reads the leader's state once drained *)
   metrics : orderer_metrics;
   mutable append_batcher : batch_submit option;
-      (** lazily created by {!Batcher.get} when [cfg.append_batching] *)
+      (** lazily created by {!Batcher.get} when [cfg.linger] is set *)
   demand : Log_table.t;
       (** read-demand cursors, one per log: shards asked for binding up
           to this packed position (exclusive); max-merged by

@@ -31,7 +31,7 @@ let poisoned g n =
 let try_append_once (cluster : Erwin_common.t) ep ~track record shard =
   let view = cluster.view in
   let timeout = cluster.cfg.Config.append_timeout in
-  let batching = cluster.cfg.Config.append_batching in
+  let linger = cluster.cfg.Config.linger in
   let data_req = Proto.Ssh_data_write { record } in
   let data_dsts = Shard.replica_ids shard in
   let ndata = List.length data_dsts in
@@ -39,7 +39,8 @@ let try_append_once (cluster : Erwin_common.t) ep ~track record shard =
      deadline; with it, the data writes join on their own. *)
   let g =
     Rpc.group ep
-      (if batching then ndata else ndata + List.length cluster.replicas)
+      (if Option.is_some linger then ndata
+       else ndata + List.length cluster.replicas)
   in
   List.iter
     (fun dst -> Rpc.group_call g ~dst ~size:(Proto.req_size data_req) data_req)
@@ -49,13 +50,14 @@ let try_append_once (cluster : Erwin_common.t) ep ~track record shard =
       { rid = record.Types.rid; shard = Shard.shard_id shard;
         size = record.Types.size; log = record.Types.log }
   in
-  if batching then begin
+  match linger with
+  | Some linger ->
     (* Group commit: the metadata entry rides the shared linger batch while
        the shard data writes are already in flight; both legs still overlap
        (the data RTT runs under the batch's linger + fan-out). A failed
        batch fails this attempt, and the retry re-sends data and metadata
        in lockstep — the shard stages the duplicate write idempotently. *)
-    let meta_res = (Batcher.get cluster).submit_entry ~track meta in
+    let meta_res = (Batcher.get cluster ~linger).submit_entry ~track meta in
     let fail () =
       match meta_res with `Fail v -> `Fail v | `Ok -> `Fail view
     in
@@ -63,14 +65,12 @@ let try_append_once (cluster : Erwin_common.t) ep ~track record shard =
     else if Rpc.group_for_all g append_ok && meta_res = `Ok then `Ok
     else if poisoned g ndata then `Poisoned
     else fail ()
-  end
-  else begin
+  | None ->
     seq_group_calls cluster g (Proto.append_one ~view ~track meta);
     if not (Rpc.group_await g ~timeout) then `Fail view
     else if Rpc.group_for_all g append_ok then `Ok
     else if poisoned g ndata then `Poisoned
     else `Fail view
-  end
 
 (* Position-to-shard resolution through a cached map (section 5.3), plus
    the grouped shard reads behind it. Exported separately from [client] so

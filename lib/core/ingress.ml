@@ -9,12 +9,12 @@ open Ll_sim
    demux ([Rpc.set_ingress]) and divides the replica's service capacity
    by configured weight instead of arrival aggression:
 
-   - admission: a per-tenant queue bound ([ingress_queue]). An arrival
+   - admission: a per-tenant queue bound ([queue_bound]). An arrival
      finding its tenant's queue full is shed with an immediate
      failed-append reply — no service time spent — and the client's
      ordinary retry/backoff path absorbs it.
    - service: deficit round robin over the per-tenant queues. Each round
-     a tenant's deficit grows by [drr_quantum * weight] nanoseconds of
+     a tenant's deficit grows by [quantum * weight] nanoseconds of
      service credit and it drains queued requests (through [Rpc.serve],
      so the modeled CPU charge is identical to the default path) while
      the credit covers their cost. Cost left over carries to its next
@@ -35,15 +35,15 @@ type tenant = {
 }
 
 type t = {
-  cfg : Config.t;
+  params : Config.ingress;
   replica : int;  (* fabric node id, for probe events *)
   tenants : (int, tenant) Hashtbl.t;
   active : int Queue.t;  (* DRR round: logs with queued work *)
   work : Waitq.t;
 }
 
-let weight_of (cfg : Config.t) log =
-  match List.assoc_opt log cfg.Config.tenant_weights with
+let weight_of (params : Config.ingress) log =
+  match List.assoc_opt log params.Config.weights with
   | Some w when w > 0 -> w
   | _ -> 1
 
@@ -54,7 +54,7 @@ let tenant t log =
     let ten =
       {
         log;
-        weight = weight_of t.cfg log;
+        weight = weight_of t.params log;
         queue = Queue.create ();
         in_active = false;
         deficit = 0;
@@ -84,7 +84,7 @@ let drain_loop t () =
     Waitq.await t.work (fun () -> not (Queue.is_empty t.active));
     let log = Queue.pop t.active in
     let ten = Hashtbl.find t.tenants log in
-    ten.deficit <- ten.deficit + (t.cfg.Config.drr_quantum * ten.weight);
+    ten.deficit <- ten.deficit + (t.params.Config.quantum * ten.weight);
     let stop = ref false in
     while not !stop do
       match Queue.peek_opt ten.queue with
@@ -125,10 +125,10 @@ let queued_total t =
    current view for shed replies (a shed is a failed append in the
    current view — exactly what a sealed replica answers — so clients need
    no new code path). *)
-let install ~cfg ~view ep =
+let install params ~view ep =
   let t =
     {
-      cfg;
+      params;
       replica = Ll_net.Rpc.endpoint_id ep;
       tenants = Hashtbl.create 64;
       active = Queue.create ();
@@ -153,7 +153,7 @@ let install ~cfg ~view ep =
       | None -> false  (* control plane: default FIFO path *)
       | Some log ->
         let ten = tenant t log in
-        if Queue.length ten.queue < cfg.Config.ingress_queue then begin
+        if Queue.length ten.queue < params.Config.queue_bound then begin
           let cost = Ll_net.Rpc.service_time_of ep req in
           enqueue t ten cost (fun () -> Ll_net.Rpc.serve ep ~src req ~reply);
           true

@@ -7,25 +7,26 @@
     a per-tenant queue bound with an immediate failed append (no service
     time spent), and (b) serves the admitted backlog
     by deficit round robin so service capacity divides by configured
-    weight ({!Config.tenant_weights}) instead of arrival rate.
+    weight ({!Config.ingress}) instead of arrival rate.
 
     Only data-plane appends ([Sr_append], one entry or a batch) are
     scheduled; all other traffic falls through to the default FIFO path
-    unchanged. Installed only when [fair_ingress] — with the knob off no
-    scheduler exists and the replica keeps its FIFO ingress,
+    unchanged. Installed only when [fair_ingress] is set — with it [None]
+    no scheduler exists and the replica keeps its FIFO ingress,
     byte-identically. *)
 
 type t
 
 val install :
-  cfg:Config.t ->
+  Config.ingress ->
   view:(unit -> int) ->
   (Proto.req, Proto.resp) Ll_net.Rpc.endpoint ->
   t
-(** Attaches the scheduler to a replica endpoint and spawns its DRR
-    drain fiber. [view] reads the replica's current view for shed
-    replies (a shed looks to the client like any failed append — its
-    ordinary retry path absorbs it). *)
+(** Attaches the scheduler, with the given weights, quantum and queue
+    bound, to a replica endpoint and spawns its DRR drain fiber. [view]
+    reads the replica's current view for shed replies (a shed looks to
+    the client like any failed append — its ordinary retry path absorbs
+    it). *)
 
 type stats = { st_admitted : int; st_shed : int; st_queued : int }
 

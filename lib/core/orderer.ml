@@ -143,17 +143,15 @@ module Adaptive = struct
   (* Multiplicative controller: double the batch while claims come out
      full with a backlog left behind (the sequencing log is filling faster
      than we drain it), halve it once a claim leaves the log empty without
-     even filling half a batch. Clamped to [min_batch, max_batch]. *)
+     even filling half a batch. Clamped to [min_batch, max_batch], so
+     [min_batch = max_batch] is a fixed batch. *)
   let next (cfg : Config.t) ~cur ~claimed ~backlog =
-    if not cfg.Config.adaptive_batch then cfg.Config.max_batch
-    else begin
-      let lo = min cfg.Config.min_batch cfg.Config.max_batch in
-      let hi = cfg.Config.max_batch in
-      let cur = max lo (min cur hi) in
-      if claimed >= cur && backlog > 0 then min (cur * 2) hi
-      else if backlog = 0 && claimed <= cur / 2 then max (cur / 2) lo
-      else cur
-    end
+    let lo = min cfg.Config.min_batch cfg.Config.max_batch in
+    let hi = cfg.Config.max_batch in
+    let cur = max lo (min cur hi) in
+    if claimed >= cur && backlog > 0 then min (cur * 2) hi
+    else if backlog = 0 && claimed <= cur / 2 then max (cur / 2) lo
+    else cur
 end
 
 (* ---------- position assignment ---------- *)

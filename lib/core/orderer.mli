@@ -14,7 +14,7 @@
     stable-gp never advances out of order. In-flight batches are bounded
     by [Config.pipeline_depth]; batch size adapts between
     [Config.min_batch] and [Config.max_batch] ({!Adaptive}). At
-    [pipeline_depth = 1] with [adaptive_batch = false] the same loop runs
+    [pipeline_depth = 1] with [min_batch = max_batch] the same loop runs
     one fixed-size batch at a time, with no overlap between batches.
 
     Every log goes through one cursor path: the ordering frontier is a
@@ -76,8 +76,8 @@ module Adaptive : sig
   (** [next cfg ~cur ~claimed ~backlog] is the batch size to use after a
       claim that returned [claimed] entries and left [backlog] live
       unclaimed entries behind. Clamped to
-      [[min min_batch max_batch, max_batch]]; with [adaptive_batch =
-      false] it is always [max_batch]. *)
+      [[min min_batch max_batch, max_batch]], so with [min_batch =
+      max_batch] it is always [max_batch]. *)
 end
 
 val start : Erwin_common.t -> unit

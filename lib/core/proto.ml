@@ -60,7 +60,6 @@ type req =
      message as the slots so a recovery's unbind and rebind stay atomic
      per shard even when several logs flush at once. *)
   | Msh_push of { truncate : gp list; slots : (gp * Types.record) list }
-  | Msh_replicate of { truncate : gp list; slots : (gp * Types.record) list }
   (* --- Erwin-st shards: uncoordinated data writes + metadata ordering --- *)
   | Ssh_data_write of { record : Types.record }
       (** Client -> every shard replica, in parallel: stage the record. *)
@@ -175,7 +174,7 @@ let req_size = function
   | Sr_gc { slots; _ } -> (24 * List.length slots) + 16
   | Sr_install_view { flushed; frontiers; _ } ->
     (24 * List.length flushed) + frontiers_wire ~each:16 frontiers + 32
-  | Msh_push { slots; truncate } | Msh_replicate { slots; truncate } ->
+  | Msh_push { slots; truncate } ->
     slots_wire slots + frontiers_wire ~each:8 truncate
   | Ssh_data_write { record } -> record_wire record
   | Ssh_order { bindings; map_chunk; truncate } ->

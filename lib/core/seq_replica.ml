@@ -19,8 +19,8 @@ type t = {
      durable floor. Deliberately not cleared on view install — the cursor
      is client-progress state, not view state. *)
   sub_cursors : (string, int * int) Hashtbl.t;
-  (* Weighted-fair ingress scheduler, present only when [fair_ingress]
-     (otherwise the endpoint keeps the default FIFO discipline,
+  (* Weighted-fair ingress scheduler, present only when [fair_ingress] is
+     set (otherwise the endpoint keeps the default FIFO discipline,
      byte-identically). *)
   mutable fair : Ingress.t option;
 }
@@ -111,6 +111,10 @@ let handle t ~src:_ (req : Proto.req) ~reply =
            frontiers = Log_table.to_list (Seq_log.frontiers t.slog);
            entries = Seq_log.unordered t.slog ();
          })
+  | Sr_install_view { new_view; _ } when new_view <= t.view ->
+    (* A resend whose first ack was lost: applying it again would clear
+       the entries accepted since, in the view it installed. *)
+    reply Proto.R_ok
   | Sr_install_view { new_view; frontiers; flushed } ->
     Seq_log.clear t.slog;
     Seq_log.mark_ordered t.slog (List.map snd flushed);
@@ -142,8 +146,8 @@ let handle t ~src:_ (req : Proto.req) ~reply =
     in
     reply (Proto.R_cursors { cursors })
   | Sr_order_demand _ | Sh_set_stable _ | Sh_read _ | Sh_trim _ | Msh_push _
-  | Msh_replicate _ | Ssh_data_write _ | Ssh_order _ | Ssh_replicate_order _
-  | Ssh_backfill _ | Ssh_get_map _ | St_subscribe _ | St_push _ ->
+  | Ssh_data_write _ | Ssh_order _ | Ssh_replicate_order _ | Ssh_backfill _
+  | Ssh_get_map _ | St_subscribe _ | St_push _ ->
     failwith (t.rname ^ ": shard request sent to a sequencing replica")
 
 (* The bare request path (Rpc.set_bare_handler): an append the view check
@@ -215,6 +219,8 @@ let create ~cfg ~fabric ~name:rname =
   Rpc.set_handler ep (fun ~src req ~reply ->
       handle t ~src req ~reply:(fun r -> reply ~size:(Proto.resp_size r) r));
   Rpc.set_bare_handler ep (handle_bare t);
-  if cfg.Config.fair_ingress then
-    t.fair <- Some (Ingress.install ~cfg ~view:(fun () -> t.view) ep);
+  Option.iter
+    (fun params ->
+      t.fair <- Some (Ingress.install params ~view:(fun () -> t.view) ep))
+    cfg.Config.fair_ingress;
   t

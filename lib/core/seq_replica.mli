@@ -44,7 +44,7 @@ val apply_gc :
 
 val ingress : t -> Ingress.t option
 (** The weighted-fair ingress scheduler, present iff the replica was
-    created with [fair_ingress] (tests and the tenants bench read its
+    created with [fair_ingress] set (tests and the tenants bench read its
     per-tenant admit/shed counters). *)
 
 val sub_cursor : t -> string -> (int * int) option

@@ -215,8 +215,9 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
     probe_truncate t truncate;
     store_slots r slots;
     probe_stored t slots;
-    (* Retried on loss; replication by explicit position is idempotent. *)
-    ignore (replicate t (Proto.Msh_replicate { truncate; slots }) : _ Rpc.group);
+    (* The same push goes on to the backups. Retried on loss; replication
+       by explicit position is idempotent. *)
+    ignore (replicate t req : _ Rpc.group);
     reply Proto.R_ok
   | Ssh_data_write { record } ->
     if Hashtbl.mem r.nooped record.Types.rid then
@@ -331,8 +332,8 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
     reply Proto.R_ok
   | Sr_append _ | Sr_check_tail _ | Sr_gc _ | Sr_seal _
   | Sr_get_state | Sr_install_view _ | Sr_wait_ordered _ | Sr_order_demand _
-  | Msh_replicate _ | Ssh_replicate_order _ | Ssh_backfill _ | St_subscribe _
-  | St_push _ | St_cursor_sync _ | St_cursor_fetch ->
+  | Ssh_replicate_order _ | Ssh_backfill _ | St_subscribe _ | St_push _
+  | St_cursor_sync _ | St_cursor_fetch ->
     failwith "shard primary: unexpected request"
 
 (* A backup that cannot serve a read itself (position not yet covered by
@@ -352,7 +353,7 @@ let forward_to_primary t r req ~reply ~on_resp =
 
 let handle_backup t r ~src:_ (req : Proto.req) ~reply =
   match req with
-  | Msh_replicate { truncate; slots } ->
+  | Msh_push { truncate; slots } ->
     apply_truncate r truncate;
     store_slots r slots;
     reply Proto.R_ok
@@ -435,7 +436,7 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
         | _ -> ())
   | Sr_append _ | Sr_check_tail _ | Sr_gc _ | Sr_seal _
   | Sr_get_state | Sr_install_view _ | Sr_wait_ordered _ | Sr_order_demand _
-  | Msh_push _ | Ssh_order _ | St_subscribe _ | St_push _ | St_cursor_sync _
+  | Ssh_order _ | St_subscribe _ | St_push _ | St_cursor_sync _
   | St_cursor_fetch ->
     failwith "shard backup: unexpected request"
 

@@ -58,6 +58,23 @@ let read t =
            if t.full then ignore (Engine.wake w t.value : bool)
            else park t w))
 
+(* Unlink every fired waiter. An expired reader's node would otherwise
+   stay linked, holding its waker, until a fill that may never come (a
+   timed-out RPC drops its ivar unfilled). Waking a fired waker schedules
+   nothing, so dropping one changes no schedule. *)
+let drop_fired t =
+  let prev = ref Slab.nil and c = ref t.whead in
+  while !c >= 0 do
+    let next = Slab.next !c in
+    if Engine.is_woken (Obj.obj (Slab.get !c) : Obj.t Engine.waker) then begin
+      if !prev < 0 then t.whead <- next else Slab.set_next !prev next;
+      Slab.free !c
+    end
+    else prev := !c;
+    c := next
+  done;
+  t.wtail <- !prev
+
 let read_timeout t ~timeout =
   if t.full then Some (Obj.obj t.value : 'a)
   else
@@ -70,6 +87,10 @@ let read_timeout t ~timeout =
             Engine.arm_timeout w timeout timed_out
           end)
     in
-    if r == timed_out then None else Some (Obj.obj r : 'a)
+    if r == timed_out then begin
+      drop_fired t;
+      None
+    end
+    else Some (Obj.obj r : 'a)
 
 let join_all ts = List.map read ts

@@ -171,8 +171,7 @@ let test_erwin_m_coalesces () =
         {
           Config.default with
           nshards = 2;
-          append_batching = true;
-          linger = Engine.us 20;
+          linger = Some (Engine.us 20);
         }
       in
       let cluster = Erwin_m.create ~cfg () in
@@ -207,8 +206,7 @@ let test_erwin_st_batched_end_to_end () =
         {
           Config.default with
           nshards = 2;
-          append_batching = true;
-          linger = Engine.us 20;
+          linger = Some (Engine.us 20);
         }
       in
       let cluster = Erwin_st.create ~cfg () in
@@ -242,7 +240,11 @@ let test_erwin_st_batched_end_to_end () =
 let test_batch_capped_at_seq_capacity () =
   Engine.run (fun () ->
       let cfg =
-        { Config.default with append_batching = true; seq_capacity = 64 }
+        {
+          Config.default with
+          linger = Some Config.default_linger;
+          seq_capacity = 64;
+        }
       in
       let cluster = Erwin_m.create ~cfg () in
       let client = Erwin_m.client cluster in

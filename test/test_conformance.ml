@@ -49,8 +49,7 @@ let backends =
             {
               Config.default with
               nshards = 2;
-              append_batching = true;
-              linger = Engine.us 5;
+              linger = Some (Engine.us 5);
             }
           in
           let c = Erwin_m.create ~cfg () in
@@ -66,8 +65,7 @@ let backends =
             {
               Config.default with
               nshards = 2;
-              append_batching = true;
-              linger = Engine.us 5;
+              linger = Some (Engine.us 5);
             }
           in
           let c = Erwin_st.create ~cfg () in

@@ -313,8 +313,8 @@ let test_drr_honors_weights () =
       let cfg =
         {
           mcfg with
-          Config.fair_ingress = true;
-          tenant_weights = [ (1, 2); (2, 1) ];
+          Config.fair_ingress =
+            Some { Config.default_ingress with weights = [ (1, 2); (2, 1) ] };
         }
       in
       let cluster = Erwin_m.create ~cfg () in
@@ -354,7 +354,11 @@ let test_drr_honors_weights () =
 let test_admission_shed_bounds_queue () =
   Engine.run (fun () ->
       let cfg =
-        { mcfg with Config.fair_ingress = true; ingress_queue = 16 }
+        {
+          mcfg with
+          Config.fair_ingress =
+            Some { Config.default_ingress with queue_bound = 16 };
+        }
       in
       let cluster = Erwin_m.create ~cfg () in
       let stop = ref false in
@@ -398,7 +402,13 @@ let test_admission_shed_bounds_queue () =
    rids stored. *)
 let test_shed_batched_append () =
   Engine.run (fun () ->
-      let cfg = { mcfg with Config.fair_ingress = true; ingress_queue = 1 } in
+      let cfg =
+        {
+          mcfg with
+          Config.fair_ingress =
+            Some { Config.default_ingress with queue_bound = 1 };
+        }
+      in
       let fabric = Ll_net.Fabric.create ~link:cfg.Config.link () in
       let r = Seq_replica.create ~cfg ~fabric ~name:"r0" in
       let ep =

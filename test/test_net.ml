@@ -309,6 +309,32 @@ let test_rpc_timeout_cleans_pending () =
       let d = Rpc.counters_diff ~before ~after:(Rpc.counters ()) in
       checki "timeout counted" 1 d.Rpc.cs_timeouts)
 
+(* A timed-out call leaves no slab node behind: the expired reader's
+   waiter is unlinked from its ivar, not kept live (with its fired waker)
+   until the run ends. *)
+let test_rpc_timeout_frees_waiter () =
+  Engine.run (fun () ->
+      let fab = Fabric.create () in
+      let sn, server, client = setup fab in
+      Rpc.set_handler server (fun ~src:_ req ~reply ->
+          match req with Echo n | Slow n -> reply n);
+      Fabric.crash fab sn;
+      let dst = Fabric.id sn and timeout = Engine.us 100 in
+      checkb "warm-up times out" true
+        (Rpc.call_timeout client ~dst ~timeout (Echo 0) = None);
+      let base = Slab.in_use () in
+      for i = 1 to 1000 do
+        ignore (Rpc.call_timeout client ~dst ~timeout (Echo i) : int option)
+      done;
+      checkb "1000 timed-out calls: slab back to baseline" true
+        (Slab.in_use () - base <= 4);
+      for i = 1 to 100 do
+        ignore (Rpc.call_retry client ~dst ~timeout ~max_tries:3 (Echo i)
+                : int option)
+      done;
+      checkb "100 exhausted retries: slab back to baseline" true
+        (Slab.in_use () - base <= 4))
+
 (* Group calls: three echo servers, server [i] answering [n] with
    [n + i]; [slow] servers sleep 5 ms before answering. *)
 let group_setup ?(slow = []) fab =
@@ -1035,6 +1061,8 @@ let () =
           Alcotest.test_case "oneway" `Quick test_rpc_oneway;
           Alcotest.test_case "timeout cleans pending table" `Quick
             test_rpc_timeout_cleans_pending;
+          Alcotest.test_case "timeout frees its ivar waiter" `Quick
+            test_rpc_timeout_frees_waiter;
           Alcotest.test_case "retry backoff schedule (jitter, 2^6 cap)"
             `Quick test_rpc_retry_backoff_schedule;
           Alcotest.test_case "retry budget sheds, never raises" `Quick

@@ -120,7 +120,8 @@ let interrupt_first_batch cluster interrupt =
 (* The push-to-GC window tests run on the default pipelined, adaptive
    orderer and at depth 1 with a fixed batch, where each batch commits
    before the next is claimed. *)
-let depth1 cfg = { cfg with Config.pipeline_depth = 1; adaptive_batch = false }
+let depth1 cfg =
+  { cfg with Config.pipeline_depth = 1; min_batch = cfg.Config.max_batch }
 
 let test_reconfig_between_push_and_gc_discards_batch tune () =
   (* A view-change signal landing between a batch's shard pushes and its
@@ -193,10 +194,22 @@ let test_adaptive_batch_controller () =
   (* Partial claim with backlog (pipeline full): hold. *)
   checki "steady otherwise" 16
     (Orderer.Adaptive.next cfg ~cur:16 ~claimed:10 ~backlog:3);
-  (* Disabled: always max_batch. *)
-  let fixed = { cfg with adaptive_batch = false } in
-  checki "fixed when disabled" 64
+  (* Fixed batch (min_batch = max_batch): always max_batch. *)
+  let fixed = { cfg with min_batch = 64 } in
+  checki "fixed when min_batch = max_batch" 64
     (Orderer.Adaptive.next fixed ~cur:8 ~claimed:0 ~backlog:0)
+
+(* A fixed batch is [min_batch = max_batch]: whatever the current size,
+   the claim and the backlog, the controller answers that one size. *)
+let prop_fixed_batch =
+  QCheck.Test.make ~name:"min_batch = max_batch = m: next is always m"
+    ~count:500
+    QCheck.(
+      quad (int_range 1 10_000) (int_range (-10) 100_000)
+        (int_range 0 100_000) (int_range 0 100_000))
+    (fun (m, cur, claimed, backlog) ->
+      let cfg = { Config.default with min_batch = m; max_batch = m } in
+      Orderer.Adaptive.next cfg ~cur ~claimed ~backlog = m)
 
 let test_adaptive_batch_converges () =
   (* Under a sustained backlog the controller converges to max_batch; once
@@ -267,6 +280,7 @@ let () =
             (test_seal_between_push_and_gc_freezes_stable depth1);
           Alcotest.test_case "adaptive batch controller" `Quick
             test_adaptive_batch_controller;
+          QCheck_alcotest.to_alcotest prop_fixed_batch;
           Alcotest.test_case "adaptive batch converges" `Quick
             test_adaptive_batch_converges;
           Alcotest.test_case "leader log order preserved" `Quick

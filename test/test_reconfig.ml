@@ -453,6 +453,44 @@ let test_survivor_crash_during_seal () =
         (log.append ~size:256 ~data:"after");
       Engine.stop ())
 
+(* A resent view install (the first ack was lost) is acked without
+   being applied again: the entries accepted in the new view stay live,
+   and the view is installed once. *)
+let test_resent_install_is_idempotent () =
+  Engine.run (fun () ->
+      let cfg = Config.default in
+      let fabric = Ll_net.Fabric.create ~link:cfg.Config.link () in
+      let r = Seq_replica.create ~cfg ~fabric ~name:"r0" in
+      let ep =
+        Ll_net.Rpc.endpoint fabric (Ll_net.Fabric.add_node fabric ~name:"c" ())
+      in
+      let call req =
+        Ll_net.Rpc.call ep ~dst:(Seq_replica.node_id r)
+          ~size:(Proto.req_size req) req
+      in
+      let installs = ref 0 in
+      Probe.reset ();
+      Probe.subscribe (function
+        | Probe.View_installed _ -> incr installs
+        | _ -> ());
+      let install =
+        Proto.Sr_install_view { new_view = 1; frontiers = [ 0 ]; flushed = [] }
+      in
+      checkb "install acked" true (call install = Proto.R_ok);
+      let e =
+        Types.Data
+          (Types.record ~rid:{ Types.Rid.client = 1; seq = 1 } ~size:128 ())
+      in
+      (match call (Proto.append_one ~view:1 ~track:false e) with
+      | Proto.R_append { ok; _ } -> checkb "appended in view 1" true ok
+      | _ -> Alcotest.fail "bad append response");
+      checkb "resend acked" true (call install = Proto.R_ok);
+      Probe.reset ();
+      checki "entry still live" 1 (Seq_log.live_count (Seq_replica.log r));
+      checki "view installed once" 1 !installs;
+      checki "view" 1 (Seq_replica.view r);
+      Engine.stop ())
+
 let () =
   Alcotest.run "reconfig"
     [
@@ -496,6 +534,8 @@ let () =
             test_two_sequential_failures;
           Alcotest.test_case "survivor crash during seal" `Quick
             test_survivor_crash_during_seal;
+          Alcotest.test_case "resent view install is idempotent" `Quick
+            test_resent_install_is_idempotent;
           Alcotest.test_case "chaos: loss + straggler + crash" `Quick
             test_chaos;
         ] );
