@@ -129,21 +129,6 @@ let erwin_m ?(cfg = Config.default) () =
         fun () -> Erwin_m.client cluster);
   }
 
-let erwin_m_cluster cfg =
-  (* variant exposing the cluster for stats *)
-  let cluster = ref None in
-  let sys =
-    {
-      name = "erwin-m";
-      make =
-        (fun () ->
-          let c = Erwin_m.create ~cfg () in
-          cluster := Some c;
-          fun () -> Erwin_m.client c);
-    }
-  in
-  (sys, fun () -> Option.get !cluster)
-
 let erwin_st ?(cfg = Config.default) () =
   {
     name = "erwin-st";
@@ -240,29 +225,6 @@ let append_and_read sys ~rate ~size ~duration ~lag ~chunk =
           loop ());
       Engine.sleep_until (t_end + Engine.ms 30);
       (app_lat, read_lat))
-
-(* --- max throughput probe (figures 12, 13) ---
-
-   Drives the system somewhat above its expected capacity and reports the
-   steady-state completion rate: completions are counted by completion
-   time, after a warmup long enough for the shards' write buffers to fill
-   so the disks' sustained rate governs. *)
-
-let max_throughput ?(warmup = Engine.ms 40) sys ~offered ~size ~duration =
-  Runner.in_sim (fun () ->
-      let factory = sys.make () in
-      let clients = Array.init 32 (fun _ -> factory ()) in
-      let completed = ref 0 in
-      let t_measure = Engine.now () + warmup in
-      let t_end = t_measure + duration in
-      Arrival.open_loop ~rate:offered ~until:t_end (fun i ->
-          let log = clients.(i mod 32) in
-          if log.Log_api.append ~size ~data:(Runner.data_for i) then begin
-            let t_done = Engine.now () in
-            if t_done >= t_measure && t_done <= t_end then incr completed
-          end);
-      Engine.sleep_until (t_end + Engine.ms 50);
-      Stats.throughput_per_sec ~count:!completed ~dur:duration)
 
 (* Steady-state throughput via the binding rate: drive the cluster above
    capacity and measure how fast stable-gp advances (records ordered,

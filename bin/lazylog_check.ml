@@ -40,90 +40,8 @@ let pp_outcome_line (o : Checker.outcome) =
     Printf.printf "ok   %-8s seed=%-6d faults=%-11s acked=%d reads=%d \
                    stable=%d events=%d\n%!"
       sc.Artifact.system sc.Artifact.seed faults o.Checker.coverage.acked
-      o.Checker.coverage.reads o.Checker.coverage.stable o.Checker.events
-
-type agg = {
-  mutable runs : int;
-  mutable viols : int;
-  mutable acked : int;
-  mutable reads : int;
-  mutable crashes : int;
-  mutable views : int;
-  mutable delivered : int;
-  mutable gray_faults : int;
-  mutable outliers : int;
-  mutable retries : int;
-  mutable shed : int;
-  mutable hedges_won : int;
-  mutable tenant_logs : int;
-  mutable ingress_shed : int;
-  mutable events : int;
-}
-
-let summarize (outcomes : Checker.outcome list) =
-  let by_system = Hashtbl.create 4 in
-  List.iter
-    (fun (o : Checker.outcome) ->
-      let sys = o.Checker.scenario.Artifact.system in
-      let a =
-        match Hashtbl.find_opt by_system sys with
-        | Some a -> a
-        | None ->
-          let a =
-            {
-              runs = 0; viols = 0; acked = 0; reads = 0; crashes = 0;
-              views = 0; delivered = 0; gray_faults = 0; outliers = 0;
-              retries = 0; shed = 0; hedges_won = 0; tenant_logs = 0;
-              ingress_shed = 0; events = 0;
-            }
-          in
-          Hashtbl.replace by_system sys a;
-          a
-      in
-      let c = o.Checker.coverage in
-      let r = o.Checker.rpc in
-      a.runs <- a.runs + 1;
-      (match o.Checker.violation with
-      | Some _ -> a.viols <- a.viols + 1
-      | None -> ());
-      a.acked <- a.acked + c.Monitors.acked;
-      a.reads <- a.reads + c.Monitors.reads;
-      a.crashes <- a.crashes + c.Monitors.crashes;
-      a.views <- a.views + c.Monitors.view_installs;
-      a.delivered <- a.delivered + c.Monitors.delivered;
-      a.gray_faults <- a.gray_faults + c.Monitors.gray_faults;
-      a.outliers <- a.outliers + c.Monitors.outliers_removed;
-      a.retries <- a.retries + r.Ll_net.Rpc.cs_retries;
-      a.shed <- a.shed + r.Ll_net.Rpc.cs_shed;
-      a.hedges_won <- a.hedges_won + r.Ll_net.Rpc.cs_hedges_won;
-      a.tenant_logs <- a.tenant_logs + c.Monitors.tenant_logs;
-      a.ingress_shed <- a.ingress_shed + c.Monitors.ingress_shed;
-      a.events <- a.events + o.Checker.events)
-    outcomes;
-  print_endline "";
-  print_endline "coverage summary";
-  Hashtbl.iter
-    (fun sys a ->
-      Printf.printf
-        "  %-8s %4d seeds | %d violations | %d appends acked | %d records \
-         read | %d crashes | %d view installs | %d delivered | %.1fM events\n"
-        sys a.runs a.viols a.acked a.reads a.crashes a.views a.delivered
-        (float_of_int a.events /. 1e6);
-      (* Gray-resilience line only when something gray happened, so the
-         classic sweeps print exactly what they always did. *)
-      if a.gray_faults + a.outliers + a.retries + a.shed + a.hedges_won > 0
-      then
-        Printf.printf
-        "  %-8s      gray | %d gray faults | %d outliers evicted | %d \
-         retries (%d shed) | %d hedges won\n"
-          "" a.gray_faults a.outliers a.retries a.shed a.hedges_won;
-      (* Tenants line only in multi-log fabric sweeps, same principle. *)
-      if a.tenant_logs + a.ingress_shed > 0 then
-        Printf.printf
-          "  %-8s   tenants | %d tenant-log stabilizations | %d appends \
-           shed by admission control\n"
-          "" a.tenant_logs a.ingress_shed)
-    by_system
+      o.Checker.coverage.reads o.Checker.coverage.stable
+      o.Checker.coverage.events
 
 let write_artifact dir (o : Checker.outcome) =
   match Checker.artifact_of o with
@@ -171,7 +89,7 @@ let run_sweep systems seeds seed_base shards jobs quick batching replica_reads
   let failures =
     List.filter (fun o -> o.Checker.violation <> None) outcomes
   in
-  summarize outcomes;
+  print_string ("\n" ^ Checker.summary outcomes);
   match failures with
   | [] ->
     Printf.printf "\nno invariant violations in %d runs\n"

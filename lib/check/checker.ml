@@ -94,24 +94,7 @@ type outcome = {
   scenario : Artifact.scenario;
   violation : Monitors.violation option;
   coverage : Monitors.coverage;
-  events : int;
-  rpc : Ll_net.Rpc.counter_snapshot;
 }
-
-let empty_coverage : Monitors.coverage =
-  {
-    Monitors.invoked = 0;
-    acked = 0;
-    reads = 0;
-    crashes = 0;
-    view_installs = 0;
-    stable = 0;
-    delivered = 0;
-    gray_faults = 0;
-    outliers_removed = 0;
-    tenant_logs = 0;
-    ingress_shed = 0;
-  }
 
 let client_for ?log (sc : Artifact.scenario) cluster =
   match sc.system with
@@ -326,17 +309,18 @@ let run_one (sc : Artifact.scenario) : outcome =
     | Some mon -> (
       ( (match Monitors.first mon with Some v -> Some v | None -> exn_violation),
         Monitors.coverage mon ))
-    | None -> (exn_violation, empty_coverage)
+    | None -> (exn_violation, Monitors.empty_coverage ())
   in
-  {
-    scenario = sc;
-    violation;
-    coverage;
-    events = Engine.events_executed ();
-    rpc =
-      Ll_net.Rpc.counters_diff ~before:rpc_before
-        ~after:(Ll_net.Rpc.counters ());
-  }
+  let rpc =
+    Ll_net.Rpc.counters_diff ~before:rpc_before ~after:(Ll_net.Rpc.counters ())
+  in
+  coverage.runs <- 1;
+  coverage.violations <- (if violation = None then 0 else 1);
+  coverage.events <- Engine.events_executed ();
+  coverage.retries <- rpc.Ll_net.Rpc.cs_retries;
+  coverage.retries_shed <- rpc.Ll_net.Rpc.cs_shed;
+  coverage.hedges_won <- rpc.Ll_net.Rpc.cs_hedges_won;
+  { scenario = sc; violation; coverage }
 
 (* ---------- greedy fault-script shrinking ---------- *)
 
@@ -406,3 +390,52 @@ let sweep ~jobs (scenarios : Artifact.scenario list) : outcome list =
   |> List.map (function
        | Some o -> o
        | None -> failwith "lazylog_check: sweep lost a result")
+
+(* ---------- coverage summary ---------- *)
+
+let summary (outcomes : outcome list) =
+  (* Summed per system in a [Hashtbl]; its iteration order fixes the
+     order of the systems' blocks. *)
+  let by_system = Hashtbl.create 4 in
+  List.iter
+    (fun o ->
+      let sys = o.scenario.Artifact.system in
+      let sum =
+        match Hashtbl.find_opt by_system sys with
+        | Some sum -> sum
+        | None ->
+          let sum = Monitors.empty_coverage () in
+          Hashtbl.replace by_system sys sum;
+          sum
+      in
+      Monitors.add_coverage sum o.coverage)
+    outcomes;
+  let b = Buffer.create 512 in
+  Buffer.add_string b "coverage summary\n";
+  Hashtbl.iter
+    (fun sys (c : Monitors.coverage) ->
+      Printf.bprintf b
+        "  %-8s %4d seeds | %d violations | %d appends acked | %d records \
+         read | %d crashes | %d view installs | %d delivered | %.1fM events\n"
+        sys c.runs c.violations c.acked c.reads c.crashes c.view_installs
+        c.delivered
+        (float_of_int c.events /. 1e6);
+      (* Gray-resilience line only when something gray happened, so the
+         classic sweeps print exactly what they always did. *)
+      if c.gray_faults + c.outliers_removed + c.retries + c.retries_shed
+         + c.hedges_won
+         > 0
+      then
+        Printf.bprintf b
+          "  %-8s      gray | %d gray faults | %d outliers evicted | %d \
+           retries (%d shed) | %d hedges won\n"
+          "" c.gray_faults c.outliers_removed c.retries c.retries_shed
+          c.hedges_won;
+      (* Tenants line only in multi-log fabric sweeps, same principle. *)
+      if c.tenant_logs + c.ingress_shed > 0 then
+        Printf.bprintf b
+          "  %-8s   tenants | %d tenant-log stabilizations | %d appends \
+           shed by admission control\n"
+          "" c.tenant_logs c.ingress_shed)
+    by_system;
+  Buffer.contents b

@@ -7,7 +7,7 @@
     ~perturb:true]), the fabric's jitter/drop stream, and the workload
     arrivals; the fault script is either generated from the same seed
     ({!scenario}) or given explicitly (replay, shrinking). The workload
-    is a fixed shape — {!nwriters} open-loop writers plus one reader over
+    is a fixed shape — four open-loop writers plus one reader over
     the stable prefix — so violations depend only on (scenario, seed).
 
     The run stops at the first invariant violation (its event counter is
@@ -17,8 +17,6 @@ open Ll_sim
 
 val default_horizon : Engine.time
 val quick_horizon : Engine.time
-
-val nwriters : int
 
 val scenario :
   system:string ->
@@ -60,10 +58,8 @@ type outcome = {
       (** the first violation; a run that died on an exception reports it
           as invariant ["exception"] *)
   coverage : Monitors.coverage;
-  events : int;  (** scheduler events executed *)
-  rpc : Ll_net.Rpc.counter_snapshot;
-      (** rpc-layer counter deltas for this run (timeouts, retries, shed
-          retries, hedges fired/won) — gray-mode mitigation evidence *)
+      (** what the run exercised, its scheduler events and its rpc-layer
+          counter deltas (retries, shed retries, hedges won) included *)
 }
 
 val run_one : Artifact.scenario -> outcome
@@ -81,3 +77,10 @@ val sweep : jobs:int -> Artifact.scenario list -> outcome list
 (** Run every scenario, up to [jobs] at a time on parallel domains
     (engine and monitor state are domain-local). Results are in input
     order. *)
+
+val summary : outcome list -> string
+(** The sweep's coverage summary: a ["coverage summary"] header, then
+    per system the outcomes' {!Monitors.coverage} records summed and
+    printed as one line, plus a gray line when any gray fault, eviction,
+    retry or hedge happened and a tenants line when any tenant log
+    advanced or any append was shed. *)

@@ -86,7 +86,6 @@ val apply : Erwin_common.t -> script -> unit
 (** Schedule every step against the cluster. Must run inside
     [Engine.run], before or during the workload. *)
 
-val pp_step : Format.formatter -> step -> unit
 val step_to_string : step -> string
 
 val step_of_string : string -> step

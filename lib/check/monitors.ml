@@ -14,6 +14,51 @@ let pp_violation fmt v =
     v.at_event
     (Engine.to_ms v.at_time)
 
+type coverage = {
+  mutable runs : int;
+  mutable violations : int;
+  mutable events : int;
+  mutable acked : int;
+  mutable reads : int;
+  mutable crashes : int;
+  mutable view_installs : int;
+  mutable stable : int;
+  mutable delivered : int;
+  mutable gray_faults : int;
+  mutable outliers_removed : int;
+  mutable tenant_logs : int;
+  mutable ingress_shed : int;
+  mutable retries : int;
+  mutable retries_shed : int;
+  mutable hedges_won : int;
+}
+
+let empty_coverage () =
+  {
+    runs = 0; violations = 0; events = 0; acked = 0; reads = 0; crashes = 0;
+    view_installs = 0; stable = 0; delivered = 0; gray_faults = 0;
+    outliers_removed = 0; tenant_logs = 0; ingress_shed = 0; retries = 0;
+    retries_shed = 0; hedges_won = 0;
+  }
+
+let add_coverage into c =
+  into.runs <- into.runs + c.runs;
+  into.violations <- into.violations + c.violations;
+  into.events <- into.events + c.events;
+  into.acked <- into.acked + c.acked;
+  into.reads <- into.reads + c.reads;
+  into.crashes <- into.crashes + c.crashes;
+  into.view_installs <- into.view_installs + c.view_installs;
+  into.stable <- into.stable + c.stable;
+  into.delivered <- into.delivered + c.delivered;
+  into.gray_faults <- into.gray_faults + c.gray_faults;
+  into.outliers_removed <- into.outliers_removed + c.outliers_removed;
+  into.tenant_logs <- into.tenant_logs + c.tenant_logs;
+  into.ingress_shed <- into.ingress_shed + c.ingress_shed;
+  into.retries <- into.retries + c.retries;
+  into.retries_shed <- into.retries_shed + c.retries_shed;
+  into.hedges_won <- into.hedges_won + c.hedges_won
+
 type t = {
   cluster : Erwin_common.t;
   on_violation : violation -> unit;
@@ -34,17 +79,7 @@ type t = {
   stable : Log_table.t;
   max_invoke_exposed : Log_table.t;
   mutable violations_rev : violation list;
-  (* coverage counters *)
-  mutable n_invoked : int;
-  mutable n_acked : int;
-  mutable n_reads : int;
-  mutable n_crashes : int;
-  mutable n_views : int;
-  mutable n_delivered : int;
-  mutable n_gray : int;
-  mutable n_outliers : int;
-  mutable n_admitted : int;
-  mutable n_shed : int;
+  cov : coverage;
 }
 
 let violate t invariant fmt =
@@ -66,8 +101,7 @@ let rid_pp = Types.Rid.pp
 
 let stable_for t ~log = Log_table.get t.stable log
 
-(* Log 0's stable prefix: subscriptions read log 0, and the coverage
-   report counts it. *)
+(* Log 0's stable prefix: subscriptions read log 0. *)
 let root_stable t = stable_for t ~log:0
 
 (* Exposure: position [pos] joined its log's stable prefix. Incremental
@@ -126,21 +160,18 @@ let audit_crash t =
 let handle t (ev : Probe.event) =
   match ev with
   | Append_invoked { rid } ->
-    if not (Hashtbl.mem t.invoked rid) then begin
-      Hashtbl.replace t.invoked rid (Engine.now ());
-      t.n_invoked <- t.n_invoked + 1
-    end
+    if not (Hashtbl.mem t.invoked rid) then
+      Hashtbl.replace t.invoked rid (Engine.now ())
   | Append_acked { rid } ->
     if not (Hashtbl.mem t.acked rid) then begin
       Hashtbl.replace t.acked rid (Engine.now ());
-      t.n_acked <- t.n_acked + 1;
+      t.cov.acked <- t.cov.acked + 1;
       if Hashtbl.mem t.nooped rid then
         violate t "durability"
           "record %a acknowledged after its binding was no-op'ed" rid_pp rid
     end
-  | Replica_sealed _ -> ()
   | View_installed { replica; view } ->
-    t.n_views <- t.n_views + 1;
+    t.cov.view_installs <- t.cov.view_installs + 1;
     (match Hashtbl.find_opt t.installed_views replica with
     | Some prev when view <= prev ->
       violate t "view-safety"
@@ -159,6 +190,11 @@ let handle t (ev : Probe.event) =
       for pos = cur to gp - 1 do
         expose t pos
       done;
+      (* Coverage: log 0's prefix length, and each tenant log counted
+         when its prefix first advances. *)
+      if log = 0 then t.cov.stable <- gp
+      else if cur = Logid.base ~log then
+        t.cov.tenant_logs <- t.cov.tenant_logs + 1;
       Log_table.set t.stable log gp
     end
   | Shard_stored { shard; pos; rid } ->
@@ -194,7 +230,7 @@ let handle t (ev : Probe.event) =
             Hashtbl.remove t.bindings pos)
         (Hashtbl.copy t.bindings)
   | Read_served { shard; pos; rid } ->
-    t.n_reads <- t.n_reads + 1;
+    t.cov.reads <- t.cov.reads + 1;
     let stable = stable_for t ~log:(Logid.log_of pos) in
     if pos >= stable then
       violate t "read-stability"
@@ -216,12 +252,12 @@ let handle t (ev : Probe.event) =
             rid_pp rid'
     end
   | Crashed _ ->
-    t.n_crashes <- t.n_crashes + 1;
+    t.cov.crashes <- t.cov.crashes + 1;
     audit_crash t
   | Sub_registered { name; from } ->
     if not (Hashtbl.mem t.subs name) then Hashtbl.replace t.subs name (from, from)
   | Sub_delivered { name; pos; rid } -> (
-    t.n_delivered <- t.n_delivered + 1;
+    t.cov.delivered <- t.cov.delivered + 1;
     match Hashtbl.find_opt t.subs name with
     | None ->
       violate t "exactly-once"
@@ -265,10 +301,10 @@ let handle t (ev : Probe.event) =
             "subscription %s delivered unbound position %d" name pos);
         Hashtbl.replace t.subs name (from, pos + 1)
       end)
-  | Gray_fault _ -> t.n_gray <- t.n_gray + 1
-  | Outlier_removed _ -> t.n_outliers <- t.n_outliers + 1
-  | Ingress_admitted _ -> t.n_admitted <- t.n_admitted + 1
-  | Ingress_shed _ -> t.n_shed <- t.n_shed + 1
+  | Gray_fault _ -> t.cov.gray_faults <- t.cov.gray_faults + 1
+  | Outlier_removed _ ->
+    t.cov.outliers_removed <- t.cov.outliers_removed + 1
+  | Ingress_shed _ -> t.cov.ingress_shed <- t.cov.ingress_shed + 1
 
 (* A subscription is caught up when no client record below the stable
    prefix is still awaiting delivery (trailing no-op fillers do not
@@ -317,16 +353,16 @@ let nothing_stabilized t =
   Log_table.fold (fun log g none -> none && g = Logid.base ~log) t.stable true
 
 let progress_pending t =
-  (t.n_acked > 0 && nothing_stabilized t)
+  (t.cov.acked > 0 && nothing_stabilized t)
   || Hashtbl.fold
        (fun rid _ pending -> pending || not (Hashtbl.mem t.stored_rids rid))
        t.acked false
 
 let finalize_progress t =
-  if t.n_acked > 0 && nothing_stabilized t then
+  if t.cov.acked > 0 && nothing_stabilized t then
     violate t "gray-progress"
       "stable prefix never advanced despite %d acknowledged appends"
-      t.n_acked;
+      t.cov.acked;
   Hashtbl.iter
     (fun rid _ ->
       if not (Hashtbl.mem t.stored_rids rid) then
@@ -350,16 +386,7 @@ let install ?(on_violation = fun _ -> ()) cluster =
       stable = Log_table.create ~default:(fun log -> Logid.base ~log);
       max_invoke_exposed = Log_table.create ~default:(fun _ -> -1);
       violations_rev = [];
-      n_invoked = 0;
-      n_acked = 0;
-      n_reads = 0;
-      n_crashes = 0;
-      n_views = 0;
-      n_delivered = 0;
-      n_gray = 0;
-      n_outliers = 0;
-      n_admitted = 0;
-      n_shed = 0;
+      cov = empty_coverage ();
     }
   in
   Probe.subscribe (handle t);
@@ -368,33 +395,4 @@ let install ?(on_violation = fun _ -> ()) cluster =
 let violations t = List.rev t.violations_rev
 let first t = match List.rev t.violations_rev with v :: _ -> Some v | [] -> None
 
-type coverage = {
-  invoked : int;
-  acked : int;
-  reads : int;
-  crashes : int;
-  view_installs : int;
-  stable : int;
-  delivered : int;
-  gray_faults : int;
-  outliers_removed : int;
-  tenant_logs : int;
-  ingress_shed : int;
-}
-
-let coverage t =
-  {
-    invoked = t.n_invoked;
-    acked = t.n_acked;
-    reads = t.n_reads;
-    crashes = t.n_crashes;
-    view_installs = t.n_views;
-    stable = root_stable t;
-    delivered = t.n_delivered;
-    gray_faults = t.n_gray;
-    outliers_removed = t.n_outliers;
-    (* Held logs beyond log 0, which is held from the start: a tenant
-       log is held once its prefix advanced. *)
-    tenant_logs = Log_table.fold (fun _ _ n -> n + 1) t.stable (-1);
-    ingress_shed = t.n_shed;
-  }
+let coverage t = t.cov

@@ -59,22 +59,39 @@ val violations : t -> violation list
 
 val first : t -> violation option
 
-(** What the run exercised — the sweep's coverage summary. *)
+(** What a run exercised, and, summed field by field
+    ({!add_coverage}), what a sweep exercised: the one record behind the
+    checker's per-run lines and its coverage summary. The monitor counts
+    into it as events arrive; {!Checker.run_one} fills in the fields
+    that come from outside the probe stream ([runs] to [events], and the
+    rpc counters). *)
 type coverage = {
-  invoked : int;  (** distinct appends invoked *)
-  acked : int;  (** distinct appends acknowledged *)
-  reads : int;  (** records served to readers *)
-  crashes : int;
-  view_installs : int;
-  stable : int;  (** final stable prefix length *)
-  delivered : int;  (** subscription records delivered (post-dedup) *)
-  gray_faults : int;  (** gray (fail-slow) fault windows injected *)
-  outliers_removed : int;  (** replicas evicted by the outlier monitor *)
-  tenant_logs : int;  (** tenant logs (> 0) whose stable prefix advanced *)
-  ingress_shed : int;  (** appends shed by fair-ingress admission control *)
+  mutable runs : int;  (** 1 per run *)
+  mutable violations : int;  (** runs that violated an invariant *)
+  mutable events : int;  (** scheduler events executed *)
+  mutable acked : int;  (** distinct appends acknowledged *)
+  mutable reads : int;  (** records served to readers *)
+  mutable crashes : int;
+  mutable view_installs : int;
+  mutable stable : int;  (** log 0's final stable prefix length *)
+  mutable delivered : int;  (** subscription records delivered, deduped *)
+  mutable gray_faults : int;  (** gray (fail-slow) fault windows injected *)
+  mutable outliers_removed : int;  (** replicas evicted as outliers *)
+  mutable tenant_logs : int;  (** tenant logs whose stable prefix advanced *)
+  mutable ingress_shed : int;  (** appends shed by fair-ingress admission *)
+  mutable retries : int;  (** rpc retries *)
+  mutable retries_shed : int;  (** rpc retries shed by the retry budget *)
+  mutable hedges_won : int;  (** hedged reads answered by the hedge *)
 }
 
+val empty_coverage : unit -> coverage
+(** All zeros. *)
+
+val add_coverage : coverage -> coverage -> unit
+(** [add_coverage into c] adds each field of [c] into [into]. *)
+
 val coverage : t -> coverage
+(** The monitor's live record (not a copy). *)
 
 val subs_caught_up : t -> bool
 (** Every registered subscription has consumed every client record bound

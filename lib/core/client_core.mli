@@ -12,21 +12,17 @@ val install_retry_budget : Erwin_common.t -> ep -> unit
     retries shed under sustained timeouts instead of storming. No-op
     when the knob is off. *)
 
-val try_append_seq :
-  Erwin_common.t -> ep -> view:int -> track:bool -> Types.entry ->
-  [ `Ok | `Fail of int ]
-(** One append attempt: writes the entry to every sequencing replica of
-    [view] in parallel and succeeds only if all ack in that view within
-    the configured timeout (the 1 RTT fast path of section 4.1).
-    [`Fail view] carries the attempted view. *)
-
 val await_view_after : Erwin_common.t -> int -> unit
 (** Parks until the cluster's view exceeds the given one (bounded waits so
     a controller-less deployment still makes progress via retries). *)
 
 val append_entry : Erwin_common.t -> ep -> track:bool -> Types.entry -> unit
-(** [try_append_seq] (or, with [cfg.linger = Some _], a submit to the
-    shared {!Batcher}) with retry-across-views until acknowledged. *)
+(** Appends with retry across views until acknowledged. Each attempt
+    writes the entry to every sequencing replica of the current view in
+    parallel and succeeds only if all ack in that view within the
+    configured timeout (the 1 RTT fast path of section 4.1); with
+    [cfg.linger = Some _] it is a submit to the shared {!Batcher}
+    instead. *)
 
 val check_tail : ?log:int -> Erwin_common.t -> ep -> int
 (** Durable-record count from the sequencing leader (section 4.4),

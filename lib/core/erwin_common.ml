@@ -14,23 +14,13 @@ type reconfig_timings = {
 
 type orderer_metrics = {
   stable_lag : Stats.Reservoir.t;
-  batch_sizes : Stats.Histogram.t;
-  depth_samples : Stats.Histogram.t;
   mutable largest_batch : int;
-  mutable ordered_records : int;
-  mutable first_claim_at : Engine.time;
-  mutable last_stable_at : Engine.time;
 }
 
 let fresh_metrics () =
   {
     stable_lag = Stats.Reservoir.create ~name:"stable_lag" ();
-    batch_sizes = Stats.Histogram.create ~name:"batch_size" ();
-    depth_samples = Stats.Histogram.create ~name:"pipeline_depth" ();
     largest_batch = 0;
-    ordered_records = 0;
-    first_claim_at = -1;
-    last_stable_at = -1;
   }
 
 (* The per-process append batcher, as closures so [Batcher] can live in a
@@ -185,13 +175,6 @@ let fresh_client_id t =
 let avg_batch t =
   if t.batches = 0 then 0.0
   else float_of_int t.batched_entries /. float_of_int t.batches
-
-let ordering_throughput t =
-  let m = t.metrics in
-  if m.ordered_records = 0 || m.last_stable_at <= m.first_claim_at then 0.0
-  else
-    float_of_int m.ordered_records
-    /. Engine.to_sec (m.last_stable_at - m.first_claim_at)
 
 let new_endpoint t ~name =
   let node =

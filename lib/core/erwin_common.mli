@@ -22,16 +22,12 @@ type reconfig_timings = {
 }
 
 (** Background-ordering observability (fed by {!Orderer}): stable-gp lag
-    per batch (claim to stable, ns), batch-size and pipeline-depth
-    histograms, and the bounds needed to derive ordering throughput. *)
+    per batch (claim to stable, ns) and the largest batch claimed. The
+    batch count and mean size live on {!t} ([batches],
+    [batched_entries]). *)
 type orderer_metrics = {
   stable_lag : Stats.Reservoir.t;
-  batch_sizes : Stats.Histogram.t;
-  depth_samples : Stats.Histogram.t;
   mutable largest_batch : int;
-  mutable ordered_records : int;
-  mutable first_claim_at : Engine.time;  (** -1 until the first claim *)
-  mutable last_stable_at : Engine.time;  (** -1 until the first stable *)
 }
 
 (** The per-process append batcher (group commit), held as closures so the
@@ -136,10 +132,6 @@ val fresh_client_id : t -> int
 
 val avg_batch : t -> float
 (** Mean background-ordering batch size so far. *)
-
-val ordering_throughput : t -> float
-(** Records made stable per second of simulated time, measured from the
-    first batch claim to the latest stable broadcast (0 if none). *)
 
 val new_endpoint : t -> name:string -> (Proto.req, Proto.resp) Rpc.endpoint
 (** A fresh fabric node + endpoint (for clients and the controller). *)

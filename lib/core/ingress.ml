@@ -68,8 +68,6 @@ let tenant t log =
 let enqueue t ten cost thunk =
   Queue.push (cost, thunk) ten.queue;
   ten.admitted <- ten.admitted + 1;
-  if Probe.active () then
-    Probe.emit (Probe.Ingress_admitted { replica = t.replica; log = ten.log });
   if not ten.in_active then begin
     ten.in_active <- true;
     Queue.push ten.log t.active;
@@ -117,9 +115,6 @@ let stats t ~log =
       st_shed = ten.shed;
       st_queued = Queue.length ten.queue;
     }
-
-let queued_total t =
-  Hashtbl.fold (fun _ ten acc -> acc + Queue.length ten.queue) t.tenants 0
 
 (* Install on a sequencing replica's endpoint. [view] reads the replica's
    current view for shed replies (a shed is a failed append in the

@@ -33,7 +33,3 @@ type stats = { st_admitted : int; st_shed : int; st_queued : int }
 val stats : t -> log:int -> stats
 (** Cumulative admitted/shed counters and current queue depth for one
     tenant; zeros for a tenant never seen. *)
-
-val queued_total : t -> int
-(** Total requests currently queued across all tenants (the bound the
-    admission path is defending). *)

@@ -6,5 +6,3 @@ type t = {
   trim : upto:int -> bool;
   append_sync : (size:int -> data:string -> int) option;
 }
-
-let map_name t name = { t with name }

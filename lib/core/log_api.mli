@@ -26,5 +26,3 @@ type t = {
   append_sync : (size:int -> data:string -> int) option;
       (** Optional eager append returning the bound position. *)
 }
-
-val map_name : t -> string -> t

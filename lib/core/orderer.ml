@@ -237,18 +237,12 @@ let idle_wait (cluster : t) ~cursors =
 
 let note_claim (cluster : t) n =
   let m = cluster.metrics in
-  if m.first_claim_at < 0 then m.first_claim_at <- Engine.now ();
-  Stats.Histogram.add m.batch_sizes n;
-  Stats.Histogram.add m.depth_samples (max 1 cluster.inflight_batches);
   if n > m.largest_batch then m.largest_batch <- n
 
 let note_stable (cluster : t) ~size ~claimed_at =
   cluster.batches <- cluster.batches + 1;
   cluster.batched_entries <- cluster.batched_entries + size;
-  let m = cluster.metrics in
-  m.ordered_records <- m.ordered_records + size;
-  m.last_stable_at <- Engine.now ();
-  Stats.Reservoir.add m.stable_lag (Engine.now () - claimed_at)
+  Stats.Reservoir.add cluster.metrics.stable_lag (Engine.now () - claimed_at)
 
 (* ---------- pipelined orderer ----------
 

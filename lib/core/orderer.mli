@@ -83,8 +83,6 @@ end
 val start : Erwin_common.t -> unit
 (** Spawns the background-ordering fiber(s). *)
 
-val is_idle : Erwin_common.t -> bool
-
 val wait_idle : Erwin_common.t -> unit
 (** Blocks until no ordering batch is in flight (reconfiguration uses this
     to serialize the recovery flush against normal pushes). *)

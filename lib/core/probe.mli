@@ -2,7 +2,7 @@
 
     The protocol code emits small structured events at the points the
     DESIGN.md section 5 invariants talk about: append invocation and
-    acknowledgement, replica seal/install, stable-prefix advance,
+    acknowledgement, view install, stable-prefix advance,
     shard position binding, reads, crashes. [lib/check] subscribes during
     a checked run and maintains incremental invariant state; production
     and benchmark runs register no subscriber, so the hooks cost one
@@ -17,7 +17,6 @@ type event =
       (** A client began an append of [rid] (first attempt, not retries). *)
   | Append_acked of { rid : Types.Rid.t }
       (** The client observed a successful acknowledgement for [rid]. *)
-  | Replica_sealed of { replica : int; view : int }
   | View_installed of { replica : int; view : int }
   | Stable_advanced of { gp : int }
       (** The orderer advanced the stable prefix: positions [< gp] are
@@ -55,9 +54,6 @@ type event =
   | Outlier_removed of { node : int }
       (** The latency-outlier monitor evicted sequencing replica [node]
           (fabric node id) via section 5.5 straggler removal. *)
-  | Ingress_admitted of { replica : int; log : int }
-      (** Fair ingress: sequencing replica [replica] admitted a data-plane
-          append of tenant [log] into its ingress queue. *)
   | Ingress_shed of { replica : int; log : int }
       (** Fair ingress: the tenant's queue was at the bound — the append
           was answered with an immediate failure instead of queueing. *)
@@ -76,5 +72,3 @@ val subscribe : handler -> unit
 
 val reset : unit -> unit
 (** Drop all subscribers on this domain (start of a checked run). *)
-
-val pp_event : Format.formatter -> event -> unit

@@ -234,7 +234,3 @@ let start (cluster : t) =
       in
       if member then trigger cluster ep);
   if cluster.cfg.Config.outlier_detection then start_outlier_monitor cluster
-
-let force_view_change (cluster : t) =
-  let ep = new_endpoint cluster ~name:"controller.force" in
-  trigger cluster ep

@@ -20,9 +20,6 @@ val start : Erwin_common.t -> unit
     is evicted through {!remove_replica} — catching fail-slow replicas
     whose heartbeats never expire. *)
 
-val force_view_change : Erwin_common.t -> unit
-(** Runs a view change immediately (test hook; skips detection). *)
-
 val remove_replica : Erwin_common.t -> Seq_replica.t -> unit
 (** Reconfigures a live replica out of the sequencing layer — the
     persistent-straggler mitigation of section 5.5. Blocking (the view

@@ -99,9 +99,7 @@ let handle t ~src:_ (req : Proto.req) ~reply =
     (* Idempotent; sealing an already-newer view is a stale message. *)
     if view >= t.view then begin
       t.sealed <- true;
-      Seq_log.kick t.slog;
-      if Probe.active () then
-        Probe.emit (Probe.Replica_sealed { replica = Fabric.id t.node; view })
+      Seq_log.kick t.slog
     end;
     reply Proto.R_ok
   | Sr_get_state ->

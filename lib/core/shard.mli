@@ -36,13 +36,9 @@ val primary_id : t -> Fabric.node_id
 val replica_ids : t -> Fabric.node_id list
 (** Primary first — Erwin-st clients write data to all of these. *)
 
-val stable_gp_for : t -> log:int -> int
-(** The primary's stable mirror for one log (packed; [Logid.base ~log]
-    until first advanced). Backups keep their own, possibly lagging,
-    mirror for replica reads. *)
-
 val stable_gp : t -> int
-(** [stable_gp_for t ~log:0]. *)
+(** The primary's stable mirror for log 0. Backups keep their own,
+    possibly lagging, mirror for replica reads. *)
 
 val set_demand_target : t -> Fabric.node_id option -> unit
 (** Where the primary sends [Sr_order_demand] when a read parks beyond

@@ -20,9 +20,6 @@ type record = { rid : Rid.t; size : int; data : string; log : int }
 
 let record ~rid ~size ?(data = "") ?(log = 0) () = { rid; size; data; log }
 
-let pp_record fmt r =
-  Format.fprintf fmt "{rid=%a size=%d}" Rid.pp r.rid r.size
-
 type entry =
   | Data of record
   | Meta of { rid : Rid.t; shard : int; size : int; log : int }

@@ -21,8 +21,6 @@ type record = { rid : Rid.t; size : int; data : string; log : int }
 val record :
   rid:Rid.t -> size:int -> ?data:string -> ?log:int -> unit -> record
 
-val pp_record : Format.formatter -> record -> unit
-
 (** Sequencing-layer entry: Erwin-m funnels whole records through the
     sequencing layer, Erwin-st only metadata [<record-id, shard-id>]. *)
 type entry =

@@ -121,8 +121,6 @@ let node_by_id t i =
   if i < 0 || i >= t.nnodes then invalid_arg "Fabric.node_by_id";
   t.nodes.(i)
 
-let node_count t = t.nnodes
-
 (* Partitions exist only under fault scripts: healthy runs skip the hash
    on both send and delivery. *)
 let partitioned t a b =
@@ -236,8 +234,6 @@ let link_fault t ~src ~dst =
   | None -> None
 
 let set_extra_delay n d = n.extra <- d
-
-let extra_delay n = n.extra
 
 let messages_sent t = t.sent
 

@@ -48,9 +48,6 @@ val id : 'm node -> node_id
 val name : 'm node -> string
 val node_by_id : 'm t -> node_id -> 'm node
 
-val node_count : 'm t -> int
-(** Number of registered nodes (node ids are [0 .. node_count - 1]). *)
-
 val send : 'm t -> src:'m node -> dst:node_id -> size:int -> 'm -> unit
 (** Fire-and-forget message of [size] payload bytes. Dropped silently if
     either endpoint is crashed or the pair is partitioned at send time. *)
@@ -90,8 +87,6 @@ val set_drop_probability : 'm t -> float -> unit
 val set_extra_delay : 'm node -> Engine.time -> unit
 (** Straggler injection: adds a fixed delay to every message into and out
     of this node (0 to clear). *)
-
-val extra_delay : 'm node -> Engine.time
 
 val set_link_fault :
   'm t -> src:node_id -> dst:node_id -> ?delay:Engine.time -> ?drop_p:float ->

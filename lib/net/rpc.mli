@@ -126,8 +126,6 @@ module Retry_budget : sig
   (** Defaults: [ratio = 0.1] (one retry earned per 10 calls),
       [cap = 8.0]. The bucket starts full. *)
 
-  val deposit : t -> unit
-  val try_withdraw : t -> bool
   val tokens : t -> float
 end
 

@@ -63,9 +63,9 @@ type shard = {
   mutable next_lsn : int;
   mutable backup_len : int;
   mutable acked_upto : int;  (* lsns below this are covered by a cut *)
-  mutable base_of_acked : int;  (* position of lsn [acked_upto - 1] + 1 *)
   cut_watch : Waitq.t;
-  pending_gp : (int, int) Hashtbl.t;  (* lsn -> position, once covered *)
+  pending_gp : (int, int) Hashtbl.t;
+      (* lsn -> position, from its cut until its Append handler replies *)
 }
 
 type t = {
@@ -86,6 +86,9 @@ type t = {
 }
 
 let committed_cuts t = t.cuts_committed
+
+let pending_positions t =
+  Array.fold_left (fun n s -> n + Hashtbl.length s.pending_gp) 0 t.shards
 
 (* --- shard servers --- *)
 
@@ -114,7 +117,6 @@ let make_shard ~config fabric sid ~ordering_id =
       next_lsn = 0;
       backup_len = 0;
       acked_upto = 0;
-      base_of_acked = 0;
       cut_watch = Waitq.create ();
       pending_gp = Hashtbl.create 1024;
     }
@@ -139,13 +141,14 @@ let make_shard ~config fabric sid ~ordering_id =
         (* Ack only once a committed cut covers this lsn (eager global
            ordering in the critical path). *)
         Waitq.await s.cut_watch (fun () -> s.acked_upto > lsn);
-        reply (R_gp (Hashtbl.find s.pending_gp lsn))
+        let gp = Hashtbl.find s.pending_gp lsn in
+        Hashtbl.remove s.pending_gp lsn;
+        reply (R_gp gp)
       | Cut { upto; base; _ } ->
         if upto > s.acked_upto then begin
           for lsn = s.acked_upto to upto - 1 do
             Hashtbl.replace s.pending_gp lsn (base + lsn - s.acked_upto)
           done;
-          s.base_of_acked <- base + (upto - s.acked_upto);
           s.acked_upto <- upto;
           Waitq.broadcast s.cut_watch
         end;

@@ -45,6 +45,11 @@ val client : t -> Lazylog.Log_api.t
 val committed_cuts : t -> int
 (** Number of Paxos-committed cuts (diagnostics). *)
 
+val pending_positions : t -> int
+(** Positions assigned by a committed cut whose append has not been
+    acknowledged yet, summed over shards: 0 once every append covered
+    by a cut has replied. *)
+
 val shard_in_isolation_probe :
   ?config:config -> rate:float -> seconds:float -> size:int -> unit ->
   float * float

@@ -156,12 +156,10 @@ type timer = private int
 val no_timer : timer
 (** The null token; {!cancel} on it returns [false]. *)
 
-val timer_at : time -> (unit -> unit) -> timer
-(** Like {!call_at} — identical schedule position — but returns a token
-    that can cancel the callback before it fires. *)
-
 val timer_after : time -> (unit -> unit) -> timer
-(** [timer_after d f] is [timer_at (now () + d) f]. *)
+(** [timer_after d f] is like [call_at (now () + d) f] — identical
+    schedule position — but returns a token that can cancel the callback
+    before it fires. *)
 
 val cancel : timer -> bool
 (** [cancel t] removes the pending timer: [true] if this call removed it

@@ -2,8 +2,6 @@ type t = Random.State.t
 
 let create ~seed = Random.State.make [| seed; 0x9e3779b9 |]
 
-let of_state s = s
-
 let split t = Random.State.make [| Random.State.bits t; Random.State.bits t |]
 
 let int t n = Random.State.int t n
@@ -16,8 +14,6 @@ let exponential t ~mean =
   (* Inverse-CDF sampling; guard against log 0. *)
   let u = 1.0 -. Random.State.float t 1.0 in
   -.mean *. log u
-
-let uniform_range t ~lo ~hi = lo +. Random.State.float t (hi -. lo)
 
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";

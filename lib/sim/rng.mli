@@ -8,8 +8,6 @@ type t
 
 val create : seed:int -> t
 
-val of_state : Random.State.t -> t
-
 val split : t -> t
 (** [split t] is an independent stream derived from [t] (advances [t]). *)
 
@@ -24,8 +22,6 @@ val bool : t -> p:float -> bool
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
-
-val uniform_range : t -> lo:float -> hi:float -> float
 
 val pick : t -> 'a array -> 'a
 (** Uniform choice from a non-empty array. *)

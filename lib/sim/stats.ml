@@ -137,62 +137,5 @@ module Timeline = struct
   let total t = Hashtbl.fold (fun _ r acc -> acc + !r) t.counts 0
 end
 
-module Histogram = struct
-  (* Power-of-two buckets: bucket b counts samples in [2^(b-1), 2^b - 1]
-     (bucket 0 counts v <= 0). Constant memory, O(1) add — suited to
-     per-batch series (batch sizes, pipeline depths) recorded on the
-     orderer's hot path. *)
-  type t = {
-    name : string;
-    counts : int array;
-    mutable total : int;
-    mutable max_sample : int;
-  }
-
-  let buckets_len = 63
-
-  let create ?(name = "hist") () =
-    { name; counts = Array.make buckets_len 0; total = 0; max_sample = 0 }
-
-  let bucket_of v =
-    if v <= 0 then 0
-    else begin
-      let b = ref 0 in
-      let v = ref v in
-      while !v <> 0 do
-        incr b;
-        v := !v lsr 1
-      done;
-      !b
-    end
-
-  let add t v =
-    let b = bucket_of v in
-    t.counts.(b) <- t.counts.(b) + 1;
-    t.total <- t.total + 1;
-    if v > t.max_sample then t.max_sample <- v
-
-  let total t = t.total
-  let max_sample t = t.max_sample
-
-  let buckets t =
-    let out = ref [] in
-    for b = buckets_len - 1 downto 0 do
-      if t.counts.(b) > 0 then begin
-        let lo = if b = 0 then 0 else 1 lsl (b - 1) in
-        let hi = if b = 0 then 0 else (1 lsl b) - 1 in
-        out := (lo, hi, t.counts.(b)) :: !out
-      end
-    done;
-    !out
-
-  let clear t =
-    Array.fill t.counts 0 buckets_len 0;
-    t.total <- 0;
-    t.max_sample <- 0
-
-  let name t = t.name
-end
-
 let throughput_per_sec ~count ~dur =
   if dur <= 0 then 0.0 else float_of_int count /. Engine.to_sec dur

@@ -54,30 +54,5 @@ module Timeline : sig
   val total : t -> int
 end
 
-(** {1 Power-of-two histograms} *)
-
-module Histogram : sig
-  type t
-
-  val create : ?name:string -> unit -> t
-
-  val add : t -> int -> unit
-  (** O(1), constant memory: sample [v] lands in bucket
-      [⌈log2 (v+1)⌉] — suitable for hot-path series like ordering batch
-      sizes and pipeline depths. *)
-
-  val total : t -> int
-  (** Number of samples recorded. *)
-
-  val max_sample : t -> int
-  (** Largest sample seen (0 when empty). *)
-
-  val buckets : t -> (int * int * int) list
-  (** Non-empty buckets as [(lo, hi, count)], ascending. *)
-
-  val clear : t -> unit
-  val name : t -> string
-end
-
 val throughput_per_sec : count:int -> dur:Engine.time -> float
 (** Events per second of simulated time. *)

@@ -44,8 +44,6 @@ let set_fail_slow t mode =
   | Stutter { period; _ } -> t.next_stall <- Engine.now () + period
   | Healthy | Degrade _ -> ()
 
-let fail_slow t = t.mode
-
 let operate t ~bytes =
   let now = Engine.now () in
   let start = if t.next_free > now then t.next_free else now in

@@ -41,8 +41,6 @@ val set_fail_slow : t -> fail_slow -> unit
     heals. Queued work already booked on the device keeps its old
     completion time. *)
 
-val fail_slow : t -> fail_slow
-
 val write : t -> bytes:int -> unit
 (** Blocks the calling fiber until the write is persistent. *)
 

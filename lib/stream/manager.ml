@@ -53,7 +53,6 @@ type sub = {
   (* stats *)
   mutable pushes : int;
   mutable redeliveries : int;
-  mutable stale_acks : int;
 }
 
 type t = {
@@ -140,7 +139,7 @@ let push_round t sub =
         | Some _ ->
           (* Ack from a previous incarnation (epoch moved while the push
              was in flight): drop it, the pump recomputes. *)
-          sub.stale_acks <- sub.stale_acks + 1
+          ()
         | None ->
           (* Lost push or lost ack — indistinguishable, and it does not
              matter: redeliver the identical batch, the consumer dedups
@@ -200,7 +199,6 @@ let handle t ~src:_ (req : Proto.req) ~reply =
           registered_from = from;
           pushes = 0;
           redeliveries = 0;
-          stale_acks = 0;
         }
       in
       Hashtbl.replace t.subs name sub;

@@ -45,7 +45,6 @@ type t = {
   (* stats *)
   mutable delivered : int;
   mutable dup_skipped : int;
-  mutable noop_skipped : int;
   mutable max_batch : int;
 }
 
@@ -55,13 +54,11 @@ let epoch t = t.epoch
 let next t = t.next
 let delivered t = t.delivered
 let dup_skipped t = t.dup_skipped
-let noop_skipped t = t.noop_skipped
 let max_batch t = t.max_batch
 
 let deliver t gp (r : Types.record) =
   if t.consume > 0 then Engine.sleep t.consume;
-  if Types.is_no_op r then t.noop_skipped <- t.noop_skipped + 1
-  else begin
+  if not (Types.is_no_op r) then begin
     if Probe.active () then
       Probe.emit (Probe.Sub_delivered { name = t.sname; pos = gp; rid = r.Types.rid });
     (match t.on_record with Some f -> f gp r | None -> ());
@@ -140,7 +137,6 @@ let create (cluster : Erwin_common.t) ~manager ~name ?(from = 0)
       incarnation = 0;
       delivered = 0;
       dup_skipped = 0;
-      noop_skipped = 0;
       max_batch = 0;
     }
   in

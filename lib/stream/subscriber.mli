@@ -55,7 +55,5 @@ val delivered : t -> int
 val dup_skipped : t -> int
 (** Redelivered records filtered by the position dedup. *)
 
-val noop_skipped : t -> int
-
 val max_batch : t -> int
 (** Largest push batch received — never exceeds the granted window. *)

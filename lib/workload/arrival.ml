@@ -56,10 +56,3 @@ let closed_loop ~clients ~until op =
         in
         loop 0)
   done
-
-let at_rate_blocking ?(arrivals = Poisson) ?seed ~rate ~n op =
-  let rng = Rng.create ~seed:(derive_seed seed) in
-  for i = 0 to n - 1 do
-    Engine.spawn ~name:"op" (fun () -> op i);
-    Engine.sleep (gap rng arrivals ~rate ~now:(Engine.now ()))
-  done

@@ -35,13 +35,3 @@ val closed_loop :
   clients:int -> until:Engine.time -> (client:int -> int -> unit) -> unit
 (** [closed_loop ~clients ~until op] runs [clients] fibers, each executing
     [op ~client i] back-to-back while [Engine.now () < until]. *)
-
-val at_rate_blocking :
-  ?arrivals:arrivals ->
-  ?seed:int ->
-  rate:float ->
-  n:int ->
-  (int -> unit) ->
-  unit
-(** Issues exactly [n] operations at [rate]/s, then returns once all have
-    been {e issued} (not necessarily completed). *)

@@ -4,14 +4,6 @@ type op = Insert of int | Update of int | Read of int | Read_modify_write of int
 
 type profile = Load | A | B | C | D | F
 
-let profile_name = function
-  | Load -> "load"
-  | A -> "ycsb-a"
-  | B -> "ycsb-b"
-  | C -> "ycsb-c"
-  | D -> "ycsb-d"
-  | F -> "ycsb-f"
-
 type gen = {
   rng : Rng.t;
   zipf : Rng.Zipf.gen;
@@ -52,7 +44,5 @@ let next g =
   | F ->
     if Rng.bool g.rng ~p:0.5 then Read (Rng.Zipf.next g.zipf)
     else Read_modify_write (Rng.Zipf.next g.zipf)
-
-let key_bytes = 24
 
 let value_bytes = 1024

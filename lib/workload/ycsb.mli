@@ -14,8 +14,6 @@ type profile =
   | D  (** read-latest: 5% inserts, 95% reads skewed to recent keys *)
   | F  (** read-modify-write: 50/50 reads/RMWs *)
 
-val profile_name : profile -> string
-
 type gen
 
 val create :
@@ -23,9 +21,6 @@ val create :
 (** [theta] is the zipfian skew (default 0.99, the YCSB default). *)
 
 val next : gen -> op
-
-val key_bytes : int
-(** 24, per the paper's KV experiment. *)
 
 val value_bytes : int
 (** 1024, per the paper's KV experiment. *)

@@ -291,6 +291,55 @@ let test_healthy_sweep_clean_gray () =
   in
   checkb "workload made progress under gray faults" true (acked > 100)
 
+(* --- coverage summary ---
+
+   The sweep's coverage summary, pinned as text: seeds 1-3 of both
+   systems in the default, gray and tenants shapes, with the same
+   scenarios `lazylog_check --seeds 3 --quick [--gray | --tenants]`
+   runs. The expected blocks are that command's output. *)
+
+let summary_default = {|coverage summary
+  erwin-st    3 seeds | 0 violations | 2294 appends acked | 1232 records read | 1 crashes | 2 view installs | 0 delivered | 0.2M events
+  erwin-m     3 seeds | 0 violations | 2344 appends acked | 1236 records read | 1 crashes | 2 view installs | 0 delivered | 0.1M events
+|}
+
+let summary_gray = {|coverage summary
+  erwin-st    3 seeds | 0 violations | 2706 appends acked | 1393 records read | 1 crashes | 2 view installs | 0 delivered | 0.2M events
+                gray | 6 gray faults | 1 outliers evicted | 0 retries (0 shed) | 8 hedges won
+  erwin-m     3 seeds | 0 violations | 2867 appends acked | 1400 records read | 1 crashes | 2 view installs | 0 delivered | 0.2M events
+                gray | 6 gray faults | 1 outliers evicted | 0 retries (0 shed) | 8 hedges won
+|}
+
+let summary_tenants = {|coverage summary
+  erwin-st    3 seeds | 0 violations | 25958 appends acked | 2053 records read | 1 crashes | 2 view installs | 0 delivered | 1.1M events
+                gray | 0 gray faults | 0 outliers evicted | 3 retries (0 shed) | 0 hedges won
+             tenants | 12 tenant-log stabilizations | 240 appends shed by admission control
+  erwin-m     3 seeds | 0 violations | 31599 appends acked | 2105 records read | 1 crashes | 2 view installs | 0 delivered | 0.8M events
+                gray | 0 gray faults | 0 outliers evicted | 2 retries (0 shed) | 0 hedges won
+             tenants | 12 tenant-log stabilizations | 590 appends shed by admission control
+|}
+
+let test_coverage_summary () =
+  List.iter
+    (fun (shape, gray, tenants, want) ->
+      let scenarios =
+        List.concat_map
+          (fun system ->
+            List.init 3 (fun i ->
+                Checker.scenario ~system ~seed:(i + 1) ~gray ~tenants
+                  ~horizon:Checker.quick_horizon ()))
+          [ "erwin-m"; "erwin-st" ]
+      in
+      Alcotest.(check string)
+        ("coverage summary, " ^ shape)
+        want
+        (Checker.summary (Checker.sweep ~jobs:2 scenarios)))
+    [
+      ("default", false, false, summary_default);
+      ("gray", true, false, summary_gray);
+      ("tenants", false, true, summary_tenants);
+    ]
+
 (* The crash-sweep property from the linearizability suite, re-expressed
    on the checker's monitors: for ANY crash time in the first 4 ms and
    any victim, no invariant fires — durability of acked records, order,
@@ -423,6 +472,8 @@ let () =
             test_healthy_sweep_clean_gray;
           Alcotest.test_case "erwin-st clean on bug-sweep seeds" `Quick
             test_same_seeds_clean_without_bug;
+          Alcotest.test_case "coverage summary text" `Quick
+            test_coverage_summary;
         ]
         @ qc
             [

@@ -101,6 +101,19 @@ let test_trim () =
       checki "suffix" 5 (List.length records);
       Engine.stop ())
 
+let test_pending_positions_freed () =
+  (* Each lsn's position is read once, by its own Append handler, so an
+     acked append leaves no entry behind in the shard's lsn->position
+     table. *)
+  Engine.run (fun () ->
+      let s = Scalog.create ~config:small_config () in
+      let log = Scalog.client s in
+      for i = 1 to 20 do
+        checkb "acked" true (log.append ~size:256 ~data:(string_of_int i))
+      done;
+      checki "no position left pending" 0 (Scalog.pending_positions s);
+      Engine.stop ())
+
 let test_isolation_probe_parity () =
   (* Section 6.1's "comparable performance regime": the lone Scalog shard
      sustains a disk-bound rate in the same ballpark as the Erwin shard. *)
@@ -119,6 +132,8 @@ let () =
           Alcotest.test_case "per-client order" `Quick
             test_per_client_order_preserved;
           Alcotest.test_case "trim" `Quick test_trim;
+          Alcotest.test_case "acked appends free their positions" `Quick
+            test_pending_positions_freed;
           Alcotest.test_case "shard isolation parity" `Slow
             test_isolation_probe_parity;
         ] );
