@@ -8,7 +8,8 @@
 
    Workloads: timer-callback | mixed-hop | deep-timer | deep-fiber |
    ready-ivar | ready-mailbox | fifo-fanin | mem-log-bind | store-stage |
-   suspend-wake | quorum-join | rpc-serve | replicate | seq-log-churn
+   suspend-wake | quorum-join | rpc-serve | replicate | seq-log-churn |
+   client-handle
 
    Each rep prints user-CPU ns/op and allocated words/op. Allocated words
    are exact and repeat run to run, so [--max-words W] is a ceiling that
@@ -107,8 +108,9 @@ let ready_mailbox n =
 
 (* Fabric fan-in: 10^4 producer nodes sending to 3 sinks, the shape of
    client -> sequencing-replica traffic. Each round every producer sends
-   once, to a sink that rotates round by round, so the FIFO table holds
-   3 * 10^4 (src, dst) pairs and every send probes it. *)
+   once, to a sink that rotates round by round: every send inserts its
+   (src, dst) pair into the FIFO table and its delivery removes it, so
+   the table holds up to 10^4 pairs in flight. *)
 let fifo_fanin n =
   Ll_sim.Engine.run (fun () ->
       let open Ll_sim in
@@ -278,6 +280,17 @@ let seq_log_churn n =
       (Array.fold_right (fun e acc -> Types.entry_rid e :: acc) claimed [])
   done
 
+(* Client handles: n Erwin-m handles built on one cluster, the
+   per-producer cost of the append-ladder and open-loop worlds. Each op
+   is one handle: its fabric node, RPC endpoint and closures. *)
+let client_handle n =
+  Ll_sim.Engine.run (fun () ->
+      let open Lazylog in
+      let cluster = Erwin_m.create () in
+      let handles = Array.init n (fun _ -> Erwin_m.client cluster) in
+      ignore (Sys.opaque_identity handles : Log_api.t array);
+      Ll_sim.Engine.stop ())
+
 let allocated_words () =
   let minor, promoted, major = Gc.counters () in
   minor +. major -. promoted
@@ -313,6 +326,7 @@ let () =
     | "rpc-serve" -> rpc_serve
     | "replicate" -> replicate
     | "seq-log-churn" -> seq_log_churn
+    | "client-handle" -> client_handle
     | w -> failwith ("unknown workload: " ^ w)
   in
   f (n / 10) (* warmup *);

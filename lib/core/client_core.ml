@@ -246,8 +246,8 @@ let read_grouped ?rr (cluster : t) ep ~shard_of positions =
    window. [fetch] is the system-specific blocking read (shard reads,
    plus map resolution for Erwin-st) — the prefetch fiber runs the whole
    thing, so Erwin-st's map fetches are issued ahead of the consumer
-   too. With [readahead = 0] (the default) every call degenerates to one
-   synchronous [fetch] — the pre-readahead behavior, event for event. *)
+   too. With [readahead = 0] (the default) a handle has no prefetcher
+   and every read is one synchronous [fetch] of its positions. *)
 
 type prefetcher = {
   pf_cache : (int, Types.record) Hashtbl.t;  (* prefetched, not yet consumed *)
@@ -256,18 +256,18 @@ type prefetcher = {
   mutable pf_frontier : int;  (* first position no fetch has covered yet *)
 }
 
-let prefetcher () =
-  {
-    (* Small at creation: every client handle has one, and at the default
-       [readahead = 0] it only ever holds one read's positions. It grows
-       to the readahead window when one is set. *)
-    pf_cache = Hashtbl.create 8;
-    pf_inflight = None;
-    pf_next = 0;
-    pf_frontier = 0;
-  }
+let prefetcher (cluster : t) =
+  if cluster.cfg.Config.readahead <= 0 then None
+  else
+    Some
+      {
+        pf_cache = Hashtbl.create 8;
+        pf_inflight = None;
+        pf_next = 0;
+        pf_frontier = 0;
+      }
 
-let prefetched_read (cluster : t) pf ~fetch ~from ~len =
+let readahead_read (cluster : t) pf ~fetch ~from ~len =
   let ra = cluster.cfg.Config.readahead in
   let sequential = from = pf.pf_next in
   pf.pf_next <- from + len;
@@ -297,7 +297,7 @@ let prefetched_read (cluster : t) pf ~fetch ~from ~len =
   (* Keep the pipeline primed: on a sequential pattern, fetch the next
      window in the background. One window in flight at a time — the
      consumer's next call waits on it if it outruns the prefetcher. *)
-  (if ra > 0 && sequential && pf.pf_inflight = None then
+  (if sequential && pf.pf_inflight = None then
      let lo = max (from + len) pf.pf_frontier in
      let hi = from + len + ra in
      if hi > lo then begin
@@ -317,6 +317,11 @@ let prefetched_read (cluster : t) pf ~fetch ~from ~len =
            Ivar.fill iv ())
      end);
   out
+
+let prefetched_read (cluster : t) pf ~fetch ~from ~len =
+  match pf with
+  | None -> if len = 0 then [] else fetch (List.init len (fun i -> from + i))
+  | Some pf -> readahead_read cluster pf ~fetch ~from ~len
 
 (* ---------- streaming subscriptions (lib/stream) ----------
 

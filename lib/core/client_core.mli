@@ -64,11 +64,12 @@ val note_piggyback : Erwin_common.t -> int -> unit
 type prefetcher
 (** Per-client scan-readahead state for {!prefetched_read}. *)
 
-val prefetcher : unit -> prefetcher
+val prefetcher : Erwin_common.t -> prefetcher option
+(** A handle's prefetcher: [None] unless [cfg.readahead > 0]. *)
 
 val prefetched_read :
   Erwin_common.t ->
-  prefetcher ->
+  prefetcher option ->
   fetch:(int list -> (int * Types.record) list) ->
   from:int ->
   len:int ->
@@ -77,8 +78,8 @@ val prefetched_read :
     pattern is sequential and [cfg.readahead > 0], the next [readahead]
     positions are fetched in the background (via [fetch], the
     system-specific blocking read) while the consumer processes the
-    current window. With [readahead = 0] this is exactly one synchronous
-    [fetch]. *)
+    current window. Without a prefetcher this is one synchronous [fetch]
+    of the [len] positions from [from] (none when [len = 0]). *)
 
 val subscribe_stream :
   Erwin_common.t ->

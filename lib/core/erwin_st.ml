@@ -79,142 +79,176 @@ let try_append_once (cluster : Erwin_common.t) ep ~track record shard =
    replica stores the full map chunk stream, so with [replica_reads] the
    fetches round-robin over every replica of every shard; otherwise they
    pin to the head shard's primary. [rr0] seeds the rotation so distinct
-   readers interleave instead of marching in lockstep. *)
+   readers interleave instead of marching in lockstep. The map cache is
+   made at the first read: a handle that only appends holds none. *)
+type map_reader = {
+  m_cluster : Erwin_common.t;
+  m_ep : Client_core.ep;
+  mutable map_cache : int Mem_log.t option;
+  map_rr : int ref;
+}
+
+let fetch_map_chunk r dst ~tries req =
+  match
+    Rpc.call_retry r.m_ep ~dst ~size:(Proto.req_size req)
+      ~timeout:(Engine.ms 50) ~max_tries:tries ~backoff:(Engine.us 50) req
+  with
+  | Some (Proto.R_map { chunk; stable }) ->
+    Client_core.note_piggyback r.m_cluster stable;
+    Some chunk
+  | Some _ | None -> None
+
+let rec ensure_mapped r cache positions =
+  match List.find_opt (fun p -> not (Mem_log.mem cache p)) positions with
+  | None -> ()
+  | Some missing ->
+    let cluster = r.m_cluster in
+    let req =
+      Proto.Ssh_get_map
+        {
+          from = missing;
+          count = cluster.cfg.Config.map_fetch_chunk;
+          stable_hint = stable_for cluster ~log:(Logid.log_of missing);
+        }
+    in
+    let head_primary = Shard.primary_id (List.hd cluster.shards) in
+    let chunk =
+      if cluster.cfg.Config.replica_reads then begin
+        let all =
+          Array.of_list (List.concat_map Shard.replica_ids cluster.shards)
+        in
+        let dst = all.(!(r.map_rr) mod Array.length all) in
+        incr r.map_rr;
+        match fetch_map_chunk r dst ~tries:25 req with
+        | Some c -> c
+        | None -> (
+          (* The picked replica is unreachable (or kept failing the
+             forward): fall back to the head primary before giving up. *)
+          match
+            if dst = head_primary then None
+            else fetch_map_chunk r head_primary ~tries:25 req
+          with
+          | Some c -> c
+          | None -> failwith "erwin-st: map fetch failed on every replica")
+      end
+      else
+        match fetch_map_chunk r head_primary ~tries:100 req with
+        | Some c -> c
+        | None -> failwith "erwin-st: bad map response"
+    in
+    List.iter (fun (gp, sid) -> Mem_log.set cache gp sid) chunk;
+    ensure_mapped r cache positions
+
+let read_mapped r positions =
+  let cache =
+    match r.map_cache with
+    | Some c -> c
+    | None ->
+      let c = Mem_log.create () in
+      r.map_cache <- Some c;
+      c
+  in
+  ensure_mapped r cache positions;
+  Client_core.read_grouped ~rr:r.map_rr r.m_cluster r.m_ep
+    ~shard_of:(fun p -> shard_by_id r.m_cluster (Mem_log.find cache p))
+    positions
+
 let reader (cluster : Erwin_common.t) ep ~rr0 =
-  let map_cache : int Mem_log.t = Mem_log.create () in
-  let map_rr = ref rr0 in
-  let fetch_map_chunk dst ~tries req =
-    match
-      Rpc.call_retry ep ~dst ~size:(Proto.req_size req)
-        ~timeout:(Engine.ms 50) ~max_tries:tries ~backoff:(Engine.us 50) req
-    with
-    | Some (Proto.R_map { chunk; stable }) ->
-      Client_core.note_piggyback cluster stable;
-      Some chunk
-    | Some _ | None -> None
+  let r =
+    { m_cluster = cluster; m_ep = ep; map_cache = None; map_rr = ref rr0 }
   in
-  let rec ensure_mapped positions =
-    match List.find_opt (fun p -> not (Mem_log.mem map_cache p)) positions with
-    | None -> ()
-    | Some missing ->
-      let req =
-        Proto.Ssh_get_map
-          {
-            from = missing;
-            count = cluster.cfg.Config.map_fetch_chunk;
-            stable_hint = stable_for cluster ~log:(Logid.log_of missing);
-          }
-      in
-      let head_primary = Shard.primary_id (List.hd cluster.shards) in
-      let chunk =
-        if cluster.cfg.Config.replica_reads then begin
-          let all =
-            Array.of_list (List.concat_map Shard.replica_ids cluster.shards)
-          in
-          let dst = all.(!map_rr mod Array.length all) in
-          incr map_rr;
-          match fetch_map_chunk dst ~tries:25 req with
-          | Some c -> c
-          | None -> (
-            (* The picked replica is unreachable (or kept failing the
-               forward): fall back to the head primary before giving up. *)
-            match
-              if dst = head_primary then None
-              else fetch_map_chunk head_primary ~tries:25 req
-            with
-            | Some c -> c
-            | None -> failwith "erwin-st: map fetch failed on every replica")
-        end
-        else
-          match fetch_map_chunk head_primary ~tries:100 req with
-          | Some c -> c
-          | None -> failwith "erwin-st: bad map response"
-      in
-      List.iter (fun (gp, sid) -> Mem_log.set map_cache gp sid) chunk;
-      ensure_mapped positions
-  in
-  let shard_of p = shard_by_id cluster (Mem_log.find map_cache p) in
-  fun positions ->
-    ensure_mapped positions;
-    Client_core.read_grouped ~rr:map_rr cluster ep ~shard_of positions
+  fun positions -> read_mapped r positions
+
+(* A client handle's state: each closure of its [Log_api.t] closes over
+   this one record. *)
+type handle = {
+  cluster : Erwin_common.t;
+  ep : Client_core.ep;
+  cid : int;
+  log : int;
+  mutable seq : int;
+  mutable rr : int;  (* shard rotation for appends, from the client id *)
+  (* The read path; its map rotation is seeded separately from [rr],
+     which also decides record placement and must not be perturbed by
+     reads. *)
+  fetch : int list -> (int * Types.record) list;
+  pf : Client_core.prefetcher option;
+}
+
+let next_rid h =
+  h.seq <- h.seq + 1;
+  { Types.Rid.client = h.cid; seq = h.seq }
+
+let pick_shard h =
+  let n = Array.length h.cluster.shard_index in
+  let s = shard_by_id h.cluster (h.rr mod n) in
+  h.rr <- h.rr + 1;
+  s
+
+(* A rid is pinned to its shard across [`Fail] retries: the ordered
+   metadata names that shard, so retrying elsewhere would let the
+   original shard no-op the binding while a duplicate-filtered meta ack
+   makes the retry look successful — losing an acked record. Only a
+   fresh rid (after [`Poisoned]) picks a new shard. *)
+let rec append_attempt h ~track record shard =
+  match try_append_once h.cluster h.ep ~track record shard with
+  | `Ok ->
+    if Probe.active () then
+      Probe.emit (Probe.Append_acked { rid = record.Types.rid });
+    record.Types.rid
+  | `Poisoned ->
+    (* Never acked, so appending again under a fresh rid is safe. *)
+    let record = { record with Types.rid = next_rid h } in
+    if Probe.active () then
+      Probe.emit (Probe.Append_invoked { rid = record.Types.rid });
+    append_attempt h ~track record (pick_shard h)
+  | `Fail view ->
+    Client_core.await_view_after h.cluster view;
+    (* debug_no_rid_pinning deliberately breaks the pinning above: the
+       checker's known-bad configuration. *)
+    let shard =
+      if h.cluster.cfg.Config.debug_no_rid_pinning then pick_shard h
+      else shard
+    in
+    append_attempt h ~track record shard
+
+let append_record h ~track record =
+  if Probe.active () then
+    Probe.emit (Probe.Append_invoked { rid = record.Types.rid });
+  append_attempt h ~track record (pick_shard h)
+
+let append h ~size ~data =
+  let r = Types.record ~rid:(next_rid h) ~size ~data ~log:h.log () in
+  ignore (append_record h ~track:false r : Types.Rid.t);
+  true
+
+let append_sync h ~size ~data =
+  let r = Types.record ~rid:(next_rid h) ~size ~data ~log:h.log () in
+  let rid = append_record h ~track:true r in
+  Logid.pos_of (Client_core.wait_ordered h.cluster h.ep rid)
+
+(* Per-log positions are contiguous in the packed keyspace, so packing
+   [from] once covers the whole window (see {!Logid}). *)
+let read h ~from ~len =
+  Client_core.prefetched_read h.cluster h.pf ~fetch:h.fetch
+    ~from:(Logid.pack ~log:h.log from) ~len
+  |> List.map snd
 
 let client ?(log = 0) (cluster : Erwin_common.t) : Log_api.t =
   let cid = fresh_client_id cluster in
   let ep = new_endpoint cluster ~name:(Printf.sprintf "st-client%d" cid) in
   Client_core.install_retry_budget cluster ep;
-  let seq = ref 0 in
-  let rr = ref cid in
-  let next_rid () =
-    incr seq;
-    { Types.Rid.client = cid; seq = !seq }
-  in
-  let pick_shard () =
-    let n = Array.length cluster.shard_index in
-    let s = shard_by_id cluster (!rr mod n) in
-    incr rr;
-    s
-  in
-  (* A rid is pinned to its shard across [`Fail] retries: the ordered
-     metadata names that shard, so retrying elsewhere would let the
-     original shard no-op the binding while a duplicate-filtered meta ack
-     makes the retry look successful — losing an acked record. Only a
-     fresh rid (after [`Poisoned]) picks a new shard. *)
-  let rec append_attempt ~track record shard =
-    match try_append_once cluster ep ~track record shard with
-    | `Ok ->
-      if Probe.active () then
-        Probe.emit (Probe.Append_acked { rid = record.Types.rid });
-      record.Types.rid
-    | `Poisoned ->
-      (* Never acked, so appending again under a fresh rid is safe. *)
-      let record = { record with Types.rid = next_rid () } in
-      if Probe.active () then
-        Probe.emit (Probe.Append_invoked { rid = record.Types.rid });
-      append_attempt ~track record (pick_shard ())
-    | `Fail view ->
-      Client_core.await_view_after cluster view;
-      (* debug_no_rid_pinning deliberately breaks the pinning above: the
-         checker's known-bad configuration. *)
-      let shard =
-        if cluster.cfg.Config.debug_no_rid_pinning then pick_shard ()
-        else shard
-      in
-      append_attempt ~track record shard
-  in
-  let append_record ~track record =
-    if Probe.active () then
-      Probe.emit (Probe.Append_invoked { rid = record.Types.rid });
-    append_attempt ~track record (pick_shard ())
-  in
-  let append ~size ~data =
-    let r = Types.record ~rid:(next_rid ()) ~size ~data ~log () in
-    ignore (append_record ~track:false r : Types.Rid.t);
-    true
-  in
-  let append_sync ~size ~data =
-    let r = Types.record ~rid:(next_rid ()) ~size ~data ~log () in
-    let rid = append_record ~track:true r in
-    Logid.pos_of (Client_core.wait_ordered cluster ep rid)
-  in
-  (* The map rotation inside [reader] is seeded separately from the append
-     rotation [rr], which also decides record placement and must not be
-     perturbed by reads. *)
-  let pf = Client_core.prefetcher () in
-  let fetch = reader cluster ep ~rr0:cid in
-  (* Per-log positions are contiguous in the packed keyspace, so packing
-     [from] once covers the whole window (see {!Logid}). *)
-  let read ~from ~len =
-    Client_core.prefetched_read cluster pf ~fetch
-      ~from:(Logid.pack ~log from) ~len
-    |> List.map snd
+  let h =
+    { cluster; ep; cid; log; seq = 0; rr = cid;
+      fetch = reader cluster ep ~rr0:cid; pf = Client_core.prefetcher cluster }
   in
   {
     Log_api.name = "erwin-st";
-    append;
-    read;
-    check_tail = (fun () -> Client_core.check_tail ~log cluster ep);
+    append = (fun ~size ~data -> append h ~size ~data);
+    read = (fun ~from ~len -> read h ~from ~len);
+    check_tail = (fun () -> Client_core.check_tail ~log:h.log h.cluster h.ep);
     trim =
       (fun ~upto ->
-        if log = 0 then Client_core.trim_all cluster ep ~upto else false);
-    append_sync = Some append_sync;
+        if h.log = 0 then Client_core.trim_all h.cluster h.ep ~upto else false);
+    append_sync = Some (fun ~size ~data -> append_sync h ~size ~data);
   }

@@ -31,8 +31,8 @@ val reader :
 (** [reader cluster ep ~rr0] is the client read path as a standalone
     closure: position-to-shard resolution through a private cached map
     (bulk [Ssh_get_map] fetches on misses) followed by grouped shard
-    reads. Partially applied once, it keeps its cache and replica
-    round-robin state (seeded by [rr0]) across calls. Blocks until the
+    reads. Partially applied once, it keeps its cache (made at the first
+    call) and replica round-robin state (seeded by [rr0]) across calls. Blocks until the
     requested positions are readable; results are sorted by position and
     include no-ops. Used by [client] and by the subscription manager's
     fetch path ({!Ll_stream}). *)

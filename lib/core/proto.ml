@@ -89,7 +89,6 @@ type req =
   | St_push of {
       name : string;
       epoch : int;
-      seq : int;  (** per-epoch batch sequence number *)
       records : (gp * Types.record) list;  (** ascending positions *)
     }
       (** Manager -> consumer: one in-flight batch of stable records. The

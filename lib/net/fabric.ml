@@ -30,12 +30,6 @@ type 'm node = {
   mutable alive : bool;
   mutable extra : Engine.time;
   mutable delivered : int;
-  (* Packed FIFO keys this node participates in (as src or dst), so crash
-     cleanup walks O(degree) keys instead of folding the whole table: an
-     intrusive slab list of int keys (immediate, unboxed) instead of a
-     cons per first-contact pair. May hold bounded duplicates across
-     crash/recover cycles; removal is idempotent. *)
-  mutable fifo_keys : int;
 }
 
 (* Per-direction link degradation (gray failures): extra delay and/or
@@ -53,8 +47,10 @@ type 'm t = {
   mutable nodes : 'm node array;
   mutable nnodes : int;
   (* FIFO enforcement: latest arrival time scheduled on (src,dst), keyed
-     by the packed pair. A flat table: one probe per send, no heap cell
-     per pair. *)
+     by the packed pair, for the pairs with a message in flight. A flat
+     table: one probe per send, no heap cell per pair. The delivery of a
+     pair's last message in flight removes its entry (see [send]), so the
+     table holds the pairs in flight, not every pair ever used. *)
   last_arrival : Int_table.t;
   partitions : (int, unit) Hashtbl.t;
   (* Directed link faults, keyed by the packed (src, dst) key. The hot
@@ -67,6 +63,7 @@ type 'm t = {
 }
 
 let create ?(link = default_link) ?seed () =
+  if link.one_way <= 0 then invalid_arg "Fabric.create: link.one_way <= 0";
   (* Without an explicit seed, derive one from the engine's master-seeded
      stream so a single master seed reproduces the fabric's jitter and
      drop decisions too. *)
@@ -100,7 +97,6 @@ let add_node t ~name ?(send_overhead = 500) ?(recv_overhead = 500) () =
       alive = true;
       extra = 0;
       delivered = 0;
-      fifo_keys = Slab.nil;
     }
   in
   let cap = Array.length t.nodes in
@@ -162,25 +158,23 @@ let send t ~src ~dst ~size msg =
     in
     let arrival = Engine.now () + delay in
     let key = fifo_key src.nid dst in
-    (* Arrival times are non-negative, so [-1] marks a fresh pair. *)
+    (* Arrival times are non-negative, so [-1] marks a pair with nothing
+       in flight. *)
     let s = Int_table.slot t.last_arrival key ~absent:(-1) in
     let last = Int_table.value t.last_arrival s in
-    if last < 0 then begin
-      (* First traffic on this (src,dst): index the key on both endpoints
-         for O(degree) crash cleanup. *)
-      let ks = Slab.alloc (Obj.repr key) in
-      Slab.set_next ks src.fifo_keys;
-      src.fifo_keys <- ks;
-      let kd = Slab.alloc (Obj.repr key) in
-      Slab.set_next kd dst_node.fifo_keys;
-      dst_node.fifo_keys <- kd
-    end;
     let arrival = if last >= arrival then last + 1 else arrival in
     Int_table.set_value t.last_arrival s arrival;
     let sender = src.nid in
     (* Bare callback: delivery only re-checks liveness and enqueues, no
        fiber effects, so it skips the fiber-start cost per hop. *)
     Engine.call_at arrival (fun () ->
+        (* The pair's last message in flight drops its entry. That moves
+           no arrival: an entry holding [v] goes at time [v], and any
+           later send on the pair arrives after [v] + one_way > [v], where
+           the kept entry would not have raised it. *)
+        let key = fifo_key sender dst in
+        if Int_table.find t.last_arrival key ~default:(-1) = Engine.now ()
+        then Int_table.remove t.last_arrival key;
         (* Re-check liveness and partition at delivery time: a message in
            flight to a node that crashes meanwhile is lost. *)
         if dst_node.alive && not (partitioned t sender dst) then begin
@@ -195,21 +189,27 @@ let take_or_park n w f = Mailbox.take_or_park n.inbox w f
 
 let inbox_length n = Mailbox.length n.inbox
 
+let node_mask = max_nodes - 1
+
 let crash t n =
   n.alive <- false;
   Mailbox.clear n.inbox;
   (* Forget FIFO bookkeeping involving this node: everything in flight is
      dropped, so a revived node's first message must not be artificially
-     delayed behind (or ordered after) pre-crash traffic. The per-node key
-     index makes this O(degree). *)
-  let c = ref n.fifo_keys in
-  while !c >= 0 do
-    Int_table.remove t.last_arrival (Obj.obj (Slab.get !c) : int);
-    let next = Slab.next !c in
-    Slab.free !c;
-    c := next
-  done;
-  n.fifo_keys <- Slab.nil
+     delayed behind (or ordered after) pre-crash traffic. The table holds
+     only the pairs in flight, so the sweep is short. *)
+  let nid = n.nid in
+  Int_table.fold_keys t.last_arrival
+    (fun k acc ->
+      if k lsr key_bits = nid || k land node_mask = nid then k :: acc
+      else acc)
+    []
+  |> List.iter (Int_table.remove t.last_arrival)
+
+let in_flight_pairs t =
+  Int_table.fold_keys t.last_arrival
+    (fun k acc -> (k lsr key_bits, k land node_mask) :: acc)
+    []
 
 let recover _t n = n.alive <- true
 

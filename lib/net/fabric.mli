@@ -33,7 +33,9 @@ type 'm node
 val create : ?link:link -> ?seed:int -> unit -> 'm t
 (** Without [seed], the fabric seeds its jitter/drop stream from the
     engine's master-seeded random state ({!Ll_sim.Engine.random_state}),
-    so one master seed reproduces the whole run. *)
+    so one master seed reproduces the whole run. Raises
+    [Invalid_argument] unless [link.one_way] is positive: every message
+    takes time, which the FIFO bookkeeping relies on. *)
 
 val add_node :
   'm t ->
@@ -70,7 +72,9 @@ val crash : 'm t -> 'm node -> unit
 (** Crash: pending and future messages are dropped, inbox is cleared, and
     per-pair FIFO bookkeeping involving the node is forgotten (a revived
     node starts with fresh connections, not delayed behind pre-crash
-    traffic). Fibers blocked in {!recv}, and wakers parked by
+    traffic). That bookkeeping holds only the pairs with a message in
+    flight, so the crash sweeps a table no larger than the traffic in
+    flight. Fibers blocked in {!recv}, and wakers parked by
     {!take_or_park}, stay parked. *)
 
 val recover : 'm t -> 'm node -> unit
@@ -118,3 +122,7 @@ val bytes_sent : 'm t -> int
 
 val node_messages_in : 'm node -> int
 (** Messages delivered to this node's inbox. *)
+
+val in_flight_pairs : 'm t -> (node_id * node_id) list
+(** The [(src, dst)] pairs the FIFO bookkeeping holds: those with a
+    message in flight. Empty once the fabric is idle. *)

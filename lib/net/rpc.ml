@@ -11,14 +11,13 @@ type ('req, 'resp) msg =
    dev an EWMA of the deviation (gain 1/4), and the score srtt + 4*dev is
    a cheap upper-percentile proxy. Samples are taken on every response at
    the demux, so scoring is always on; it draws nothing from the rng and
-   schedules nothing, keeping knob-off runs schedule-identical. Every
-   field is a float (the sample count too, exact far beyond any run), so
-   the record is stored flat and updating it boxes nothing. *)
-type peer_stats = {
-  mutable ps_srtt : float;
-  mutable ps_dev : float;
-  mutable ps_samples : float;
-}
+   schedules nothing, keeping knob-off runs schedule-identical. An
+   endpoint keeps its peers' ids sorted in an int array and their
+   (srtt, dev, samples) triples at stride 3 in a float array (the sample
+   count too, exact far beyond any run), both empty until the first
+   sample: updating a score boxes nothing and an idle endpoint holds
+   none of it. *)
+let peer_stride = 3
 
 module Retry_budget = struct
   (* Token bucket metering retries (never first attempts): each fresh call
@@ -84,7 +83,9 @@ type ('req, 'resp) endpoint = {
   mutable pk : int array;
   mutable pv : Obj.t array;
   mutable pn : int;  (* pending calls *)
-  peers : (node_id, peer_stats) Hashtbl.t;
+  mutable peer_ids : int array;  (* sorted; the first [npeers] are live *)
+  mutable peer_fs : float array;
+  mutable npeers : int;
   mutable next_token : int;
   mutable srv : ('req, 'resp) server option;
   (* The non-blocking fast path tried before the handler; see {!serve}. *)
@@ -161,31 +162,82 @@ let endpoint_id t = Fabric.id t.node
 let set_retry_budget t b = t.budget <- Some b
 let retry_budget t = t.budget
 
+(* Index of [dst] among the ids in [lo, hi), else [-1 - i] where [i] is
+   the index it would take. *)
+let rec peer_index ids dst lo hi =
+  if lo >= hi then -1 - lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    let d = Array.unsafe_get ids mid in
+    if d = dst then mid
+    else if d < dst then peer_index ids dst (mid + 1) hi
+    else peer_index ids dst lo mid
+
+let find_peer t dst = peer_index t.peer_ids dst 0 t.npeers
+
+(* Make room for a peer at index [i], doubling both arrays (or allocating
+   the first four peers) when full. *)
+let insert_peer t i dst =
+  let n = t.npeers in
+  if n = Array.length t.peer_ids then begin
+    let cap = if n = 0 then 4 else 2 * n in
+    let ids = Array.make cap 0 and fs = Array.make (peer_stride * cap) 0.0 in
+    Array.blit t.peer_ids 0 ids 0 n;
+    Array.blit t.peer_fs 0 fs 0 (peer_stride * n);
+    t.peer_ids <- ids;
+    t.peer_fs <- fs
+  end;
+  Array.blit t.peer_ids i t.peer_ids (i + 1) (n - i);
+  Array.blit t.peer_fs (peer_stride * i) t.peer_fs
+    (peer_stride * (i + 1))
+    (peer_stride * (n - i));
+  t.peer_ids.(i) <- dst;
+  t.npeers <- n + 1
+
 let note_sample t dst rtt =
   let rtt = float_of_int rtt in
-  match Hashtbl.find t.peers dst with
-  | exception Not_found ->
-    Hashtbl.replace t.peers dst
-      { ps_srtt = rtt; ps_dev = rtt /. 2.0; ps_samples = 1.0 }
-  | ps ->
-    let err = rtt -. ps.ps_srtt in
-    ps.ps_srtt <- ps.ps_srtt +. (0.125 *. err);
-    ps.ps_dev <- ps.ps_dev +. (0.25 *. (Float.abs err -. ps.ps_dev));
-    ps.ps_samples <- ps.ps_samples +. 1.0
+  let i = find_peer t dst in
+  if i < 0 then begin
+    let i = -1 - i in
+    insert_peer t i dst;
+    let fs = t.peer_fs and j = peer_stride * i in
+    fs.(j) <- rtt;
+    fs.(j + 1) <- rtt /. 2.0;
+    fs.(j + 2) <- 1.0
+  end
+  else begin
+    let fs = t.peer_fs and j = peer_stride * i in
+    let srtt = fs.(j) and dev = fs.(j + 1) in
+    let err = rtt -. srtt in
+    fs.(j) <- srtt +. (0.125 *. err);
+    fs.(j + 1) <- dev +. (0.25 *. (Float.abs err -. dev));
+    fs.(j + 2) <- fs.(j + 2) +. 1.0
+  end
 
 let note_peer_sample t dst rtt = note_sample t dst rtt
 
 let peer_score t dst =
-  match Hashtbl.find_opt t.peers dst with
-  | Some ps -> Some (ps.ps_srtt +. (4.0 *. ps.ps_dev))
-  | None -> None
+  let i = find_peer t dst in
+  if i < 0 then None
+  else
+    let j = peer_stride * i in
+    Some (t.peer_fs.(j) +. (4.0 *. t.peer_fs.(j + 1)))
 
 let peer_samples t dst =
-  match Hashtbl.find_opt t.peers dst with
-  | Some ps -> int_of_float ps.ps_samples
-  | None -> 0
+  let i = find_peer t dst in
+  if i < 0 then 0 else int_of_float t.peer_fs.((peer_stride * i) + 2)
 
-let forget_peer t dst = Hashtbl.remove t.peers dst
+let forget_peer t dst =
+  let i = find_peer t dst in
+  if i >= 0 then begin
+    let n = t.npeers - 1 in
+    Array.blit t.peer_ids (i + 1) t.peer_ids i (n - i);
+    Array.blit t.peer_fs
+      (peer_stride * (i + 1))
+      t.peer_fs (peer_stride * i)
+      (peer_stride * (n - i));
+    t.npeers <- n
+  end
 
 let hedge_deadline t ~dsts ~floor =
   (* Lower-median of the peers' scores: an adaptive "this is how long a
@@ -560,7 +612,9 @@ let endpoint fabric node =
       pk = [||];
       pv = [||];
       pn = 0;
-      peers = Hashtbl.create 8;
+      peer_ids = [||];
+      peer_fs = [||];
+      npeers = 0;
       next_token = 0;
       srv = None;
       bare = None;

@@ -109,6 +109,15 @@ let remove t k =
     end
   end
 
+let fold_keys t f acc =
+  let data = t.data in
+  let acc = ref acc in
+  for i = 0 to (Array.length data / 2) - 1 do
+    let k = data.(2 * i) in
+    if k <> empty then acc := f k !acc
+  done;
+  !acc
+
 let clear t =
   if t.size > 0 then begin
     Array.fill t.data 0 (Array.length t.data) empty;

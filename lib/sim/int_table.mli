@@ -23,6 +23,10 @@ val find : t -> int -> default:int -> int
 val remove : t -> int -> unit
 (** Drops the key's binding; no-op when absent. *)
 
+val fold_keys : t -> (int -> 'a -> 'a) -> 'a -> 'a
+(** Folds over the keys present, in slot order. The table must not
+    change during the fold: collect keys first to remove them. *)
+
 val clear : t -> unit
 (** Drops every binding, keeping the table's capacity. *)
 

@@ -1,14 +1,14 @@
 (** Per-domain slab allocator for intrusive list nodes.
 
-    The simulation's wait-queue primitives (Mailbox, Waitq, Ivar) and the
-    fabric's per-node FIFO bookkeeping all need tiny singly-linked queue
-    nodes on their hot paths — one per send/recv/broadcast. Allocating
-    them as [Queue.t] cells or list conses churns the minor heap and, at
-    10^6 parked producers, promotes a million short-lived cells into the
-    major heap. This slab keeps the nodes in two flat growable arrays
-    (intrusive [next] links + [Obj.t] payloads) threaded through a free
-    list, so steady-state enqueue/dequeue allocates nothing and freed
-    nodes are reused LIFO — the hottest node stays cache-resident.
+    The simulation's wait-queue primitives (Mailbox, Waitq, Ivar) all
+    need tiny singly-linked queue nodes on their hot paths — one per
+    send/recv/broadcast. Allocating them as [Queue.t] cells or list
+    conses churns the minor heap and, at 10^6 parked producers, promotes
+    a million short-lived cells into the major heap. This slab keeps the
+    nodes in two flat growable arrays (intrusive [next] links + [Obj.t]
+    payloads) threaded through a free list, so steady-state
+    enqueue/dequeue allocates nothing and freed nodes are reused LIFO —
+    the hottest node stays cache-resident.
 
     The slab is {e domain-local} (like the engine's event-cell pool):
     every domain owns an independent slab, so parallel seed sweeps share

@@ -48,7 +48,6 @@ type sub = {
   mutable cursor : int;  (* next position to push (acked frontier) *)
   mutable endpoint : Fabric.node_id;
   mutable credits : int;  (* consumer's last advertised window *)
-  mutable seq : int;  (* per-epoch push sequence, diagnostics only *)
   mutable registered_from : int;
   (* stats *)
   mutable pushes : int;
@@ -119,10 +118,9 @@ let push_round t sub =
        can have happened meanwhile. *)
     let rec send () =
       if sub.epoch = epoch0 then begin
-        sub.seq <- sub.seq + 1;
         sub.pushes <- sub.pushes + 1;
         let req =
-          Proto.St_push { name = sub.sname; epoch = epoch0; seq = sub.seq; records }
+          Proto.St_push { name = sub.sname; epoch = epoch0; records }
         in
         match
           Rpc.call_timeout t.ep ~dst:sub.endpoint
@@ -195,7 +193,6 @@ let handle t ~src:_ (req : Proto.req) ~reply =
           cursor = from;
           endpoint;
           credits = window;
-          seq = 0;
           registered_from = from;
           pushes = 0;
           redeliveries = 0;

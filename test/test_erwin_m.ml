@@ -286,6 +286,37 @@ let test_idle_order_wake_bounded () =
       checkb "at most one waiter" true
         (Waitq.waiters cluster.Erwin_common.order_wake <= 1))
 
+(* What one client handle keeps alive, over 1 000 handles: the largest
+   worlds the bench runs (10^4 producers on [append-ladder], 10^6 on the
+   open-loop mega row) are bounded by heap per endpoint. Live words are
+   counted after a full major collection. A used handle has made one
+   append that is bound and pushed, so its count includes the record the
+   shards store. *)
+let test_client_handle_footprint () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let n = 1000 in
+  let idle = ref 0.0 and used = ref 0.0 in
+  with_cluster (fun cluster ->
+      Engine.sleep (Engine.ms 1);
+      let w0 = live () in
+      let handles = Array.init n (fun _ -> Erwin_m.client cluster) in
+      let w1 = live () in
+      Array.iter
+        (fun (h : Log_api.t) -> ignore (h.append ~size:64 ~data:"x"))
+        handles;
+      Engine.sleep (Engine.ms 5);
+      checki "every append bound" n cluster.stable_gp;
+      let w2 = live () in
+      idle := float_of_int (w1 - w0) /. float_of_int n;
+      used := float_of_int (w2 - w0) /. float_of_int n;
+      ignore (Sys.opaque_identity handles));
+  Printf.printf "words per handle: idle %.1f, used %.1f\n%!" !idle !used;
+  checkb "idle handle <= 110 words" true (!idle <= 110.0);
+  checkb "used handle <= 175 words" true (!used <= 175.0)
+
 let () =
   Alcotest.run "erwin-m"
     [
@@ -306,6 +337,8 @@ let () =
           Alcotest.test_case "trim" `Quick test_trim;
           Alcotest.test_case "idle order_wake stays bounded" `Quick
             test_idle_order_wake_bounded;
+          Alcotest.test_case "client handle footprint" `Quick
+            test_client_handle_footprint;
         ] );
       ( "concurrency",
         [

@@ -1013,6 +1013,66 @@ let test_rpc_peer_scoring () =
         (Rpc.hedge_deadline client ~dsts:[ Fabric.id sn ]
            ~floor:(Engine.us 5)))
 
+(* Peer scores live in sorted flat arrays: inserting peers out of order,
+   growing past the first four and forgetting one in the middle must
+   leave every other peer's statistics exactly as an RFC-6298 reference
+   computes them. *)
+let test_rpc_peer_scores_flat () =
+  Engine.run (fun () ->
+      let fab = Fabric.create () in
+      let _, _, client = setup fab in
+      let peers = [ 9; 3; 7; 1; 5; 11; 2 ] in
+      (* srtt, dev and samples per peer, as the endpoint keeps them. *)
+      let reference = Hashtbl.create 8 in
+      let note dst rtt =
+        Rpc.note_peer_sample client dst rtt;
+        let r = float_of_int rtt in
+        match Hashtbl.find_opt reference dst with
+        | None -> Hashtbl.replace reference dst (r, r /. 2.0, 1)
+        | Some (srtt, dev, n) ->
+          let err = r -. srtt in
+          Hashtbl.replace reference dst
+            ( srtt +. (0.125 *. err),
+              dev +. (0.25 *. (Float.abs err -. dev)),
+              n + 1 )
+      in
+      let check_all what =
+        List.iter
+          (fun dst ->
+            match Hashtbl.find_opt reference dst with
+            | Some (srtt, dev, n) ->
+              Alcotest.(check (option (float 0.0)))
+                (Printf.sprintf "%s: score of %d" what dst)
+                (Some (srtt +. (4.0 *. dev)))
+                (Rpc.peer_score client dst);
+              checki (Printf.sprintf "%s: samples of %d" what dst) n
+                (Rpc.peer_samples client dst)
+            | None ->
+              checkb
+                (Printf.sprintf "%s: %d unscored" what dst)
+                true
+                (Rpc.peer_score client dst = None);
+              checki (Printf.sprintf "%s: %d unsampled" what dst) 0
+                (Rpc.peer_samples client dst))
+          (0 :: 4 :: peers)
+      in
+      List.iteri
+        (fun round _ ->
+          List.iteri
+            (fun i dst -> note dst (1_000 + (i * 733) + (round * 97 * dst)))
+            peers)
+        [ (); (); () ];
+      check_all "seven peers";
+      Rpc.forget_peer client 5;
+      Hashtbl.remove reference 5;
+      check_all "after forgetting a middle peer";
+      Rpc.forget_peer client 4;
+      check_all "forgetting an unknown peer";
+      note 3 50_000;
+      note 5 2_000;
+      note 4 3_000;
+      check_all "after more samples")
+
 let test_drop_probability () =
   Engine.run (fun () ->
       let fab = Fabric.create () in
@@ -1025,6 +1085,106 @@ let test_drop_probability () =
       Engine.sleep (Engine.ms 5);
       let n = Fabric.inbox_length b in
       checkb "roughly half dropped" true (n > 60 && n < 140))
+
+(* The FIFO table keeps only the pairs with a message in flight. Against
+   a reference that keeps every pair's last arrival until a crash of
+   either end (and replays the fabric's jitter draws from the same seed),
+   every delivery must land at the same time, each pair must stay FIFO
+   between crashes of its ends, and an idle fabric must hold no pair. *)
+let prop_fifo_matches_keep_forever =
+  QCheck.Test.make ~name:"fifo table: arrivals match keep-every-pair rule"
+    ~count:200
+    QCheck.(
+      list
+        (quad (int_bound 3_000) (int_bound 9)
+           (pair (int_bound 3) (int_bound 3))
+           (int_bound 20_000)))
+    (fun steps ->
+      let ok = ref true in
+      Engine.run (fun () ->
+          let seed = 7 and nodes = 4 in
+          let link = Fabric.default_link in
+          let fab = Fabric.create ~link ~seed () in
+          let ns =
+            Array.init nodes (fun i ->
+                Fabric.add_node fab ~name:(string_of_int i) ())
+          in
+          let rng = Rng.create ~seed in
+          let alive = Array.make nodes true and extra = Array.make nodes 0 in
+          let crashes = Array.make nodes 0 in
+          let last = Hashtbl.create 16 in
+          (* id -> (expected arrival, src, dst, crash epoch of the pair) *)
+          let sent = Hashtbl.create 64 in
+          let received = ref [] in
+          Array.iter
+            (fun n ->
+              Engine.spawn (fun () ->
+                  while true do
+                    let _, id = Fabric.recv n in
+                    received := (id, Engine.now ()) :: !received
+                  done))
+            ns;
+          List.iteri
+            (fun id (gap, op, (a, b), size) ->
+              Engine.sleep gap;
+              match op with
+              | 7 -> (
+                let d = [| 0; 5_000; 50_000 |].(size mod 3) in
+                Fabric.set_extra_delay ns.(a) d;
+                extra.(a) <- d)
+              | 8 ->
+                Fabric.crash fab ns.(a);
+                alive.(a) <- false;
+                crashes.(a) <- crashes.(a) + 1;
+                Hashtbl.filter_map_inplace
+                  (fun (s, d) v -> if s = a || d = a then None else Some v)
+                  last
+              | 9 ->
+                Fabric.recover fab ns.(a);
+                alive.(a) <- true
+              | _ when a <> b ->
+                Fabric.send fab ~src:ns.(a) ~dst:b ~size id;
+                if alive.(a) && alive.(b) then begin
+                  let jitter = Rng.int rng link.Fabric.jitter in
+                  let raw =
+                    Engine.now () + 500 + link.Fabric.one_way
+                    + int_of_float
+                        (link.Fabric.per_byte_ns *. float_of_int size)
+                    + jitter + 500 + extra.(a) + extra.(b)
+                  in
+                  let arrival =
+                    match Hashtbl.find_opt last (a, b) with
+                    | Some l when l >= raw -> l + 1
+                    | _ -> raw
+                  in
+                  Hashtbl.replace last (a, b) arrival;
+                  Hashtbl.replace sent id
+                    (arrival, a, b, crashes.(a) + crashes.(b))
+                end
+              | _ -> ())
+            steps;
+          Engine.sleep (Engine.ms 10);
+          let order = List.rev !received in
+          List.iter
+            (fun (id, at) ->
+              match Hashtbl.find_opt sent id with
+              | Some (arrival, _, _, _) when arrival = at -> ()
+              | _ -> ok := false)
+            order;
+          let newest = Hashtbl.create 16 in
+          List.iter
+            (fun (id, _) ->
+              match Hashtbl.find_opt sent id with
+              | Some (_, a, b, epoch) ->
+                (match Hashtbl.find_opt newest (a, b, epoch) with
+                | Some prev when prev > id -> ok := false
+                | _ -> ());
+                Hashtbl.replace newest (a, b, epoch) id
+              | None -> ())
+            order;
+          if Fabric.in_flight_pairs fab <> [] then ok := false;
+          Engine.stop ());
+      !ok)
 
 let () =
   Alcotest.run "net"
@@ -1042,6 +1202,7 @@ let () =
             test_crash_resets_fifo_bookkeeping;
           Alcotest.test_case "crash forgets many pairs, keeps the rest" `Quick
             test_crash_many_pairs;
+          QCheck_alcotest.to_alcotest prop_fifo_matches_keep_forever;
           Alcotest.test_case "partition/heal" `Quick test_partition;
           Alcotest.test_case "drop probability" `Quick test_drop_probability;
           Alcotest.test_case "link fault is asymmetric" `Quick
@@ -1071,6 +1232,8 @@ let () =
             test_rpc_hedged_second_wins;
           Alcotest.test_case "hedged call: primary win cancels timer"
             `Quick test_rpc_hedged_primary_win_cancels_timer;
+          Alcotest.test_case "peer scores stay exact past a forget" `Quick
+            test_rpc_peer_scores_flat;
           Alcotest.test_case "peer latency scoring" `Quick
             test_rpc_peer_scoring;
           Alcotest.test_case "pending table under churn" `Quick

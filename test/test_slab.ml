@@ -1,7 +1,7 @@
 (* Slab allocator: free-list reuse, reset semantics, and node recycling
    through the wait-queue primitives that own slab nodes (Mailbox, Waitq,
-   Ivar) and the fabric's crash cleanup. The slab is domain-local and
-   LIFO, so the tests can assert exact node indices for reuse. *)
+   Ivar); the fabric's crash cleanup takes none. The slab is domain-local
+   and LIFO, so the tests can assert exact node indices for reuse. *)
 
 open Ll_sim
 
@@ -141,7 +141,9 @@ let test_waitq_ivar_recycling () =
           Alcotest.(check int) "broadcast and fill free all nodes" 0
             (Slab.in_use ())))
 
-(* Fabric crash cleanup walks and frees the per-node FIFO key list. *)
+(* The fabric's FIFO bookkeeping lives in its own table, not in slab
+   nodes: a crash sweeps the crashed node's pairs out of it, and sends
+   take no slab node. *)
 let test_fabric_crash_cleanup () =
   Engine.run (fun () ->
       let fab = Ll_net.Fabric.create ~seed:1 () in
@@ -150,18 +152,30 @@ let test_fabric_crash_cleanup () =
         Array.init 16 (fun i ->
             Ll_net.Fabric.add_node fab ~name:(string_of_int i) ())
       in
+      let a_id = Ll_net.Fabric.id a in
+      let live = Slab.in_use () in
       Array.iter
         (fun p ->
-          Ll_net.Fabric.send fab ~src:a ~dst:(Ll_net.Fabric.id p) ~size:16 ())
+          Ll_net.Fabric.send fab ~src:a ~dst:(Ll_net.Fabric.id p) ~size:16 ();
+          Ll_net.Fabric.send fab ~src:p ~dst:a_id ~size:16 ())
         peers;
-      Engine.after (Engine.us 50) (fun () ->
-          let live = Slab.in_use () in
-          Alcotest.(check bool) "first-contact keys indexed" true (live >= 32);
-          Ll_net.Fabric.crash fab a;
-          (* a's own key list is freed; each peer still holds its one
-             (now-stale, idempotently removable) key node. *)
-          Alcotest.(check int) "crash frees the node's key list" (live - 16)
-            (Slab.in_use ())))
+      Array.iteri
+        (fun i p ->
+          Ll_net.Fabric.send fab ~src:p
+            ~dst:(Ll_net.Fabric.id peers.((i + 1) mod 16))
+            ~size:16 ())
+        peers;
+      Alcotest.(check int) "sends take no slab nodes" live (Slab.in_use ());
+      Alcotest.(check int) "every pair in flight is held" 48
+        (List.length (Ll_net.Fabric.in_flight_pairs fab));
+      Ll_net.Fabric.crash fab a;
+      let pairs = Ll_net.Fabric.in_flight_pairs fab in
+      Alcotest.(check bool) "no pair of the crashed node remains" true
+        (List.for_all (fun (s, d) -> s <> a_id && d <> a_id) pairs);
+      Alcotest.(check int) "the other pairs stay" 16 (List.length pairs);
+      Engine.sleep (Engine.us 50);
+      Alcotest.(check int) "an idle fabric holds no pair" 0
+        (List.length (Ll_net.Fabric.in_flight_pairs fab)))
 
 let () =
   Alcotest.run "slab"

@@ -185,7 +185,6 @@ let test_duplicate_push_dedup () =
           {
             name = "audit";
             epoch = Ll_stream.Subscriber.epoch sub;
-            seq = 999;
             records = [ (0, record) ];
           }
       in
@@ -205,7 +204,7 @@ let test_duplicate_push_dedup () =
       (* A push branded with a stale epoch is refused outright. *)
       let stale =
         Proto.St_push
-          { name = "audit"; epoch = 0; seq = 1000; records = [ (0, record) ] }
+          { name = "audit"; epoch = 0; records = [ (0, record) ] }
       in
       (match
          Rpc.call_timeout ep
