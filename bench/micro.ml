@@ -238,7 +238,7 @@ let seq_log_test =
              (Lazylog.Seq_log.try_append l
                 (Lazylog.Types.Data (Lazylog.Types.record ~rid ~size:64 ())))
          done;
-         let entries = Lazylog.Seq_log.unordered l () in
+         let entries = Lazylog.Seq_log.unordered l in
          Lazylog.Seq_log.remove_ordered l
            (List.map Lazylog.Types.entry_rid entries)))
 

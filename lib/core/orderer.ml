@@ -262,9 +262,14 @@ let note_stable (cluster : t) ~size ~claimed_at =
    batches overlap. A seal or view change between
    a batch's push and its GC invalidates the batch: the committer drops it
    without touching stable-gp, and the recovery flush re-binds its
-   positions idempotently (explicit-position binding). *)
+   positions idempotently (explicit-position binding).
 
-type batch = {
+   The data layer is two values fixed at start: [push] fires a batch's
+   writes and returns a handle, which the batch keeps, and [join] waits
+   on it. [start] passes the shard push, whose handle is the batch's
+   [Rpc.group]; Erwin-m over Kafka passes per-partition produces. *)
+
+type 'p batch = {
   view : int;
   ldr : Seq_replica.t;
   gc_slots : (int * Types.Rid.t) list;
@@ -272,20 +277,20 @@ type batch = {
       (* log 0's cursor after this batch, then every other log's it
          advanced *)
   size : int;
-  pushed : (Proto.req, Proto.resp) Rpc.group;
+  pushed : 'p;  (* what the data layer's push returned, for its join *)
   claimed_at : Engine.time;
 }
 
-let batch_valid (cluster : t) (b : batch) =
+let batch_valid (cluster : t) (b : _ batch) =
   cluster.view = b.view
   && (not cluster.reconfiguring)
   && Fabric.is_alive (Seq_replica.node b.ldr)
   && not (Seq_replica.is_sealed b.ldr)
 
-let commit_batch (cluster : t) ep (b : batch) =
+let commit_batch (cluster : t) ep ~join b =
   (* Pushes must land (or be abandoned by a view change's recovery flush,
      which serializes behind us via wait_idle) before any replica GC. *)
-  ignore (Rpc.group_join b.pushed : bool);
+  join b.pushed;
   if batch_valid cluster b then begin
     Seq_replica.apply_gc b.ldr ~frontiers:b.frontiers ~slots:b.gc_slots;
     if
@@ -303,15 +308,15 @@ let commit_batch (cluster : t) ep (b : batch) =
        recovery flush re-orders them; positions rebind idempotently. *)
     cluster.order_resync <- true
 
-let pipelined_loop (cluster : t) ep =
+let pipelined_loop (cluster : t) ep ~push ~join =
   let depth = max 1 cluster.cfg.Config.pipeline_depth in
-  let queue : batch Queue.t = Queue.create () in
+  let queue = Queue.create () in
   let commit_wake = Waitq.create () in
   Engine.spawn ~name:"orderer.commit" (fun () ->
       let rec loop () =
         Waitq.await commit_wake (fun () -> not (Queue.is_empty queue));
         let b = Queue.pop queue in
-        commit_batch cluster ep b;
+        commit_batch cluster ep ~join b;
         cluster.inflight_batches <- cluster.inflight_batches - 1;
         Waitq.broadcast cluster.order_idle;
         loop ()
@@ -369,7 +374,7 @@ let pipelined_loop (cluster : t) ep =
             done;
             cluster.inflight_batches <- cluster.inflight_batches + 1;
             note_claim cluster n;
-            let pushed = send_pushes cluster ep ~truncate:[] slots in
+            let pushed = push slots in
             Queue.push
               {
                 view = !pipe_view;
@@ -398,6 +403,10 @@ let pipelined_loop (cluster : t) ep =
   in
   loop ()
 
+let run (cluster : t) ep ~push ~join =
+  Engine.spawn ~name:"orderer" (fun () ->
+      pipelined_loop cluster ep ~push ~join)
+
 let start (cluster : t) =
   let ep = new_endpoint cluster ~name:"orderer" in
   let cfg = cluster.cfg in
@@ -425,7 +434,9 @@ let start (cluster : t) =
     List.iter
       (fun s -> Shard.set_demand_target s (Some (Rpc.endpoint_id ep)))
       cluster.shards;
-  Engine.spawn ~name:"orderer" (fun () -> pipelined_loop cluster ep)
+  run cluster ep
+    ~push:(send_pushes cluster ep ~truncate:[])
+    ~join:(fun g -> ignore (Rpc.group_join g : bool))
 
 let is_idle (cluster : t) = cluster.inflight_batches = 0
 

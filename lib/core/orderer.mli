@@ -80,8 +80,25 @@ module Adaptive : sig
       max_batch] it is always [max_batch]. *)
 end
 
+val run :
+  Erwin_common.t ->
+  (Proto.req, Proto.resp) Rpc.endpoint ->
+  push:((int * Types.entry) array -> 'p) ->
+  join:('p -> unit) ->
+  unit
+(** [run cluster ep ~push ~join] spawns the background-ordering fibers
+    over a data layer given as two values, built once. [push slots]
+    sends one batch's positioned entries to the data layer without
+    waiting and returns a handle; the committer calls [join] on that
+    handle before it GCs the batch and advances stable-gp. Batches are
+    pushed in position order, up to [Config.pipeline_depth] at once.
+    [ep] broadcasts stable-gp to the cluster's shards (none when the
+    data layer lives elsewhere, as for Erwin-m over Kafka). *)
+
 val start : Erwin_common.t -> unit
-(** Spawns the background-ordering fiber(s). *)
+(** {!run} over the cluster's shards: [push] is the per-shard push of
+    {!push}, its handle one [Rpc.group], [join] that group's join. Also
+    makes the orderer's endpoint the shards' read-demand sink. *)
 
 val wait_idle : Erwin_common.t -> unit
 (** Blocks until no ordering batch is in flight (reconfiguration uses this

@@ -23,9 +23,6 @@ type req =
           [Sr_wait_ordered] (appendSync support). *)
   | Sr_check_tail of { view : int; log : int }
       (** Tail of one log ([log = 0] is the root log). *)
-  | Sr_gc of { view : int; slots : (gp * Types.Rid.t) list; new_gp : gp }
-      (** Leader -> follower: the listed rids were bound; drop them and
-          advance last-ordered-gp. *)
   | Sr_seal of { view : int }
   | Sr_get_state
       (** Controller -> recovery replica: unordered log + last-ordered-gp
@@ -109,8 +106,8 @@ type resp =
       (** [Sr_append] reply. [ok = true]: every entry is durable in
           [view], freshly appended or filtered as an already-known
           duplicate. [ok = false]: no entry was appended (wrong view,
-          sealed, shed, or sealed while waiting for capacity). [Sr_gc] and
-          [Ssh_data_write] reuse it as a plain ok/fail (shards answer
+          sealed, shed, or sealed while waiting for capacity).
+          [Ssh_data_write] reuses it as a plain ok/fail (shards answer
           with [view = 0]). *)
   | R_tail of { ok : bool; tail : int }
   | R_state of { frontiers : gp list; entries : Types.entry list }
@@ -170,7 +167,6 @@ let req_size = function
        framing: one entry costs [entry_wire_size + 16], and a batch
        shares the header. *)
     entries_wire entries 12
-  | Sr_gc { slots; _ } -> (24 * List.length slots) + 16
   | Sr_install_view { flushed; frontiers; _ } ->
     (24 * List.length flushed) + frontiers_wire ~each:16 frontiers + 32
   | Msh_push { slots; truncate } ->

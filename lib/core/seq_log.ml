@@ -164,20 +164,13 @@ let try_admit t entries =
 
 let kick t = Waitq.broadcast t.space
 
-let unordered t ?max () =
-  let limit = match max with Some m -> m | None -> t.live in
+let unordered t =
   let acc = ref [] in
-  let taken = ref 0 in
-  let slot = ref t.first in
-  while !taken < limit && !slot < t.next do
-    let e = entry_at t !slot in
-    if e != hole then begin
-      acc := e :: !acc;
-      incr taken
-    end;
-    incr slot
+  for slot = t.next - 1 downto t.first do
+    let e = entry_at t slot in
+    if e != hole then acc := e :: !acc
   done;
-  List.rev !acc
+  !acc
 
 let live_count t = t.live
 

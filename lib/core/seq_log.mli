@@ -55,7 +55,7 @@ val try_admit : t -> Types.entry list -> bool
 val kick : t -> unit
 (** Wake fibers blocked in {!append_or_wait} so they re-check [cancel]. *)
 
-val unordered : t -> ?max:int -> unit -> Types.entry list
+val unordered : t -> Types.entry list
 (** The live entries in log order (the yet-to-be-ordered portion). *)
 
 val live_count : t -> int

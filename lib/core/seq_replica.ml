@@ -88,13 +88,6 @@ let handle t ~src:_ (req : Proto.req) ~reply =
                Logid.pos_of (Seq_log.last_ordered_gp t.slog ~log)
                + Seq_log.live_count_for t.slog ~log;
            })
-  | Sr_gc { view; slots; new_gp } ->
-    if view <> t.view || t.sealed then
-      reply (Proto.R_append { ok = false; view = t.view })
-    else begin
-      apply_gc t ~frontiers:[ new_gp ] ~slots;
-      reply (Proto.R_append { ok = true; view = t.view })
-    end
   | Sr_seal { view } ->
     (* Idempotent; sealing an already-newer view is a stale message. *)
     if view >= t.view then begin
@@ -107,7 +100,7 @@ let handle t ~src:_ (req : Proto.req) ~reply =
       (Proto.R_state
          {
            frontiers = Log_table.to_list (Seq_log.frontiers t.slog);
-           entries = Seq_log.unordered t.slog ();
+           entries = Seq_log.unordered t.slog;
          })
   | Sr_install_view { new_view; _ } when new_view <= t.view ->
     (* A resend whose first ack was lost: applying it again would clear
@@ -178,16 +171,14 @@ let service_time cfg (req : Proto.req) =
   match req with
   | Sr_append { entries; _ } ->
     (* One base charge per request, then per-byte work plus a small
-       per-entry cost (same rate as Sr_gc) for each entry past the first:
-       one entry costs what a lone record always has, and group commit
-       amortizes the base. *)
+       per-entry cost for each entry past the first: one entry costs
+       what a lone record always has, and group commit amortizes the
+       base. *)
     cfg.Config.seq_base_ns
     + (50 * (List.length entries - 1))
     + int_of_float
         (cfg.Config.seq_per_byte_ns
         *. float_of_int (entries_bytes 0 entries))
-  | Sr_gc { slots; _ } ->
-    cfg.Config.seq_base_ns + (50 * List.length slots)
   | _ -> cfg.Config.seq_base_ns
 
 let create ~cfg ~fabric ~name:rname =

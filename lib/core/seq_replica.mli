@@ -38,9 +38,10 @@ val is_sealed : t -> bool
 
 val apply_gc :
   t -> frontiers:int list -> slots:(int * Types.Rid.t) list -> unit
-(** Local equivalent of [Sr_gc], used by the orderer on every replica:
-    drops the ordered [slots] and sets the last-ordered-gp of each log
-    in [frontiers] (packed positions, one per log) to that value. *)
+(** Used by the orderer on every replica (on the followers through the
+    modelled RDMA writes of section 5.6): drops the ordered [slots] and
+    sets the last-ordered-gp of each log in [frontiers] (packed
+    positions, one per log) to that value. *)
 
 val ingress : t -> Ingress.t option
 (** The weighted-fair ingress scheduler, present iff the replica was

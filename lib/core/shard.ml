@@ -207,6 +207,24 @@ let replicate t req =
   ignore (Rpc.group_join g : bool);
   g
 
+(* Erwin-st's data write, the same on the primary and every backup:
+   stage the record and journal it. A rid the shard already no-oped is
+   refused. *)
+let data_write r (record : Types.record) ~reply =
+  if Hashtbl.mem r.nooped record.rid then
+    reply (Proto.R_append { ok = false; view = 0 })
+  else begin
+    (* A retry of an already-staged rid must not hit the device again. *)
+    let fresh = not (Hashtbl.mem r.staging record.rid) in
+    Hashtbl.replace r.staging record.rid record;
+    Hashtbl.replace r.staged_at record.rid (Engine.now ());
+    Waitq.broadcast r.staging_watch;
+    (* Durability: the staged bytes go to the device (with
+       backpressure); the ack is sent once journaled. *)
+    if fresh then journal_record r record;
+    reply (Proto.R_append { ok = true; view = 0 })
+  end
+
 let handle_primary t ~src:_ (req : Proto.req) ~reply =
   let r = t.primary in
   match req with
@@ -219,20 +237,7 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
        by explicit position is idempotent. *)
     ignore (replicate t req : _ Rpc.group);
     reply Proto.R_ok
-  | Ssh_data_write { record } ->
-    if Hashtbl.mem r.nooped record.Types.rid then
-      reply (Proto.R_append { ok = false; view = 0 })
-    else begin
-      (* A retry of an already-staged rid must not hit the device again. *)
-      let fresh = not (Hashtbl.mem r.staging record.Types.rid) in
-      Hashtbl.replace r.staging record.Types.rid record;
-      Hashtbl.replace r.staged_at record.Types.rid (Engine.now ());
-      Waitq.broadcast r.staging_watch;
-      (* Durability: the staged bytes go to the device (with
-         backpressure); the ack is sent once journaled. *)
-      if fresh then journal_record r record;
-      reply (Proto.R_append { ok = true; view = 0 })
-    end
+  | Ssh_data_write { record } -> data_write r record ~reply
   | Ssh_order { truncate; bindings; map_chunk } ->
     apply_truncate r truncate;
     probe_truncate t truncate;
@@ -330,7 +335,7 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
       (fun b -> Rpc.send_oneway r.ep ~dst:(Fabric.id b.node) (Proto.Sh_trim { upto }))
       t.backups;
     reply Proto.R_ok
-  | Sr_append _ | Sr_check_tail _ | Sr_gc _ | Sr_seal _
+  | Sr_append _ | Sr_check_tail _ | Sr_seal _
   | Sr_get_state | Sr_install_view _ | Sr_wait_ordered _ | Sr_order_demand _
   | Ssh_replicate_order _ | Ssh_backfill _ | St_subscribe _ | St_push _
   | St_cursor_sync _ | St_cursor_fetch ->
@@ -357,17 +362,7 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
     apply_truncate r truncate;
     store_slots r slots;
     reply Proto.R_ok
-  | Ssh_data_write { record } ->
-    if Hashtbl.mem r.nooped record.Types.rid then
-      reply (Proto.R_append { ok = false; view = 0 })
-    else begin
-      let fresh = not (Hashtbl.mem r.staging record.Types.rid) in
-      Hashtbl.replace r.staging record.Types.rid record;
-      Hashtbl.replace r.staged_at record.Types.rid (Engine.now ());
-      Waitq.broadcast r.staging_watch;
-      if fresh then journal_record r record;
-      reply (Proto.R_append { ok = true; view = 0 })
-    end
+  | Ssh_data_write { record } -> data_write r record ~reply
   | Ssh_replicate_order { truncate; bindings; noops; map_chunk } ->
     apply_truncate r truncate;
     let missing = ref [] in
@@ -434,7 +429,7 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
       forward_to_primary t r req ~reply ~on_resp:(function
         | Proto.R_map { stable; _ } -> note_stable r stable
         | _ -> ())
-  | Sr_append _ | Sr_check_tail _ | Sr_gc _ | Sr_seal _
+  | Sr_append _ | Sr_check_tail _ | Sr_seal _
   | Sr_get_state | Sr_install_view _ | Sr_wait_ordered _ | Sr_order_demand _
   | Ssh_order _ | St_subscribe _ | St_push _ | St_cursor_sync _
   | St_cursor_fetch ->

@@ -164,20 +164,26 @@ let create ?(config = default_config) () =
   Array.iter install_partition t.parts;
   t
 
-let new_client_ep t ~name =
+(* A caller's endpoint on the Kafka network. Every call a caller makes
+   leaves from this one node, so per-pair FIFO keeps its requests to a
+   partition in send order. *)
+type conn = { kafka : t; ep : (req, resp) Rpc.endpoint }
+
+let connect t ~name =
   let node =
     Fabric.add_node t.fabric ~name ~send_overhead:t.config.rpc_overhead
       ~recv_overhead:t.config.rpc_overhead ()
   in
-  Rpc.endpoint t.fabric node
+  { kafka = t; ep = Rpc.endpoint t.fabric node }
+
+let leader_id c partition = Fabric.id c.kafka.parts.(partition).leader.node
 
 module Producer = struct
   type batch = { mutable records : Lazylog.Types.record list; acked : unit Ivar.t }
 
   type p = {
-    kafka : t;
     part : partition;
-    ep : (req, resp) Rpc.endpoint;
+    conn : conn;
     mutable current : (batch * Engine.time) option;  (* open batch, opened at *)
   }
 
@@ -187,7 +193,8 @@ module Producer = struct
     Engine.spawn ~name:"kafka.producer.ship" (fun () ->
         let r = Produce { batch } in
         (match
-           Rpc.call p.ep ~dst:(Fabric.id p.part.leader.node) ~size:(req_size r) r
+           Rpc.call p.conn.ep ~dst:(Fabric.id p.part.leader.node)
+             ~size:(req_size r) r
          with
         | R_base _ -> ()
         | _ -> failwith "kafka producer: bad produce response");
@@ -210,16 +217,15 @@ module Producer = struct
         b
     in
     b.records <- record :: b.records;
-    if List.length b.records >= p.kafka.config.max_batch then flush p;
+    if List.length b.records >= p.conn.kafka.config.max_batch then flush p;
     Ivar.read b.acked
 end
 
 let producer t ~partition =
   let p =
     {
-      Producer.kafka = t;
-      part = t.parts.(partition);
-      ep = new_client_ep t ~name:(Printf.sprintf "kafka-producer.p%d" partition);
+      Producer.part = t.parts.(partition);
+      conn = connect t ~name:(Printf.sprintf "kafka-producer.p%d" partition);
       current = None;
     }
   in
@@ -236,33 +242,49 @@ let producer t ~partition =
       loop ());
   p
 
-let produce_batch t ~partition batch =
-  let ep = new_client_ep t ~name:"kafka-batch-producer" in
-  let r = Produce { batch } in
-  match
-    Rpc.call ep ~dst:(Fabric.id t.parts.(partition).leader.node)
-      ~size:(req_size r) r
-  with
-  | R_base base -> base
-  | _ -> failwith "kafka: bad produce response"
+type produces = (req, resp) Rpc.group
 
-let fetch t ~partition ~offset ~max =
-  let ep = new_client_ep t ~name:"kafka-consumer" in
-  match
-    Rpc.call ep ~dst:(Fabric.id t.parts.(partition).leader.node)
-      (Fetch { offset; max })
-  with
+let produce_slices c slices =
+  let g =
+    Rpc.group c.ep
+      (Array.fold_left (fun n b -> if b = [] then n else n + 1) 0 slices)
+  in
+  Array.iteri
+    (fun partition batch ->
+      if batch <> [] then
+        let r = Produce { batch } in
+        Rpc.group_call g ~dst:(leader_id c partition) ~size:(req_size r) r)
+    slices;
+  g
+
+let await_produces g = ignore (Rpc.group_join g : bool)
+
+let fetch c ~partition ~offset ~max =
+  match Rpc.call c.ep ~dst:(leader_id c partition) (Fetch { offset; max }) with
   | R_records records -> records
   | _ -> failwith "kafka: bad fetch response"
 
-let truncate_partition t ~partition n =
-  let ep = new_client_ep t ~name:"kafka-admin" in
-  match
-    Rpc.call ep ~dst:(Fabric.id t.parts.(partition).leader.node)
-      (Truncate { from = n })
-  with
+let truncate_partition c ~partition n =
+  match Rpc.call c.ep ~dst:(leader_id c partition) (Truncate { from = n }) with
   | R_ok -> ()
   | _ -> failwith "kafka: bad truncate response"
+
+(* Position p is offset p / n of partition p mod n. A partition's
+   positions in the window are consecutive offsets, fetched in one call
+   per partition, partitions in order. *)
+let read c ~from ~len =
+  let n = Array.length c.kafka.parts in
+  let out = ref [] in
+  for pid = 0 to n - 1 do
+    let first = from + ((pid - (from mod n) + n) mod n) in
+    if first < from + len then begin
+      let lo = first / n and hi = (from + len - 1 - pid) / n in
+      List.iter
+        (fun (o, r) -> out := ((o * n) + pid, r) :: !out)
+        (fetch c ~partition:pid ~offset:lo ~max:(hi - lo + 1))
+    end
+  done;
+  List.sort (fun (a, _) (b, _) -> Int.compare a b) !out |> List.map snd
 
 let partition_tail t ~partition = t.parts.(partition).tail
 
@@ -272,7 +294,7 @@ let client_log t : Lazylog.Log_api.t =
   let producers =
     Array.init (Array.length t.parts) (fun pid -> producer t ~partition:pid)
   in
-  let ep = new_client_ep t ~name:(Printf.sprintf "kafka-client%d" cid) in
+  let c = connect t ~name:(Printf.sprintf "kafka-client%d" cid) in
   let seq = ref 0 in
   let rr = ref 0 in
   let n = Array.length t.parts in
@@ -285,41 +307,10 @@ let client_log t : Lazylog.Log_api.t =
     Producer.append producers.(pid) record;
     true
   in
-  let read ~from ~len =
-    (* Positions are interpreted round-robin: position p = offset (p / n)
-       of partition (p mod n) — a per-partition order only. *)
-    let groups = Array.make n [] in
-    List.iter
-      (fun p -> groups.(p mod n) <- (p / n) :: groups.(p mod n))
-      (List.init len (fun i -> from + i));
-    let out = ref [] in
-    Array.iteri
-      (fun pid offsets ->
-        match List.rev offsets with
-        | [] -> ()
-        | lo :: _ as offsets ->
-          let hi = List.fold_left max lo offsets in
-          let records =
-            match
-              Rpc.call ep ~dst:(Fabric.id t.parts.(pid).leader.node)
-                (Fetch { offset = lo; max = hi - lo + 1 })
-            with
-            | R_records r -> r
-            | _ -> failwith "kafka: bad fetch"
-          in
-          List.iter
-            (fun o ->
-              match List.assoc_opt o records with
-              | Some r -> out := ((o * n) + pid, r) :: !out
-              | None -> ())
-            offsets)
-      groups;
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) !out |> List.map snd
-  in
   let check_tail () =
     Array.fold_left
       (fun acc p ->
-        match Rpc.call ep ~dst:(Fabric.id p.leader.node) Tail with
+        match Rpc.call c.ep ~dst:(Fabric.id p.leader.node) Tail with
         | R_tail n -> acc + n
         | _ -> failwith "kafka: bad tail response")
       0 t.parts
@@ -327,7 +318,7 @@ let client_log t : Lazylog.Log_api.t =
   {
     Lazylog.Log_api.name = "kafka";
     append;
-    read;
+    read = read c;
     check_tail;
     trim = (fun ~upto:_ -> true);
     append_sync = None;

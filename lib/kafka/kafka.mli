@@ -50,17 +50,38 @@ val producer : t -> partition:int -> Producer.p
 
 (** {1 Raw partition operations (used by the Erwin-m adapter)} *)
 
-val produce_batch : t -> partition:int -> Lazylog.Types.record list -> int
-(** Synchronously appends a batch through the leader (replicated before
-    returning); returns the base offset. *)
+type conn
+(** A caller's endpoint on the Kafka network: one fabric node, from which
+    every call made through it leaves. Per-pair FIFO then keeps one
+    caller's requests to a partition in send order. *)
+
+val connect : t -> name:string -> conn
+
+type produces
+(** The produces one {!produce_slices} sent, until they are acked. *)
+
+val produce_slices : conn -> Lazylog.Types.record list array -> produces
+(** [produce_slices c slices] sends [slices.(i)] to partition [i], one
+    produce per non-empty slice, without waiting. Produces from one
+    [conn] to one partition take offsets in send order. *)
+
+val await_produces : produces -> unit
+(** Blocks until every produce of the group is acknowledged: appended
+    by the leader and replicated to every follower (acks=all). *)
 
 val fetch :
-  t -> partition:int -> offset:int -> max:int ->
+  conn -> partition:int -> offset:int -> max:int ->
   (int * Lazylog.Types.record) list
 (** Reads records from the partition leader, blocking until [offset]
     exists. *)
 
-val truncate_partition : t -> partition:int -> int -> unit
+val read : conn -> from:int -> len:int -> Lazylog.Types.record list
+(** The records at positions [from, from + len), position [p] being
+    offset [p / n] of partition [p mod n] ([n] partitions): one {!fetch}
+    per partition, blocking until each partition holds its first
+    requested offset. Positions past a partition's tail are left out. *)
+
+val truncate_partition : conn -> partition:int -> int -> unit
 (** Logical tail overwrite: delete records at offsets [>= n] (how a Kafka
     shard supports Erwin-m's view-change flush, section 4.1). *)
 
@@ -69,5 +90,6 @@ val partition_tail : t -> partition:int -> int
 val client_log : t -> Lazylog.Log_api.t
 (** Stand-alone Kafka as a [Log_api.t] (the figure 15 baseline): appends
     round-robin over partitions through shared batching producers; reads
-    interpret positions as (partition, offset) in round-robin order, which
-    is only a per-partition order — the point of section 6.8. *)
+    are {!read}, whose positions follow that round robin, but appends
+    take offsets in each partition's own arrival order, so the positions
+    give only a per-partition order — the point of section 6.8. *)

@@ -810,14 +810,21 @@ let run ?(seed = 42) ?(perturb = false) ?until main =
   s.executed <- 0;
   s.cancelled <- 0;
   s.seed <- seed;
-  wheel_reset s;
-  Slab.reset ();
   s.rng <- Random.State.make [| seed; 0x1a2706 |];
   s.perturb_rng <-
     (if perturb then Some (Random.State.make [| seed; 0x7e27b6 |]) else None);
+  (* A finished run leaves nothing behind: pending events, the slab's
+     payloads (a parked fiber's waker, and with it its stack) and the
+     stash go, so the simulation is garbage once [run] returns. The next
+     run then starts from this clean state. Both pools keep their
+     capacity. *)
   let finish () =
     s.running <- false;
-    wheel_reset s
+    wheel_reset s;
+    Slab.reset ();
+    s.stash_reg <- unit_obj;
+    s.start_name <- no_name;
+    s.start_fn <- ignore
   in
   let ulim = match until with None -> max_int | Some u -> u in
   Fun.protect ~finally:finish (fun () ->

@@ -41,7 +41,7 @@ let test_append_order () =
     [ (0, 1); (1, 1); (0, 2) ]
     (List.map
        (fun (r : Types.Rid.t) -> (r.client, r.seq))
-       (rids (Seq_log.unordered l ())))
+       (rids (Seq_log.unordered l)))
 
 let test_duplicate_live () =
   let l = Seq_log.create ~capacity:16 in
@@ -73,7 +73,7 @@ let test_remove_arbitrary_set () =
     "survivor" [ (9, 1) ]
     (List.map
        (fun (r : Types.Rid.t) -> (r.client, r.seq))
-       (rids (Seq_log.unordered l ())))
+       (rids (Seq_log.unordered l)))
 
 let test_capacity_backpressure () =
   Engine.run (fun () ->
@@ -104,14 +104,6 @@ let test_append_or_wait_cancel () =
       Seq_log.kick l;
       Engine.sleep 10;
       checkb "canceled" false !result)
-
-let test_unordered_max () =
-  let l = Seq_log.create ~capacity:16 in
-  for i = 1 to 10 do
-    ignore (Seq_log.append_wait l (data 0 i))
-  done;
-  checki "bounded batch" 4 (List.length (Seq_log.unordered l ~max:4 ()));
-  checki "full" 10 (List.length (Seq_log.unordered l ()))
 
 let test_clear_keeps_filter () =
   let l = Seq_log.create ~capacity:16 in
@@ -148,7 +140,7 @@ let prop_no_duplicate_rids =
           | Seq_log.Duplicate -> ());
           (* Periodically order the first half of the log. *)
           if i mod 5 = 4 then begin
-            let entries = Seq_log.unordered l () in
+            let entries = Seq_log.unordered l in
             let half = List.filteri (fun j _ -> j mod 2 = 0) entries in
             let hrids = rids half in
             List.iter
@@ -160,7 +152,7 @@ let prop_no_duplicate_rids =
           ignore r)
         ops;
       (* no duplicates among live entries *)
-      let live = rids (Seq_log.unordered l ()) in
+      let live = rids (Seq_log.unordered l) in
       let tbl = Hashtbl.create 16 in
       List.iter
         (fun (r : Types.Rid.t) ->
@@ -190,7 +182,6 @@ let () =
             test_capacity_backpressure;
           Alcotest.test_case "append_or_wait cancel (seal)" `Quick
             test_append_or_wait_cancel;
-          Alcotest.test_case "unordered max" `Quick test_unordered_max;
           Alcotest.test_case "clear keeps duplicate filter" `Quick
             test_clear_keeps_filter;
           Alcotest.test_case "last-ordered-gp" `Quick test_gp_counter;

@@ -100,12 +100,12 @@ let test_unordered_includes_claimed () =
   let t = mk 4 in
   ignore (Seq_log.claim_unordered t ~max:2 : Types.entry array);
   checki "unordered sees claimed entries" 4
-    (List.length (Seq_log.unordered t ()))
+    (List.length (Seq_log.unordered t))
 
 (* --- the slot ring (the paper's ring buffer) --- *)
 
 let rids_of t =
-  List.map (fun e -> Types.entry_rid e) (Seq_log.unordered t ())
+  List.map (fun e -> Types.entry_rid e) (Seq_log.unordered t)
 
 let test_ring_basic () =
   let t = Seq_log.create ~capacity:4 in
@@ -240,7 +240,7 @@ let prop_ring_matches_model =
             Seq_log.clear t;
             live := []);
           expect (Seq_log.live_count t = List.length !live);
-          expect (Seq_log.unordered t () = List.map snd !live);
+          expect (Seq_log.unordered t = List.map snd !live);
           List.iter
             (fun (r, _) -> expect (Seq_log.mem t r && Seq_log.known t r))
             !live;

@@ -88,23 +88,6 @@ let test_check_tail_rejected_when_sealed () =
       | Proto.R_tail { ok; _ } -> checkb "rejected" false ok
       | _ -> Alcotest.fail "bad tail response")
 
-let test_gc_over_wire () =
-  with_replica (fun r ep ->
-      ignore (append r ep (entry 1 1));
-      ignore (append r ep (entry 1 2));
-      (match
-         call r ep
-           (Proto.Sr_gc { view = 0; slots = [ (0, rid 1 1) ]; new_gp = 1 })
-       with
-      | Proto.R_append { ok = true; _ } -> ()
-      | _ -> Alcotest.fail "gc failed");
-      checki "one left" 1 (Seq_log.live_count (Seq_replica.log r));
-      checki "gp" 1 (Seq_log.last_ordered_gp (Seq_replica.log r) ~log:0);
-      (* GC in a stale view must be refused (the controller owns views). *)
-      match call r ep (Proto.Sr_gc { view = 9; slots = []; new_gp = 5 }) with
-      | Proto.R_append { ok; _ } -> checkb "stale gc refused" false ok
-      | _ -> Alcotest.fail "bad gc response")
-
 let test_wait_ordered_tracks () =
   with_replica (fun r ep ->
       checkb "tracked append" true (append ~track:true r ep (entry 3 1));
@@ -214,8 +197,6 @@ let () =
             test_check_tail_includes_unordered;
           Alcotest.test_case "checkTail rejected when sealed" `Quick
             test_check_tail_rejected_when_sealed;
-          Alcotest.test_case "gc over wire + view check" `Quick
-            test_gc_over_wire;
           Alcotest.test_case "wait_ordered tracking" `Quick
             test_wait_ordered_tracks;
           Alcotest.test_case "seal releases blocked appends" `Quick

@@ -319,6 +319,26 @@ let test_waitq_timeouts_do_not_accumulate () =
       Engine.yield ();
       check "nothing left after the broadcast" 0 (Waitq.waiters wq))
 
+(* A finished run keeps nothing alive: a value reachable only from
+   fibers still parked on a Waitq and on an Ivar when the run ends is
+   garbage once [Engine.run] returns. *)
+let test_finished_run_released () =
+  let held = Weak.create 2 in
+  let park slot wait =
+    Engine.spawn (fun () ->
+        let v = Bytes.create 64 in
+        Weak.set held slot (Some v);
+        wait ();
+        ignore (Sys.opaque_identity v))
+  in
+  Engine.run (fun () ->
+      let wq = Waitq.create () and iv = Ivar.create () in
+      park 0 (fun () -> Waitq.await wq (fun () -> false));
+      park 1 (fun () -> ignore (Ivar.read iv : unit)));
+  Gc.full_major ();
+  checkb "waitq-parked fiber released" false (Weak.check held 0);
+  checkb "ivar-parked fiber released" false (Weak.check held 1)
+
 (* A callback waker runs its function on a fresh event with the wake
    value, is re-armed before it runs, and can be woken again. *)
 let test_callback_waker () =
@@ -577,6 +597,8 @@ let () =
             `Quick test_stale_token;
           Alcotest.test_case "callback waker is reusable" `Quick
             test_callback_waker;
+          Alcotest.test_case "finished run is released" `Quick
+            test_finished_run_released;
         ] );
       ( "ivar",
         [
