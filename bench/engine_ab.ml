@@ -8,8 +8,8 @@
 
    Workloads: timer-callback | mixed-hop | deep-timer | deep-fiber |
    ready-ivar | ready-mailbox | fifo-fanin | mem-log-bind | store-stage |
-   suspend-wake | quorum-join | rpc-serve | replicate | seq-log-churn |
-   client-handle
+   suspend-wake | quorum-join | rpc-serve | rpc-backlog | replicate |
+   seq-log-churn | client-handle
 
    Each rep prints user-CPU ns/op and allocated words/op. Allocated words
    are exact and repeat run to run, so [--max-words W] is a ceiling that
@@ -231,6 +231,36 @@ let rpc_serve n =
         if not (Rpc.group_join g) then failwith "rpc-serve: no reply"
       done)
 
+(* A standing backlog on one endpoint, the shape of a group-commit
+   batcher under overload: 4 096 client fibers each call a server in a
+   loop, so the client's pending table holds 4 096 calls throughout and
+   they complete in call order, one per 100 ns of the server's serial
+   service (answered bare). Each op is one call completed and replaced.
+   A pending table whose removal walks the run of calls pending (as
+   sequential tokens homed at [token land mask] do) costs O(backlog)
+   per op here. *)
+let rpc_backlog n =
+  Ll_sim.Engine.run (fun () ->
+      let open Ll_sim in
+      let open Ll_net in
+      let fab = Fabric.create ~seed:1 () in
+      let node = Fabric.add_node fab ~name:"s" () in
+      let server = Rpc.endpoint fab node in
+      Rpc.set_service_time server (fun _ -> 100);
+      Rpc.set_handler server (fun ~src:_ (x : int) ~reply -> reply x);
+      Rpc.set_bare_handler server (fun ~src:_ x ~reply ->
+          reply x;
+          true);
+      let client = Rpc.endpoint fab (Fabric.add_node fab ~name:"c" ()) in
+      let left = ref n in
+      for _ = 1 to 4_096 do
+        Engine.spawn (fun () ->
+            while !left > 0 do
+              decr left;
+              ignore (Rpc.call client ~dst:(Fabric.id node) !left : int)
+            done)
+      done)
+
 (* A shard primary's replication: a 2-member group with retry rounds
    (10 ms rounds, 50 tries) to two echo servers, joined with no
    deadline, n times. Every member answers in its first round, so each
@@ -324,6 +354,7 @@ let () =
     | "suspend-wake" -> suspend_wake
     | "quorum-join" -> quorum_join
     | "rpc-serve" -> rpc_serve
+    | "rpc-backlog" -> rpc_backlog
     | "replicate" -> replicate
     | "seq-log-churn" -> seq_log_churn
     | "client-handle" -> client_handle

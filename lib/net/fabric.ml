@@ -21,12 +21,20 @@ type link = {
 
 let default_link = { one_way = 1_500; per_byte_ns = 0.32; jitter = 300 }
 
+(* A message in flight and in an inbox: the delivery event's argument,
+   so one block per message serves the wire, the inbox and the
+   receiver. *)
+type 'm packet = { src : node_id; dst : node_id; msg : 'm }
+
+let packet_src p = p.src
+let packet_msg p = p.msg
+
 type 'm node = {
   nid : node_id;
   nname : string;
   send_overhead : Engine.time;
   recv_overhead : Engine.time;
-  inbox : (node_id * 'm) Mailbox.t;
+  inbox : 'm packet Mailbox.t;
   mutable alive : bool;
   mutable extra : Engine.time;
   mutable delivered : int;
@@ -60,7 +68,30 @@ type 'm t = {
   mutable drop_p : float;
   mutable sent : int;
   mutable sent_bytes : int;
+  (* The one delivery function every send schedules on its packet. *)
+  mutable deliver : 'm packet -> unit;
 }
+
+(* Partitions exist only under fault scripts: healthy runs skip the hash
+   on both send and delivery. *)
+let partitioned t a b =
+  Hashtbl.length t.partitions > 0 && Hashtbl.mem t.partitions (pair_key a b)
+
+(* A packet's arrival. The pair's last message in flight drops its FIFO
+   entry. That moves no arrival: an entry holding [v] goes at time [v],
+   and any later send on the pair arrives after [v] + one_way > [v],
+   where the kept entry would not have raised it. Liveness and partition
+   are checked again here: a message in flight to a node that crashes
+   meanwhile is lost. *)
+let deliver t p =
+  let key = fifo_key p.src p.dst in
+  if Int_table.find t.last_arrival key ~default:(-1) = Engine.now () then
+    Int_table.remove t.last_arrival key;
+  let dst_node = t.nodes.(p.dst) in
+  if dst_node.alive && not (partitioned t p.src p.dst) then begin
+    dst_node.delivered <- dst_node.delivered + 1;
+    Mailbox.send dst_node.inbox p
+  end
 
 let create ?(link = default_link) ?seed () =
   if link.one_way <= 0 then invalid_arg "Fabric.create: link.one_way <= 0";
@@ -72,18 +103,23 @@ let create ?(link = default_link) ?seed () =
     | Some s -> s
     | None -> Random.State.bits (Engine.random_state ())
   in
-  {
-    link;
-    rng = Rng.create ~seed;
-    nodes = [||];
-    nnodes = 0;
-    last_arrival = Int_table.create 64;
-    partitions = Hashtbl.create 8;
-    link_faults = Hashtbl.create 8;
-    drop_p = 0.0;
-    sent = 0;
-    sent_bytes = 0;
-  }
+  let t =
+    {
+      link;
+      rng = Rng.create ~seed;
+      nodes = [||];
+      nnodes = 0;
+      last_arrival = Int_table.create 64;
+      partitions = Hashtbl.create 8;
+      link_faults = Hashtbl.create 8;
+      drop_p = 0.0;
+      sent = 0;
+      sent_bytes = 0;
+      deliver = ignore;
+    }
+  in
+  t.deliver <- (fun p -> deliver t p);
+  t
 
 let add_node t ~name ?(send_overhead = 500) ?(recv_overhead = 500) () =
   if t.nnodes >= max_nodes then failwith "Fabric.add_node: too many nodes";
@@ -116,11 +152,6 @@ let name n = n.nname
 let node_by_id t i =
   if i < 0 || i >= t.nnodes then invalid_arg "Fabric.node_by_id";
   t.nodes.(i)
-
-(* Partitions exist only under fault scripts: healthy runs skip the hash
-   on both send and delivery. *)
-let partitioned t a b =
-  Hashtbl.length t.partitions > 0 && Hashtbl.mem t.partitions (pair_key a b)
 
 let send t ~src ~dst ~size msg =
   let dst_node = t.nodes.(dst) in
@@ -164,26 +195,16 @@ let send t ~src ~dst ~size msg =
     let last = Int_table.value t.last_arrival s in
     let arrival = if last >= arrival then last + 1 else arrival in
     Int_table.set_value t.last_arrival s arrival;
-    let sender = src.nid in
     (* Bare callback: delivery only re-checks liveness and enqueues, no
-       fiber effects, so it skips the fiber-start cost per hop. *)
-    Engine.call_at arrival (fun () ->
-        (* The pair's last message in flight drops its entry. That moves
-           no arrival: an entry holding [v] goes at time [v], and any
-           later send on the pair arrives after [v] + one_way > [v], where
-           the kept entry would not have raised it. *)
-        let key = fifo_key sender dst in
-        if Int_table.find t.last_arrival key ~default:(-1) = Engine.now ()
-        then Int_table.remove t.last_arrival key;
-        (* Re-check liveness and partition at delivery time: a message in
-           flight to a node that crashes meanwhile is lost. *)
-        if dst_node.alive && not (partitioned t sender dst) then begin
-          dst_node.delivered <- dst_node.delivered + 1;
-          Mailbox.send dst_node.inbox (sender, msg)
-        end)
+       fiber effects, so it skips the fiber-start cost per hop; and the
+       event carries the fabric's one [deliver] and the packet, so the
+       packet is all a hop allocates. *)
+    Engine.call_at_with arrival t.deliver { src = src.nid; dst; msg }
   end
 
-let recv n = Mailbox.recv n.inbox
+let recv n =
+  let p = Mailbox.recv n.inbox in
+  (p.src, p.msg)
 
 let take_or_park n w f = Mailbox.take_or_park n.inbox w f
 

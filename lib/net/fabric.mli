@@ -30,6 +30,16 @@ type 'm t
 
 type 'm node
 
+type 'm packet
+(** One message on its way: sender, destination and payload in one
+    block. {!send} allocates it and schedules the fabric's one delivery
+    function on it ({!Ll_sim.Engine.call_at_with}), so a hop allocates
+    the packet and nothing else; the destination's inbox then holds the
+    same packet until it is received. *)
+
+val packet_src : 'm packet -> node_id
+val packet_msg : 'm packet -> 'm
+
 val create : ?link:link -> ?seed:int -> unit -> 'm t
 (** Without [seed], the fabric seeds its jitter/drop stream from the
     engine's master-seeded random state ({!Ll_sim.Engine.random_state}),
@@ -52,13 +62,15 @@ val node_by_id : 'm t -> node_id -> 'm node
 
 val send : 'm t -> src:'m node -> dst:node_id -> size:int -> 'm -> unit
 (** Fire-and-forget message of [size] payload bytes. Dropped silently if
-    either endpoint is crashed or the pair is partitioned at send time. *)
+    either endpoint is crashed or the pair is partitioned at send time,
+    and lost if, when it arrives, the destination is crashed or the pair
+    partitioned. *)
 
 val recv : 'm node -> node_id * 'm
 (** Blocks until a message arrives at this node; returns the sender. *)
 
 val take_or_park :
-  'm node -> (node_id * 'm) Engine.waker -> (node_id * 'm -> unit) -> unit
+  'm node -> 'm packet Engine.waker -> ('m packet -> unit) -> unit
 (** [take_or_park n w f] passes the next queued message to [f], or, with
     none queued, parks [w] to be woken with the next one to arrive
     ({!Ll_sim.Mailbox.take_or_park}). An RPC endpoint receives this way,

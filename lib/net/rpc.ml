@@ -46,38 +46,51 @@ end
    request at a time on its "CPU": while a request's service time runs,
    the request waits in the [s_] fields for [step], the one event that
    ends its service. A request for the bare path waits in the [b_]
-   fields for [drain], the one thunk scheduled where its handler would
-   start. *)
+   fields for [drain], the one event scheduled where its handler would
+   start. Both events are [Engine.call_at_with] of a top-level function
+   on the server record, so the record holds no closure for them.
+
+   A request travels as its sender and token (the token its response
+   carries, [no_token] for a one-way message); no reply closure is made
+   for it unless a handler fiber starts or the ingress hook takes it.
+   The bare path answers through the one [bare_reply], which sends for
+   the request in the [r_] fields while the bare handler runs. *)
 type ('req, 'resp) server = {
+  ep : ('req, 'resp) endpoint;
   mutable handler :
     src:node_id -> 'req -> reply:(?size:int -> 'resp -> unit) -> unit;
   handler_name : string;  (* fiber name for every request's handler *)
   mutable s_src : node_id;
+  mutable s_token : int;
   mutable s_req : Obj.t;
-  mutable s_reply : ?size:int -> 'resp -> unit;
   mutable b_busy : bool;  (* [drain] is scheduled for the [b_] request *)
   mutable b_src : node_id;
+  mutable b_token : int;
   mutable b_req : Obj.t;
-  mutable b_reply : ?size:int -> 'resp -> unit;
-  step : unit -> unit;
-  drain : unit -> unit;
+  mutable b_reply : ?size:int -> 'resp -> unit;  (* [unbuilt], or {!serve}'s *)
+  mutable r_src : node_id;
+  mutable r_token : int;
+  mutable r_state : int;  (* [r_idle], [r_running] or [r_replied] *)
+  bare_reply : ?size:int -> 'resp -> unit;
 }
 
 (* Pending calls live in an open-addressing table keyed by token, flat
    in two arrays: [pk] holds each slot's token ([no_call] when free), send
    time, and destination and group member packed in one int, at stride
-   3; [pv] holds the call's ivar or group. Tokens are sequential, so the
-   identity hash puts a fan-out's calls in consecutive slots and probes
-   are short. An endpoint starts with empty arrays and allocates four
-   slots (18 words) at its first call, eight (34 words) past three calls
-   in flight: the table stays within the 38 words of the 32-bucket
-   [Hashtbl] it replaces for up to seven calls in flight, and a call
-   allocates no record, bucket or option.
+   3; [pv] holds the call's ivar or group. Tokens are sequential, so they
+   are homed by {!Int_table.home}'s multiplicative hash: homed at
+   [token land mask], the calls in flight would fill one contiguous run
+   of slots, and every removal would walk to the end of it, O(pending
+   calls) per completion under a backlog. An endpoint starts with empty
+   arrays and allocates four slots (18 words) at its first call, eight
+   (34 words) past three calls in flight: the table stays within the 38
+   words of the 32-bucket [Hashtbl] it replaces for up to six calls in
+   flight, and a call allocates no record, bucket or option.
 
    Messages are received without a fiber: [rx] is a callback waker that
-   runs [on_msg] on each message delivered while the endpoint waits, and
+   runs [on_msg] on each packet delivered while the endpoint waits, and
    [on_msg] takes any queued ones after it (see [receive]). *)
-type ('req, 'resp) endpoint = {
+and ('req, 'resp) endpoint = {
   fabric : ('req, 'resp) msg Fabric.t;
   node : ('req, 'resp) msg Fabric.node;
   mutable pk : int array;
@@ -103,8 +116,8 @@ type ('req, 'resp) endpoint = {
   mutable ingress :
     (src:node_id -> 'req -> reply:(?size:int -> 'resp -> unit) -> bool)
       option;
-  mutable rx : (node_id * ('req, 'resp) msg) Engine.waker;
-  on_msg : node_id * ('req, 'resp) msg -> unit;
+  mutable rx : ('req, 'resp) msg Fabric.packet Engine.waker;
+  on_msg : ('req, 'resp) msg Fabric.packet -> unit;
 }
 
 (* Per-domain counters over every endpoint in the run — the retry-path
@@ -123,6 +136,7 @@ type counters = {
   mutable c_shed : int;
   mutable c_hedges_fired : int;
   mutable c_hedges_won : int;
+  mutable c_table_steps : int;
 }
 
 let dls_counters : counters Domain.DLS.key =
@@ -133,6 +147,7 @@ let dls_counters : counters Domain.DLS.key =
         c_shed = 0;
         c_hedges_fired = 0;
         c_hedges_won = 0;
+        c_table_steps = 0;
       })
 
 let ctrs () = Domain.DLS.get dls_counters
@@ -255,6 +270,7 @@ let hedge_deadline t ~dsts ~floor =
 (* ---------- the pending-call table ---------- *)
 
 let no_call = -1
+let no_token = -1 (* a request that wants no response: a one-way message *)
 let lone = -1 (* member index of a call outside any group *)
 let unit_obj = Obj.repr 0
 
@@ -269,7 +285,7 @@ let member_of d = (d land ((1 lsl member_bits) - 1)) - 1
    always keeps a free slot, so the loop ends. *)
 let probe t token =
   let pk = t.pk and mask = Array.length t.pv - 1 in
-  let i = ref (token land mask) in
+  let i = ref (Int_table.home mask token) in
   while
     let k = Array.unsafe_get pk (3 * !i) in
     k <> token && k <> no_call
@@ -287,10 +303,14 @@ let put t token dst member v =
   t.pn <- t.pn + 1
 
 (* Double the table (or allocate its first four slots) when one more call
-   would leave no free slot. *)
+   would fill more than three quarters of it. Hashed keys probe linearly
+   in O(1 / (1 - load)^2) slots, so a fuller table would trade the
+   sequential-token cliff for a load cliff (with 2 040 calls standing in
+   2 048 slots a completion walked 808 slots). Four slots still take
+   three calls. *)
 let reserve t =
   let cap = Array.length t.pv in
-  if t.pn + 2 > cap then begin
+  if 4 * (t.pn + 1) > 3 * cap then begin
     let opk = t.pk and opv = t.pv in
     let ncap = if cap = 0 then 4 else 2 * cap in
     t.pk <- Array.make (3 * ncap) no_call;
@@ -308,13 +328,14 @@ let reserve t =
   end
 
 (* Free slot [i] by backward-shift deletion: later members of its probe
-   run move up so every chain stays unbroken, with no tombstones. *)
+   run move up so every chain stays unbroken, with no tombstones. Returns
+   the number of slots the walk looked at past [i]. *)
 let remove_at t i =
   let pk = t.pk and pv = t.pv in
   let mask = Array.length pv - 1 in
   let hole = ref i and j = ref ((i + 1) land mask) in
   while pk.(3 * !j) <> no_call do
-    let home = pk.(3 * !j) land mask in
+    let home = Int_table.home mask pk.(3 * !j) in
     (* Move [j] into the hole unless its home lies cyclically in
        (hole, j]. *)
     if (!j - home) land mask >= (!j - !hole) land mask then begin
@@ -326,12 +347,13 @@ let remove_at t i =
   done;
   pk.(3 * !hole) <- no_call;
   pv.(!hole) <- unit_obj;
-  t.pn <- t.pn - 1
+  t.pn <- t.pn - 1;
+  (!j - i) land mask
 
 let drop_pending t token =
   if t.pn > 0 then begin
     let i = probe t token in
-    if t.pk.(3 * i) = token then remove_at t i
+    if t.pk.(3 * i) = token then ignore (remove_at t i : int)
   end
 
 (* Register a pending call and send its request; returns the token. *)
@@ -460,43 +482,106 @@ let tick g =
 
 let ignore_reply ?size:_ _ = ()
 
+(* The reply of a request that has no closure yet: its token says where
+   the response goes. *)
+let unbuilt ?size:_ _ = ()
+
+(* The reply closure of a request, made when something outside the bare
+   path needs one: a handler fiber or the ingress hook. *)
+let reply_to t src token =
+  if token = no_token then ignore_reply
+  else begin
+    let replied = ref false in
+    fun ?(size = 64) resp ->
+      if not !replied then begin
+        replied := true;
+        Fabric.send t.fabric ~src:t.node ~dst:src ~size (Response (token, resp))
+      end
+  end
+
+let built t src token reply =
+  if reply == unbuilt then reply_to t src token else reply
+
+let r_idle = 0
+let r_running = 1
+let r_replied = 2
+
+(* The bare path's reply: it answers the request the bare handler is
+   running, at most once, and only while that handler runs. *)
+let bare_reply s ?(size = 64) resp =
+  let t = s.ep in
+  if s.r_state = r_idle then
+    invalid_arg "Rpc: a bare handler's reply called after the handler returned";
+  if s.r_state = r_running then begin
+    s.r_state <- r_replied;
+    if s.r_token <> no_token then
+      Fabric.send t.fabric ~src:t.node ~dst:s.r_src ~size
+        (Response (s.r_token, resp))
+  end
+
+let start_handler s ~src req ~reply =
+  let h = s.handler in
+  Engine.start_now ~name:s.handler_name (fun () -> h ~src req ~reply)
+
 (* Where a handler fiber would start: the bare path runs there as a bare
    callback when installed, and the handler starts on a fiber otherwise,
-   or when the bare path declines. *)
-let run_bare t s ~src req ~reply =
+   or when the bare path declines. A fallback fiber gets a reply of its
+   own, a no-op if the bare handler already answered. *)
+let run_bare s ~src ~token ~reply req =
+  let t = s.ep in
   match t.bare with
+  | Some b when reply == unbuilt ->
+    s.r_src <- src;
+    s.r_token <- token;
+    s.r_state <- r_running;
+    let handled = b ~src req ~reply:s.bare_reply in
+    let replied = s.r_state = r_replied in
+    s.r_state <- r_idle;
+    if not handled then
+      start_handler s ~src req
+        ~reply:(if replied then ignore_reply else reply_to t src token)
   | Some b when b ~src req ~reply -> ()
-  | _ ->
-    let h = s.handler in
-    Engine.start_now ~name:s.handler_name (fun () -> h ~src req ~reply)
+  | _ -> start_handler s ~src req ~reply:(built t src token reply)
+
+let drain s =
+  let src = s.b_src and token = s.b_token and req = Obj.obj s.b_req in
+  let reply = s.b_reply in
+  s.b_busy <- false;
+  s.b_req <- unit_obj;
+  s.b_reply <- unbuilt;
+  run_bare s ~src ~token ~reply req
 
 (* A request's service has ended: unless the endpoint crashed while the
    request was "on CPU", start its handler. Without a bare path that is
-   a fiber start. With one it is a bare callback at the same point: the
-   preallocated [drain] for the [b_] fields, or, in the rare case they
-   are taken (two services ending in one instant), a closure of its own,
-   so each request stays tied to its own event under any tie order. *)
-let start t s ~src req ~reply =
+   a fiber start. With one it is a bare callback at the same point:
+   [drain] for the [b_] fields, or, in the rare case they are taken (two
+   services ending in one instant), a closure of its own, so each
+   request stays tied to its own event under any tie order. [reply] is
+   [unbuilt] unless the request came through {!serve}. *)
+let start s ~src ~token ~reply req =
+  let t = s.ep in
   if Fabric.is_alive t.node then
     match t.bare with
     | None ->
-      let h = s.handler in
+      let h = s.handler and reply = built t src token reply in
       Engine.spawn ~name:s.handler_name (fun () -> h ~src req ~reply)
     | Some _ when s.b_busy ->
-      Engine.call_after 0 (fun () -> run_bare t s ~src req ~reply)
+      Engine.call_after 0 (fun () -> run_bare s ~src ~token ~reply req)
     | Some _ ->
       s.b_busy <- true;
       s.b_src <- src;
+      s.b_token <- token;
       s.b_req <- Obj.repr req;
       s.b_reply <- reply;
-      Engine.call_after 0 s.drain
+      Engine.call_at_with (Engine.now ()) drain s
 
-let drain t s =
-  let src = s.b_src and req = Obj.obj s.b_req and reply = s.b_reply in
-  s.b_busy <- false;
-  s.b_req <- unit_obj;
-  s.b_reply <- ignore_reply;
-  run_bare t s ~src req ~reply
+(* The in-service request's service time has ended. *)
+let step s =
+  let t = s.ep in
+  let src = s.s_src and token = s.s_token and req = Obj.obj s.s_req in
+  s.s_req <- unit_obj;
+  start s ~src ~token ~reply:unbuilt req;
+  Fabric.take_or_park t.node t.rx t.on_msg
 
 (* The default service discipline, as an ingress scheduler's fiber runs
    it: charge the request's service time by blocking the calling fiber,
@@ -507,27 +592,27 @@ let serve t ~src req ~reply =
   | Some s ->
     let st = t.service_time req in
     if st > 0 then Engine.sleep st;
-    start t s ~src req ~reply
+    start s ~src ~token:no_token ~reply req
 
 (* Offer the request to the ingress hook, else serve it by the same
    discipline on the endpoint's own receive path: the service time is
    the one [step] event, and the endpoint takes no message until it
    fires, so the endpoint's "CPU" is a single queue. [false] when the
    request went into service. *)
-let dispatch t s ~src req ~reply =
+let dispatch t s ~src ~token req =
   match t.ingress with
-  | Some f when f ~src req ~reply -> true
+  | Some f when f ~src req ~reply:(reply_to t src token) -> true
   | _ ->
     let st = t.service_time req in
     if st <= 0 then begin
-      start t s ~src req ~reply;
+      start s ~src ~token ~reply:unbuilt req;
       true
     end
     else begin
       s.s_src <- src;
+      s.s_token <- token;
       s.s_req <- Obj.repr req;
-      s.s_reply <- reply;
-      Engine.call_after st s.step;
+      Engine.call_at_with (Engine.now () + st) step s;
       false
     end
 
@@ -539,7 +624,12 @@ let complete t token resp =
     if t.pk.(3 * i) = token then begin
       let sent = t.pk.((3 * i) + 1) and d = t.pk.((3 * i) + 2) in
       let v = t.pv.(i) in
-      remove_at t i;
+      let mask = Array.length t.pv - 1 in
+      let c = ctrs () in
+      c.c_table_steps <-
+        c.c_table_steps + 1
+        + ((i - Int_table.home mask token) land mask)
+        + remove_at t i;
       note_sample t (dst_of d) (Engine.now () - sent);
       let member = member_of d in
       if member = lone then ignore (Ivar.try_fill (Obj.obj v) resp : bool)
@@ -549,28 +639,19 @@ let complete t token resp =
 
 (* Handle one message; [false] when a request went into service, whose
    [step] then takes the endpoint's next message. *)
-let handle t (src, m) =
-  match m with
+let handle t p =
+  match Fabric.packet_msg p with
   | Response (token, resp) ->
     complete t token resp;
     true
   | Request (token, req) -> (
     match t.srv with
     | None -> true
-    | Some s ->
-      let replied = ref false in
-      let reply ?(size = 64) resp =
-        if not !replied then begin
-          replied := true;
-          Fabric.send t.fabric ~src:t.node ~dst:src ~size
-            (Response (token, resp))
-        end
-      in
-      dispatch t s ~src req ~reply)
+    | Some s -> dispatch t s ~src:(Fabric.packet_src p) ~token req)
   | Oneway req -> (
     match t.srv with
     | None -> true
-    | Some s -> dispatch t s ~src req ~reply:ignore_reply)
+    | Some s -> dispatch t s ~src:(Fabric.packet_src p) ~token:no_token req)
 
 (* The wake value of the event, scheduled when the endpoint is created,
    that begins its first receive. *)
@@ -589,14 +670,6 @@ let receive t v =
     | exception e ->
       raise (Engine.Fiber_failure (Fabric.name t.node ^ ".demux", e))
   then Fabric.take_or_park t.node t.rx t.on_msg
-
-(* The in-service request's service time has ended. *)
-let step t s =
-  let src = s.s_src and req = Obj.obj s.s_req and reply = s.s_reply in
-  s.s_req <- unit_obj;
-  s.s_reply <- ignore_reply;
-  start t s ~src req ~reply;
-  Fabric.take_or_park t.node t.rx t.on_msg
 
 (* Stands in for an endpoint's waker until [endpoint] has made the
    endpoint the waker's callback needs. A waker's type parameter only
@@ -635,17 +708,21 @@ let set_handler t h =
   | None ->
     let rec s =
       {
+        ep = t;
         handler = h;
         handler_name = Fabric.name t.node ^ ".handler";
         s_src = 0;
+        s_token = no_token;
         s_req = unit_obj;
-        s_reply = ignore_reply;
         b_busy = false;
         b_src = 0;
+        b_token = no_token;
         b_req = unit_obj;
-        b_reply = ignore_reply;
-        step = (fun () -> step t s);
-        drain = (fun () -> drain t s);
+        b_reply = unbuilt;
+        r_src = 0;
+        r_token = no_token;
+        r_state = r_idle;
+        bare_reply = (fun ?size resp -> bare_reply s ?size resp);
       }
     in
     t.srv <- Some s
@@ -680,6 +757,8 @@ let call_timeout t ~dst ?(size = 64) ~timeout req =
   wait_or_expire t token iv ~timeout
 
 let pending_calls t = t.pn
+
+let table_steps () = (ctrs ()).c_table_steps
 
 let group ?need ?tries ?round t n =
   if n < 0 || n >= need_one - 1 then invalid_arg "Rpc.group: size out of range";

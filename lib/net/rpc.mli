@@ -10,12 +10,16 @@
     accepts without a fiber.
 
     The endpoint itself receives without a fiber: one reusable
-    {!Ll_sim.Engine.callback_waker} takes each message as it is handed
-    over, and a request's service time is one timer, so receiving costs
-    no suspension. It schedules exactly the events a receiving fiber
-    would. A failure raised while the endpoint handles a message (in an
-    ingress hook or a service-time function) aborts the run as
-    [Fiber_failure ("<node>.demux", e)].
+    {!Ll_sim.Engine.callback_waker} takes each {!Fabric.packet} as it is
+    handed over, and a request's service time is one timer, so receiving
+    costs no suspension. It schedules exactly the events a receiving
+    fiber would. Nor does it allocate per request: a request travels
+    through service as its sender and call token, and a [reply] closure
+    is made for it only when a handler fiber starts or the ingress hook
+    ({!set_ingress}) is offered it; the bare path ({!set_bare_handler})
+    answers through one reply per endpoint. A failure raised while the
+    endpoint handles a message (in an ingress hook or a service-time
+    function) aborts the run as [Fiber_failure ("<node>.demux", e)].
 
     A server that crashes (via {!Fabric.crash}) silently drops traffic;
     callers should use {!call_timeout} on paths where failures are
@@ -61,6 +65,13 @@ val set_bare_handler :
     done nothing, to have the handler start on a fiber right there
     ({!Ll_sim.Engine.start_now}). Either way the request is served at the
     instant and position it always was; only the fiber is saved.
+
+    The [reply] a bare handler is given is one function per endpoint,
+    bound to the request being run: it may be called only during the
+    call, at most one response is sent however often it is called, and a
+    call after the handler has returned raises [Invalid_argument]. A
+    handler that must answer later declines, and its fallback fiber gets
+    a reply of its own (a no-op if the bare handler already answered).
 
     The sequencing replica installs one: an [Sr_append] whose entries fit
     the log (or that its view check refuses) is answered bare; one that
@@ -295,6 +306,14 @@ val hedge_deadline :
 val pending_calls : ('req, 'resp) endpoint -> int
 (** Outstanding entries in the pending-call table (should drop back to 0
     once every in-flight call has completed or timed out). *)
+
+val table_steps : unit -> int
+(** Pending-table slots visited by completions so far in this domain,
+    over every endpoint: per response that completes a call, its entry
+    plus the probe from the token's home slot and the backward-shift
+    walk that removes it (diagnostic). Sequential tokens are hashed, so
+    this stays a small constant per completion however many calls one
+    endpoint has pending. *)
 
 type counter_snapshot = {
   cs_timeouts : int;

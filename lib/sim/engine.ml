@@ -29,15 +29,17 @@ let to_sec t = float_of_int t /. 1_000_000_000.
    removed from the schedule without executing. *)
 
 (* Event cells are pooled in struct-of-arrays form: scheduling an event
-   writes four ints and one pointer into recycled slots instead of
-   allocating a record plus a dispatch closure. [kind] selects how the run
-   loop fires the cell: *)
+   writes four ints and one pointer (two for a fiber start or a
+   [call_at_with]) into recycled slots instead of allocating a record
+   plus a dispatch closure. [kind] selects how the run loop fires the
+   cell: *)
 let k_thunk = 0 (* payload : unit -> unit, called bare in the loop *)
 let k_cont = 1 (* payload : (unit, unit) continuation (a sleeping fiber) *)
 let k_fiber = 2 (* payload : unit -> unit, started as a fiber via [exec] *)
 let k_dead = 3 (* cancelled timer awaiting reclamation (overflow heap) *)
 let k_wake = 4 (* payload : a woken waker; resumes its fiber or callback *)
 let k_deadline = 5 (* payload : a waker whose {!arm_timeout} deadline hit *)
+let k_with = 6 (* payload : the argument of the function in [ev_fn] *)
 
 (* Wheel geometry: 3 levels of 2048 slots. Level 0 buckets by exact
    nanosecond (slot = at land mask), so a slot never mixes timestamps and
@@ -149,15 +151,19 @@ type state = {
   (* Pooled cells. The int fields live interleaved in [ev_i] at stride 4
      — at, seqk (seq|loc|kind, above), next, prev — so touching a cell
      costs one 32-byte block; this is what keeps 10^5 live timers fast.
-     The free list is threaded through the next field. [ev_tie] is only
-     read under ~perturb (ties are 0 otherwise) so the unperturbed hot
-     path never touches it. [ev_name] holds fiber names and is only
-     touched for fiber-start cells. *)
+     Freed cells form a free list threaded through the next field; cells
+     at index [hw] and above have never been handed out since the pool
+     was last reset, so a reset clears only the cells below [hw].
+     [ev_tie] is only read under ~perturb (ties are 0 otherwise) so the
+     unperturbed hot path never touches it. [ev_fn] holds a fiber-start
+     cell's name and a [k_with] cell's function, and is only touched for
+     those two kinds. *)
   mutable ev_i : int array;
   mutable ev_tie : int array;
   mutable ev_payload : Obj.t array;
-  mutable ev_name : string array;
+  mutable ev_fn : Obj.t array;
   mutable free_head : int;
+  mutable hw : int;
   mutable live : int;
   (* wheel: per level, slot lists (head at [2*slot], tail at [2*slot+1],
      one cache line per touch), occupancy bitmap, live count, and current
@@ -172,11 +178,6 @@ type state = {
 let initial_pool = 1024
 
 let fresh_state () =
-  let ev_i = Array.make (4 * initial_pool) 0 in
-  for i = 0 to initial_pool - 1 do
-    ev_i.((4 * i) + 2) <- i + 1
-  done;
-  ev_i.((4 * (initial_pool - 1)) + 2) <- nil;
   {
     clock = 0;
     seqno = 0;
@@ -192,11 +193,12 @@ let fresh_state () =
     stash_reg = unit_obj;
     start_name = no_name;
     start_fn = ignore;
-    ev_i;
+    ev_i = Array.make (4 * initial_pool) 0;
     ev_tie = Array.make initial_pool 0;
     ev_payload = Array.make initial_pool unit_obj;
-    ev_name = Array.make initial_pool no_name;
-    free_head = 0;
+    ev_fn = Array.make initial_pool unit_obj;
+    free_head = nil;
+    hw = 0;
     live = 0;
     hts = Array.init 3 (fun _ -> Array.make (2 * wheel_slots) nil);
     bitmaps = Array.init 3 (fun _ -> Array.make bm_words 0);
@@ -226,36 +228,42 @@ let grow_pool s =
   in
   let ev_i = Array.make (4 * ncap) 0 in
   Array.blit s.ev_i 0 ev_i 0 (4 * cap);
-  for i = cap to ncap - 1 do
-    ev_i.((4 * i) + 2) <- i + 1
-  done;
-  ev_i.((4 * (ncap - 1)) + 2) <- s.free_head;
   s.ev_i <- ev_i;
   s.ev_tie <- copy s.ev_tie 0;
   s.ev_payload <- copy s.ev_payload unit_obj;
-  s.ev_name <- copy s.ev_name no_name;
-  s.free_head <- cap
+  s.ev_fn <- copy s.ev_fn unit_obj
 
 (* Pool and slot indices are in range by construction (cells come off the
    free list, slots are masked), so the per-event paths use unsafe array
    accessors: at millions of events per second the bounds checks are
    measurable. *)
 
-(* The cell [alloc_cell] hands out next: the free-list head, or, when the
-   pool is full, the first cell [grow_pool] adds. *)
-let next_cell s =
-  if s.free_head < 0 then Array.length s.ev_payload else s.free_head
+(* The cell [alloc_cell] hands out next: the free-list head, else the
+   first never-used cell ([hw], which is the first cell [grow_pool] adds
+   when the pool is full). Freed cells are reused LIFO before any unused
+   one, so the hottest cell stays cache-resident. *)
+let next_cell s = if s.free_head < 0 then s.hw else s.free_head
 
 let alloc_cell s =
-  if s.free_head < 0 then grow_pool s;
   let c = s.free_head in
-  s.free_head <- Array.unsafe_get s.ev_i ((4 * c) + 2);
-  c
+  if c >= 0 then begin
+    s.free_head <- Array.unsafe_get s.ev_i ((4 * c) + 2);
+    c
+  end
+  else begin
+    let c = s.hw in
+    if c = Array.length s.ev_payload then grow_pool s;
+    s.hw <- c + 1;
+    c
+  end
 
-(* Fiber names are cleared at dispatch, not here, so the common (unnamed)
-   cell never touches the name array. [seqk] is zeroed so a stale cancel
-   token (seq >= 1 always) can never match a freed or recycled cell. *)
+(* Only fiber-start and [k_with] cells hold anything in [ev_fn], so the
+   common cell never touches that array. [seqk] is zeroed so a stale
+   cancel token (seq >= 1 always) can never match a freed or recycled
+   cell. *)
 let free_cell s c =
+  let k = Array.unsafe_get s.ev_i ((4 * c) + 1) land kind_mask in
+  if k = k_with || k = k_fiber then Array.unsafe_set s.ev_fn c unit_obj;
   Array.unsafe_set s.ev_payload c unit_obj;
   Array.unsafe_set s.ev_i ((4 * c) + 1) 0;
   Array.unsafe_set s.ev_i ((4 * c) + 2) s.free_head;
@@ -490,15 +498,17 @@ let wheel_reset s =
     s.pos.(l) <- 0
   done;
   Heap.clear s.overflow;
-  let cap = Array.length s.ev_payload in
-  for i = 0 to cap - 1 do
+  (* Cells at [hw] and above were never handed out since the last reset,
+     so they hold nothing: after one run grew the pool to 10^6 cells, a
+     small run's reset stays short, and the capacity stays for the next
+     large run. *)
+  for i = 0 to s.hw - 1 do
     s.ev_i.((4 * i) + 1) <- 0;
-    s.ev_i.((4 * i) + 2) <- i + 1;
     s.ev_payload.(i) <- unit_obj;
-    s.ev_name.(i) <- no_name
+    s.ev_fn.(i) <- unit_obj
   done;
-  s.ev_i.((4 * (cap - 1)) + 2) <- nil;
-  s.free_head <- 0;
+  s.free_head <- nil;
+  s.hw <- 0;
   s.live <- 0
 
 (* ---------- timer cancellation ---------- *)
@@ -530,6 +540,7 @@ let cancel tok =
         else begin
           ev.((4 * cell) + 1) <- seqk_set_kind sk k_dead;
           Array.unsafe_set s.ev_payload cell unit_obj;
+          Array.unsafe_set s.ev_fn cell unit_obj;
           s.live <- s.live - 1;
           s.cancelled <- s.cancelled + 1;
           true
@@ -583,7 +594,7 @@ type _ Effect.t += Sleep : unit Effect.t | Suspend : Obj.t Effect.t
    touches [ev_tie]. [wheel_insert] stays a tail call: returning the cell
    from here measurably slows every scheduled event, so {!timer_at} reads
    the cell index up front with [next_cell]. *)
-let schedule_cell s at kind payload name =
+let schedule_cell s at kind payload fn =
   let at = if at < s.clock then s.clock else at in
   s.seqno <- s.seqno + 1;
   let c = alloc_cell s in
@@ -593,7 +604,7 @@ let schedule_cell s at kind payload name =
   | None -> ()
   | Some prng -> Array.unsafe_set s.ev_tie c (Random.State.bits prng));
   Array.unsafe_set s.ev_payload c payload;
-  if name != no_name then Array.unsafe_set s.ev_name c name;
+  if fn != unit_obj then Array.unsafe_set s.ev_fn c fn;
   s.live <- s.live + 1;
   wheel_insert s ~ref_:s.clock c
 
@@ -610,7 +621,7 @@ let on_sleep =
   Some
     (fun (k : (unit, unit) Effect.Deep.continuation) ->
       let s = state () in
-      schedule_cell s (s.clock + s.stash_d) k_cont (Obj.repr k) no_name)
+      schedule_cell s (s.clock + s.stash_d) k_cont (Obj.repr k) unit_obj)
 
 let on_suspend =
   Some
@@ -650,7 +661,8 @@ let exec s name f =
   s.start_fn <- f;
   Effect.Deep.match_with fiber_main () handler
 
-let schedule at fn = schedule_cell (state ()) at k_fiber (Obj.repr fn) "at"
+let schedule at fn =
+  schedule_cell (state ()) at k_fiber (Obj.repr fn) (Obj.repr "at")
 
 let wake w v =
   if w.state land w_fired <> 0 then false
@@ -668,7 +680,7 @@ let wake w v =
        from the middle of the caller's slice: determinism and no surprise
        reentrancy. *)
     let s = state () in
-    schedule_cell s s.clock k_wake (Obj.repr w) no_name;
+    schedule_cell s s.clock k_wake (Obj.repr w) unit_obj;
     true
   end
 
@@ -699,7 +711,7 @@ let expire s (w : Obj.t waker) =
   if w.state land w_fired = 0 then begin
     w.state <- w.state lor w_fired;
     w.deadline <- no_timer;
-    schedule_cell s s.clock k_wake (Obj.repr w) no_name
+    schedule_cell s s.clock k_wake (Obj.repr w) unit_obj
   end
 
 (* [now] reads the domain-local clock directly rather than performing an
@@ -725,7 +737,7 @@ let sleep_until t =
 let spawn ?(name = "fiber") f =
   let s = state () in
   if not s.running then failwith "spawn: not inside Engine.run";
-  schedule_cell s s.clock k_fiber (Obj.repr f) name
+  schedule_cell s s.clock k_fiber (Obj.repr f) (Obj.repr name)
 
 let start_now ?(name = "fiber") f =
   let s = state () in
@@ -749,12 +761,21 @@ let after d fn = at ((state ()).clock + d) fn
 let call_at t fn =
   let s = state () in
   if not s.running then failwith "call_at: not inside Engine.run";
-  schedule_cell s t k_thunk (Obj.repr fn) no_name
+  schedule_cell s t k_thunk (Obj.repr fn) unit_obj
 
 let call_after d fn =
   let s = state () in
   if not s.running then failwith "call_after: not inside Engine.run";
-  schedule_cell s (s.clock + d) k_thunk (Obj.repr fn) no_name
+  schedule_cell s (s.clock + d) k_thunk (Obj.repr fn) unit_obj
+
+(* The function and its argument ride in the cell itself ([ev_fn] and
+   the payload), so a caller that passes one long-lived function and a
+   fresh argument allocates no closure per event. The position is
+   [call_at]'s: one seq from the same counter. *)
+let call_at_with t (fn : 'a -> unit) (v : 'a) =
+  let s = state () in
+  if not s.running then failwith "call_at_with: not inside Engine.run";
+  schedule_cell s t k_with (Obj.repr v) (Obj.repr fn)
 
 (* Like [call_at], but hands back a cancel token. The scheduled position
    (at, tie, seq) is identical to [call_at]'s, so converting a call site
@@ -763,7 +784,7 @@ let timer_at t fn =
   let s = state () in
   if not s.running then failwith "timer_at: not inside Engine.run";
   let tok = next_token s in
-  schedule_cell s t k_thunk (Obj.repr fn) no_name;
+  schedule_cell s t k_thunk (Obj.repr fn) unit_obj;
   tok
 
 let timer_after d fn =
@@ -780,7 +801,7 @@ let arm_timeout w d v =
   if not s.running then failwith "arm_timeout: not inside Engine.run";
   if w.state land w_fired = 0 then w.value <- Obj.repr v;
   let tok = next_token s in
-  schedule_cell s (s.clock + d) k_deadline (Obj.repr w) no_name;
+  schedule_cell s (s.clock + d) k_deadline (Obj.repr w) unit_obj;
   w.deadline <- tok
 
 let random_state () = (state ()).rng
@@ -829,7 +850,7 @@ let run ?(seed = 42) ?(perturb = false) ?until main =
   let ulim = match until with None -> max_int | Some u -> u in
   Fun.protect ~finally:finish (fun () ->
       try
-        schedule_cell s 0 k_fiber (Obj.repr main) "main";
+        schedule_cell s 0 k_fiber (Obj.repr main) (Obj.repr "main");
         (* Batched resumption: each outer iteration locates the
            earliest occupied level-0 slot — every pending event of one
            exact timestamp, in (tie, seq) order — and the inner loop
@@ -878,11 +899,14 @@ let run ?(seed = 42) ?(perturb = false) ?until main =
                 let payload = Array.unsafe_get s.ev_payload head in
                 s.executed <- s.executed + 1;
                 if k = k_fiber then begin
-                  let name = Array.unsafe_get s.ev_name head in
-                  if name != no_name then
-                    Array.unsafe_set s.ev_name head no_name;
+                  let name = Array.unsafe_get s.ev_fn head in
                   free_cell s head;
-                  exec s name (Obj.obj payload)
+                  exec s (Obj.obj name) (Obj.obj payload)
+                end
+                else if k = k_with then begin
+                  let fn = Array.unsafe_get s.ev_fn head in
+                  free_cell s head;
+                  (Obj.obj fn : Obj.t -> unit) payload
                 end
                 else begin
                   free_cell s head;

@@ -139,6 +139,16 @@ val call_at : time -> (unit -> unit) -> unit
 val call_after : time -> (unit -> unit) -> unit
 (** [call_after d f] is [call_at (now () + d) f]. *)
 
+val call_at_with : time -> ('a -> unit) -> 'a -> unit
+(** [call_at_with t f v] schedules [f v] at [t] exactly as
+    [call_at t (fun () -> f v)] would — the same position in the
+    [(at, tie, seq)] order, with or without [~perturb], and the same bare
+    callback rules — without building that closure: the event cell holds
+    [f] and [v] themselves. A caller that passes one long-lived [f] and a
+    fresh [v] per event allocates nothing beyond [v]; the fabric delivers
+    every message this way. The cell drops both when it fires and when
+    the run ends. *)
+
 (** {1 Cancellable timers}
 
     Timed waits (Mailbox/Waitq/Ivar timeouts, RPC deadlines) arm a timer

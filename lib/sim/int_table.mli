@@ -12,6 +12,13 @@
 
 type t
 
+val home : int -> int -> int
+(** [home mask k] is the slot an open-addressing table of [mask + 1]
+    slots (a power of two) probes first for key [k]: a multiplicative
+    hash that spreads sequential keys, and the high and low halves of a
+    packed pair key, over the whole table. Exposed so other flat tables
+    keyed by ints (the RPC pending-call table) share it. *)
+
 val create : int -> t
 (** [create n] is an empty table sized for about [n] keys. *)
 

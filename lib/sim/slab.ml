@@ -3,19 +3,27 @@ let unit_obj = Obj.repr 0
 let initial = 256
 
 (* One pool per domain: [nxt] doubles as the intrusive list link of live
-   nodes and the free-list thread of free ones. [data] is cleared on free
-   so the slab never keeps a payload alive. *)
+   nodes and the free-list thread of freed ones. Nodes at index [hw] and
+   above have never been handed out since the last reset, so [alloc]
+   takes them in order once the free list is empty, and [reset] walks
+   only the nodes below [hw]. [data] is cleared on free so the slab never
+   keeps a payload alive. *)
 type pool = {
   mutable nxt : int array;
   mutable data : Obj.t array;
   mutable free_head : int;
+  mutable hw : int;
   mutable used : int;
 }
 
 let fresh_pool () =
-  let nxt = Array.init initial (fun i -> i + 1) in
-  nxt.(initial - 1) <- nil;
-  { nxt; data = Array.make initial unit_obj; free_head = 0; used = 0 }
+  {
+    nxt = Array.make initial nil;
+    data = Array.make initial unit_obj;
+    free_head = nil;
+    hw = 0;
+    used = 0;
+  }
 
 let dls : pool Domain.DLS.key = Domain.DLS.new_key fresh_pool
 
@@ -26,25 +34,31 @@ let grow p =
   let ncap = cap * 2 in
   let nxt = Array.make ncap nil in
   Array.blit p.nxt 0 nxt 0 cap;
-  for i = cap to ncap - 2 do
-    nxt.(i) <- i + 1
-  done;
-  nxt.(ncap - 1) <- p.free_head;
   let data = Array.make ncap unit_obj in
   Array.blit p.data 0 data 0 cap;
   p.nxt <- nxt;
-  p.data <- data;
-  p.free_head <- cap
+  p.data <- data
 
-(* Indices come off the free list and stay in range by construction, so
-   the per-node operations skip bounds checks — these run once per
-   message send/receive at tens of millions of ops per second. *)
+(* Indices come off the free list or the unused tail and stay in range
+   by construction, so the per-node operations skip bounds checks —
+   these run once per message send/receive at tens of millions of ops
+   per second. *)
 
 let alloc v =
   let p = pool () in
-  if p.free_head < 0 then grow p;
   let n = p.free_head in
-  p.free_head <- Array.unsafe_get p.nxt n;
+  let n =
+    if n >= 0 then begin
+      p.free_head <- Array.unsafe_get p.nxt n;
+      n
+    end
+    else begin
+      let n = p.hw in
+      if n = Array.length p.nxt then grow p;
+      p.hw <- n + 1;
+      n
+    end
+  in
   Array.unsafe_set p.data n v;
   Array.unsafe_set p.nxt n nil;
   p.used <- p.used + 1;
@@ -71,12 +85,7 @@ let capacity () = Array.length (pool ()).nxt
 
 let reset () =
   let p = pool () in
-  let cap = Array.length p.nxt in
-  for i = 0 to cap - 2 do
-    p.nxt.(i) <- i + 1;
-    p.data.(i) <- unit_obj
-  done;
-  p.nxt.(cap - 1) <- nil;
-  p.data.(cap - 1) <- unit_obj;
-  p.free_head <- 0;
+  Array.fill p.data 0 p.hw unit_obj;
+  p.free_head <- nil;
+  p.hw <- 0;
   p.used <- 0

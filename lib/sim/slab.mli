@@ -12,10 +12,9 @@
 
     The slab is {e domain-local} (like the engine's event-cell pool):
     every domain owns an independent slab, so parallel seed sweeps share
-    nothing. {!Engine.run} calls {!reset} when a run starts; nodes must
+    nothing. {!Engine.run} calls {!reset} when a run ends; nodes must
     not be carried across runs (the sim structures that own them are dead
-    anyway). Nodes allocated after a run remain readable until the next
-    run starts.
+    anyway).
 
     Clients store values via [Obj.repr] and must cast back with the type
     they stored — the same discipline the engine's event payload pool
@@ -51,5 +50,7 @@ val capacity : unit -> int
 (** Current slab capacity (high-water mark of simultaneous nodes). *)
 
 val reset : unit -> unit
-(** Free every node and rebuild the free list, keeping capacity. Called
-    by {!Engine.run} at the start of each run; also useful in tests. *)
+(** Free every node, keeping capacity. The cost follows the nodes used
+    since the last reset, not the capacity: a slab once grown to 10^6
+    nodes resets a small run's few nodes in a short walk. Called by
+    {!Engine.run} at the end of each run; also useful in tests. *)

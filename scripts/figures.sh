@@ -6,7 +6,7 @@
 #
 #   sh scripts/figures.sh bench/ref/figures_quick.csv
 #
-# (about 75 s on an idle machine, 5 min on a shared 2-vCPU VM).
+# (about 55 s on a shared 2-vCPU VM).
 set -eu
 if [ $# -ne 1 ]; then
   echo "usage: sh scripts/figures.sh OUT.csv" >&2

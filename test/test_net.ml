@@ -679,6 +679,105 @@ let test_bare_path () =
       checki "handler fiber ran" 1 !fibered;
       checkb "and blocked" true (Engine.now () - t0 >= Engine.ms 1))
 
+(* A bare handler's reply sends one response however often it is
+   called: one request and one response cross the fabric. *)
+let test_bare_reply_once () =
+  Engine.run (fun () ->
+      let fab = Fabric.create () in
+      let sn, server, client = setup fab in
+      Rpc.set_handler server (fun ~src:_ _ ~reply:_ ->
+          Alcotest.fail "no handler fiber expected");
+      Rpc.set_bare_handler server (fun ~src:_ req ~reply ->
+          (match req with
+          | Echo n | Slow n ->
+            reply n;
+            reply (n + 1);
+            reply ~size:8 (n + 2));
+          true);
+      let sent0 = Fabric.messages_sent fab in
+      checki "first reply wins" 7 (Rpc.call client ~dst:(Fabric.id sn) (Echo 7));
+      Engine.sleep (Engine.ms 1);
+      checki "one request, one response" 2 (Fabric.messages_sent fab - sent0))
+
+(* A bare handler that declines leaves the request to the handler's
+   fiber, which gets a working reply of its own, on the immediate path
+   and after a service time; if the bare handler answered before
+   declining, the fiber's reply sends nothing more. *)
+let test_bare_decline_fallback () =
+  Engine.run (fun () ->
+      let fab = Fabric.create () in
+      let sn, server, client = setup fab in
+      Rpc.set_handler server (fun ~src:_ req ~reply ->
+          match req with
+          | Echo n ->
+            Engine.sleep (Engine.us 5);
+            reply (n * 2)
+          | Slow n -> reply (n * 3));
+      Rpc.set_bare_handler server (fun ~src:_ req ~reply ->
+          (match req with Slow n -> reply n | Echo _ -> ());
+          false);
+      let dst = Fabric.id sn in
+      checki "fallback fiber replies" 8 (Rpc.call client ~dst (Echo 4));
+      Rpc.set_service_time server (fun _ -> Engine.us 2);
+      checki "after a service time too" 10 (Rpc.call client ~dst (Echo 5));
+      let sent0 = Fabric.messages_sent fab in
+      checki "the bare answer stands" 6 (Rpc.call client ~dst (Slow 6));
+      Engine.sleep (Engine.ms 1);
+      checki "and is the only response" 2 (Fabric.messages_sent fab - sent0))
+
+(* A bare handler's reply belongs to the call that gave it: used after
+   the handler has returned, it raises instead of answering. *)
+let test_bare_reply_after_return () =
+  Engine.run (fun () ->
+      let fab = Fabric.create () in
+      let sn, server, client = setup fab in
+      let saved = ref None in
+      Rpc.set_handler server (fun ~src:_ _ ~reply:_ -> ());
+      Rpc.set_bare_handler server (fun ~src:_ req ~reply ->
+          saved := Some reply;
+          (match req with Echo n | Slow n -> reply n);
+          true);
+      checki "answered" 5 (Rpc.call client ~dst:(Fabric.id sn) (Echo 5));
+      match !saved with
+      | None -> Alcotest.fail "bare handler never ran"
+      | Some reply ->
+        Alcotest.check_raises "late bare reply"
+          (Invalid_argument
+             "Rpc: a bare handler's reply called after the handler returned")
+          (fun () -> reply 6))
+
+(* One endpoint with 2 000 calls pending, completed nearly in call
+   order, each adjacent pair swapped (the shape of a FIFO server's
+   backlog): the pending table's probe-plus-shift steps per completion
+   stay a small constant. Homed at [token land mask], the sequential
+   tokens fill one run of slots and every other completion walks to its
+   end, about a quarter of the calls pending on average. *)
+let test_pending_table_backlog () =
+  Engine.run (fun () ->
+      let fab = Fabric.create () in
+      let sn, server, client = setup fab in
+      let n = 2_000 in
+      Rpc.set_handler server (fun ~src:_ req ~reply ->
+          match req with
+          | Echo i | Slow i ->
+            Engine.sleep (Engine.us 100 + ((i lxor 1) * 50));
+            reply i);
+      let g = Rpc.group client n in
+      for i = 0 to n - 1 do
+        Rpc.group_call g ~dst:(Fabric.id sn) (Echo i)
+      done;
+      Engine.sleep (Engine.us 90);
+      checki "all pending" n (Rpc.pending_calls client);
+      let steps0 = Rpc.table_steps () in
+      checkb "joined" true (Rpc.group_join g);
+      checkb "each call got its own reply" true
+        (List.init n (Rpc.group_reply g) = List.init n Option.some);
+      checki "table empty" 0 (Rpc.pending_calls client);
+      let per = float_of_int (Rpc.table_steps () - steps0) /. float_of_int n in
+      checkb
+        (Printf.sprintf "%.2f steps per completion, at most 8" per)
+        true (per <= 8.0))
+
 (* --- the receive path --- *)
 
 (* A request still on the server's CPU when the server crashes is
@@ -1186,6 +1285,156 @@ let prop_fifo_matches_keep_forever =
           Engine.stop ());
       !ok)
 
+(* Packets against a reference over crashes and partitions. The
+   reference keeps every pair's last arrival until a crash of either end
+   and replays the fabric's jitter draws; a packet is accepted when both
+   ends are up and the pair is whole at send time, and delivered when,
+   at its arrival, its destination is up and the pair is whole. Every
+   received packet must arrive when the reference says, every accepted
+   packet must be delivered or lost as the reference says (a fault at
+   the very instant of the arrival may go either way), each pair stays
+   FIFO between crashes of its ends, and an idle fabric holds no pair. *)
+let prop_packets_match_reference =
+  QCheck.Test.make
+    ~name:"packets: fifo and loss on crash or partition match reference"
+    ~count:200
+    QCheck.(
+      list
+        (quad (int_bound 3_000) (int_bound 11)
+           (pair (int_bound 3) (int_bound 3))
+           (int_bound 20_000)))
+    (fun steps ->
+      let ok = ref true in
+      Engine.run (fun () ->
+          let seed = 11 and nodes = 4 in
+          let link = Fabric.default_link in
+          let fab = Fabric.create ~link ~seed () in
+          let ns =
+            Array.init nodes (fun i ->
+                Fabric.add_node fab ~name:(string_of_int i) ())
+          in
+          let rng = Rng.create ~seed in
+          let alive = Array.make nodes true and extra = Array.make nodes 0 in
+          let crashes = Array.make nodes 0 in
+          let cut = Hashtbl.create 8 in
+          let pair a b = (min a b, max a b) in
+          (* faults in time order: (time, `Node (n, up) | `Pair (p, cut)) *)
+          let faults = ref [] in
+          let last = Hashtbl.create 16 in
+          (* id -> (arrival, src, dst, crash epoch of the pair) *)
+          let sent = Hashtbl.create 64 in
+          let received = ref [] in
+          Array.iter
+            (fun n ->
+              Engine.spawn (fun () ->
+                  while true do
+                    let _, id = Fabric.recv n in
+                    received := (id, Engine.now ()) :: !received
+                  done))
+            ns;
+          List.iteri
+            (fun id (gap, op, (a, b), size) ->
+              Engine.sleep gap;
+              let now = Engine.now () in
+              match op with
+              | 6 -> (
+                let d = [| 0; 5_000; 50_000 |].(size mod 3) in
+                Fabric.set_extra_delay ns.(a) d;
+                extra.(a) <- d)
+              | 7 ->
+                Fabric.crash fab ns.(a);
+                alive.(a) <- false;
+                crashes.(a) <- crashes.(a) + 1;
+                faults := (now, `Node (a, false)) :: !faults;
+                Hashtbl.filter_map_inplace
+                  (fun (s, d) v -> if s = a || d = a then None else Some v)
+                  last
+              | 8 ->
+                Fabric.recover fab ns.(a);
+                alive.(a) <- true;
+                faults := (now, `Node (a, true)) :: !faults
+              | 9 when a <> b ->
+                Fabric.partition fab a b;
+                Hashtbl.replace cut (pair a b) ();
+                faults := (now, `Pair (pair a b, true)) :: !faults
+              | 10 when a <> b ->
+                Fabric.heal fab a b;
+                Hashtbl.remove cut (pair a b);
+                faults := (now, `Pair (pair a b, false)) :: !faults
+              | (0 | 1 | 2 | 3 | 4 | 5 | 11) when a <> b ->
+                Fabric.send fab ~src:ns.(a) ~dst:b ~size id;
+                if alive.(a) && alive.(b) && not (Hashtbl.mem cut (pair a b))
+                then begin
+                  let jitter = Rng.int rng link.Fabric.jitter in
+                  let raw =
+                    now + 500 + link.Fabric.one_way
+                    + int_of_float
+                        (link.Fabric.per_byte_ns *. float_of_int size)
+                    + jitter + 500 + extra.(a) + extra.(b)
+                  in
+                  let arrival =
+                    match Hashtbl.find_opt last (a, b) with
+                    | Some l when l >= raw -> l + 1
+                    | _ -> raw
+                  in
+                  Hashtbl.replace last (a, b) arrival;
+                  Hashtbl.replace sent id
+                    (arrival, a, b, crashes.(a) + crashes.(b))
+                end
+              | _ -> ())
+            steps;
+          Engine.sleep (Engine.ms 10);
+          let faults = List.rev !faults in
+          (* Whether a packet to [b] from [a] arriving at [at] is
+             delivered: [None] when a fault of [b] or of the pair falls
+             on [at] itself. *)
+          let expect_delivered a b at =
+            let mine = function
+              | `Node (n, _) -> n = b
+              | `Pair (p, _) -> p = pair a b
+            in
+            if List.exists (fun (t, f) -> t = at && mine f) faults then None
+            else
+              let up = ref true and whole = ref true in
+              List.iter
+                (fun (t, f) ->
+                  if t < at && mine f then
+                    match f with
+                    | `Node (_, u) -> up := u
+                    | `Pair (_, c) -> whole := not c)
+                faults;
+              Some (!up && !whole)
+          in
+          let order = List.rev !received in
+          let got = Hashtbl.create 64 in
+          List.iter
+            (fun (id, at) ->
+              Hashtbl.replace got id ();
+              match Hashtbl.find_opt sent id with
+              | Some (arrival, _, _, _) when arrival = at -> ()
+              | _ -> ok := false)
+            order;
+          Hashtbl.iter
+            (fun id (arrival, a, b, _) ->
+              match expect_delivered a b arrival with
+              | Some d when d <> Hashtbl.mem got id -> ok := false
+              | _ -> ())
+            sent;
+          let newest = Hashtbl.create 16 in
+          List.iter
+            (fun (id, _) ->
+              match Hashtbl.find_opt sent id with
+              | Some (_, a, b, epoch) ->
+                (match Hashtbl.find_opt newest (a, b, epoch) with
+                | Some prev when prev > id -> ok := false
+                | _ -> ());
+                Hashtbl.replace newest (a, b, epoch) id
+              | None -> ())
+            order;
+          if Fabric.in_flight_pairs fab <> [] then ok := false;
+          Engine.stop ());
+      !ok)
+
 let () =
   Alcotest.run "net"
     [
@@ -1203,6 +1452,7 @@ let () =
           Alcotest.test_case "crash forgets many pairs, keeps the rest" `Quick
             test_crash_many_pairs;
           QCheck_alcotest.to_alcotest prop_fifo_matches_keep_forever;
+          QCheck_alcotest.to_alcotest prop_packets_match_reference;
           Alcotest.test_case "partition/heal" `Quick test_partition;
           Alcotest.test_case "drop probability" `Quick test_drop_probability;
           Alcotest.test_case "link fault is asymmetric" `Quick
@@ -1238,6 +1488,14 @@ let () =
             test_rpc_peer_scoring;
           Alcotest.test_case "pending table under churn" `Quick
             test_pending_table_churn;
+          Alcotest.test_case "bare reply sends one response" `Quick
+            test_bare_reply_once;
+          Alcotest.test_case "declined bare request, fiber replies" `Quick
+            test_bare_decline_fallback;
+          Alcotest.test_case "bare reply after return raises" `Quick
+            test_bare_reply_after_return;
+          Alcotest.test_case "pending table under a backlog" `Quick
+            test_pending_table_backlog;
           Alcotest.test_case "bare path, fiber fallback" `Quick
             test_bare_path;
           Alcotest.test_case "service spanning a crash is dropped" `Quick

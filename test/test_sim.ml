@@ -323,11 +323,15 @@ let test_waitq_timeouts_do_not_accumulate () =
    fibers still parked on a Waitq and on an Ivar when the run ends is
    garbage once [Engine.run] returns. *)
 let test_finished_run_released () =
-  let held = Weak.create 2 in
+  let held = Weak.create 8 in
+  let hold slot =
+    let v = Bytes.create 64 in
+    Weak.set held slot (Some v);
+    v
+  in
   let park slot wait =
     Engine.spawn (fun () ->
-        let v = Bytes.create 64 in
-        Weak.set held slot (Some v);
+        let v = hold slot in
         wait ();
         ignore (Sys.opaque_identity v))
   in
@@ -335,9 +339,102 @@ let test_finished_run_released () =
       let wq = Waitq.create () and iv = Ivar.create () in
       park 0 (fun () -> Waitq.await wq (fun () -> false));
       park 1 (fun () -> ignore (Ivar.read iv : unit)));
+  (* Pending [call_at_with] events, in the wheel and in the overflow
+     heap: one holds its value only as the argument, one only in its
+     function. *)
+  Engine.run ~until:(Engine.ms 1) (fun () ->
+      Engine.call_at_with (Engine.ms 2) ignore (hold 2);
+      let v = hold 3 in
+      Engine.call_at_with (Engine.sec 100)
+        (fun () -> ignore (Sys.opaque_identity v))
+        ());
   Gc.full_major ();
   checkb "waitq-parked fiber released" false (Weak.check held 0);
-  checkb "ivar-parked fiber released" false (Weak.check held 1)
+  checkb "ivar-parked fiber released" false (Weak.check held 1);
+  checkb "call_at_with argument released" false (Weak.check held 2);
+  checkb "call_at_with function released" false (Weak.check held 3);
+  (* A fired [call_at_with] cell drops its function at once, before the
+     run ends. *)
+  Engine.run (fun () ->
+      let arm slot =
+        let v = hold slot in
+        Engine.call_at_with 1 (fun () -> ignore (Sys.opaque_identity v)) ()
+      in
+      arm 6;
+      Engine.sleep 10;
+      Gc.full_major ();
+      checkb "fired call_at_with's function released" false
+        (Weak.check held 6));
+  (* A run that grows both pools: 5 000 pending events and 5 000 queued
+     messages, the last of each holding a value past the initial
+     capacities (1 024 cells, 256 slab nodes). *)
+  let cells = ref 0 and nodes = ref 0 in
+  Engine.run ~until:(Engine.ms 1) (fun () ->
+      let mb = Mailbox.create () in
+      for i = 1 to 5_000 do
+        let last = i = 5_000 in
+        Engine.call_at_with (Engine.ms 2) ignore
+          (if last then hold 4 else Bytes.empty);
+        Mailbox.send mb (if last then hold 5 else Bytes.empty)
+      done;
+      cells := Engine.pending_events ();
+      nodes := Slab.in_use ());
+  checkb "grew the cell pool" true (!cells >= 5_000);
+  checkb "grew the slab" true (!nodes >= 5_000 && Slab.capacity () >= 5_000);
+  (* A later small run starts clean on the grown pools. *)
+  let order = ref [] in
+  Engine.run (fun () ->
+      Engine.call_after 5 (fun () -> order := 2 :: !order);
+      Engine.call_at_with 5 (fun i -> order := i :: !order) 3;
+      Engine.call_after 1 (fun () -> order := 1 :: !order));
+  Alcotest.(check (list int)) "small run after growth" [ 1; 2; 3 ]
+    (List.rev !order);
+  check "small run leaves no events" 0 (Engine.pending_events ());
+  check "small run leaves no slab nodes" 0 (Slab.in_use ());
+  Gc.full_major ();
+  checkb "grown pool's payload released" false (Weak.check held 4);
+  checkb "grown slab's payload released" false (Weak.check held 5)
+
+(* [call_at_with f v] takes [call_at (fun () -> f v)]'s place in the
+   schedule. Each program schedules events at instants that tie, in the
+   wheel's three levels and its overflow heap, and some events schedule
+   a child; the program that uses [call_at_with] for a random subset
+   must run in the order of the one that uses [call_at] throughout, with
+   and without perturbed tie-breaking. *)
+let prop_call_at_with_order =
+  let bases = [| 0; 2_048; 5_000_000; 10_000_000_000 |] in
+  QCheck.Test.make ~name:"call_at_with keeps call_at's order" ~count:200
+    QCheck.(
+      pair small_nat
+        (list
+           (quad (int_bound 3) (int_bound 3) bool (option (int_bound 2)))))
+    (fun (seed, prog) ->
+      let trace ~perturb ~mixed =
+        let out = ref [] in
+        Engine.run ~seed ~perturb (fun () ->
+            let record id = out := (id, Engine.now ()) :: !out in
+            let schedule ~with_ at id f =
+              if mixed && with_ then Engine.call_at_with at f id
+              else Engine.call_at at (fun () -> f id)
+            in
+            List.iteri
+              (fun id (cls, small, with_, child) ->
+                let fire id =
+                  record id;
+                  match child with
+                  | Some d ->
+                    schedule ~with_:(not with_) (Engine.now () + d)
+                      (1_000 + id) record
+                  | None -> ()
+                in
+                schedule ~with_ (bases.(cls) + small) id fire)
+              prog);
+        List.rev !out
+      in
+      List.for_all
+        (fun perturb ->
+          trace ~perturb ~mixed:true = trace ~perturb ~mixed:false)
+        [ false; true ])
 
 (* A callback waker runs its function on a fresh event with the wake
    value, is re-armed before it runs, and can be woken again. *)
@@ -599,7 +696,8 @@ let () =
             test_callback_waker;
           Alcotest.test_case "finished run is released" `Quick
             test_finished_run_released;
-        ] );
+        ]
+        @ qc [ prop_call_at_with_order ] );
       ( "ivar",
         [
           Alcotest.test_case "fill wakes all" `Quick test_ivar_basic;
