@@ -57,8 +57,7 @@ let write_artifact dir (o : Checker.outcome) =
     Artifact.save ~path a;
     Some path
 
-let run_sweep systems seeds seed_base shards jobs quick batching replica_reads
-    subscriptions gray tenants bug artifact_dir =
+let run_sweep systems seeds seed_base shards jobs quick modes bug artifact_dir =
   let horizon =
     if quick then Checker.quick_horizon else Checker.default_horizon
   in
@@ -66,8 +65,8 @@ let run_sweep systems seeds seed_base shards jobs quick batching replica_reads
     List.concat_map
       (fun system ->
         List.init seeds (fun i ->
-            Checker.scenario ~system ~seed:(seed_base + i) ~shards ~batching
-              ~replica_reads ~subscriptions ~gray ~tenants ?bug ~horizon ()))
+            Checker.scenario ~system ~seed:(seed_base + i) ~shards ~modes ?bug
+              ~horizon ()))
       systems
   in
   Printf.printf
@@ -77,11 +76,8 @@ let run_sweep systems seeds seed_base shards jobs quick batching replica_reads
     seed_base
     (seed_base + seeds - 1)
     shards
-    ((if batching then "; append batching" else "")
-    ^ (if replica_reads then "; replica reads" else "")
-    ^ (if subscriptions then "; subscriptions" else "")
-    ^ (if gray then "; gray (fail-slow) faults + mitigations" else "")
-    ^ if tenants then "; multi-log fabric + fair ingress" else "")
+    (String.concat ""
+       (List.map (fun m -> "; " ^ (Mode.info m).Mode.phrase) modes))
     (match bug with Some b -> "; BUG GATE " ^ b | None -> "")
     jobs;
   let outcomes = Checker.sweep ~jobs scenarios in
@@ -150,13 +146,11 @@ let run_replay path =
     print_endline "replay completed with NO violation (artifact stale?)";
     0
 
-let main systems seeds seed_base shards jobs quick batching replica_reads
-    subscriptions gray tenants bug artifact_dir replay =
-  match replay with
+let main systems seeds seed_base shards jobs quick modes bug artifact_dir =
+  function
   | Some path -> run_replay path
   | None ->
-    run_sweep systems seeds seed_base shards jobs quick batching replica_reads
-      subscriptions gray tenants bug artifact_dir
+    run_sweep systems seeds seed_base shards jobs quick modes bug artifact_dir
 
 open Cmdliner
 
@@ -189,60 +183,19 @@ let quick =
     value & flag
     & info [ "quick" ] ~doc:"Shorter per-run horizon (CI smoke mode).")
 
-let batching =
-  Arg.(
-    value & flag
-    & info [ "batching" ]
-        ~doc:
-          "Run the clients with append group commit enabled (client-side \
-           linger batcher + batched replica ingress): a batch straddling a \
-           crash or seal must fail atomically per record, never half-ack.")
-
-let replica_reads =
-  Arg.(
-    value & flag
-    & info [ "replica-reads" ]
-        ~doc:
-          "Run the demand-driven read path (reads round-robin over shard \
-           replicas, read-triggered eager binding, scan readahead) with \
-           the reader probing at the stable tail, so backup serving, \
-           primary forwarding and demand binding are all exercised under \
-           faults.")
-
-let subscriptions =
-  Arg.(
-    value & flag
-    & info [ "subscriptions" ]
-        ~doc:
-          "Run the streaming-delivery subsystem alongside the workload (a \
-           subscription manager plus two pushed consumers, one \
-           crash-restarted twice mid-run) and check exactly-once delivery: \
-           every appended record reaches every registered subscriber \
-           exactly once, in order, across the injected faults.")
-
-let gray =
-  Arg.(
-    value & flag
-    & info [ "gray" ]
-        ~doc:
-          "Hostile-world mode: the fault generator draws gray (fail-slow) \
-           verbs — asymmetric link faults, disk stutter and sustained \
-           degrade — and every mitigation runs (hedged reads, retry \
-           budgets, latency-outlier eviction), with a progress audit \
-           (stable keeps advancing, every acked record binds) after the \
-           drain tail.")
-
-let tenants =
-  Arg.(
-    value & flag
-    & info [ "tenants" ]
-        ~doc:
-          "Multi-log fabric mode: every writer is pinned to its own \
-           tenant log, one extra aggressor tenant bursts back-to-back \
-           appends, and the cluster runs with weighted-fair ingress (DRR \
-           + queue-bound admission) on; every position-scoped invariant \
-           (real-time order, stable prefix, read agreement, truncation \
-           safety) is checked per log.")
+(* One flag per {!Mode} entry, named by its artifact key with dashes;
+   the term is the list of modes switched on, in table order. *)
+let modes =
+  List.fold_right
+    (fun m rest ->
+      let { Mode.key; doc; _ } = Mode.info m in
+      let on =
+        Arg.(
+          value & flag
+          & info [ String.map (function '_' -> '-' | c -> c) key ] ~doc)
+      in
+      Term.(const (fun on ms -> if on then m :: ms else ms) $ on $ rest))
+    Mode.all (Term.const [])
 
 let bug =
   Arg.(
@@ -274,8 +227,7 @@ let cmd =
   Cmd.v
     (Cmd.info "lazylog-check" ~doc)
     Term.(
-      const main $ systems $ seeds $ seed_base $ shards $ jobs $ quick
-      $ batching $ replica_reads $ subscriptions $ gray $ tenants $ bug
-      $ artifact_dir $ replay)
+      const main $ systems $ seeds $ seed_base $ shards $ jobs $ quick $ modes
+      $ bug $ artifact_dir $ replay)
 
 let () = exit (Cmd.eval' cmd)

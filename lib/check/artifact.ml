@@ -4,23 +4,7 @@ type scenario = {
   system : string;
   seed : int;
   shards : int;
-  batching : bool;  (* run clients with append group commit enabled *)
-  replica_reads : bool;
-      (* run the demand-driven read path: replica reads + read-triggered
-         eager binding + readahead, with readers probing at the tail *)
-  subscriptions : bool;
-      (* run with the streaming-delivery subsystem: a subscription
-         manager plus pushed consumers (one crash-restarted mid-run),
-         checked by the exactly-once monitor *)
-  gray : bool;
-      (* hostile-world mode: the fault generator draws gray (fail-slow)
-         verbs — asymmetric link faults, disk stutter/degrade — and the
-         cluster runs with every mitigation on (hedged reads, retry
-         budgets, outlier detection), checked by the progress monitor *)
-  tenants : bool;
-      (* multi-log fabric mode: writers spread over tenant logs (plus one
-         bursting aggressor tenant) with weighted-fair ingress on, and
-         every position-scoped invariant checked per log *)
+  modes : Mode.t list;
   bug : string option;
   horizon : Engine.time;
   script : Fault_dsl.script;
@@ -43,11 +27,9 @@ let to_string a =
   line "system %s" a.scenario.system;
   line "seed %d" a.scenario.seed;
   line "shards %d" a.scenario.shards;
-  line "batching %b" a.scenario.batching;
-  line "replica_reads %b" a.scenario.replica_reads;
-  line "subscriptions %b" a.scenario.subscriptions;
-  line "gray %b" a.scenario.gray;
-  line "tenants %b" a.scenario.tenants;
+  List.iter
+    (fun m -> line "%s %b" (Mode.info m).Mode.key (List.mem m a.scenario.modes))
+    Mode.all;
   (match a.scenario.bug with Some b -> line "bug %s" b | None -> ());
   line "horizon %d" a.scenario.horizon;
   line "invariant %s" a.invariant;
@@ -106,31 +88,14 @@ let of_string s =
           system = get "system";
           seed = geti "seed";
           shards = geti "shards";
-          (* Absent in pre-batching artifacts: default off. *)
-          batching =
-            (match Hashtbl.find_opt fields "batching" with
-            | Some b -> bool_of_string b
-            | None -> false);
-          (* Absent in pre-replica-reads artifacts: default off. *)
-          replica_reads =
-            (match Hashtbl.find_opt fields "replica_reads" with
-            | Some b -> bool_of_string b
-            | None -> false);
-          (* Absent in pre-subscription artifacts: default off. *)
-          subscriptions =
-            (match Hashtbl.find_opt fields "subscriptions" with
-            | Some b -> bool_of_string b
-            | None -> false);
-          (* Absent in pre-gray artifacts: default off. *)
-          gray =
-            (match Hashtbl.find_opt fields "gray" with
-            | Some b -> bool_of_string b
-            | None -> false);
-          (* Absent in pre-multi-log artifacts: default off. *)
-          tenants =
-            (match Hashtbl.find_opt fields "tenants" with
-            | Some b -> bool_of_string b
-            | None -> false);
+          (* A key absent from an artifact older than its mode is off. *)
+          modes =
+            List.filter
+              (fun m ->
+                match Hashtbl.find_opt fields (Mode.info m).Mode.key with
+                | Some b -> bool_of_string b
+                | None -> false)
+              Mode.all;
           bug = Hashtbl.find_opt fields "bug";
           horizon = geti "horizon";
           script = Fault_dsl.sort (List.rev !script);

@@ -18,21 +18,7 @@ type scenario = {
   system : string;  (** ["erwin-m"] or ["erwin-st"] *)
   seed : int;  (** master seed: engine rng, perturbation, workload *)
   shards : int;
-  batching : bool;  (** clients run with append group commit enabled *)
-  replica_reads : bool;
-      (** demand-driven read path on (replica reads, eager binding,
-          readahead) with readers probing at the stable tail *)
-  subscriptions : bool;
-      (** streaming delivery on: subscription manager + pushed consumers
-          (one crash-restarted mid-run), exactly-once monitored *)
-  gray : bool;
-      (** hostile-world mode: fault generation draws gray (fail-slow)
-          verbs and every mitigation knob is on (hedged reads, retry
-          budgets, outlier detection); progress-monitored *)
-  tenants : bool;
-      (** multi-log fabric mode: writers spread over tenant logs (plus
-          one bursting aggressor tenant) with weighted-fair ingress on,
-          every position-scoped invariant checked per log *)
+  modes : Mode.t list;  (** the modes on; {!Mode} documents each *)
   bug : string option;  (** intentional bug gate, e.g. ["no-pinning"] *)
   horizon : Engine.time;
   script : Fault_dsl.script;

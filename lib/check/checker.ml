@@ -10,54 +10,8 @@ let quick_horizon = Engine.ms 25
 let config_of (sc : Artifact.scenario) =
   let cfg = Config.with_shards Config.default sc.shards in
   let cfg = { cfg with Config.append_timeout = Engine.ms 2 } in
-  (* Default linger (20 us) sits well under the checker's 2 ms append
-     timeout, so batched appends still retry within the horizon. *)
   let cfg =
-    if sc.batching then { cfg with Config.linger = Some Config.default_linger }
-    else cfg
-  in
-  let cfg =
-    if sc.replica_reads then
-      { cfg with Config.replica_reads = true; read_demand = true; readahead = 8 }
-    else cfg
-  in
-  let cfg =
-    if sc.subscriptions then { cfg with Config.subscriptions = true } else cfg
-  in
-  let cfg =
-    if sc.tenants then
-      (* Multi-log fabric mode: per-tenant sequencing with weighted-fair
-         ingress on. Tenant 1 (the first "victim") gets double weight so
-         the DRR path with unequal quanta is exercised; a small ingress
-         queue makes admission shedding reachable within the short
-         horizon when the aggressor bursts. *)
-      {
-        cfg with
-        Config.fair_ingress =
-          Some
-            {
-              Config.default_ingress with
-              weights = [ (1, 2) ];
-              queue_bound = 8;
-            };
-      }
-    else cfg
-  in
-  let cfg =
-    if sc.gray then
-      (* Hostile-world mode: every mitigation on, and a small dirty limit
-         so a fail-slow disk actually backpressures the append path
-         within the short horizon (with the default 8 MB the checker's
-         workload never fills the write buffer and disk verbs would only
-         exercise the flusher). *)
-      {
-        cfg with
-        Config.hedge_floor = Some Config.default_hedge_floor;
-        retry_budget = true;
-        outlier_detection = true;
-        dirty_limit_bytes = 32 * 1024;
-      }
-    else cfg
+    List.fold_left (fun cfg m -> (Mode.info m).Mode.config cfg) cfg sc.modes
   in
   match sc.bug with
   | None -> cfg
@@ -67,28 +21,14 @@ let config_of (sc : Artifact.scenario) =
 (* The fault script is a pure function of (seed, horizon, topology): a
    seed alone reproduces a generated run. Distinct salt from the engine's
    rng streams. *)
-let gen_script ?(gray = false) ~seed ~horizon ~shards () =
+let scenario ~system ~seed ?(shards = 2) ?(modes = []) ?bug
+    ?(horizon = default_horizon) () : Artifact.scenario =
   let rng = Random.State.make [| seed; 0xfa017 |] in
-  Fault_dsl.gen ~gray rng ~horizon
-    ~nreplicas:Config.default.Config.seq_replica_count ~nshards:shards
-
-let scenario ~system ~seed ?(shards = 2) ?(batching = false)
-    ?(replica_reads = false) ?(subscriptions = false) ?(gray = false)
-    ?(tenants = false) ?bug ?(horizon = default_horizon) () :
-    Artifact.scenario =
-  {
-    Artifact.system;
-    seed;
-    shards;
-    batching;
-    replica_reads;
-    subscriptions;
-    gray;
-    tenants;
-    bug;
-    horizon;
-    script = gen_script ~gray ~seed ~horizon ~shards ();
-  }
+  let script =
+    Fault_dsl.gen ~gray:(List.mem Mode.Gray modes) rng ~horizon
+      ~nreplicas:Config.default.Config.seq_replica_count ~nshards:shards
+  in
+  { Artifact.system; seed; shards; modes; bug; horizon; script }
 
 type outcome = {
   scenario : Artifact.scenario;
@@ -112,15 +52,12 @@ let nwriters = 4
 
 let run_one (sc : Artifact.scenario) : outcome =
   let cfg = config_of sc in
+  let has m = List.mem m sc.Artifact.modes in
   let monitor = ref None in
-  (* Subscription runs need a drain tail after the workload horizon: the
-     manager must be given time to push the last stable records through
-     any still-open fault window (loss/partition windows heal by about
-     [horizon + 5ms]) before the completeness audit is sound. *)
   let slack =
-    if sc.subscriptions then Engine.ms 80
-    else if sc.gray then Engine.ms 40
-    else Engine.ms 10
+    List.fold_left
+      (fun s m -> max s (Mode.info m).Mode.slack)
+      (Engine.ms 10) sc.modes
   in
   let rpc_before = Ll_net.Rpc.counters () in
   let run () =
@@ -140,7 +77,7 @@ let run_one (sc : Artifact.scenario) : outcome =
         in
         monitor := Some mon;
         Fault_dsl.apply cluster sc.script;
-        if sc.subscriptions then begin
+        if has Mode.Subscriptions then begin
           let mgr = Ll_stream.Manager.start cluster in
           let mid = Ll_stream.Manager.endpoint_id mgr in
           (* Two pushed consumers; sub-b is crashed and restarted twice
@@ -171,7 +108,8 @@ let run_one (sc : Artifact.scenario) : outcome =
              on the legacy log 0), so every per-log invariant sees
              concurrent independent streams. *)
           let log =
-            client_for sc cluster ?log:(if sc.tenants then Some c else None)
+            client_for sc cluster
+              ?log:(if has Mode.Tenants then Some c else None)
           in
           let rng =
             Rng.create ~seed:(Random.State.bits (Engine.random_state ()))
@@ -188,7 +126,7 @@ let run_one (sc : Artifact.scenario) : outcome =
                 Engine.sleep (Engine.us (30 + Rng.int rng 120))
               done)
         done;
-        if sc.tenants then begin
+        if has Mode.Tenants then begin
           (* Aggressor tenant: bursts of back-to-back appends on its own
              log, timed so the fault script's windows land mid-burst on
              many seeds. Fair ingress must keep the victims' invariants
@@ -244,7 +182,7 @@ let run_one (sc : Artifact.scenario) : outcome =
               if stable > 0 then begin
                 let len = min stable 8 in
                 let from =
-                  if sc.replica_reads then
+                  if has Mode.Replica_reads then
                     (* Reads-at-tail workload: straddle the stable frontier
                        so demand binding, backup serving and forwarding all
                        fire (writers keep appending, so the beyond-stable
@@ -255,7 +193,8 @@ let run_one (sc : Artifact.scenario) : outcome =
                 ignore (rlog.Log_api.read ~from ~len : Types.record list)
               end
             done);
-        if sc.subscriptions || sc.gray then
+        let subs = has Mode.Subscriptions and gray = has Mode.Gray in
+        if subs || gray then
           (* Drain, then audit: wait until the stable prefix stops
              advancing — and, for subscription runs, every subscription
              has caught up with it — bounded by the run's slack (a push
@@ -274,17 +213,17 @@ let run_one (sc : Artifact.scenario) : outcome =
                 let settled =
                   cluster.Erwin_common.stable_gp = s
                   && (not cluster.Erwin_common.reconfiguring)
-                  && ((not sc.subscriptions) || Monitors.subs_caught_up mon)
+                  && ((not subs) || Monitors.subs_caught_up mon)
                   (* A quiescent stable prefix is not enough in gray
                      mode: an orderer push lost to a fault window only
                      redrives after its RPC timeout, so keep draining
                      while acked records await binding. Only the
                      deadline turns that wait into a violation. *)
-                  && ((not sc.gray) || not (Monitors.progress_pending mon))
+                  && ((not gray) || not (Monitors.progress_pending mon))
                 in
                 if Engine.now () >= deadline || settled then begin
-                  if sc.subscriptions then Monitors.finalize_delivery mon;
-                  if sc.gray then Monitors.finalize_progress mon;
+                  if subs then Monitors.finalize_delivery mon;
+                  if gray then Monitors.finalize_progress mon;
                   if not !stopped then Engine.stop ()
                 end
                 else wait ()

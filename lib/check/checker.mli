@@ -22,34 +22,16 @@ val scenario :
   system:string ->
   seed:int ->
   ?shards:int ->
-  ?batching:bool ->
-  ?replica_reads:bool ->
-  ?subscriptions:bool ->
-  ?gray:bool ->
-  ?tenants:bool ->
+  ?modes:Mode.t list ->
   ?bug:string ->
   ?horizon:Engine.time ->
   unit ->
   Artifact.scenario
 (** A scenario whose fault script is generated from [seed] (a pure
-    function of seed, horizon and topology). [system] is ["erwin-m"] or
-    ["erwin-st"]; [batching] runs the clients with append group commit
-    enabled (a batch straddling a crash or seal must fail atomically per
-    record); [replica_reads] turns on the demand-driven read path
-    (replica reads, read-triggered eager binding, readahead) and points
-    the reader at the stable tail; [subscriptions] runs the streaming
-    delivery subsystem alongside the workload (a subscription manager
-    plus two pushed consumers, one crash-restarted twice mid-run) under
-    the exactly-once monitor, with a drain tail after the horizon before
-    the completeness audit; [gray] turns on hostile-world mode — the
-    fault generator draws gray (fail-slow) verbs, every mitigation knob
-    is on (hedged reads, retry budgets, outlier detection), and a drain
-    tail precedes a progress audit (stable advanced, every acked record
-    bound); [tenants] turns on the multi-log fabric — every writer is
-    pinned to its own tenant log, one extra aggressor tenant bursts
-    back-to-back appends, a tenant reader audits log 1, and the cluster
-    runs with weighted-fair ingress (DRR + admission control) on;
-    [bug] enables a known-bad configuration (currently
+    function of seed, horizon, topology and the {!Mode.Gray} mode, which
+    draws gray verbs). [system] is ["erwin-m"] or ["erwin-st"]; [modes]
+    (default none) are the {!Mode} entries to run, each documented
+    there; [bug] enables a known-bad configuration (currently
     ["no-pinning"]). *)
 
 type outcome = {

@@ -74,18 +74,18 @@ let pp_step fmt = function
     Format.fprintf fmt "partition at=%d until=%d a=%a b=%a" at until pp_target
       a pp_target b
   | Loss { at; until; p } ->
-    Format.fprintf fmt "loss at=%d until=%d p=%.3f" at until p
+    Format.fprintf fmt "loss at=%d until=%d p=%.17g" at until p
   | Straggler { at; until; who; delay } ->
     Format.fprintf fmt "straggler at=%d until=%d who=%a delay=%d" at until
       pp_target who delay
   | Linkfault { at; until; src; dst; delay; drop_p } ->
-    Format.fprintf fmt "linkfault at=%d until=%d src=%a dst=%a delay=%d p=%.3f"
+    Format.fprintf fmt "linkfault at=%d until=%d src=%a dst=%a delay=%d p=%.17g"
       at until pp_target src pp_target dst delay drop_p
   | Stutter { at; until; who; period; stall } ->
     Format.fprintf fmt "stutter at=%d until=%d who=%a period=%d stall=%d" at
       until pp_target who period stall
   | Degrade { at; until; who; factor } ->
-    Format.fprintf fmt "degrade at=%d until=%d who=%a factor=%.2f" at until
+    Format.fprintf fmt "degrade at=%d until=%d who=%a factor=%.17g" at until
       pp_target who factor
 
 let step_to_string s = Format.asprintf "%a" pp_step s

@@ -45,63 +45,96 @@ let run_view_change (cluster : t) ep ~detect ?(exclude = fun _ -> false) () =
     Orderer.wait_idle cluster;
     let seal_d = Engine.now () - t0 in
     (* Flush the recovery replica's unordered log. Any survivor is safe;
-       we pick the first. *)
+       we pick the first that answers. One that crashes meanwhile is
+       passed over at its next timeout, and with every one of them gone
+       the layer stays (safely) unavailable, as above. *)
     let t0 = Engine.now () in
-    let recovery = List.hd survivors in
-    let frontiers, entries =
-      match
-        Rpc.call_retry ep ~dst:(Seq_replica.node_id recovery)
-          ~timeout:(Engine.ms 10) ~max_tries:50 Proto.Sr_get_state
-      with
-      | Some (Proto.R_state { frontiers; entries }) -> (frontiers, entries)
-      | Some _ | None -> failwith "reconfig: bad get_state response"
+    let rec get_state tries r =
+      if not (alive r) then None
+      else
+        match
+          Rpc.call_timeout ep ~dst:(Seq_replica.node_id r)
+            ~timeout:(Engine.ms 10) Proto.Sr_get_state
+        with
+        | Some (Proto.R_state { frontiers; entries }) ->
+          Some (frontiers, entries)
+        | Some _ -> failwith "reconfig: bad get_state response"
+        | None when tries <= 1 && alive r ->
+          failwith "reconfig: recovery replica unreachable"
+        | None -> get_state (tries - 1) r
     in
-    (* Reassign each surviving unordered entry from its own log's
-       recovered frontier, with the orderer's assignment, and truncate
-       every log that could hold half-pushed positions from that
-       frontier: log 0 and each log with a replicated frontier or a
-       surviving entry. *)
-    let fronts = Log_table.create ~default:(fun log -> Logid.base ~log) in
-    Log_table.set_packed fronts frontiers;
-    List.iter
-      (fun e ->
-        let log = Types.entry_log e in
-        ignore (Log_table.merge fronts log (Logid.base ~log) : bool))
-      entries;
-    let truncate = Log_table.to_list fronts in
-    let slots, _ =
-      Orderer.assign_positions ~cursors:fronts (Array.of_list entries)
+    let rec recover = function
+      | [] -> None
+      | r :: rest as survivors -> (
+        match get_state 50 r with
+        | Some state -> Some (state, survivors)
+        | None -> recover rest)
     in
-    let slots = Array.to_list slots in
-    (* Every frontier, advanced or not: the new view installs the whole
-       table. *)
-    let frontiers = Log_table.to_list fronts in
-    Orderer.push cluster ep ~truncate slots;
-    let flush_d = Engine.now () - t0 in
-    (* New view: configuration to ZooKeeper first, then install, and only
-       then advance stable-gp. *)
-    let t0 = Engine.now () in
-    let new_view = old_view + 1 in
-    Zookeeper.set_data cluster.zk ~path:config_path
-      ~data:(serialize_config ~view:new_view survivors);
-    let flushed = List.map (fun (p, e) -> (p, Types.entry_rid e)) slots in
-    retried (Proto.Sr_install_view { new_view; frontiers; flushed }) survivors;
-    cluster.replicas <- survivors;
-    cluster.view <- new_view;
-    List.iter (Orderer.broadcast_stable cluster ep) frontiers;
-    let new_view_d = Engine.now () - t0 in
-    cluster.reconfiguring <- false;
-    cluster.crash_time <- None;
-    cluster.reconfig_log <-
-      {
-        detect;
-        seal = seal_d;
-        flush = flush_d;
-        new_view = new_view_d;
-        total = detect + (Engine.now () - start);
-      }
-      :: cluster.reconfig_log;
-    Waitq.broadcast cluster.view_changed
+    match recover survivors with
+    | None -> cluster.reconfiguring <- false
+    | Some ((frontiers, entries), survivors) ->
+      (* Reassign each surviving unordered entry from its own log's
+         recovered frontier, with the orderer's assignment, and truncate
+         every log that could hold half-pushed positions from that
+         frontier: log 0 and each log with a replicated frontier or a
+         surviving entry. *)
+      let fronts = Log_table.create ~default:(fun log -> Logid.base ~log) in
+      Log_table.set_packed fronts frontiers;
+      List.iter
+        (fun e ->
+          let log = Types.entry_log e in
+          ignore (Log_table.merge fronts log (Logid.base ~log) : bool))
+        entries;
+      let truncate = Log_table.to_list fronts in
+      let slots, _ =
+        Orderer.assign_positions ~cursors:fronts (Array.of_list entries)
+      in
+      let slots = Array.to_list slots in
+      (* Every frontier, advanced or not: the new view installs the whole
+         table. *)
+      let frontiers = Log_table.to_list fronts in
+      Orderer.push cluster ep ~truncate slots;
+      let flush_d = Engine.now () - t0 in
+      (* New view: configuration to ZooKeeper first, then install, and only
+         then advance stable-gp. *)
+      let t0 = Engine.now () in
+      let new_view = old_view + 1 in
+      Zookeeper.set_data cluster.zk ~path:config_path
+        ~data:(serialize_config ~view:new_view survivors);
+      let flushed = List.map (fun (p, e) -> (p, Types.entry_rid e)) slots in
+      retried
+        (Proto.Sr_install_view { new_view; frontiers; flushed })
+        survivors;
+      cluster.replicas <- survivors;
+      cluster.view <- new_view;
+      List.iter (Orderer.broadcast_stable cluster ep) frontiers;
+      let new_view_d = Engine.now () - t0 in
+      cluster.reconfiguring <- false;
+      cluster.crash_time <- None;
+      cluster.reconfig_log <-
+        {
+          detect;
+          seal = seal_d;
+          flush = flush_d;
+          new_view = new_view_d;
+          total = detect + (Engine.now () - start);
+        }
+        :: cluster.reconfig_log;
+      Waitq.broadcast cluster.view_changed
+  end
+
+(* A second failure during a view change is swallowed by the
+   [reconfiguring] guard: once the view change ends, re-check. *)
+let view_change (cluster : t) ep ~detect ?exclude () =
+  run_view_change cluster ep ~detect ?exclude ();
+  if
+    List.exists
+      (fun r -> not (Fabric.is_alive (Seq_replica.node r)))
+      cluster.replicas
+    && not cluster.reconfiguring
+  then begin
+    cluster.reconfiguring <- true;
+    run_view_change cluster ep ~detect:0 ()
   end
 
 let trigger (cluster : t) ep =
@@ -113,18 +146,7 @@ let trigger (cluster : t) ep =
       | None -> 0
     in
     Engine.spawn ~name:"controller.view-change" (fun () ->
-        run_view_change cluster ep ~detect ();
-        (* A second failure during the view change would have been
-           swallowed by the [reconfiguring] guard: re-check. *)
-        if
-          List.exists
-            (fun r -> not (Fabric.is_alive (Seq_replica.node r)))
-            cluster.replicas
-          && not cluster.reconfiguring
-        then begin
-          cluster.reconfiguring <- true;
-          run_view_change cluster ep ~detect:0 ()
-        end)
+        view_change cluster ep ~detect ())
   end
 
 let remove_replica (cluster : t) victim =
@@ -135,7 +157,7 @@ let remove_replica (cluster : t) victim =
   if not cluster.reconfiguring then begin
     cluster.reconfiguring <- true;
     let ep = new_endpoint cluster ~name:"controller.remove" in
-    run_view_change cluster ep ~detect:0
+    view_change cluster ep ~detect:0
       ~exclude:(fun r ->
         String.equal (Seq_replica.name r) (Seq_replica.name victim))
       ()

@@ -23,4 +23,5 @@ val start : Erwin_common.t -> unit
 val remove_replica : Erwin_common.t -> Seq_replica.t -> unit
 (** Reconfigures a live replica out of the sequencing layer — the
     persistent-straggler mitigation of section 5.5. Blocking (the view
-    change runs on the calling fiber). *)
+    change runs on the calling fiber). As after a crash-triggered view
+    change, a member found dead when it ends starts one more. *)

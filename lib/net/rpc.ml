@@ -175,7 +175,6 @@ let node t = t.node
 let endpoint_id t = Fabric.id t.node
 
 let set_retry_budget t b = t.budget <- Some b
-let retry_budget t = t.budget
 
 (* Index of [dst] among the ids in [lo, hi), else [-1 - i] where [i] is
    the index it would take. *)

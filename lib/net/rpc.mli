@@ -145,8 +145,6 @@ val set_retry_budget : ('req, 'resp) endpoint -> Retry_budget.t -> unit
     endpoint when the caller passes none. Endpoints start with no budget
     (unlimited retries, the historical behaviour). *)
 
-val retry_budget : ('req, 'resp) endpoint -> Retry_budget.t option
-
 val call_retry :
   ('req, 'resp) endpoint ->
   dst:node_id ->

@@ -21,8 +21,9 @@ let assert_clean (o : Checker.outcome) =
 (* --- serialization --- *)
 
 let test_script_roundtrip () =
-  (* One print truncates float fields; after that, print/parse must be a
-     fixed point for every kind of generated step. *)
+  (* Print/parse gives back every generated step exactly, float fields
+     included: a printed probability or factor that lost digits would
+     make a repro artifact replay a different run. *)
   let rng = Random.State.make [| 42 |] in
   let seen = ref 0 in
   for _ = 1 to 50 do
@@ -33,18 +34,16 @@ let test_script_roundtrip () =
     List.iter
       (fun step ->
         incr seen;
-        let s = Fault_dsl.step_to_string step in
-        Alcotest.(check string)
-          "step print/parse fixed point" s
-          (Fault_dsl.step_to_string (Fault_dsl.step_of_string s)))
+        checkb "step print/parse round-trips exactly" true
+          (Fault_dsl.step_of_string (Fault_dsl.step_to_string step) = step))
       script
   done;
   checkb "generator produced steps" true (!seen > 20)
 
 let test_gray_script_roundtrip () =
   (* The gray distribution's verbs (linkfault/stutter/degrade) must
-     print/parse as a fixed point too, and the generator must actually
-     draw them. *)
+     round-trip exactly too, and the generator must actually draw
+     them. *)
   let rng = Random.State.make [| 97 |] in
   let counts = ref Fault_dsl.{
     crashes = 0; partitions = 0; losses = 0; stragglers = 0;
@@ -68,10 +67,8 @@ let test_gray_script_roundtrip () =
         };
     List.iter
       (fun step ->
-        let s = Fault_dsl.step_to_string step in
-        Alcotest.(check string)
-          "gray step print/parse fixed point" s
-          (Fault_dsl.step_to_string (Fault_dsl.step_of_string s)))
+        checkb "gray step print/parse round-trips exactly" true
+          (Fault_dsl.step_of_string (Fault_dsl.step_to_string step) = step))
       script
   done;
   checkb "gray generator draws link faults" true (!counts.Fault_dsl.linkfaults > 0);
@@ -98,11 +95,13 @@ let test_classic_generation_unchanged_by_gray_flag () =
 
 let test_pre_gray_artifact_parses () =
   (* Backward compat: artifacts written before the gray field existed
-     must load with gray defaulting to off. *)
+     must load with gray defaulting to off. Mode lines keep their
+     historical keys and order whatever order the modes are given in. *)
   let a : Artifact.t =
     {
       Artifact.scenario =
         Checker.scenario ~system:"erwin-m" ~seed:3
+          ~modes:[ Mode.Tenants; Mode.Replica_reads ]
           ~horizon:Checker.quick_horizon ();
       invariant = "durability";
       detail = "d";
@@ -111,14 +110,29 @@ let test_pre_gray_artifact_parses () =
     }
   in
   let s = Artifact.to_string a in
+  let lines = String.split_on_char '\n' s in
+  Alcotest.(check (list string))
+    "mode lines"
+    [
+      "batching false";
+      "replica_reads true";
+      "subscriptions false";
+      "gray false";
+      "tenants true";
+    ]
+    (List.filteri (fun i _ -> i >= 4 && i < 9) lines);
   let without_gray =
-    String.split_on_char '\n' s
-    |> List.filter (fun l ->
-           not (String.length l >= 5 && String.sub l 0 5 = "gray "))
+    List.filter
+      (fun l -> not (String.length l >= 5 && String.sub l 0 5 = "gray "))
+      lines
     |> String.concat "\n"
   in
   let a' = Artifact.of_string without_gray in
-  checkb "gray defaults to false" false a'.Artifact.scenario.Artifact.gray;
+  checkb "gray defaults to false" false
+    (List.mem Mode.Gray a'.Artifact.scenario.Artifact.modes);
+  checkb "other modes kept" true
+    (a'.Artifact.scenario.Artifact.modes
+    = [ Mode.Replica_reads; Mode.Tenants ]);
   checki "rest of the artifact intact" 17 a'.Artifact.at_event
 
 let test_legacy_serial_line () =
@@ -206,7 +220,7 @@ let test_healthy_sweep_clean_batched () =
     List.concat_map
       (fun system ->
         List.init 3 (fun i ->
-            Checker.scenario ~system ~seed:(i + 11) ~batching:true
+            Checker.scenario ~system ~seed:(i + 11) ~modes:[ Mode.Batching ]
               ~horizon:Checker.quick_horizon ()))
       [ "erwin-m"; "erwin-st" ]
   in
@@ -229,7 +243,8 @@ let test_healthy_sweep_clean_replica_reads () =
     List.concat_map
       (fun system ->
         List.init 3 (fun i ->
-            Checker.scenario ~system ~seed:(i + 21) ~replica_reads:true
+            Checker.scenario ~system ~seed:(i + 21)
+              ~modes:[ Mode.Replica_reads ]
               ~horizon:Checker.quick_horizon ()))
       [ "erwin-m"; "erwin-st" ]
   in
@@ -253,7 +268,8 @@ let test_healthy_sweep_clean_subscriptions () =
     List.concat_map
       (fun system ->
         List.init 3 (fun i ->
-            Checker.scenario ~system ~seed:(i + 31) ~subscriptions:true
+            Checker.scenario ~system ~seed:(i + 31)
+              ~modes:[ Mode.Subscriptions ]
               ~horizon:Checker.quick_horizon ()))
       [ "erwin-m"; "erwin-st" ]
   in
@@ -277,7 +293,7 @@ let test_healthy_sweep_clean_gray () =
     List.concat_map
       (fun system ->
         List.init 4 (fun i ->
-            Checker.scenario ~system ~seed:(i + 41) ~gray:true
+            Checker.scenario ~system ~seed:(i + 41) ~modes:[ Mode.Gray ]
               ~horizon:Checker.quick_horizon ()))
       [ "erwin-m"; "erwin-st" ]
   in
@@ -290,6 +306,40 @@ let test_healthy_sweep_clean_gray () =
       0 outcomes
   in
   checkb "workload made progress under gray faults" true (acked > 100)
+
+(* --- combined modes ---
+
+   Every pair of modes, and all of them at once, on both systems: the
+   covering array the CI rows sweep over 100 seeds, here at one seed. *)
+
+let test_mode_pairs_clean () =
+  let rec pairs = function
+    | [] -> []
+    | m :: rest -> List.map (fun m' -> [ m; m' ]) rest @ pairs rest
+  in
+  let scenarios =
+    List.concat_map
+      (fun system ->
+        List.map
+          (fun modes ->
+            Checker.scenario ~system ~seed:1 ~modes
+              ~horizon:Checker.quick_horizon ())
+          (Mode.all :: pairs Mode.all))
+      [ "erwin-m"; "erwin-st" ]
+  in
+  checki "ten pairs and all-on, both systems" 22 (List.length scenarios);
+  List.iter assert_clean (Checker.sweep ~jobs:2 scenarios)
+
+(* Seed 73 under two mode pairs: a latency-outlier eviction starts a
+   view change, and its recovery replica then crashes. Retrying the
+   dead replica held the view change open past the drain, so acked
+   records never bound and the progress audit fired; the view change
+   must move on to a live survivor. *)
+let test_seed73 system modes () =
+  assert_clean
+    (Checker.run_one
+       (Checker.scenario ~system ~seed:73 ~modes
+          ~horizon:Checker.quick_horizon ()))
 
 (* --- coverage summary ---
 
@@ -321,12 +371,12 @@ let summary_tenants = {|coverage summary
 
 let test_coverage_summary () =
   List.iter
-    (fun (shape, gray, tenants, want) ->
+    (fun (shape, modes, want) ->
       let scenarios =
         List.concat_map
           (fun system ->
             List.init 3 (fun i ->
-                Checker.scenario ~system ~seed:(i + 1) ~gray ~tenants
+                Checker.scenario ~system ~seed:(i + 1) ~modes
                   ~horizon:Checker.quick_horizon ()))
           [ "erwin-m"; "erwin-st" ]
       in
@@ -335,23 +385,23 @@ let test_coverage_summary () =
         want
         (Checker.summary (Checker.sweep ~jobs:2 scenarios)))
     [
-      ("default", false, false, summary_default);
-      ("gray", true, false, summary_gray);
-      ("tenants", false, true, summary_tenants);
+      ("default", [], summary_default);
+      ("gray", [ Mode.Gray ], summary_gray);
+      ("tenants", [ Mode.Tenants ], summary_tenants);
     ]
 
 (* The crash-sweep property from the linearizability suite, re-expressed
    on the checker's monitors: for ANY crash time in the first 4 ms and
    any victim, no invariant fires — durability of acked records, order,
    and stable-prefix immutability hold through the reconfiguration. *)
-let crash_prop ~name ~batching =
+let crash_prop ~name ~modes =
   QCheck.Test.make ~name ~count:15
     QCheck.(pair (int_bound 4_000) (int_bound 2))
     (fun (crash_us, victim) ->
       let sc =
         Checker.scenario ~system:"erwin-m"
           ~seed:(crash_us + (victim * 7919))
-          ~batching ~horizon:Checker.quick_horizon ()
+          ~modes ~horizon:Checker.quick_horizon ()
       in
       let sc =
         {
@@ -364,7 +414,7 @@ let crash_prop ~name ~batching =
 
 let prop_monitors_clean_any_crash_time =
   crash_prop ~name:"erwin-m monitors clean for any crash point"
-    ~batching:false
+    ~modes:[]
 
 (* With the linger batcher on, a batch in flight (or still lingering)
    when the replica crashes must fail atomically per record — a half-ack
@@ -372,7 +422,7 @@ let prop_monitors_clean_any_crash_time =
 let prop_monitors_clean_any_crash_time_batched =
   crash_prop
     ~name:"erwin-m batched monitors clean for any crash point"
-    ~batching:true
+    ~modes:[ Mode.Batching ]
 
 (* --- the checker catches a real (planted) bug --- *)
 
@@ -480,6 +530,15 @@ let () =
               prop_monitors_clean_any_crash_time;
               prop_monitors_clean_any_crash_time_batched;
             ] );
+      ( "combined modes",
+        [
+          Alcotest.test_case "every mode pair stays clean" `Quick
+            test_mode_pairs_clean;
+          Alcotest.test_case "seed 73 erwin-st, batching + gray" `Quick
+            (test_seed73 "erwin-st" [ Mode.Batching; Mode.Gray ]);
+          Alcotest.test_case "seed 73 erwin-m, tenants + gray" `Quick
+            (test_seed73 "erwin-m" [ Mode.Tenants; Mode.Gray ]);
+        ] );
       ( "planted bug",
         [
           Alcotest.test_case "catch, shrink, replay" `Quick

@@ -453,6 +453,41 @@ let test_survivor_crash_during_seal () =
         (log.append ~size:256 ~data:"after");
       Engine.stop ())
 
+(* The recovery replica (the first survivor) crashes while the view
+   change that removes a straggler waits on its state: the view change
+   moves on to the next survivor at that call's timeout, instead of
+   retrying the dead one for 50 rounds and then raising. *)
+let test_recovery_crash_during_removal () =
+  Engine.run (fun () ->
+      let cluster = Erwin_m.create () in
+      let log = Erwin_m.client cluster in
+      ignore (log.append ~size:256 ~data:"warm");
+      let r0 = List.nth cluster.replicas 0
+      and r1 = List.nth cluster.replicas 1
+      and r2 = List.nth cluster.replicas 2 in
+      (* r0 is slow: its seal acks at about 4 ms, and the state request
+         that follows is still on its way when r0 crashes at 5 ms. *)
+      Ll_net.Fabric.set_extra_delay (Seq_replica.node r0) (Engine.ms 2);
+      Engine.spawn (fun () -> Reconfig.remove_replica cluster r2);
+      Engine.sleep (Engine.ms 5);
+      Erwin_common.crash_replica cluster r0;
+      let t0 = Engine.now () in
+      while
+        (cluster.view = 0 || cluster.reconfiguring)
+        && Engine.now () - t0 < Engine.ms 100
+      do
+        Engine.sleep (Engine.us 100)
+      done;
+      checkb "view change done after one state timeout" true
+        (Engine.now () - t0 < Engine.ms 20);
+      checkb "only the live survivor is in the view" true
+        (List.map Seq_replica.name cluster.replicas = [ Seq_replica.name r1 ]);
+      checkb "appends go through again" true
+        (log.append ~size:256 ~data:"after");
+      checki "both appends readable" 2
+        (List.length (log.read ~from:0 ~len:(log.check_tail ())));
+      Engine.stop ())
+
 (* A resent view install (the first ack was lost) is acked without
    being applied again: the entries accepted in the new view stay live,
    and the view is installed once. *)
@@ -534,6 +569,8 @@ let () =
             test_two_sequential_failures;
           Alcotest.test_case "survivor crash during seal" `Quick
             test_survivor_crash_during_seal;
+          Alcotest.test_case "recovery replica crash during removal" `Quick
+            test_recovery_crash_during_removal;
           Alcotest.test_case "resent view install is idempotent" `Quick
             test_resent_install_is_idempotent;
           Alcotest.test_case "chaos: loss + straggler + crash" `Quick
