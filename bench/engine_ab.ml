@@ -9,7 +9,7 @@
    Workloads: timer-callback | mixed-hop | deep-timer | deep-fiber |
    ready-ivar | ready-mailbox | fifo-fanin | mem-log-bind | store-stage |
    suspend-wake | quorum-join | rpc-serve | rpc-backlog | replicate |
-   seq-log-churn | client-handle
+   shard-write | seq-log-churn | client-handle
 
    Each rep prints user-CPU ns/op and allocated words/op. Allocated words
    are exact and repeat run to run, so [--max-words W] is a ceiling that
@@ -286,6 +286,33 @@ let replicate n =
         if not (Rpc.group_join g) then failwith "replicate: gave up"
       done)
 
+(* Erwin-st's data write to one shard: a client writes each 64-byte
+   record to the primary and its one backup as a 2-member group and
+   joins it, n records in all. Both replicas stage and journal the
+   record under the dirty limit, so both answer on the bare path. Each
+   op is one record: its request, the two hops each way, both replicas'
+   staging and journal entries, and the group. *)
+let shard_write n =
+  Ll_sim.Engine.run (fun () ->
+      let open Lazylog in
+      let open Ll_net in
+      let cfg =
+        { (Config.scaled_cluster Config.default) with
+          Config.shard_backup_count = 1 }
+      in
+      let fabric = Fabric.create ~link:cfg.Config.link () in
+      let shard = Shard.create ~cfg ~fabric ~shard_id:0 in
+      let client = Rpc.endpoint fabric (Fabric.add_node fabric ~name:"c" ()) in
+      let dsts = Shard.replica_ids shard in
+      for seq = 1 to n do
+        let record =
+          Types.record ~rid:{ Types.Rid.client = 0; seq } ~size:64 ()
+        in
+        let req = Proto.Ssh_data_write { record } in
+        let g = Rpc.fan_out client dsts ~size:(Proto.req_size req) req in
+        if not (Rpc.group_join g) then failwith "shard-write: no reply"
+      done)
+
 (* The sequencing log's churn under batched ordering: append a batch of
    17 entries, claim them, garbage collect them, n entries in all. Each
    op is one entry through append, claim and removal. *)
@@ -358,6 +385,7 @@ let () =
     | "rpc-serve" -> rpc_serve
     | "rpc-backlog" -> rpc_backlog
     | "replicate" -> replicate
+    | "shard-write" -> shard_write
     | "seq-log-churn" -> seq_log_churn
     | "client-handle" -> client_handle
     | w -> failwith ("unknown workload: " ^ w)

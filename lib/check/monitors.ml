@@ -359,6 +359,11 @@ let progress_pending t =
        t.acked false
 
 let finalize_progress t =
+  (* Called while a view change is in flight only at the drain deadline:
+     the sequencing layer stayed wedged through the whole slack. *)
+  if t.cluster.Erwin_common.reconfiguring then
+    violate t "gray-progress"
+      "a view change was still in flight at the drain deadline";
   if t.cov.acked > 0 && nothing_stabilized t then
     violate t "gray-progress"
       "stable prefix never advanced despite %d acknowledged appends"

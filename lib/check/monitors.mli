@@ -113,8 +113,9 @@ val progress_pending : t -> bool
 
 val finalize_progress : t -> unit
 (** End-of-run progress audit for gray-failure runs: every acknowledged
-    record must be bound on some shard, and the stable prefix must have
-    advanced if anything was acked — a fail-slow fault may slow the system
-    but must never wedge it. Call only once the post-horizon drain has
-    settled (stable no longer moving, no reconfiguration in flight), or
-    in-flight bindings read as false positives. *)
+    record must be bound on some shard, the stable prefix must have
+    advanced if anything was acked, and no view change may still be in
+    flight — a fail-slow fault may slow the system but must never wedge
+    it. Call once the post-horizon drain has settled (stable no longer
+    moving, no reconfiguration in flight) or its deadline has passed;
+    before that, in-flight bindings read as false positives. *)

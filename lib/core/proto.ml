@@ -200,3 +200,10 @@ let resp_size = function
   | R_missing { rids } -> 16 * List.length rids
   | R_cursors { cursors } -> (24 * List.length cursors) + 16
   | R_ok | R_append _ | R_tail _ | R_gp _ | R_sub _ | R_sub_ack _ -> 16
+
+(* Every handler answers through this, with the RPC reply it was given:
+   a reply's size defaults to 64 B, so a response sent without
+   [resp_size] is charged the wrong wire time. Taking the reply itself
+   builds no closure per request. *)
+let answer (reply : ?size:int -> resp -> unit) resp =
+  reply ~size:(resp_size resp) resp

@@ -64,23 +64,23 @@ let handle t ~src:_ (req : Proto.req) ~reply =
        they wait for capacity fails every entry (the client retries;
        replicas that already accepted them filter the duplicates). *)
     if view <> t.view || t.sealed then
-      reply (Proto.R_append { ok = false; view = t.view })
+      Proto.answer reply (Proto.R_append { ok = false; view = t.view })
     else begin
       track_all t tracked;
       let ok =
         Seq_log.append_or_wait t.slog entries ~cancel:(fun () ->
             t.sealed || view <> t.view)
       in
-      reply (Proto.R_append { ok; view = t.view })
+      Proto.answer reply (Proto.R_append { ok; view = t.view })
     end
   | Sr_check_tail { view; log } ->
     if view <> t.view || t.sealed then
-      reply (Proto.R_tail { ok = false; tail = 0 })
+      Proto.answer reply (Proto.R_tail { ok = false; tail = 0 })
     else
       (* Per-log tail: that log's frontier plus its own live entries,
          reported as a per-log position (the caller reasons within one
          log, not across the packed keyspace). *)
-      reply
+      Proto.answer reply
         (Proto.R_tail
            {
              ok = true;
@@ -94,9 +94,9 @@ let handle t ~src:_ (req : Proto.req) ~reply =
       t.sealed <- true;
       Seq_log.kick t.slog
     end;
-    reply Proto.R_ok
+    Proto.answer reply Proto.R_ok
   | Sr_get_state ->
-    reply
+    Proto.answer reply
       (Proto.R_state
          {
            frontiers = Log_table.to_list (Seq_log.frontiers t.slog);
@@ -105,7 +105,7 @@ let handle t ~src:_ (req : Proto.req) ~reply =
   | Sr_install_view { new_view; _ } when new_view <= t.view ->
     (* A resend whose first ack was lost: applying it again would clear
        the entries accepted since, in the view it installed. *)
-    reply Proto.R_ok
+    Proto.answer reply Proto.R_ok
   | Sr_install_view { new_view; frontiers; flushed } ->
     Seq_log.clear t.slog;
     Seq_log.mark_ordered t.slog (List.map snd flushed);
@@ -118,10 +118,10 @@ let handle t ~src:_ (req : Proto.req) ~reply =
     if Probe.active () then
       Probe.emit
         (Probe.View_installed { replica = Fabric.id t.node; view = new_view });
-    reply Proto.R_ok
+    Proto.answer reply Proto.R_ok
   | Sr_wait_ordered { rid } ->
     Waitq.await t.bound_watch (fun () -> Hashtbl.mem t.bound_gp rid);
-    reply (Proto.R_gp { gp = Hashtbl.find t.bound_gp rid })
+    Proto.answer reply (Proto.R_gp { gp = Hashtbl.find t.bound_gp rid })
   | St_cursor_sync { name; epoch; cursor } ->
     (* One-way from the subscription manager. Max-merge: a newer epoch
        always wins (the cursor may legitimately regress across a manager
@@ -130,12 +130,12 @@ let handle t ~src:_ (req : Proto.req) ~reply =
     (match Hashtbl.find_opt t.sub_cursors name with
     | Some (e, c) when epoch < e || (epoch = e && cursor <= c) -> ()
     | _ -> Hashtbl.replace t.sub_cursors name (epoch, cursor));
-    reply Proto.R_ok
+    Proto.answer reply Proto.R_ok
   | St_cursor_fetch ->
     let cursors =
       Hashtbl.fold (fun name (e, c) acc -> (name, e, c) :: acc) t.sub_cursors []
     in
-    reply (Proto.R_cursors { cursors })
+    Proto.answer reply (Proto.R_cursors { cursors })
   | Sr_order_demand _ | Sh_set_stable _ | Sh_read _ | Sh_trim _ | Msh_push _
   | Ssh_data_write _ | Ssh_order _ | Ssh_replicate_order _ | Ssh_backfill _
   | Ssh_get_map _ | St_subscribe _ | St_push _ ->
@@ -145,19 +145,16 @@ let handle t ~src:_ (req : Proto.req) ~reply =
    refuses, or whose entries fit the log now, is answered without a
    fiber. An append that must wait for capacity, and every other request,
    goes to [handle] on a fiber, untouched. *)
-let handle_bare t ~src:_ (req : Proto.req)
-    ~(reply : ?size:int -> Proto.resp -> unit) =
+let handle_bare t ~src:_ (req : Proto.req) ~reply =
   match req with
   | Sr_append { view; entries; tracked } ->
     if view <> t.view || t.sealed then begin
-      let r = Proto.R_append { ok = false; view = t.view } in
-      reply ~size:(Proto.resp_size r) r;
+      Proto.answer reply (Proto.R_append { ok = false; view = t.view });
       true
     end
     else if Seq_log.try_admit t.slog entries then begin
       track_all t tracked;
-      let r = Proto.R_append { ok = true; view = t.view } in
-      reply ~size:(Proto.resp_size r) r;
+      Proto.answer reply (Proto.R_append { ok = true; view = t.view });
       true
     end
     else false
@@ -205,8 +202,7 @@ let create ~cfg ~fabric ~name:rname =
     }
   in
   Rpc.set_service_time ep (service_time cfg);
-  Rpc.set_handler ep (fun ~src req ~reply ->
-      handle t ~src req ~reply:(fun r -> reply ~size:(Proto.resp_size r) r));
+  Rpc.set_handler ep (handle t);
   Rpc.set_bare_handler ep (handle_bare t);
   Option.iter
     (fun params ->

@@ -212,7 +212,7 @@ let replicate t req =
    refused. *)
 let data_write r (record : Types.record) ~reply =
   if Hashtbl.mem r.nooped record.rid then
-    reply (Proto.R_append { ok = false; view = 0 })
+    Proto.answer reply (Proto.R_append { ok = false; view = 0 })
   else begin
     (* A retry of an already-staged rid must not hit the device again. *)
     let fresh = not (Hashtbl.mem r.staging record.rid) in
@@ -222,7 +222,7 @@ let data_write r (record : Types.record) ~reply =
     (* Durability: the staged bytes go to the device (with
        backpressure); the ack is sent once journaled. *)
     if fresh then journal_record r record;
-    reply (Proto.R_append { ok = true; view = 0 })
+    Proto.answer reply (Proto.R_append { ok = true; view = 0 })
   end
 
 let handle_primary t ~src:_ (req : Proto.req) ~reply =
@@ -236,7 +236,7 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
     (* The same push goes on to the backups. Retried on loss; replication
        by explicit position is idempotent. *)
     ignore (replicate t req : _ Rpc.group);
-    reply Proto.R_ok
+    Proto.answer reply Proto.R_ok
   | Ssh_data_write { record } -> data_write r record ~reply
   | Ssh_order { truncate; bindings; map_chunk } ->
     apply_truncate r truncate;
@@ -292,29 +292,30 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
             (Rpc.call r.ep ~dst:(Fabric.id b.node) ~size:(Proto.req_size bf) bf)
         | _ -> ())
       t.backups;
-    reply Proto.R_ok
+    Proto.answer reply Proto.R_ok
   | Sh_read { positions; stable_hint } ->
     (* The hint repairs a stable mirror that missed a (lossy, one-way)
        Sh_set_stable: the client would not ask for unstable positions. *)
     note_stable r stable_hint;
     let max_pos = List.fold_left max (-1) positions in
-    if not (covered r positions) then demand_bind t ~upto:(max_pos + 1);
-    Waitq.await r.stable_watch (fun () -> covered r positions);
-    (* Batched store read: the whole group is served in one segment-cache
-       pass, cold segments paying a single combined device fetch instead
-       of one base-latency charge per position. *)
+    if not (covered r positions) then begin
+      demand_bind t ~upto:(max_pos + 1);
+      Waitq.await r.stable_watch (fun () -> covered r positions)
+    end;
     let records = Flushed_store.read_many r.store positions in
     probe_read_served t records;
-    reply
+    Proto.answer reply
       (Proto.R_records
          { records; stable = stable_for r ~log:(read_log ~max_pos) })
   | Ssh_get_map { from; count; stable_hint } ->
     note_stable r stable_hint;
     let log = read_log ~max_pos:from in
-    if stable_for r ~log <= from then demand_bind t ~upto:(from + 1);
-    Waitq.await r.stable_watch (fun () -> stable_for r ~log > from);
+    if stable_for r ~log <= from then begin
+      demand_bind t ~upto:(from + 1);
+      Waitq.await r.stable_watch (fun () -> stable_for r ~log > from)
+    end;
     let upto = min (stable_for r ~log) (from + count) in
-    reply
+    Proto.answer reply
       (Proto.R_map
          { chunk = map_chunk r ~from ~upto; stable = stable_for r ~log })
   | Sh_set_stable { gp } ->
@@ -328,13 +329,13 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
           Rpc.send_oneway r.ep ~dst:(Fabric.id b.node)
             (Proto.Sh_set_stable { gp }))
         t.backups;
-    reply Proto.R_ok
+    Proto.answer reply Proto.R_ok
   | Sh_trim { upto } ->
     Flushed_store.trim r.store upto;
     List.iter
       (fun b -> Rpc.send_oneway r.ep ~dst:(Fabric.id b.node) (Proto.Sh_trim { upto }))
       t.backups;
-    reply Proto.R_ok
+    Proto.answer reply Proto.R_ok
   | Sr_append _ | Sr_check_tail _ | Sr_seal _
   | Sr_get_state | Sr_install_view _ | Sr_wait_ordered _ | Sr_order_demand _
   | Ssh_replicate_order _ | Ssh_backfill _ | St_subscribe _ | St_push _
@@ -353,15 +354,15 @@ let forward_to_primary t r req ~reply ~on_resp =
   with
   | Some resp ->
     on_resp resp;
-    reply resp
-  | None -> reply (Proto.R_missing { rids = [] })
+    Proto.answer reply resp
+  | None -> Proto.answer reply (Proto.R_missing { rids = [] })
 
 let handle_backup t r ~src:_ (req : Proto.req) ~reply =
   match req with
   | Msh_push { truncate; slots } ->
     apply_truncate r truncate;
     store_slots r slots;
-    reply Proto.R_ok
+    Proto.answer reply Proto.R_ok
   | Ssh_data_write { record } -> data_write r record ~reply
   | Ssh_replicate_order { truncate; bindings; noops; map_chunk } ->
     apply_truncate r truncate;
@@ -388,18 +389,18 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
     in
     store_slots ~charged:false r slots;
     record_map r map_chunk;
-    if !missing = [] then reply Proto.R_ok
-    else reply (Proto.R_missing { rids = !missing })
+    if !missing = [] then Proto.answer reply Proto.R_ok
+    else Proto.answer reply (Proto.R_missing { rids = !missing })
   | Ssh_backfill { slots } ->
     (* Backfilled bytes are new to this replica: charge them. *)
     store_slots r slots;
-    reply Proto.R_ok
+    Proto.answer reply Proto.R_ok
   | Sh_trim { upto } ->
     Flushed_store.trim r.store upto;
-    reply Proto.R_ok
+    Proto.answer reply Proto.R_ok
   | Sh_set_stable { gp } ->
     note_stable r gp;
-    reply Proto.R_ok
+    Proto.answer reply Proto.R_ok
   | Sh_read { positions; stable_hint } ->
     note_stable r stable_hint;
     let max_pos = List.fold_left max (-1) positions in
@@ -408,7 +409,7 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
          store, scaling read throughput with the replica count. *)
       let records = Flushed_store.read_many r.store positions in
       probe_read_served t records;
-      reply
+      Proto.answer reply
         (Proto.R_records
            { records; stable = stable_for r ~log:(read_log ~max_pos) })
     end
@@ -421,7 +422,7 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
     let log = read_log ~max_pos:from in
     if stable_for r ~log > from then begin
       let upto = min (stable_for r ~log) (from + count) in
-      reply
+      Proto.answer reply
         (Proto.R_map
            { chunk = map_chunk r ~from ~upto; stable = stable_for r ~log })
     end
@@ -434,6 +435,40 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
   | Ssh_order _ | St_subscribe _ | St_push _ | St_cursor_sync _
   | St_cursor_fetch ->
     failwith "shard backup: unexpected request"
+
+(* The bare request path (Rpc.set_bare_handler): a request this guard
+   finds able to finish without suspending runs [handle_primary] /
+   [handle_backup] with no fiber; the rest decline and run the same
+   handler on a fiber, in the same event. The guard changes nothing but
+   the replica's stable mirror, merging the request's hint as the
+   handler's own first action does (the handler's merge is then a
+   no-op).
+
+   What may suspend: a journal or store append at the dirty limit
+   ([Flushed_store] backpressure), a read or map fetch past the stable
+   mirror (the primary waits for stable, a backup forwards), and the
+   primary's Msh_push and Ssh_order, which join replication. *)
+let runs_bare r (req : Proto.req) =
+  match req with
+  | Ssh_data_write { record } ->
+    Hashtbl.mem r.nooped record.rid
+    || Hashtbl.mem r.staging record.rid
+    || Flushed_store.has_room r.journal
+  | Sh_set_stable _ | Sh_trim _ -> true
+  | Sh_read { positions; stable_hint } ->
+    note_stable r stable_hint;
+    covered r positions
+  | Ssh_get_map { from; stable_hint; _ } ->
+    note_stable r stable_hint;
+    stable_for r ~log:(read_log ~max_pos:from) > from
+  | _ -> false
+
+(* A backup also binds and stores without joining anyone. *)
+let backup_runs_bare r (req : Proto.req) =
+  match req with
+  | Ssh_replicate_order _ -> true
+  | Msh_push _ | Ssh_backfill _ -> Flushed_store.has_room r.store
+  | _ -> runs_bare r req
 
 let service_time cfg (req : Proto.req) =
   cfg.Config.shard_base_ns
@@ -476,9 +511,13 @@ let install_backup_handler t b =
      shedding those would leave backups silently missing slots. *)
   if t.cfg.Config.retry_budget then
     Rpc.set_retry_budget b.ep (Rpc.Retry_budget.create ());
-  Rpc.set_handler b.ep (fun ~src req ~reply ->
-      handle_backup t b ~src req ~reply:(fun resp ->
-          reply ~size:(Proto.resp_size resp) resp))
+  Rpc.set_handler b.ep (handle_backup t b);
+  Rpc.set_bare_handler b.ep (fun ~src req ~reply ->
+      if backup_runs_bare b req then begin
+        handle_backup t b ~src req ~reply;
+        true
+      end
+      else false)
 
 let create ~cfg ~fabric ~shard_id =
   let primary =
@@ -490,9 +529,13 @@ let create ~cfg ~fabric ~shard_id =
           ~name:(Printf.sprintf "shard%d.backup%d" shard_id i))
   in
   let t = { cfg; fabric; sid = shard_id; primary; backups; demand_target = None } in
-  Rpc.set_handler primary.ep (fun ~src req ~reply ->
-      handle_primary t ~src req ~reply:(fun resp ->
-          reply ~size:(Proto.resp_size resp) resp));
+  Rpc.set_handler primary.ep (handle_primary t);
+  Rpc.set_bare_handler primary.ep (fun ~src req ~reply ->
+      if runs_bare primary req then begin
+        handle_primary t ~src req ~reply;
+        true
+      end
+      else false);
   List.iter (install_backup_handler t) backups;
   t
 
@@ -542,7 +585,7 @@ let replace_backup t ~index =
   t.backups <- List.mapi (fun i b -> if i = index then fresh else b) t.backups;
   copy
     (List.filter
-       (fun (gp, _) -> Flushed_store.mem_read fresh.store ~pos:gp = None)
+       (fun (gp, _) -> Flushed_store.read fresh.store ~pos:gp = None)
        (Flushed_store.entries src.store))
 
 let backup_ids t = List.map (fun b -> Fabric.id b.node) t.backups

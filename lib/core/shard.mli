@@ -14,7 +14,14 @@
       (section 5.4), and replicate bindings to the backups.
 
     Reads are gated on the shard's stable-gp: a read of position [p] waits
-    until [p < stable-gp] (the slow path of section 4.4). *)
+    until [p < stable-gp] (the slow path of section 4.4).
+
+    Each replica serves a request that cannot suspend on its endpoint's
+    bare path, with no fiber: a data write the journal has room for,
+    stable and trim notices, a read its stable mirror covers, and on a
+    backup the replicated bindings and pushes the store has room for.
+    The rest (the primary's push and order, which join replication, and
+    any read or write that must wait) run the same handler on a fiber. *)
 
 open Ll_sim
 open Ll_net

@@ -123,7 +123,7 @@ let make_storage_unit t ~name =
         let have () =
           List.for_all
             (fun p ->
-              p < su.trimmed || Flushed_store.mem_read su.store ~pos:p <> None)
+              p < su.trimmed || Flushed_store.read su.store ~pos:p <> None)
             positions
         in
         Waitq.await su.written have;
@@ -140,13 +140,13 @@ let make_storage_unit t ~name =
         let missing =
           List.filter
             (fun p ->
-              p >= su.trimmed && Flushed_store.mem_read su.store ~pos:p = None)
+              p >= su.trimmed && Flushed_store.read su.store ~pos:p = None)
             positions
         in
         reply (R_missing missing)
       | Su_fill { pos } ->
         (* Write-once: a fill loses to data that arrived first. *)
-        if Flushed_store.mem_read su.store ~pos = None then begin
+        if Flushed_store.read su.store ~pos = None then begin
           Flushed_store.append su.store ~pos ~size:16 Lazylog.Types.no_op;
           Waitq.broadcast su.written
         end;

@@ -75,8 +75,10 @@ val set_bare_handler :
 
     The sequencing replica installs one: an [Sr_append] whose entries fit
     the log (or that its view check refuses) is answered bare; one that
-    must wait for capacity runs on a fiber. Every other endpoint runs all
-    its requests on fibers. *)
+    must wait for capacity runs on a fiber. Both shard roles install one
+    for every request that cannot suspend (the data writes, stable and
+    trim notices, covered reads). Every other endpoint runs all its
+    requests on fibers. *)
 
 val set_service_time : ('req, 'resp) endpoint -> ('req -> Engine.time) -> unit
 (** CPU cost charged serially per incoming request (default 0). *)

@@ -69,8 +69,6 @@ let write t ~bytes =
   t.bytes_written <- t.bytes_written + bytes;
   operate t ~bytes
 
-let read t ~bytes = operate t ~bytes
-
 let queue_depth_time t =
   let now = Engine.now () in
   if t.next_free > now then t.next_free - now else 0

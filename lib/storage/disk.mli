@@ -44,9 +44,6 @@ val set_fail_slow : t -> fail_slow -> unit
 val write : t -> bytes:int -> unit
 (** Blocks the calling fiber until the write is persistent. *)
 
-val read : t -> bytes:int -> unit
-(** Blocks until the data has been fetched from the device. *)
-
 val queue_depth_time : t -> Engine.time
 (** How far in the future the device is already booked (0 = idle now). *)
 

@@ -13,8 +13,6 @@ type 'a t = {
   mutable dirty_head : int;
   mutable dirty_len : int;
   mutable dirty_bytes : int;
-  seg_bytes : Int_table.t;  (* segment -> bytes staged into it *)
-  cached : (int, unit) Hashtbl.t;
   space : Waitq.t;  (* dirty buffer below limit *)
   drained : Waitq.t;  (* dirty buffer empty *)
   work : Waitq.t;  (* dirty buffer non-empty *)
@@ -71,8 +69,6 @@ let create ~disk ?(dirty_limit_bytes = 8 * 1024 * 1024)
       dirty_head = 0;
       dirty_len = 0;
       dirty_bytes = 0;
-      seg_bytes = Int_table.create 64;
-      cached = Hashtbl.create 64;
       space = Waitq.create ();
       drained = Waitq.create ();
       work = Waitq.create ();
@@ -81,22 +77,17 @@ let create ~disk ?(dirty_limit_bytes = 8 * 1024 * 1024)
   Engine.spawn ~name:"store.flusher" (flusher t);
   t
 
-let segment t pos = pos / t.entries_per_file
-
 let stage t ~pos ~size v =
   Mem_log.set t.log pos v;
-  let seg = segment t pos in
-  let s = Int_table.slot t.seg_bytes seg ~absent:0 in
-  Int_table.set_value t.seg_bytes s (Int_table.value t.seg_bytes s + size);
-  Hashtbl.replace t.cached seg ();
   push_dirty t size;
   t.dirty_bytes <- t.dirty_bytes + size
+
+let has_room t = t.dirty_bytes < t.dirty_limit
 
 (* Blocks while the dirty buffer is at its limit; the predicate closure
    is built only when there is something to wait for. *)
 let wait_space t =
-  if t.dirty_bytes >= t.dirty_limit then
-    Waitq.await t.space (fun () -> t.dirty_bytes < t.dirty_limit)
+  if not (has_room t) then Waitq.await t.space (fun () -> has_room t)
 
 let append t ~pos ~size v =
   wait_space t;
@@ -111,54 +102,15 @@ let append_batch t batch =
     List.iter (fun (pos, size, v) -> stage t ~pos ~size v) batch;
     Waitq.broadcast t.work
 
-let set_mem t ~pos v =
-  Mem_log.set t.log pos v;
-  Hashtbl.replace t.cached (segment t pos) ()
+let set_mem t ~pos v = Mem_log.set t.log pos v
 
-let segment_bytes t seg = Int_table.find t.seg_bytes seg ~default:0
+let read t ~pos = Mem_log.get t.log pos
 
-let read t ~pos =
-  match Mem_log.get t.log pos with
-  | None -> None
-  | Some _ as v ->
-    let seg = segment t pos in
-    if not (Hashtbl.mem t.cached seg) then begin
-      Disk.read t.disk ~bytes:(segment_bytes t seg);
-      Hashtbl.replace t.cached seg ()
-    end;
-    v
-
-let rec present t = function
+let rec read_many t = function
   | [] -> []
   | pos :: rest ->
-    if Mem_log.mem t.log pos then
-      (pos, Mem_log.find t.log pos) :: present t rest
-    else present t rest
-
-(* The distinct uncached segments under [hits], added to [acc]. *)
-let rec cold_segments t acc = function
-  | [] -> acc
-  | (pos, _) :: rest ->
-    let seg = segment t pos in
-    if Hashtbl.mem t.cached seg || List.mem seg acc then
-      cold_segments t acc rest
-    else cold_segments t (seg :: acc) rest
-
-(* Batched read fast path: the cold segments the hits touch pay a single
-   device read for their combined bytes — the device base cost amortizes
-   across the group, mirroring what the flusher does on the write side. A
-   group whose segments are all cached allocates only its hits. *)
-let read_many t positions =
-  let hits = present t positions in
-  (match cold_segments t [] hits with
-  | [] -> ()
-  | cold ->
-    Disk.read t.disk
-      ~bytes:(List.fold_left (fun acc seg -> acc + segment_bytes t seg) 0 cold);
-    List.iter (fun seg -> Hashtbl.replace t.cached seg ()) cold);
-  hits
-
-let mem_read t ~pos = Mem_log.get t.log pos
+    if Mem_log.mem t.log pos then (pos, Mem_log.find t.log pos) :: read_many t rest
+    else read_many t rest
 
 let length t = Mem_log.length t.log
 
@@ -169,8 +121,6 @@ let remove t ~pos = Mem_log.remove t.log pos
 let trim t n = Mem_log.trim t.log n
 
 let dirty_bytes t = t.dirty_bytes
-
-let evict_cache t = Hashtbl.reset t.cached
 
 let flush_wait t = Waitq.await t.drained (fun () -> t.dirty_len = 0)
 

@@ -26,23 +26,22 @@ val append : 'a t -> pos:int -> size:int -> 'a -> unit
 val append_batch : 'a t -> (int * int * 'a) list -> unit
 (** [(pos, size, v)] triples; one backpressure check for the whole batch. *)
 
+val has_room : 'a t -> bool
+(** The dirty buffer is below its limit, so {!append} and {!append_batch}
+    would not block now. *)
+
 val set_mem : 'a t -> pos:int -> 'a -> unit
 (** Pure in-memory placement with no device charge — for index updates
     over data whose bytes were already persisted elsewhere (Erwin-st
     binds journaled records to positions this way). *)
 
 val read : 'a t -> pos:int -> 'a option
-(** Serves from memory (dirty data or cached segments); cold segments pay a
-    device read. *)
+(** Serves from memory, never the device: every entry stays in memory
+    until trimmed, so a read neither blocks nor costs device time. *)
 
 val read_many : 'a t -> int list -> (int * 'a) list
-(** Batched {!read}: present positions in input order, with all cold
-    segments fetched by a {e single} device read of their combined bytes
-    (one base-latency charge for the group instead of one per position).
-    Missing positions are skipped. *)
-
-val mem_read : 'a t -> pos:int -> 'a option
-(** Pure lookup with no device charge (predicates and checkers). *)
+(** Batched {!read}: the present positions, in input order, each with its
+    value. Missing positions are skipped. *)
 
 val length : 'a t -> int
 val truncate : 'a t -> int -> unit
@@ -55,10 +54,6 @@ val remove : 'a t -> pos:int -> unit
 
 val trim : 'a t -> int -> unit
 val dirty_bytes : 'a t -> int
-
-val evict_cache : 'a t -> unit
-(** Drop the segment read cache, so the next read of each segment pays
-    one device fetch (a store reopened cold, e.g. after a restart). *)
 
 val flush_wait : 'a t -> unit
 (** Blocks until everything staged so far is on the device. *)

@@ -184,7 +184,7 @@ let handle t ~src:_ (req : Proto.req) ~reply =
       sub.credits <- window;
       sub.epoch <- sub.epoch + 1;
       Waitq.broadcast t.wake;
-      reply (Proto.R_sub { epoch = sub.epoch; cursor = sub.cursor })
+      Proto.answer reply (Proto.R_sub { epoch = sub.epoch; cursor = sub.cursor })
     | None ->
       let sub =
         {
@@ -200,7 +200,7 @@ let handle t ~src:_ (req : Proto.req) ~reply =
       in
       Hashtbl.replace t.subs name sub;
       pump t sub;
-      reply (Proto.R_sub { epoch = sub.epoch; cursor = sub.cursor }))
+      Proto.answer reply (Proto.R_sub { epoch = sub.epoch; cursor = sub.cursor }))
   | _ -> failwith "sub-manager: unexpected request"
 
 (* View-change recovery: rebuild every cursor from the replicated floor
@@ -256,8 +256,7 @@ let start (cluster : Erwin_common.t) =
       recoveries = 0;
     }
   in
-  Rpc.set_handler ep (fun ~src req ~reply ->
-      handle t ~src req ~reply:(fun r -> reply ~size:(Proto.resp_size r) r));
+  Rpc.set_handler ep (handle t);
   (* Push trigger: every stable advance of log 0, the log subscriptions
      read, wakes the pumps. The hook is the only piece that runs outside
      an opt-in code path, and it is [None] unless a manager was

@@ -75,7 +75,7 @@ let handle t (req : Proto.req) ~reply =
       (* A push from before my latest re-attach: its batch was rebuilt
          under the new epoch, answer with a stale ack (the manager drops
          it) and deliver nothing. *)
-      reply (Proto.R_sub_ack { epoch; upto = t.next; credits = 0 })
+      Proto.answer reply (Proto.R_sub_ack { epoch; upto = t.next; credits = 0 })
     else begin
       if epoch > t.epoch then t.epoch <- epoch;
       (* Serialize with any batch still being consumed: the dedup filter
@@ -93,7 +93,7 @@ let handle t (req : Proto.req) ~reply =
         records;
       t.busy <- false;
       Waitq.broadcast t.free;
-      reply
+      Proto.answer reply
         (Proto.R_sub_ack { epoch = t.epoch; upto = t.next; credits = t.window })
     end
   | _ -> failwith "subscriber: unexpected request"
@@ -107,8 +107,7 @@ let mk_node (cluster : Erwin_common.t) ~nm =
   (node, Rpc.endpoint cluster.fabric node)
 
 let install_handler t =
-  Rpc.set_handler t.ep (fun ~src:_ req ~reply ->
-      handle t req ~reply:(fun r -> reply ~size:(Proto.resp_size r) r))
+  Rpc.set_handler t.ep (fun ~src:_ req ~reply -> handle t req ~reply)
 
 let attach t =
   let epoch, _cursor =

@@ -330,15 +330,17 @@ let test_mode_pairs_clean () =
   checki "ten pairs and all-on, both systems" 22 (List.length scenarios);
   List.iter assert_clean (Checker.sweep ~jobs:2 scenarios)
 
-(* Seed 73 under two mode pairs: a latency-outlier eviction starts a
-   view change, and its recovery replica then crashes. Retrying the
-   dead replica held the view change open past the drain, so acked
-   records never bound and the progress audit fired; the view change
+(* Seeds where a latency-outlier eviction starts a view change and its
+   recovery replica then crashes. Retrying the dead replica held the view
+   change open past the drain, so acked records never bound (seed 73
+   under two mode pairs) or the sequencing layer stopped acking while
+   the view change was still open at the drain deadline (seeds 73 and
+   260 with gray alone); the progress audit flags both. The view change
    must move on to a live survivor. *)
-let test_seed73 system modes () =
+let test_recovery_seed ~seed system modes () =
   assert_clean
     (Checker.run_one
-       (Checker.scenario ~system ~seed:73 ~modes
+       (Checker.scenario ~system ~seed ~modes
           ~horizon:Checker.quick_horizon ()))
 
 (* --- coverage summary ---
@@ -535,9 +537,13 @@ let () =
           Alcotest.test_case "every mode pair stays clean" `Quick
             test_mode_pairs_clean;
           Alcotest.test_case "seed 73 erwin-st, batching + gray" `Quick
-            (test_seed73 "erwin-st" [ Mode.Batching; Mode.Gray ]);
+            (test_recovery_seed ~seed:73 "erwin-st" [ Mode.Batching; Mode.Gray ]);
           Alcotest.test_case "seed 73 erwin-m, tenants + gray" `Quick
-            (test_seed73 "erwin-m" [ Mode.Tenants; Mode.Gray ]);
+            (test_recovery_seed ~seed:73 "erwin-m" [ Mode.Tenants; Mode.Gray ]);
+          Alcotest.test_case "seed 73 erwin-st, gray" `Quick
+            (test_recovery_seed ~seed:73 "erwin-st" [ Mode.Gray ]);
+          Alcotest.test_case "seed 260 erwin-st, gray" `Quick
+            (test_recovery_seed ~seed:260 "erwin-st" [ Mode.Gray ]);
         ] );
       ( "planted bug",
         [

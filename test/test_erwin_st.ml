@@ -191,6 +191,21 @@ let test_read_batch_spanning_shards () =
       let records = log.read ~from:0 ~len:25 in
       checki "25 records" 25 (List.length records))
 
+(* Erwin-st's 1-RTT append writes its data to every replica of the
+   shard. With journal room each write is answered on the shard's bare
+   path, so the append starts no fiber; the record still binds (on a
+   handler fiber: binding joins replication) and reads back. *)
+let test_append_starts_no_fiber () =
+  with_cluster (fun cluster ->
+      let log = Erwin_st.client cluster in
+      checkb "warm-up append" true (log.append ~size:1024 ~data:"a");
+      let fibers0 = Engine.fiber_count () in
+      checkb "acked" true (log.append ~size:1024 ~data:"b");
+      checki "no fiber started" 0 (Engine.fiber_count () - fibers0);
+      Alcotest.(check (list string))
+        "both bind and read back" [ "a"; "b" ]
+        (List.map (fun (r : Types.record) -> r.data) (log.read ~from:0 ~len:2)))
+
 let () =
   Alcotest.run "erwin-st"
     [
@@ -203,6 +218,8 @@ let () =
           Alcotest.test_case "map cache" `Quick test_map_cache_read_one_fetch;
           Alcotest.test_case "batch read spanning shards" `Quick
             test_read_batch_spanning_shards;
+          Alcotest.test_case "append starts no fiber" `Quick
+            test_append_starts_no_fiber;
         ] );
       ( "failures",
         [

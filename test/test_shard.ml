@@ -448,6 +448,47 @@ let test_replacement_copies_map () =
         (get_map ~dst ep shard ~from:(p1 0) ~count:10);
       Engine.stop ())
 
+(* The bare request path. A data write the journal has room for is
+   answered with no handler fiber, from memory, before its bytes reach
+   the device; one that finds the journal at its dirty limit declines to
+   a fiber, which acks only once the flush has made room. *)
+let test_data_write_declines_at_dirty_limit () =
+  let cfg = { Config.default with dirty_limit_bytes = 1 } in
+  with_shard ~cfg (fun shard ep ->
+      (* One 4 KiB write on the default SATA device. *)
+      let flush = Engine.us 20 + int_of_float (7.0 *. 4096.) in
+      Engine.yield () (* let the stores' flushers start *);
+      let fibers0 = Engine.fiber_count () in
+      let t0 = Engine.now () in
+      stage ep shard (record ~size:4096 1 1 "a");
+      checki "room: no handler fiber" 0 (Engine.fiber_count () - fibers0);
+      checkb "acked before the flush" true (Engine.now () - t0 < flush);
+      stage ep shard (record ~size:4096 1 2 "b");
+      checki "at the limit: one handler fiber" 1
+        (Engine.fiber_count () - fibers0);
+      checkb "acked after the flush" true (Engine.now () - t0 >= flush))
+
+(* A read past the stable mirror declines to a fiber, which waits and
+   serves it once stable advances; the same read, covered, is answered
+   with no handler fiber. *)
+let test_uncovered_read_declines () =
+  with_shard (fun shard ep ->
+      push ep shard [ (0, record 1 1 "a") ];
+      let fibers0 = Engine.fiber_count () in
+      let got = ref None in
+      Engine.spawn (fun () -> got := Some (read ep shard [ 0 ]));
+      Engine.sleep (Engine.ms 1);
+      checkb "parked" true (!got = None);
+      checki "the reader and one handler fiber" 2
+        (Engine.fiber_count () - fibers0);
+      set_stable ep shard 1;
+      Engine.sleep (Engine.ms 1);
+      checki "served after stable" 1
+        (List.length (Option.value !got ~default:[]));
+      let fibers1 = Engine.fiber_count () in
+      checki "covered read" 1 (List.length (read ep shard [ 0 ]));
+      checki "covered: no handler fiber" 0 (Engine.fiber_count () - fibers1))
+
 let () =
   Alcotest.run "shard"
     [
@@ -475,6 +516,10 @@ let () =
           Alcotest.test_case "backup backfill" `Quick test_backfill_to_backup;
           Alcotest.test_case "journal retry dedup" `Quick
             test_journal_retry_dedup;
+          Alcotest.test_case "data write declines at the dirty limit" `Quick
+            test_data_write_declines_at_dirty_limit;
+          Alcotest.test_case "uncovered read declines" `Quick
+            test_uncovered_read_declines;
         ] );
       ( "stable-hint read repair",
         [

@@ -203,34 +203,6 @@ let test_disk_stutter () =
 
 (* --- Flushed store --- *)
 
-(* Section 5.6: a shard's segment files are cached when read, so only the
-   first read of a cold segment reaches the device. *)
-let test_flushed_store_cold_read () =
-  Engine.run (fun () ->
-      let disk = Disk.create ~base_latency:(Engine.us 10) ~ns_per_byte:0.0 () in
-      let s = Flushed_store.create ~disk ~entries_per_file:4 () in
-      for i = 0 to 7 do
-        Flushed_store.append s ~pos:i ~size:100 (string_of_int i)
-      done;
-      Flushed_store.flush_wait s;
-      let ops_before = Disk.ops disk in
-      (* Freshly written segments are hot. *)
-      Alcotest.(check (option string)) "hot read" (Some "3")
-        (Flushed_store.read s ~pos:3);
-      checki "no device read" ops_before (Disk.ops disk);
-      Flushed_store.evict_cache s;
-      Alcotest.(check (option string)) "cold read" (Some "3")
-        (Flushed_store.read s ~pos:3);
-      checki "one device read" (ops_before + 1) (Disk.ops disk);
-      (* Second read of the same segment is cached. *)
-      ignore (Flushed_store.read s ~pos:2);
-      checki "cached" (ops_before + 1) (Disk.ops disk);
-      (* A batched read of both cold segments pays one combined fetch. *)
-      Flushed_store.evict_cache s;
-      checki "batched read" 3
-        (List.length (Flushed_store.read_many s [ 1; 5; 6 ]));
-      checki "one fetch for two segments" (ops_before + 2) (Disk.ops disk))
-
 let test_flushed_store_async_drain () =
   Engine.run (fun () ->
       let disk = Disk.create ~base_latency:(Engine.us 50) ~ns_per_byte:0.0 () in
@@ -356,7 +328,6 @@ let () =
       ( "flushed_store",
         [
           Alcotest.test_case "async drain" `Quick test_flushed_store_async_drain;
-          Alcotest.test_case "cold read" `Quick test_flushed_store_cold_read;
           Alcotest.test_case "backpressure" `Quick
             test_flushed_store_backpressure;
           Alcotest.test_case "dirty ring" `Quick test_flushed_store_dirty_ring;
