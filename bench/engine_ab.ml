@@ -348,6 +348,36 @@ let client_handle n =
       ignore (Sys.opaque_identity handles : Log_api.t array);
       Ll_sim.Engine.stop ())
 
+(* Erwin-st reads spanning three shards: one writer appends three
+   records, one per shard, and a reader reads them back n times once
+   they are bound and its map is cached. Each op is one read: a request
+   to each shard, answered on the shards' bare path, and the join. *)
+let client_read n =
+  Ll_sim.Engine.run (fun () ->
+      let open Lazylog in
+      let cfg = { Config.default with nshards = 3 } in
+      let cluster = Erwin_st.create ~cfg () in
+      let writer = Erwin_st.client cluster in
+      for i = 1 to 3 do
+        if not (writer.Log_api.append ~size:64 ~data:(string_of_int i)) then
+          failwith "client-read: append failed"
+      done;
+      while cluster.Erwin_common.stable_gp < 3 do
+        Ll_sim.Engine.sleep (Ll_sim.Engine.us 100)
+      done;
+      if
+        not
+          (List.for_all
+             (fun s -> List.length (Shard.bound_positions s) = 1)
+             cluster.Erwin_common.shards)
+      then failwith "client-read: records not spread over three shards";
+      let reader = Erwin_st.client cluster in
+      for _ = 1 to n do
+        if List.length (reader.Log_api.read ~from:0 ~len:3) <> 3 then
+          failwith "client-read: short read"
+      done;
+      Ll_sim.Engine.stop ())
+
 (* [Gc.minor_words] counts the minor heap's unflushed part as well,
    which [Gc.counters]' minor count leaves out. *)
 let allocated_words () =
@@ -388,6 +418,7 @@ let () =
     | "shard-write" -> shard_write
     | "seq-log-churn" -> seq_log_churn
     | "client-handle" -> client_handle
+    | "client-read" -> client_read
     | w -> failwith ("unknown workload: " ^ w)
   in
   f (n / 10) (* warmup *);

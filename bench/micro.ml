@@ -449,14 +449,60 @@ let recv_storm js =
        }
     :: !js
 
-let run_engine_rate () =
+(* Engines are domain-local, so independent clusters shard across
+   domains with zero coordination — the sweep/bench parallelism. The
+   aggregate Mevents/s of [doms] domains each running the mixed-hop mix,
+   over the rate of one domain running it alone. It runs before every
+   other section, so no earlier section's retained major heap (shared by
+   all domains) weighs on it, and over 3·10⁶ events per domain, a window
+   of a few hundred milliseconds, not the rate rows' few tens. *)
+let run_domain_scaling () =
+  Harness.section "Multi-domain scaling (real time, run first)";
+  Harness.table_header
+    [ "workload"; "events"; "wall_ms"; "Mevents/s"; "mwords/ev"; "speedup" ];
+  let n = 3_000_000 in
+  let doms = min 8 (Domain.recommended_domain_count ()) in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    let events = f () in
+    let wall = Unix.gettimeofday () -. t0 in
+    (events, wall, float_of_int events /. wall /. 1e6)
+  in
+  let events1, wall1, one =
+    timed (fun () ->
+        mixed_hops n;
+        Ll_sim.Engine.events_executed ())
+  in
+  Harness.row "mixed-hop/wheel x1 domain"
+    [ string_of_int events1; Harness.f1 (wall1 *. 1000.);
+      Printf.sprintf "%.2f" one; "-"; "-" ];
+  let events, wall, agg =
+    timed (fun () ->
+        Array.init doms (fun _ ->
+            Domain.spawn (fun () ->
+                mixed_hops n;
+                Ll_sim.Engine.events_executed ()))
+        |> Array.fold_left (fun a d -> a + Domain.join d) 0)
+  in
+  aggregate_scaling := agg /. one;
+  Harness.row (Printf.sprintf "mixed-hop/wheel x%d domains" doms)
+    [ string_of_int events; Harness.f1 (wall *. 1000.);
+      Printf.sprintf "%.2f" agg; "-"; Printf.sprintf "%.2fx" (agg /. one) ];
+  {
+    Harness.js_series = Printf.sprintf "mixed-hop/wheel-x%d" doms;
+    js_throughput = agg *. 1e6;
+    js_p50_us = 0.0;
+    js_p99_us = 0.0;
+    js_p999_us = 0.0;
+  }
+
+let run_engine_rate scaling =
   Harness.section "Engine event throughput (real time)";
   Harness.note "mwords/ev = minor words allocated per event";
   let n = if !Harness.quick then 300_000 else 2_000_000 in
   Harness.table_header
     [ "workload"; "events"; "wall_ms"; "Mevents/s"; "mwords/ev"; "speedup" ];
-  let js = ref [] in
-  let mixed_hop_wheel = ref 0.0 in
+  let js = ref [ scaling ] in
   List.iter
     (fun (wname, f) ->
       let t0 = Unix.gettimeofday () in
@@ -475,7 +521,6 @@ let run_engine_rate () =
           "-";
         ];
       if wname = "timer-callback" then headline_mevents := rate;
-      if wname = "mixed-hop" then mixed_hop_wheel := rate;
       js :=
         {
           Harness.js_series = wname ^ "/wheel";
@@ -486,47 +531,13 @@ let run_engine_rate () =
         }
         :: !js)
     engine_workloads;
-  (* Engines are domain-local, so independent clusters shard across
-     domains with zero coordination — the sweep/bench parallelism.
-     Aggregate Mevents/s over [doms] domains each running the mixed-hop
-     mix. *)
-  let doms = min 8 (Domain.recommended_domain_count ()) in
-  let t0 = Unix.gettimeofday () in
-  let spawned =
-    Array.init doms (fun _ ->
-        Domain.spawn (fun () ->
-            mixed_hops n;
-            Ll_sim.Engine.events_executed ()))
-  in
-  let events = Array.fold_left (fun a d -> a + Domain.join d) 0 spawned in
-  let wall = Unix.gettimeofday () -. t0 in
-  let agg = float_of_int events /. wall /. 1e6 in
-  if !mixed_hop_wheel > 0.0 then aggregate_scaling := agg /. !mixed_hop_wheel;
-  Harness.row (Printf.sprintf "mixed-hop/wheel x%d domains" doms)
-    [
-      string_of_int events;
-      Harness.f1 (wall *. 1000.);
-      Printf.sprintf "%.2f" agg;
-      "-";
-      (if !mixed_hop_wheel > 0.0 then
-         Printf.sprintf "%.2fx" (agg /. !mixed_hop_wheel)
-       else "-");
-    ];
-  js :=
-    {
-      Harness.js_series = Printf.sprintf "mixed-hop/wheel-x%d" doms;
-      js_throughput = agg *. 1e6;
-      js_p50_us = 0.0;
-      js_p99_us = 0.0;
-      js_p999_us = 0.0;
-    }
-    :: !js;
   recv_storm js;
   Harness.write_json ~name:"micro" (List.rev !js)
 
 let run () =
+  let scaling = run_domain_scaling () in
   run_saturation ();
-  run_engine_rate ();
+  run_engine_rate scaling;
   Harness.section "Microbenchmarks (bechamel, real time)";
   let tests =
     Test.make_grouped ~name:"micro" ~fmt:"%s %s"

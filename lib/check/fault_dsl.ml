@@ -379,7 +379,7 @@ let apply (cluster : Erwin_common.t) script =
             match resolve_disk cluster who with
             | Some d ->
               emit_gray "degrade" until;
-              Disk.set_fail_slow d (Disk.Degrade { factor });
+              Disk.set_fail_slow d (Disk.Degrade { factor; until });
               Engine.at until (fun () -> Disk.set_fail_slow d Disk.Healthy)
             | None -> ()))
     script

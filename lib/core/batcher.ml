@@ -2,10 +2,12 @@ open Ll_sim
 
 (* The client-side linger batcher (group commit).
 
-   One batcher per cluster process, shared by every client handle of that
-   process, so concurrent appends from different client fibers coalesce
-   into a single [Sr_append] fan-out to all f+1 sequencing replicas: the
-   same request a lone append sends, carrying the whole batch.
+   One batcher per log per cluster process, shared by every client handle
+   of that process writing the log, so concurrent appends from different
+   client fibers coalesce into a single [Sr_append] fan-out to all f+1
+   sequencing replicas: the same request a lone append sends, carrying
+   the whole batch. A batch holds one log's entries, so a replica's fair
+   ingress accounts it to the tenant that sent it.
    A batch flushes on whichever trigger fires first: the [linger] deadline
    armed when the batch opens, [max_batch_records], or [max_batch_bytes].
    Every caller of the batch gets its answer from the one fan-out ack.
@@ -105,10 +107,10 @@ let make cluster ~linger =
     batch_stats = (fun () -> (t.flushes, t.flushed_records));
   }
 
-let get (cluster : Erwin_common.t) ~linger =
-  match cluster.append_batcher with
+let get (cluster : Erwin_common.t) ~linger ~log =
+  match Hashtbl.find_opt cluster.append_batchers log with
   | Some b -> b
   | None ->
     let b = make cluster ~linger in
-    cluster.append_batcher <- Some b;
+    Hashtbl.add cluster.append_batchers log b;
     b

@@ -32,7 +32,9 @@ let append_entry (cluster : t) ep ~track entry =
        replicas that already hold the rid filter it as a duplicate. *)
     let res =
       match cluster.cfg.Config.linger with
-      | Some linger -> (Batcher.get cluster ~linger).submit_entry ~track entry
+      | Some linger ->
+        (Batcher.get cluster ~linger ~log:(Types.entry_log entry)).submit_entry
+          ~track entry
       | None -> try_append_seq cluster ep ~view:cluster.view ~track entry
     in
     match res with
@@ -79,12 +81,20 @@ let wait_ordered (cluster : t) ep rid =
   in
   go ()
 
+(* The tries of a read plan's head: every shard has
+   [shard_backup_count] backups, so every plan's head has the same. *)
+let head_tries (cluster : t) =
+  let cfg = cluster.cfg in
+  if cfg.Config.replica_reads && cfg.Config.shard_backup_count > 0 then 25
+  else 100
+
 (* One (destination, tries) plan per shard read. With [replica_reads]
    the plan rotates over every replica of the shard ([rr] staggers the
    starting replica across calls, so concurrent readers spread load);
    otherwise it is the primary with the legacy retry budget, with the
    backups as a last-resort fallback once the primary is exhausted. *)
 let read_plan (cluster : t) ?rr shard =
+  let tries = head_tries cluster in
   if cluster.cfg.Config.replica_reads then begin
     let ids = Array.of_list (Shard.replica_ids shard) in
     let n = Array.length ids in
@@ -96,10 +106,10 @@ let read_plan (cluster : t) ?rr shard =
         s
       | None -> 0
     in
-    List.init n (fun i -> (ids.((start + i) mod n), if n = 1 then 100 else 25))
+    List.init n (fun i -> (ids.((start + i) mod n), tries))
   end
   else
-    (Shard.primary_id shard, 100)
+    (Shard.primary_id shard, tries)
     :: List.map (fun b -> (b, 3)) (Shard.backup_ids shard)
 
 (* Piggybacked stable bounds merge into their own log's frontier. *)
@@ -133,6 +143,21 @@ let demote_slow_replicas ep plan =
         let healthy, outliers = List.partition (fun e -> not (slow e)) plan in
         healthy @ outliers)
 
+(* One shard's read, walked along the rest of its plan after the head
+   gave up or answered anything but records: [R_missing] from a backup
+   means "could not serve, could not forward". *)
+let rec read_rest ep req = function
+  | [] -> None
+  | (dst, tries) :: rest -> (
+    let g =
+      Rpc.fan_out ep [ dst ] ~round:(Engine.ms 50) ~tries
+        ~backoff:(Engine.us 50) ~size:(Proto.req_size req) req
+    in
+    ignore (Rpc.group_join g : bool);
+    match Rpc.group_reply g 0 with
+    | Some (Proto.R_records _ as resp) -> Some resp
+    | Some _ | None -> read_rest ep req rest)
+
 let read_grouped ?rr (cluster : t) ep ~shard_of positions =
   (* Batched shard read: shard ids are dense, so group positions with two
      array passes (count, then fill into a pre-sized buffer per shard)
@@ -156,7 +181,21 @@ let read_grouped ?rr (cluster : t) ep ~shard_of positions =
       bufs.(sid).(fill.(sid)) <- p;
       fill.(sid) <- fill.(sid) + 1)
     positions;
-  let calls = ref [] in
+  (* One group, one member per involved shard sent to the head of its
+     plan with the head's tries. With [hedge_floor] set (and a plan of at
+     least two replicas) the member carries a hedge: if no reply lands
+     within the adaptive deadline (lower median of the plan's latency
+     scores, floored at [hedge_floor]) a second copy races to the plan's
+     next replica, and the first reply wins. A fail-slow replica then
+     costs about one deadline, not a 50 ms timeout. *)
+  let involved =
+    Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0 counts
+  in
+  let g =
+    Rpc.group ep involved ~round:(Engine.ms 50) ~tries:(head_tries cluster)
+      ~backoff:(Engine.us 50)
+  in
+  let walks = ref [] in
   Array.iteri
     (fun sid buf ->
       if Array.length buf > 0 then begin
@@ -177,63 +216,37 @@ let read_grouped ?rr (cluster : t) ep ~shard_of positions =
               stable_hint = stable_for cluster ~log:hlog;
             }
         in
-        let iv = Ivar.create () in
-        Engine.spawn ~name:"client.read" (fun () ->
-            (* [R_missing] from a backup means "could not serve, could not
-               forward" — treat it like a timeout and move to the next
-               replica. Exhausting the whole plan fills a failure marker
-               so the caller raises instead of mistaking a dropped read
-               for an empty log. *)
-            let rec go = function
-              | [] -> Ivar.fill iv (Proto.R_missing { rids = [] })
-              | (dst, tries) :: rest -> (
-                match
-                  Rpc.call_retry ep ~dst ~size:(Proto.req_size req)
-                    ~timeout:(Engine.ms 50) ~max_tries:tries
-                    ~backoff:(Engine.us 50) req
-                with
-                | Some (Proto.R_records _ as resp) -> Ivar.fill iv resp
-                | Some _ | None -> go rest)
-            in
-            (* Hedged first attempt: send to the plan's first replica and,
-               if no response lands within the adaptive deadline (lower
-               median of the plan's observed latency scores, floored at
-               the configured [hedge_floor]), race a second copy to the
-               next replica — first R_records wins. A fail-slow replica
-               then costs about one deadline, not a 50 ms timeout. Any
-               hedged failure (both lost, or a non-record response) falls
-               back to the sequential plan walk, which starts over at the
-               plan's first replica. *)
-            let hedged =
-              match (cluster.cfg.Config.hedge_floor, plan) with
-              | Some floor, (d1, _) :: (d2, _) :: _ -> (
-                let hedge_after =
-                  Rpc.hedge_deadline ep ~dsts:(List.map fst plan) ~floor
-                in
-                match
-                  Rpc.call_hedged ep ~dsts:[ d1; d2 ]
-                    ~size:(Proto.req_size req) ~timeout:(Engine.ms 50)
-                    ~hedge_after req
-                with
-                | Some ((Proto.R_records _ as resp), _winner) -> Some resp
-                | Some _ | None -> None)
-              | _ -> None
-            in
-            match hedged with
-            | Some resp -> Ivar.fill iv resp
-            | None -> go plan);
-        calls := iv :: !calls
+        let hedge =
+          match (cluster.cfg.Config.hedge_floor, plan) with
+          | Some floor, _ :: (d2, _) :: _ ->
+            Some (d2, Rpc.hedge_deadline ep ~dsts:(List.map fst plan) ~floor)
+          | _ -> None
+        in
+        Rpc.group_call g ~dst:(fst (List.hd plan)) ~size:(Proto.req_size req)
+          ?hedge req;
+        walks := (req, List.tl plan) :: !walks
       end)
     bufs;
-  let resps = Ivar.join_all !calls in
+  ignore (Rpc.group_join g : bool);
+  (* Only a member that gave up, or answered anything but records, walks
+     the rest of its plan. Exhausting it is a failure, raised rather than
+     mistaken for an empty log. [walks] runs from the last member. *)
   let records =
-    List.concat_map
-      (function
-        | Proto.R_records { records; stable } ->
-          note_piggyback cluster stable;
-          records
-        | _ -> failwith "read_grouped: read failed on every replica of a shard")
-      resps
+    List.concat
+      (List.mapi
+         (fun i (req, rest) ->
+           let resp =
+             match Rpc.group_reply g (involved - 1 - i) with
+             | Some (Proto.R_records _) as resp -> resp
+             | Some _ | None -> read_rest ep req rest
+           in
+           match resp with
+           | Some (Proto.R_records { records; stable }) ->
+             note_piggyback cluster stable;
+             records
+           | Some _ | None ->
+             failwith "read_grouped: read failed on every replica of a shard")
+         !walks)
   in
   List.sort (fun (a, _) (b, _) -> Int.compare a b) records
 
@@ -332,11 +345,12 @@ let prefetched_read (cluster : t) pf ~fetch ~from ~len =
 let subscribe_stream (cluster : t) ep ~manager ~name ~from ~window =
   let req = Proto.St_subscribe { name; endpoint = Rpc.endpoint_id ep; from; window } in
   let rec go () =
-    match
-      Rpc.call_retry ep ~dst:manager ~size:(Proto.req_size req)
-        ~timeout:cluster.cfg.Config.append_timeout ~max_tries:25
-        ~backoff:(Engine.us 50) req
-    with
+    let g =
+      Rpc.fan_out ep [ manager ] ~round:cluster.cfg.Config.append_timeout
+        ~tries:25 ~backoff:(Engine.us 50) ~size:(Proto.req_size req) req
+    in
+    ignore (Rpc.group_join g : bool);
+    match Rpc.group_reply g 0 with
     | Some (Proto.R_sub { epoch; cursor }) -> (epoch, cursor)
     | Some _ | None ->
       Engine.sleep (Engine.ms 1);

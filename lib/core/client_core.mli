@@ -8,8 +8,8 @@ type ep = (Proto.req, Proto.resp) Rpc.endpoint
 
 val install_retry_budget : Erwin_common.t -> ep -> unit
 (** With [cfg.retry_budget], arm the endpoint's retry token bucket
-    ({!Ll_net.Rpc.Retry_budget} defaults) so its [Rpc.call_retry]
-    retries shed under sustained timeouts instead of storming. No-op
+    ({!Ll_net.Rpc.Retry_budget} defaults) so the resends of its groups
+    with rounds shed under sustained timeouts instead of storming. No-op
     when the knob is off. *)
 
 val await_view_after : Erwin_common.t -> int -> unit
@@ -37,8 +37,9 @@ val read_grouped :
   ?rr:int ref ->
   Erwin_common.t -> ep -> shard_of:(int -> Shard.t) -> int list ->
   (int * Types.record) list
-(** Reads the given positions, grouping them into one [Sh_read] per shard
-    issued in parallel; result is sorted by position. Blocks until every
+(** Reads the given positions, grouping them into one [Sh_read] per shard,
+    all sent as one {!Ll_net.Rpc.group} with retry rounds and joined once,
+    with no fiber; result is sorted by position. Blocks until every
     position is stable (fast or slow path, section 4.4).
 
     With [cfg.replica_reads] each shard's read goes to one of its replicas,
@@ -52,10 +53,12 @@ val read_grouped :
     With [cfg.hedge_floor = Some floor] (and a plan of at least two
     replicas) the plan first demotes latency outliers (replicas scoring
     over 3x the plan's median observed latency move to the back, so
-    steady-state reads avoid a fail-slow replica) and the first attempt
+    steady-state reads avoid a fail-slow replica) and the shard's member
     is hedged: a second copy races to the next replica after an adaptive
     deadline (lower median of the plan's observed latency scores, floored
-    at [floor]); any hedged failure falls back to the plan walk above. *)
+    at [floor]), and the first reply wins. A member that gives up, or
+    answers anything but records, walks the rest of its plan after the
+    join. *)
 
 val note_piggyback : Erwin_common.t -> int -> unit
 (** Max-merge a stable value piggybacked on a read response into the

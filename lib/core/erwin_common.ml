@@ -23,8 +23,8 @@ let fresh_metrics () =
     largest_batch = 0;
   }
 
-(* The per-process append batcher, as closures so [Batcher] can live in a
-   module that depends on this one (no cycle). *)
+(* A per-process, per-log append batcher, as closures so [Batcher] can
+   live in a module that depends on this one (no cycle). *)
 type batch_submit = {
   submit_entry : track:bool -> Types.entry -> [ `Ok | `Fail of int ];
       (** Enqueue one append into the open linger batch and block until its
@@ -56,7 +56,7 @@ type t = {
   mutable cur_batch : int;
   mutable order_resync : bool;
   metrics : orderer_metrics;
-  mutable append_batcher : batch_submit option;
+  append_batchers : (int, batch_submit) Hashtbl.t;  (* by log *)
   demand : Log_table.t;
   (* Tenant logs' stable frontiers, packed ([stable_gp] serves log 0:
      the benchmark reads that field). *)
@@ -100,7 +100,7 @@ let create ~cfg ~mode =
       cur_batch = min cfg.Config.min_batch cfg.Config.max_batch;
       order_resync = false;
       metrics = fresh_metrics ();
-      append_batcher = None;
+      append_batchers = Hashtbl.create 1;
       demand = Log_table.create ~default:(fun log -> Logid.base ~log);
       stable_gps = Hashtbl.create 16;
       order_wake = Waitq.create ();

@@ -30,8 +30,8 @@ type orderer_metrics = {
   mutable largest_batch : int;
 }
 
-(** The per-process append batcher (group commit), held as closures so the
-    implementing module ({!Batcher}) can depend on this one. *)
+(** A per-process, per-log append batcher (group commit), held as closures
+    so the implementing module ({!Batcher}) can depend on this one. *)
 type batch_submit = {
   submit_entry : track:bool -> Types.entry -> [ `Ok | `Fail of int ];
       (** Enqueue one append into the open linger batch and block until the
@@ -66,8 +66,9 @@ type t = {
       (** set when an in-flight batch is discarded (seal/view change);
           the orderer re-reads the leader's state once drained *)
   metrics : orderer_metrics;
-  mutable append_batcher : batch_submit option;
-      (** lazily created by {!Batcher.get} when [cfg.linger] is set *)
+  append_batchers : (int, batch_submit) Hashtbl.t;
+      (** one per log, keyed by log id, each created by {!Batcher.get} at
+          the log's first append when [cfg.linger] is set *)
   demand : Log_table.t;
       (** read-demand cursors, one per log: shards asked for binding up
           to this packed position (exclusive); max-merged by

@@ -57,7 +57,10 @@ let try_append_once (cluster : Erwin_common.t) ep ~track record shard =
        (the data RTT runs under the batch's linger + fan-out). A failed
        batch fails this attempt, and the retry re-sends data and metadata
        in lockstep — the shard stages the duplicate write idempotently. *)
-    let meta_res = (Batcher.get cluster ~linger).submit_entry ~track meta in
+    let meta_res =
+      (Batcher.get cluster ~linger ~log:record.Types.log).submit_entry ~track
+        meta
+    in
     let fail () =
       match meta_res with `Fail v -> `Fail v | `Ok -> `Fail view
     in
@@ -89,10 +92,12 @@ type map_reader = {
 }
 
 let fetch_map_chunk r dst ~tries req =
-  match
-    Rpc.call_retry r.m_ep ~dst ~size:(Proto.req_size req)
-      ~timeout:(Engine.ms 50) ~max_tries:tries ~backoff:(Engine.us 50) req
-  with
+  let g =
+    Rpc.fan_out r.m_ep [ dst ] ~round:(Engine.ms 50) ~tries
+      ~backoff:(Engine.us 50) ~size:(Proto.req_size req) req
+  in
+  ignore (Rpc.group_join g : bool);
+  match Rpc.group_reply g 0 with
   | Some (Proto.R_map { chunk; stable }) ->
     Client_core.note_piggyback r.m_cluster stable;
     Some chunk

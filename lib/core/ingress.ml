@@ -20,9 +20,11 @@ open Ll_sim
      the credit covers their cost. Cost left over carries to its next
      round; an emptied queue forfeits it.
 
-   Control-plane traffic (seals, GC, view installs, reads of replicated
-   state) bypasses the scheduler entirely and keeps the default FIFO
-   path. *)
+   Control-plane traffic (tail checks, ordering waits, seals, view
+   installs, cursor syncs) is one FIFO class served ahead of the tenant
+   queues on the same fiber: the replica has a single CPU, so a request
+   that arrives during an append's service starts only when that service
+   ends. *)
 
 type tenant = {
   log : int;
@@ -39,6 +41,7 @@ type t = {
   replica : int;  (* fabric node id, for probe events *)
   tenants : (int, tenant) Hashtbl.t;
   active : int Queue.t;  (* DRR round: logs with queued work *)
+  control : (unit -> unit) Queue.t;  (* control-plane serve thunks, FIFO *)
   work : Waitq.t;
 }
 
@@ -74,32 +77,44 @@ let enqueue t ten cost thunk =
     Waitq.broadcast t.work
   end
 
-(* One DRR service fiber per endpoint: replenish the head tenant's
-   deficit, drain its queue while the credit lasts (each thunk blocks for
-   its service time — the replica's single CPU), then rotate. *)
+let serve_control t =
+  while not (Queue.is_empty t.control) do
+    (Queue.pop t.control) ()
+  done
+
+(* One service fiber per endpoint, the replica's single CPU (each thunk
+   blocks for its service time): serve the control plane first, then
+   replenish the head tenant's deficit, drain its queue while the credit
+   lasts, still serving any control request that arrived first, and
+   rotate. *)
 let drain_loop t () =
   let rec loop () =
-    Waitq.await t.work (fun () -> not (Queue.is_empty t.active));
-    let log = Queue.pop t.active in
-    let ten = Hashtbl.find t.tenants log in
-    ten.deficit <- ten.deficit + (t.params.Config.quantum * ten.weight);
-    let stop = ref false in
-    while not !stop do
-      match Queue.peek_opt ten.queue with
-      | None -> stop := true
-      | Some (cost, _) when cost > ten.deficit -> stop := true
-      | Some (cost, thunk) ->
-        ignore (Queue.pop ten.queue);
-        ten.deficit <- ten.deficit - cost;
-        thunk ()
-    done;
-    if Queue.is_empty ten.queue then begin
-      (* An idle tenant must not hoard credit: deficit carries across
-         rounds only while backlogged, the classic DRR rule. *)
-      ten.in_active <- false;
-      ten.deficit <- 0
-    end
-    else Queue.push log t.active;
+    Waitq.await t.work (fun () ->
+        not (Queue.is_empty t.active && Queue.is_empty t.control));
+    serve_control t;
+    if not (Queue.is_empty t.active) then begin
+      let log = Queue.pop t.active in
+      let ten = Hashtbl.find t.tenants log in
+      ten.deficit <- ten.deficit + (t.params.Config.quantum * ten.weight);
+      let stop = ref false in
+      while not !stop do
+        match Queue.peek_opt ten.queue with
+        | None -> stop := true
+        | Some (cost, _) when cost > ten.deficit -> stop := true
+        | Some (cost, thunk) ->
+          ignore (Queue.pop ten.queue);
+          ten.deficit <- ten.deficit - cost;
+          serve_control t;
+          thunk ()
+      done;
+      if Queue.is_empty ten.queue then begin
+        (* An idle tenant must not hoard credit: deficit carries across
+           rounds only while backlogged, the classic DRR rule. *)
+        ten.in_active <- false;
+        ten.deficit <- 0
+      end
+      else Queue.push log t.active
+    end;
     loop ()
   in
   loop ()
@@ -127,6 +142,7 @@ let install params ~view ep =
       replica = Ll_net.Rpc.endpoint_id ep;
       tenants = Hashtbl.create 64;
       active = Queue.create ();
+      control = Queue.create ();
       work = Waitq.create ();
     }
   in
@@ -137,15 +153,16 @@ let install params ~view ep =
       let log =
         match (req : Proto.req) with
         | Proto.Sr_append { entries = e :: _; _ } ->
-          (* A linger batch is classified by its first entry: the batcher
-             is per-client-process, so mixed-log batches only arise when a
-             process multiplexes tenants — they are accounted to the
-             first. *)
+          (* A linger batch holds one log's entries (one batcher per
+             log), so its first entry names the tenant. *)
           Some (Types.entry_log e)
         | _ -> None
       in
       match log with
-      | None -> false  (* control plane: default FIFO path *)
+      | None ->
+        Queue.push (fun () -> Ll_net.Rpc.serve ep ~src req ~reply) t.control;
+        Waitq.broadcast t.work;
+        true
       | Some log ->
         let ten = tenant t log in
         if Queue.length ten.queue < params.Config.queue_bound then begin

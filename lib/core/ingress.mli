@@ -9,11 +9,12 @@
     by deficit round robin so service capacity divides by configured
     weight ({!Config.ingress}) instead of arrival rate.
 
-    Only data-plane appends ([Sr_append], one entry or a batch) are
-    scheduled; all other traffic falls through to the default FIFO path
-    unchanged. Installed only when [fair_ingress] is set — with it [None]
-    no scheduler exists and the replica keeps its FIFO ingress,
-    byte-identically. *)
+    Data-plane appends ([Sr_append], one entry or a batch) are scheduled
+    per tenant; every other request is one FIFO class served ahead of the
+    tenant queues by the same drain fiber, so the replica still serves
+    one request at a time. Installed only when [fair_ingress] is set —
+    with it [None] no scheduler exists and the replica keeps its FIFO
+    ingress, byte-identically. *)
 
 type t
 

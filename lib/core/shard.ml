@@ -12,8 +12,8 @@ type replica = {
          to the device) here; binding later only updates the position
          index in memory *)
   mutable journal_pos : int;
-  staging : (Types.Rid.t, Types.record) Hashtbl.t;
-  staged_at : (Types.Rid.t, Engine.time) Hashtbl.t;
+  staging : (Types.Rid.t, Types.record * Engine.time) Hashtbl.t;
+      (* each staged record and when it was staged, for the scrubber *)
   nooped : (Types.Rid.t, unit) Hashtbl.t;
   staging_watch : Waitq.t;
   map_log : int Mem_log.t;  (* position -> shard id *)
@@ -73,10 +73,8 @@ let unbind_log r from =
   in
   List.iter
     (fun (gp, (rec_ : Types.record)) ->
-      if not (Types.is_no_op rec_) then begin
-        Hashtbl.replace r.staging rec_.Types.rid rec_;
-        Hashtbl.replace r.staged_at rec_.Types.rid (Engine.now ())
-      end;
+      if not (Types.is_no_op rec_) then
+        Hashtbl.replace r.staging rec_.Types.rid (rec_, Engine.now ());
       Flushed_store.remove r.store ~pos:gp)
     (Flushed_store.entries_from r.store ~upto from);
   Mem_log.remove_range r.map_log ~from ~upto
@@ -128,9 +126,8 @@ let resolve_binding cfg r rid =
          ~timeout:cfg.Config.data_wait_timeout found
         : bool);
   match Hashtbl.find_opt r.staging rid with
-  | Some rec_ ->
+  | Some (rec_, _) ->
     Hashtbl.remove r.staging rid;
-    Hashtbl.remove r.staged_at rid;
     rec_
   | None ->
     Hashtbl.replace r.nooped rid ();
@@ -181,21 +178,19 @@ let read_log ~max_pos = if max_pos < 0 then 0 else Logid.log_of max_pos
 (* Read-triggered eager binding (the lazy-ordering contract of sections
    4.2/5.2): a read parked beyond stable asks the sequencing layer to bind
    up to it now instead of waiting out the background cadence. Fire and
-   forget from a fresh fiber — the reader itself keeps waiting on the
-   stable watch and is woken by the resulting stable push. *)
+   forget, as a group with rounds that nothing joins — the reader itself
+   keeps waiting on the stable watch and is woken by the resulting
+   stable push. *)
 let demand_bind t ~upto =
   match t.demand_target with
   | Some dst
     when t.cfg.Config.read_demand
          && upto > stable_for t.primary ~log:(read_log ~max_pos:(upto - 1)) ->
-    let r = t.primary in
-    Engine.spawn ~name:(Printf.sprintf "shard%d.demand" t.sid) (fun () ->
-        ignore
-          (Rpc.call_retry r.ep ~dst
-             ~size:(Proto.req_size (Proto.Sr_order_demand { upto }))
-             ~timeout:(Engine.ms 5) ~max_tries:10
-             (Proto.Sr_order_demand { upto })
-            : Proto.resp option))
+    let req = Proto.Sr_order_demand { upto } in
+    ignore
+      (Rpc.fan_out t.primary.ep [ dst ] ~round:(Engine.ms 5) ~tries:10
+         ~size:(Proto.req_size req) req
+        : (Proto.req, Proto.resp) Rpc.group)
   | _ -> ()
 
 (* Send [req] to every backup as one group, retried on loss, and wait
@@ -216,8 +211,7 @@ let data_write r (record : Types.record) ~reply =
   else begin
     (* A retry of an already-staged rid must not hit the device again. *)
     let fresh = not (Hashtbl.mem r.staging record.rid) in
-    Hashtbl.replace r.staging record.rid record;
-    Hashtbl.replace r.staged_at record.rid (Engine.now ());
+    Hashtbl.replace r.staging record.rid (record, Engine.now ());
     Waitq.broadcast r.staging_watch;
     (* Durability: the staged bytes go to the device (with
        backpressure); the ack is sent once journaled. *)
@@ -348,10 +342,12 @@ let handle_primary t ~src:_ (req : Proto.req) ~reply =
    exhaustion it fails the read explicitly ([R_missing]) so the client
    retries on another replica instead of seeing an empty log. *)
 let forward_to_primary t r req ~reply ~on_resp =
-  match
-    Rpc.call_retry r.ep ~dst:(primary_id t) ~size:(Proto.req_size req)
-      ~timeout:(Engine.ms 50) ~max_tries:2 req
-  with
+  let g =
+    Rpc.fan_out r.ep [ primary_id t ] ~round:(Engine.ms 50) ~tries:2
+      ~size:(Proto.req_size req) req
+  in
+  ignore (Rpc.group_join g : bool);
+  match Rpc.group_reply g 0 with
   | Some resp ->
     on_resp resp;
     Proto.answer reply resp
@@ -373,14 +369,12 @@ let handle_backup t r ~src:_ (req : Proto.req) ~reply =
           if List.exists (Types.Rid.equal rid) noops then begin
             Hashtbl.replace r.nooped rid ();
             Hashtbl.remove r.staging rid;
-            Hashtbl.remove r.staged_at rid;
             Some (gp, Types.no_op)
           end
           else
             match Hashtbl.find_opt r.staging rid with
-            | Some rec_ ->
+            | Some (rec_, _) ->
               Hashtbl.remove r.staging rid;
-              Hashtbl.remove r.staged_at rid;
               Some (gp, rec_)
             | None ->
               missing := rid :: !missing;
@@ -496,7 +490,6 @@ let make_replica cfg fabric ~name =
         ~dirty_limit_bytes:cfg.Config.dirty_limit_bytes ();
     journal_pos = 0;
     staging = Hashtbl.create 256;
-    staged_at = Hashtbl.create 256;
     nooped = Hashtbl.create 64;
     staging_watch = Waitq.create ();
     map_log = Mem_log.create ();
@@ -569,8 +562,7 @@ let replace_backup t ~index =
   in
   copy (Flushed_store.entries src.store);
   (* Unordered (staged) records and the map log come along too. *)
-  Hashtbl.iter (fun rid r -> Hashtbl.replace fresh.staging rid r) src.staging;
-  Hashtbl.iter (fun rid at -> Hashtbl.replace fresh.staged_at rid at) src.staged_at;
+  Hashtbl.iter (fun rid e -> Hashtbl.replace fresh.staging rid e) src.staging;
   Hashtbl.iter (fun rid () -> Hashtbl.replace fresh.nooped rid ()) src.nooped;
   Mem_log.iter src.map_log ~from:0 (Mem_log.set fresh.map_log);
   (* The copied prefix is readable on the fresh replica right away. *)
@@ -594,15 +586,11 @@ let start_scrubber t ~age ~every =
   let scrub r =
     let doomed =
       Hashtbl.fold
-        (fun rid at acc ->
+        (fun rid (_, at) acc ->
           if Engine.now () - at > age then rid :: acc else acc)
-        r.staged_at []
+        r.staging []
     in
-    List.iter
-      (fun rid ->
-        Hashtbl.remove r.staging rid;
-        Hashtbl.remove r.staged_at rid)
-      doomed
+    List.iter (Hashtbl.remove r.staging) doomed
   in
   Engine.spawn ~name:(Printf.sprintf "shard%d.scrubber" t.sid) (fun () ->
       let rec loop () =

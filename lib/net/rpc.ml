@@ -349,10 +349,17 @@ let remove_at t i =
   t.pn <- t.pn - 1;
   (!j - i) land mask
 
-let drop_pending t token =
+(* Drop a pending call. [censored] scores the time it has taken so far
+   as a sample of its peer's latency, a lower bound. *)
+let drop_pending ?(censored = false) t token =
   if t.pn > 0 then begin
     let i = probe t token in
-    if t.pk.(3 * i) = token then ignore (remove_at t i : int)
+    if t.pk.(3 * i) = token then begin
+      if censored then
+        note_sample t (dst_of t.pk.((3 * i) + 2))
+          (Engine.now () - t.pk.((3 * i) + 1));
+      ignore (remove_at t i : int)
+    end
   end
 
 (* Register a pending call and send its request; returns the token. *)
@@ -364,35 +371,56 @@ let send_call t ~dst ~size member v req =
   Fabric.send t.fabric ~src:t.node ~dst ~size (Request (token, req));
   token
 
-(* A retry needs a token from the budget, if any; a refusal is shed. *)
-let may_retry = function
-  | Some b when not (Retry_budget.try_withdraw b) ->
-    (ctrs ()).c_shed <- (ctrs ()).c_shed + 1;
-    false
-  | _ -> true
-
 (* ---------- group calls ---------- *)
 
-(* A retrying group's requests, kept to resend them, and its round
-   clock. [r_tick] runs where a fiber per member running {!call_retry}
-   would have started (the first round), timed out (the deadline marks
-   the round expired and schedules a resend), resent, or taken the reply
-   that completes the group (and woken the waiter). *)
+(* A retrying group's requests, kept to resend them, and each member's
+   retry state at stride [stride] in [r_m]: destination, request size,
+   tries sent, phase and the instant its phase ends. A member with a
+   hedge has its hedge's token, destination and delay at stride 3 in
+   [r_hedges], which is empty until the first hedge is given. The timer
+   [r_fire] is kept at the earliest instant any member waits for, and
+   [round_step] runs one event after it: these are the events of a fiber
+   per member that started at the first round, resumed one event after
+   its hedge instant or deadline, slept out a backoff, and took the
+   reply that completes the group one event before waking the waiter. *)
 type rounds = {
   r_tries : int;
   r_length : Engine.time;
-  r_calls : Obj.t array;  (* each member's (dst, size, request) *)
-  mutable r_sent : int;  (* rounds sent *)
+  r_backoff : Engine.time;
+  r_calls : Obj.t array;  (* each member's request *)
+  r_m : int array;
+  mutable r_hedges : int array;
   mutable r_failed : int;  (* members that gave up unanswered *)
-  mutable r_expired : bool;
   mutable r_timer : Engine.timer;
-  mutable r_tick : unit -> unit;
+  mutable r_at : Engine.time;  (* when [r_timer] fires, [max_int] if unarmed *)
+  mutable r_fire : unit -> unit;
 }
+
+let stride = 5
+let m_dst = 0
+let m_size = 1
+let m_sent = 2
+let m_phase = 3
+let m_due = 4
+
+(* Phases 1-3 wait for [m_due]; replies count in phases 2-4. *)
+let ph_idle = 0 (* the first round is still to go out *)
+let ph_backoff = 1 (* [m_due] is the resend *)
+let ph_hedge = 2 (* in flight; [m_due] is the hedge instant *)
+let ph_wait = 3 (* in flight; [m_due] is the deadline *)
+let ph_hedge_due = 4 (* the hedge goes out at the next step *)
+let ph_expired = 5 (* past its deadline, dropped at the next step *)
+let ph_done = 6 (* replied or gave up *)
 
 (* The rounds of every group that does not retry; never mutated. *)
 let once =
-  { r_tries = 1; r_length = 0; r_calls = [||]; r_sent = 0; r_failed = 0;
-    r_expired = false; r_timer = Engine.no_timer; r_tick = ignore }
+  { r_tries = 1; r_length = 0; r_backoff = 0; r_calls = [||]; r_m = [||];
+    r_hedges = [||]; r_failed = 0; r_timer = Engine.no_timer; r_at = max_int;
+    r_fire = ignore }
+
+(* Member [m]'s hedge token, [no_call] unless its hedge is in flight. *)
+let twin r m =
+  if Array.length r.r_hedges = 0 then no_call else r.r_hedges.(3 * m)
 
 (* A group is one fan-out and its join: each member's reply lands in
    [g_replies] (call order), and only the reply that completes the group
@@ -401,7 +429,7 @@ let once =
 type ('req, 'resp) group = {
   g_ep : ('req, 'resp) endpoint;
   g_replies : Obj.t array;  (* [no_reply] until the member answers *)
-  g_tokens : int array;  (* [no_call] before its send and once it gave up *)
+  g_tokens : int array;  (* [no_call] before its send and once dropped *)
   mutable g_count : int;
   mutable g_waiter : Obj.t;  (* the awaiting fiber's bool waker *)
   g_rounds : rounds;
@@ -411,70 +439,184 @@ let no_reply = Obj.repr (ref ())
 let need_one = 1 lsl member_bits
 let called g = g.g_count land (need_one - 1)
 
+(* Drop member [m]'s calls still pending, its hedge's too; the number
+   dropped. *)
+let drop_calls g m =
+  let r = g.g_rounds and n = ref 0 in
+  if g.g_tokens.(m) <> no_call then begin
+    drop_pending g.g_ep g.g_tokens.(m);
+    g.g_tokens.(m) <- no_call;
+    incr n
+  end;
+  if twin r m <> no_call then begin
+    drop_pending g.g_ep (twin r m);
+    r.r_hedges.(3 * m) <- no_call;
+    incr n
+  end;
+  !n
+
 (* Stop the round clock, drop the calls still pending (beyond a need,
    or after an expired await) and wake the waiter, if any. *)
 let group_stop g =
-  let r = g.g_rounds in
-  if r != once then ignore (Engine.cancel r.r_timer : bool);
+  if g.g_rounds != once then ignore (Engine.cancel g.g_rounds.r_timer : bool);
   for m = 0 to Array.length g.g_tokens - 1 do
-    if g.g_replies.(m) == no_reply && g.g_tokens.(m) <> no_call then
-      drop_pending g.g_ep g.g_tokens.(m)
+    if g.g_replies.(m) == no_reply then ignore (drop_calls g m : int)
   done;
   if g.g_waiter != unit_obj then
     ignore (Engine.wake (Obj.obj g.g_waiter : bool Engine.waker) true : bool)
 
-(* A reply from an expired round is ignored: its call timed out. *)
-let group_reply_in g member resp =
-  let r = g.g_rounds in
-  if g.g_replies.(member) == no_reply && not r.r_expired then begin
-    g.g_replies.(member) <- Obj.repr resp;
-    g.g_count <- g.g_count - need_one;
-    if g.g_count < need_one then
-      if r == once then group_stop g else Engine.call_after 0 r.r_tick
+(* Keep the timer at the earliest instant a member waits for. *)
+let arm r =
+  let at = ref max_int in
+  for m = 0 to Array.length r.r_calls - 1 do
+    let ph = r.r_m.((stride * m) + m_phase) in
+    if ph >= ph_backoff && ph <= ph_wait then
+      at := min !at r.r_m.((stride * m) + m_due)
+  done;
+  if !at <> r.r_at then begin
+    ignore (Engine.cancel r.r_timer : bool);
+    r.r_at <- !at;
+    if !at < max_int then
+      r.r_timer <- Engine.timer_after (!at - Engine.now ()) r.r_fire
   end
 
-(* From the second round on, an unanswered member's call is dropped and
-   counted as timed out, then resent as a retry while tries remain and
-   the budget allows, or else given up. *)
-let send_round g =
-  let r = g.g_rounds and ep = g.g_ep and c = ctrs () in
-  let retry = r.r_sent > 0 in
-  if called g < Array.length g.g_tokens then
-    invalid_arg "Rpc.group: members left uncalled";
-  r.r_expired <- false;
-  r.r_timer <- Engine.no_timer;
-  for m = 0 to Array.length g.g_tokens - 1 do
-    let token = g.g_tokens.(m) in
-    if g.g_replies.(m) == no_reply && (token <> no_call || not retry) then begin
-      if retry then begin
-        drop_pending ep token;
-        c.c_timeouts <- c.c_timeouts + 1
-      end;
-      if r.r_sent = r.r_tries || (retry && not (may_retry ep.budget)) then begin
-        g.g_tokens.(m) <- no_call;
-        r.r_failed <- r.r_failed + 1;
-        g.g_count <- g.g_count - need_one
-      end
-      else begin
-        if retry then c.c_retries <- c.c_retries + 1
-        else Option.iter Retry_budget.deposit ep.budget;
-        let dst, size, req = Obj.obj r.r_calls.(m) in
-        g.g_tokens.(m) <- send_call ep ~dst ~size m (Obj.repr g) req;
-        if r.r_timer = Engine.no_timer then
-          r.r_timer <- Engine.timer_after r.r_length r.r_tick
-      end
-    end
-  done;
-  r.r_sent <- r.r_sent + 1;
-  if g.g_count < need_one then group_stop g
-
-let tick g =
-  let r = g.g_rounds in
-  if g.g_count < need_one then group_stop g
-  else if r.r_sent = 0 || r.r_expired then send_round g
+(* Send member [m]'s request; a hedge whose delay falls inside the round
+   is due first. *)
+let send_member g m =
+  let r = g.g_rounds and j = stride * m in
+  g.g_tokens.(m) <-
+    send_call g.g_ep ~dst:r.r_m.(j + m_dst) ~size:r.r_m.(j + m_size) m
+      (Obj.repr g) (Obj.obj r.r_calls.(m));
+  r.r_m.(j + m_sent) <- r.r_m.(j + m_sent) + 1;
+  let hedged =
+    Array.length r.r_hedges > 0 && r.r_hedges.((3 * m) + 1) >= 0
+  in
+  if hedged && r.r_hedges.((3 * m) + 2) < r.r_length then begin
+    r.r_m.(j + m_phase) <- ph_hedge;
+    r.r_m.(j + m_due) <- Engine.now () + r.r_hedges.((3 * m) + 2)
+  end
   else begin
-    r.r_expired <- true;
-    Engine.call_after 0 r.r_tick
+    r.r_m.(j + m_phase) <- ph_wait;
+    r.r_m.(j + m_due) <- Engine.now () + r.r_length
+  end
+
+let give_up g m =
+  let r = g.g_rounds in
+  r.r_m.((stride * m) + m_phase) <- ph_done;
+  r.r_failed <- r.r_failed + 1;
+  g.g_count <- g.g_count - need_one
+
+(* A retry needs a token from the endpoint's budget, if any; a refusal
+   is shed and the member gives up. *)
+let retry g m =
+  let c = ctrs () in
+  match g.g_ep.budget with
+  | Some b when not (Retry_budget.try_withdraw b) ->
+    c.c_shed <- c.c_shed + 1;
+    give_up g m
+  | _ ->
+    c.c_retries <- c.c_retries + 1;
+    send_member g m
+
+(* Drop the expired member's calls, counted as timed out, then resend,
+   back off or give up once its tries are spent. After try [n] a backoff
+   waits [base / 2 + jitter], [base = backoff * 2^min(n-1, 6)], the
+   jitter uniform below [base] and drawn from the engine's RNG. *)
+let expire g m =
+  let r = g.g_rounds and c = ctrs () and j = stride * m in
+  c.c_timeouts <- c.c_timeouts + drop_calls g m;
+  let sent = r.r_m.(j + m_sent) in
+  if sent >= r.r_tries then give_up g m
+  else if r.r_backoff > 0 then begin
+    let base = r.r_backoff * (1 lsl min (sent - 1) 6) in
+    let jitter = Random.State.int (Engine.random_state ()) (max 1 base) in
+    r.r_m.(j + m_phase) <- ph_backoff;
+    r.r_m.(j + m_due) <- Engine.now () + (base / 2) + jitter
+  end
+  else retry g m
+
+let settle g =
+  if g.g_count < need_one then group_stop g else arm g.g_rounds
+
+let round_step g =
+  let r = g.g_rounds and ep = g.g_ep and c = ctrs () in
+  if g.g_count >= need_one then
+    for m = 0 to Array.length g.g_tokens - 1 do
+      let j = stride * m in
+      let ph = r.r_m.(j + m_phase) in
+      if ph = ph_idle then begin
+        if called g < Array.length g.g_tokens then
+          invalid_arg "Rpc.group: members left uncalled";
+        Option.iter Retry_budget.deposit ep.budget;
+        send_member g m
+      end
+      else if ph = ph_expired then expire g m
+      else if ph = ph_hedge_due then begin
+        c.c_hedges_fired <- c.c_hedges_fired + 1;
+        r.r_hedges.(3 * m) <-
+          send_call ep ~dst:r.r_hedges.((3 * m) + 1) ~size:r.r_m.(j + m_size)
+            m (Obj.repr g) (Obj.obj r.r_calls.(m));
+        r.r_m.(j + m_phase) <- ph_wait;
+        r.r_m.(j + m_due) <-
+          Engine.now () - r.r_hedges.((3 * m) + 2) + r.r_length
+      end
+    done;
+  settle g
+
+(* The step one event on: [round_step] rides in the event itself, so
+   scheduling it makes no closure. *)
+let next_step g = Engine.call_at_with (Engine.now ()) round_step g
+
+(* The timer: a hedge instant or a deadline is handled at the next
+   step; a backoff that ended resends now. *)
+let round_fire g =
+  let r = g.g_rounds and now = Engine.now () and step = ref false in
+  r.r_at <- max_int;
+  for m = 0 to Array.length g.g_tokens - 1 do
+    let j = stride * m in
+    let ph = r.r_m.(j + m_phase) in
+    if ph >= ph_backoff && ph <= ph_wait && r.r_m.(j + m_due) <= now then
+      if ph = ph_backoff then retry g m
+      else begin
+        r.r_m.(j + m_phase) <-
+          (if ph = ph_hedge then ph_hedge_due else ph_expired);
+        step := true
+      end
+  done;
+  if !step then next_step g;
+  settle g
+
+(* The first reply fills the member. A reply from an expired round is
+   ignored, as a timed-out call's is. The member's other call still in
+   flight, its hedge or the call the hedge raced, is dropped; when the
+   hedge won, the call it beat is scored with the time it had taken (a
+   censored sample), so a fail-slow peer that always loses the race
+   still scores slow. *)
+let group_reply_in g member token resp =
+  let r = g.g_rounds and j = stride * member in
+  if
+    g.g_replies.(member) == no_reply
+    && (r == once
+       || (r.r_m.(j + m_phase) >= ph_hedge
+          && r.r_m.(j + m_phase) <= ph_hedge_due))
+  then begin
+    g.g_replies.(member) <- Obj.repr resp;
+    g.g_count <- g.g_count - need_one;
+    if r != once then begin
+      r.r_m.(j + m_phase) <- ph_done;
+      let twin = twin r member in
+      if twin <> no_call then begin
+        r.r_hedges.(3 * member) <- no_call;
+        if token = twin then begin
+          (ctrs ()).c_hedges_won <- (ctrs ()).c_hedges_won + 1;
+          drop_pending ~censored:true g.g_ep g.g_tokens.(member)
+        end
+        else drop_pending g.g_ep twin
+      end
+    end;
+    if g.g_count >= need_one then (if r != once then arm r)
+    else if r == once then group_stop g
+    else next_step g
   end
 
 (* ---------- the receive path ---------- *)
@@ -632,7 +774,7 @@ let complete t token resp =
       note_sample t (dst_of d) (Engine.now () - sent);
       let member = member_of d in
       if member = lone then ignore (Ivar.try_fill (Obj.obj v) resp : bool)
-      else group_reply_in (Obj.obj v) member resp
+      else group_reply_in (Obj.obj v) member token resp
     end
   end
 
@@ -739,10 +881,12 @@ let call t ~dst ?(size = 64) req =
   ignore (send_call t ~dst ~size lone (Obj.repr iv) req : int);
   Ivar.read iv
 
-(* Shared timeout tail: on expiry the pending entry is dropped so a storm
-   of timed-out calls cannot grow the token table (a late response then
-   finds no entry and is ignored — and contributes no latency sample). *)
-let wait_or_expire t token iv ~timeout =
+(* On expiry the pending entry is dropped so a storm of timed-out calls
+   cannot grow the token table (a late response then finds no entry and
+   is ignored, and contributes no latency sample). *)
+let call_timeout t ~dst ?(size = 64) ~timeout req =
+  let iv = Ivar.create () in
+  let token = send_call t ~dst ~size lone (Obj.repr iv) req in
   match Ivar.read_timeout iv ~timeout with
   | Some _ as r -> r
   | None ->
@@ -750,16 +894,11 @@ let wait_or_expire t token iv ~timeout =
     (ctrs ()).c_timeouts <- (ctrs ()).c_timeouts + 1;
     None
 
-let call_timeout t ~dst ?(size = 64) ~timeout req =
-  let iv = Ivar.create () in
-  let token = send_call t ~dst ~size lone (Obj.repr iv) req in
-  wait_or_expire t token iv ~timeout
-
 let pending_calls t = t.pn
 
 let table_steps () = (ctrs ()).c_table_steps
 
-let group ?need ?tries ?round t n =
+let group ?need ?tries ?round ?(backoff = 0) t n =
   if n < 0 || n >= need_one - 1 then invalid_arg "Rpc.group: size out of range";
   let need = Option.value need ~default:n in
   if need < 0 || need > n || (need < n && round <> None) then
@@ -769,35 +908,48 @@ let group ?need ?tries ?round t n =
     | None -> once
     | Some len ->
       { once with r_tries = Option.value tries ~default:1; r_length = len;
-        r_calls = Array.make n unit_obj }
+        r_backoff = backoff; r_calls = Array.make n unit_obj;
+        r_m = Array.make (stride * n) 0 }
   in
   let g =
     { g_ep = t; g_replies = Array.make n no_reply;
       g_tokens = Array.make n no_call; g_count = need * need_one;
       g_waiter = unit_obj; g_rounds = r }
   in
-  if r != once then r.r_tick <- (fun () -> tick g);
+  if r != once then r.r_fire <- (fun () -> round_fire g);
   g
 
-let group_call g ~dst ?(size = 64) req =
+let group_call g ~dst ?(size = 64) ?hedge req =
   let m = called g and r = g.g_rounds in
   if m >= Array.length g.g_tokens then invalid_arg "Rpc.group_call: group full";
   g.g_count <- g.g_count + 1;
-  if r == once then
+  if r == once then begin
+    if hedge <> None then invalid_arg "Rpc.group_call: a hedge needs rounds";
     g.g_tokens.(m) <- send_call g.g_ep ~dst ~size m (Obj.repr g) req
+  end
   else begin
-    r.r_calls.(m) <- Obj.repr (dst, size, req);
-    if m = 0 then Engine.call_after 0 r.r_tick
+    r.r_calls.(m) <- Obj.repr req;
+    r.r_m.((stride * m) + m_dst) <- dst;
+    r.r_m.((stride * m) + m_size) <- size;
+    (match hedge with
+    | Some (d2, after) ->
+      (* [-1]: no token, no destination. *)
+      if Array.length r.r_hedges = 0 then
+        r.r_hedges <- Array.make (3 * Array.length r.r_calls) (-1);
+      r.r_hedges.((3 * m) + 1) <- d2;
+      r.r_hedges.((3 * m) + 2) <- after
+    | None -> ());
+    if m = 0 then next_step g
   end
 
-let fan_out ?need ?tries ?round t dsts ?size req =
-  let g = group ?need ?tries ?round t (List.length dsts) in
+let fan_out ?need ?tries ?round ?backoff t dsts ?size req =
+  let g = group ?need ?tries ?round ?backoff t (List.length dsts) in
   List.iter (fun dst -> group_call g ~dst ?size req) dsts;
   g
 
 (* One suspension and one deadline for the whole group. On expiry every
    member still unanswered is dropped from the pending table, as
-   [wait_or_expire] does for a lone call, so a fan-out to a crashed
+   {!call_timeout} does for a lone call, so a fan-out to a crashed
    replica leaves no entry behind. *)
 let group_await g ~timeout =
   if called g < Array.length g.g_tokens || g.g_rounds != once then
@@ -831,103 +983,6 @@ let group_for_all g p =
         (r == no_reply || p (Obj.obj r)) && go (m + 1))
   in
   g.g_count < need_one && g.g_rounds.r_failed = 0 && go 0
-
-let call_retry t ~dst ?size ?(timeout = Engine.ms 1) ?(max_tries = 3)
-    ?(backoff = 0) ?budget req =
-  let budget = match budget with Some _ as b -> b | None -> t.budget in
-  Option.iter Retry_budget.deposit budget;
-  (* Exponential backoff with jitter between retries: attempt [n] sleeps
-     [backoff * 2^min(n,6) / 2 + jitter], jitter uniform in the same
-     range. Drawn from the engine's RNG, so deterministic per seed. *)
-  let rec go attempt =
-    if attempt >= max_tries || (attempt > 0 && not (may_retry budget)) then
-      None
-    else begin
-      if attempt > 0 then (ctrs ()).c_retries <- (ctrs ()).c_retries + 1;
-      match call_timeout t ~dst ?size ~timeout req with
-      | Some _ as r -> r
-      | None ->
-        if backoff > 0 && attempt < max_tries - 1 then begin
-          let base = backoff * (1 lsl min attempt 6) in
-          let jitter =
-            Random.State.int (Engine.random_state ()) (max 1 base)
-          in
-          Engine.sleep ((base / 2) + jitter)
-        end;
-        go (attempt + 1)
-    end
-  in
-  go 0
-
-let call_hedged t ~dsts ?(size = 64) ~timeout ~hedge_after req =
-  match dsts with
-  | [] -> invalid_arg "Rpc.call_hedged: no destinations"
-  | [ d ] -> (
-    match call_timeout t ~dst:d ~size ~timeout req with
-    | Some r -> Some (r, d)
-    | None -> None)
-  | d1 :: d2 :: _ ->
-    let result = Ivar.create () in
-    (* [hedge_go] carries the hedging decision: filled [true] by the
-       deadline timer (or by an early primary failure — immediate
-       failover), [false] by a win (no hedge needed). The hedge fiber is
-       spawned up front and blocks on it, because the deadline fires in a
-       bare timer callback where spawning/blocking is off-limits. *)
-    let hedge_go = Ivar.create () in
-    (* In-flight attempts; [hedge_pending] is true while the hedge fiber
-       might still launch an attempt. Only when both reach quiescence with
-       no winner may the call conclude [None]. *)
-    let outstanding = ref 1 in
-    let hedge_pending = ref true in
-    let tok = ref Engine.no_timer in
-    let finish dst resp =
-      if Ivar.try_fill result (Some (resp, dst)) then begin
-        ignore (Engine.cancel !tok : bool);
-        ignore (Ivar.try_fill hedge_go false : bool);
-        if dst = d2 then begin
-          let c = ctrs () in
-          c.c_hedges_won <- c.c_hedges_won + 1
-        end
-      end
-    in
-    let check_done () =
-      if !outstanding = 0 && not !hedge_pending then
-        ignore (Ivar.try_fill result None : bool)
-    in
-    let attempt_failed () =
-      decr outstanding;
-      (* Fail over early: a dead primary should not wait out the hedge
-         deadline. If the timer already fired, the hedge fiber owns the
-         decision and [check_done] stays a no-op until it resolves. *)
-      ignore (Ivar.try_fill hedge_go true : bool);
-      check_done ()
-    in
-    Engine.spawn ~name:"rpc.hedge" (fun () ->
-        if Ivar.read hedge_go && not (Ivar.is_full result) then begin
-          let c = ctrs () in
-          c.c_hedges_fired <- c.c_hedges_fired + 1;
-          incr outstanding;
-          let iv = Ivar.create () in
-          let token = send_call t ~dst:d2 ~size lone (Obj.repr iv) req in
-          (match wait_or_expire t token iv ~timeout with
-          | Some r -> finish d2 r
-          | None -> decr outstanding);
-          hedge_pending := false;
-          check_done ()
-        end
-        else begin
-          hedge_pending := false;
-          check_done ()
-        end);
-    Engine.spawn ~name:"rpc.hedge-primary" (fun () ->
-        let iv = Ivar.create () in
-        let token = send_call t ~dst:d1 ~size lone (Obj.repr iv) req in
-        match wait_or_expire t token iv ~timeout with
-        | Some r -> finish d1 r
-        | None -> attempt_failed ());
-    tok := Engine.timer_after hedge_after (fun () ->
-        ignore (Ivar.try_fill hedge_go true : bool));
-    Ivar.read result
 
 let send_oneway t ~dst ?(size = 64) req =
   Fabric.send t.fabric ~src:t.node ~dst ~size (Oneway req)

@@ -143,63 +143,57 @@ module Retry_budget : sig
 end
 
 val set_retry_budget : ('req, 'resp) endpoint -> Retry_budget.t -> unit
-(** Budget used by {!call_retry} and by groups with rounds on this
-    endpoint when the caller passes none. Endpoints start with no budget
-    (unlimited retries, the historical behaviour). *)
-
-val call_retry :
-  ('req, 'resp) endpoint ->
-  dst:node_id ->
-  ?size:int ->
-  ?timeout:Engine.time ->
-  ?max_tries:int ->
-  ?backoff:Engine.time ->
-  ?budget:Retry_budget.t ->
-  'req ->
-  'resp option
-(** Retries a timed-out call up to [max_tries] times (default 3 tries with
-    1 ms timeouts). The callee must therefore treat the request as
-    idempotent or deduplicate. A non-zero [backoff] (default 0: retry
-    immediately, the historical behaviour) sleeps between attempts with
-    exponential growth and seeded jitter — attempt [n] waits roughly
-    [backoff * 2^n], capped at [2^6], randomized ±50% from the engine's
-    RNG so sweeps stay deterministic per seed. The budget ([budget]
-    argument, else the endpoint's attached budget, else unlimited) meters
-    retries only: the first attempt is always sent. [None] once the tries
-    run out, or when the budget has no token for a retry: that is
-    returned, never raised, so budget pressure degrades to load shedding,
-    and {!counters} tells the two apart ([cs_shed]). *)
+(** Budget the resends of groups with rounds draw on, on this endpoint.
+    Endpoints start with no budget (unlimited retries). *)
 
 (** {1 Group calls}
 
-    The one way to fan requests out and join their replies. Every
-    member's reply is counted as it lands, and the awaiting fiber is
-    woken once, by the reply that completes the group.
+    The one way to fan requests out, retry them and join their replies.
+    Every member's reply is counted as it lands, and the awaiting fiber
+    is woken once, by the reply that completes the group.
 
     A group is joined in one of two ways. {!group_await} waits under one
     deadline for the whole group. {!group_join} has no deadline: a group
     without rounds then waits as long as its replies take, and a group
-    with rounds until each member has replied or run out of tries.
+    with rounds until each member has replied or given up.
 
-    {b Rounds.} A group made with [~round] calls every member again,
-    per member, until it answers. The group's own timer drives the
-    rounds, so they go on whether or not a fiber awaits the group yet:
+    {b Rounds.} A group made with [~round] calls each member again until
+    it answers, up to [tries] calls in all. The group's own timer drives
+    the retries, so they go on whether or not a fiber awaits the group
+    yet:
     - the first round is sent from one event, scheduled by the first
       {!group_call} at the current instant;
-    - [round] ns after a round went out, every member still unanswered
-      is sent its request again, up to [tries] rounds in all;
-    - a reply from an expired round is ignored, as a timed-out call's
-      is, and the member is sent its request again;
-    - each expired call counts in {!counters}' [cs_timeouts] and each
-      resend in [cs_retries]; with a {!Retry_budget} attached to the
-      endpoint, resends draw on it as {!call_retry} does and a refused
+    - [round] ns after a member's call went out unanswered, one event
+      later, the call is dropped and counted in {!counters}'
+      [cs_timeouts]; a reply that lands in between is ignored, as a
+      timed-out call's is;
+    - the member is then sent its request again, counted in
+      [cs_retries], after a backoff if the group has one: after try [n]
+      it waits [base / 2 + jitter] with [base = backoff * 2^min(n-1, 6)]
+      and the jitter uniform below [base], drawn from
+      {!Ll_sim.Engine.random_state} at that event, so runs stay
+      deterministic per seed;
+    - with a {!Retry_budget} attached to the endpoint, each member's
+      first call deposits into it and each resend draws on it; a refused
       member gives up, counted in [cs_shed];
     - the reply that completes the group wakes the awaiting fiber one
-      event later, where the member's fiber that took it would have.
+      event later.
 
     These are the sends, counters and instants of one fiber per member
-    running {!call_retry} [~timeout:round ~max_tries:tries]; the requests
-    must be idempotent. A group without rounds keeps none of this state.
+    retrying a {!call_timeout} of [round] ns with that backoff, started
+    where the first round goes out and joined by the waiter; the
+    requests must be idempotent. A group without rounds keeps none of
+    this state.
+
+    {b Hedges.} A member of a group with rounds may carry a hedge: if
+    neither it nor its hedge has answered [after] ns into a round, the
+    request is sent to the hedge's destination too, one event later
+    (counted in [cs_hedges_fired]). The first reply fills the member and
+    the other call is dropped; a hedge that wins is counted in
+    [cs_hedges_won], and the call it beat is scored (see
+    {!peer_score}) with the time it had taken, a lower bound, so a
+    fail-slow peer that always loses the race still scores slow. A
+    round's deadline drops both calls.
 
     {b Need.} A group made with [~need:k] completes on its first [k]
     replies. The calls still pending then are dropped, so their late
@@ -208,22 +202,25 @@ val call_retry :
 type ('req, 'resp) group
 
 val group :
-  ?need:int -> ?tries:int -> ?round:Engine.time ->
+  ?need:int -> ?tries:int -> ?round:Engine.time -> ?backoff:Engine.time ->
   ('req, 'resp) endpoint -> int -> ('req, 'resp) group
 (** [group ep n] is an empty group of [n] calls from [ep], complete once
     all [n] have replied. [need] (default [n]) completes it on fewer.
-    [round] makes it retry in rounds of [round] ns, [tries] of them
-    (default 1); [need] and [round] do not combine. *)
+    [round] makes it retry each member every [round] ns, [tries] calls
+    in all (default 1), with [backoff] (default 0: resend at once)
+    between them; [need] and [round] do not combine. *)
 
 val group_call :
-  ('req, 'resp) group -> dst:node_id -> ?size:int -> 'req -> unit
+  ('req, 'resp) group -> dst:node_id -> ?size:int ->
+  ?hedge:node_id * Engine.time -> 'req -> unit
 (** Makes the group's next call; members are numbered in call order from
     0. A group without rounds sends at once; a group with rounds sends in
-    its first round, which needs all [n] calls made by then. Raises
+    its first round, which needs all [n] calls made by then. [hedge] is
+    the member's hedge (destination, delay); it needs rounds. Raises
     [Invalid_argument] past [n] calls. *)
 
 val fan_out :
-  ?need:int -> ?tries:int -> ?round:Engine.time ->
+  ?need:int -> ?tries:int -> ?round:Engine.time -> ?backoff:Engine.time ->
   ('req, 'resp) endpoint -> node_id list -> ?size:int -> 'req ->
   ('req, 'resp) group
 (** [fan_out ep dsts req] is a {!group} of one call of [req] to each of
@@ -249,23 +246,6 @@ val group_reply : ('req, 'resp) group -> int -> 'resp option
 
 val group_for_all : ('req, 'resp) group -> ('resp -> bool) -> bool
 (** The group is complete and every reply in satisfies the predicate. *)
-
-val call_hedged :
-  ('req, 'resp) endpoint ->
-  dsts:node_id list ->
-  ?size:int ->
-  timeout:Engine.time ->
-  hedge_after:Engine.time ->
-  'req ->
-  ('resp * node_id) option
-(** Tail-latency hedging: sends to the first destination immediately and,
-    if no response lands within [hedge_after] (or the first attempt fails
-    early), duplicates the request to the second destination. First
-    response wins and reports which peer produced it; the hedge timer is
-    cancelled via {!Ll_sim.Engine.cancel} when the primary wins the race.
-    The request must be idempotent. [None] only when every launched
-    attempt timed out ([timeout] each). Destinations beyond the second are
-    ignored; a single-destination list degrades to {!call_timeout}. *)
 
 (** {1 Latency scoring}
 

@@ -27,5 +27,7 @@ val read_timeout : 'a t -> timeout:Engine.time -> 'a option
 
 val join_all : 'a t list -> 'a list
 (** [join_all ts] waits for every ivar and returns their values in order:
-    the join for fan-outs whose members each run a multi-step protocol.
-    A fan-out of single RPC requests is an [Rpc.group] instead. *)
+    the join for fan-outs whose members each run a multi-step protocol,
+    which leaves Corfu's hole-filling read as its one user. A fan-out of
+    single RPC requests, retried or hedged or not, is an [Rpc.group]
+    instead. *)

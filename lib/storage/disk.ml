@@ -7,7 +7,7 @@ open Ll_sim
 type fail_slow =
   | Healthy
   | Stutter of { period : Engine.time; stall : Engine.time }
-  | Degrade of { factor : float }
+  | Degrade of { factor : float; until : Engine.time }
 
 type t = {
   base_latency : Engine.time;
@@ -53,7 +53,15 @@ let operate t ~bytes =
   let dur =
     match t.mode with
     | Healthy -> dur
-    | Degrade { factor } -> int_of_float (factor *. float_of_int dur)
+    | Degrade { factor; until } ->
+      (* Work done before [until] runs [factor] times slower; what is
+         left then runs at the healthy rate. *)
+      let slow = int_of_float (factor *. float_of_int dur) in
+      if start + slow <= until then slow
+      else if start >= until then dur
+      else
+        until - start
+        + dur - int_of_float (float_of_int (until - start) /. factor)
     | Stutter { period; stall } ->
       if start >= t.next_stall then begin
         t.next_stall <- start + period;

@@ -32,9 +32,11 @@ type fail_slow =
   | Stutter of { period : Engine.time; stall : Engine.time }
       (** Every [period], the next operation to start pays an extra
           [stall] — periodic multi-ms pauses in the style of firmware GC. *)
-  | Degrade of { factor : float }
-      (** Sustained slowdown: every operation's service time is scaled by
-          [factor]. *)
+  | Degrade of { factor : float; until : Engine.time }
+      (** Sustained slowdown until [until]: service is [factor] times
+          slower, and an operation that runs past [until] does the rest
+          of its work at the healthy rate, so a short window leaves no
+          stall [factor] times the work booked in it. *)
 
 val set_fail_slow : t -> fail_slow -> unit
 (** Takes effect for operations that start after the call; [Healthy]

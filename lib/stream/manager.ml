@@ -76,18 +76,16 @@ let recoveries t = t.recoveries
 
 (* Ask the orderer to bind up to [upto] now instead of waiting out the
    lazy cadence — same fire-and-forget idiom as a shard's parked read
-   (Shard.demand_bind). Idempotent and cheap to repeat: the orderer
-   max-merges. *)
+   (Shard.demand_bind): a group with rounds that nothing joins.
+   Idempotent and cheap to repeat: the orderer max-merges. *)
 let demand t ~upto =
   match t.cluster.orderer_node with
   | Some dst ->
-    Engine.spawn ~name:"sub-manager.demand" (fun () ->
-        ignore
-          (Rpc.call_retry t.ep ~dst
-             ~size:(Proto.req_size (Proto.Sr_order_demand { upto }))
-             ~timeout:(Engine.ms 5) ~max_tries:10
-             (Proto.Sr_order_demand { upto })
-            : Proto.resp option))
+    let req = Proto.Sr_order_demand { upto } in
+    ignore
+      (Rpc.fan_out t.ep [ dst ] ~round:(Engine.ms 5) ~tries:10
+         ~size:(Proto.req_size req) req
+        : (Proto.req, Proto.resp) Rpc.group)
   | None -> ()
 
 (* Replicate the acked cursor to every sequencing replica. One-way and
@@ -210,17 +208,19 @@ let handle t ~src:_ (req : Proto.req) ~reply =
    regressed window is redelivered and dedup-filtered, which is exactly
    the at-least-once/dedup contract, now exercised rather than assumed. *)
 let recover t =
+  let g =
+    Rpc.fan_out t.ep
+      (List.map Seq_replica.node_id t.cluster.replicas)
+      ~round:(Engine.ms 5) ~tries:5
+      ~size:(Proto.req_size Proto.St_cursor_fetch) Proto.St_cursor_fetch
+  in
+  ignore (Rpc.group_join g : bool);
   let fetched =
-    List.concat_map
-      (fun r ->
-        match
-          Rpc.call_retry t.ep ~dst:(Seq_replica.node_id r)
-            ~size:(Proto.req_size Proto.St_cursor_fetch) ~timeout:(Engine.ms 5)
-            ~max_tries:5 Proto.St_cursor_fetch
-        with
-        | Some (Proto.R_cursors { cursors }) -> cursors
-        | Some _ | None -> [])
-      t.cluster.replicas
+    List.concat
+      (List.init (List.length t.cluster.replicas) (fun m ->
+           match Rpc.group_reply g m with
+           | Some (Proto.R_cursors { cursors }) -> cursors
+           | Some _ | None -> []))
   in
   Hashtbl.iter
     (fun name sub ->

@@ -192,12 +192,56 @@ let test_erwin_m_coalesces () =
       checki "read all" 32
         (List.length (clients.(0).Log_api.read ~from:0 ~len:32));
       let flushes, batched =
-        match cluster.Erwin_common.append_batcher with
+        match Hashtbl.find_opt cluster.Erwin_common.append_batchers 0 with
         | Some b -> b.Erwin_common.batch_stats ()
         | None -> Alcotest.fail "batcher never created"
       in
       checki "every record went through the batcher" 32 batched;
       checkb "coalesced (>1 record per flush)" true (flushes < batched);
+      Engine.stop ())
+
+(* Each log has its own linger batcher: two tenants appending at once
+   still coalesce, but every [Sr_append] a replica receives holds one
+   log's entries (a spy on each replica's ingress records them and lets
+   every request through). *)
+let test_batches_single_log () =
+  Engine.run (fun () ->
+      let cfg =
+        { Config.default with nshards = 2; linger = Some (Engine.us 20) }
+      in
+      let cluster = Erwin_m.create ~cfg () in
+      let batches = ref [] in
+      List.iter
+        (fun r ->
+          Rpc.set_ingress (Seq_replica.endpoint r) (fun ~src:_ req ~reply:_ ->
+              (match (req : Proto.req) with
+              | Sr_append { entries; _ } ->
+                batches :=
+                  List.sort_uniq Int.compare (List.map Types.entry_log entries)
+                  :: !batches
+              | _ -> ());
+              false))
+        cluster.Erwin_common.replicas;
+      let done_ = ref 0 in
+      List.iter
+        (fun log ->
+          let h = Erwin_m.client ~log cluster in
+          for i = 1 to 8 do
+            Engine.spawn (fun () ->
+                checkb "acked" true
+                  (h.Log_api.append ~size:100 ~data:(string_of_int i));
+                incr done_)
+          done)
+        [ 1; 2 ];
+      Engine.sleep (Engine.ms 5);
+      checki "all acked" 16 !done_;
+      checkb "every batch holds one log" true
+        (List.for_all (fun logs -> List.length logs = 1) !batches);
+      checkb "both logs batched" true
+        (List.mem [ 1 ] !batches && List.mem [ 2 ] !batches);
+      checkb "coalesced" true
+        (List.length !batches
+        < 16 * List.length cluster.Erwin_common.replicas);
       Engine.stop ())
 
 let test_erwin_st_batched_end_to_end () =
@@ -292,6 +336,8 @@ let () =
         [
           Alcotest.test_case "erwin-m coalesces concurrent appends" `Quick
             test_erwin_m_coalesces;
+          Alcotest.test_case "a batch holds one log" `Quick
+            test_batches_single_log;
           Alcotest.test_case "erwin-st appends + sync via batcher" `Quick
             test_erwin_st_batched_end_to_end;
           Alcotest.test_case "batch capped at seq_capacity" `Quick

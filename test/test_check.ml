@@ -351,24 +351,24 @@ let test_recovery_seed ~seed system modes () =
    runs. The expected blocks are that command's output. *)
 
 let summary_default = {|coverage summary
-  erwin-st    3 seeds | 0 violations | 2294 appends acked | 1232 records read | 1 crashes | 2 view installs | 0 delivered | 0.2M events
+  erwin-st    3 seeds | 0 violations | 2294 appends acked | 1220 records read | 1 crashes | 2 view installs | 0 delivered | 0.2M events
   erwin-m     3 seeds | 0 violations | 2344 appends acked | 1236 records read | 1 crashes | 2 view installs | 0 delivered | 0.1M events
 |}
 
 let summary_gray = {|coverage summary
-  erwin-st    3 seeds | 0 violations | 2706 appends acked | 1393 records read | 1 crashes | 2 view installs | 0 delivered | 0.2M events
-                gray | 6 gray faults | 1 outliers evicted | 0 retries (0 shed) | 8 hedges won
+  erwin-st    3 seeds | 0 violations | 2706 appends acked | 1328 records read | 1 crashes | 2 view installs | 0 delivered | 0.2M events
+                gray | 6 gray faults | 1 outliers evicted | 0 retries (0 shed) | 0 hedges won
   erwin-m     3 seeds | 0 violations | 2867 appends acked | 1400 records read | 1 crashes | 2 view installs | 0 delivered | 0.2M events
                 gray | 6 gray faults | 1 outliers evicted | 0 retries (0 shed) | 8 hedges won
 |}
 
 let summary_tenants = {|coverage summary
-  erwin-st    3 seeds | 0 violations | 25958 appends acked | 2053 records read | 1 crashes | 2 view installs | 0 delivered | 1.1M events
+  erwin-st    3 seeds | 0 violations | 26080 appends acked | 2041 records read | 1 crashes | 2 view installs | 0 delivered | 1.1M events
+                gray | 0 gray faults | 0 outliers evicted | 1 retries (0 shed) | 0 hedges won
+             tenants | 12 tenant-log stabilizations | 239 appends shed by admission control
+  erwin-m     3 seeds | 0 violations | 31578 appends acked | 2113 records read | 1 crashes | 2 view installs | 0 delivered | 0.8M events
                 gray | 0 gray faults | 0 outliers evicted | 3 retries (0 shed) | 0 hedges won
-             tenants | 12 tenant-log stabilizations | 240 appends shed by admission control
-  erwin-m     3 seeds | 0 violations | 31599 appends acked | 2105 records read | 1 crashes | 2 view installs | 0 delivered | 0.8M events
-                gray | 0 gray faults | 0 outliers evicted | 2 retries (0 shed) | 0 hedges won
-             tenants | 12 tenant-log stabilizations | 590 appends shed by admission control
+             tenants | 12 tenant-log stabilizations | 582 appends shed by admission control
 |}
 
 let test_coverage_summary () =

@@ -206,6 +206,28 @@ let test_append_starts_no_fiber () =
         "both bind and read back" [ "a"; "b" ]
         (List.map (fun (r : Types.record) -> r.data) (log.read ~from:0 ~len:2)))
 
+(* A read spanning three shards is one RPC group, one member per shard,
+   joined once by the reader: no fiber, neither per shard nor per call.
+   The positions are bound and the map is cached, so the shards answer
+   on their bare path and the read starts no fiber anywhere. *)
+let test_grouped_read_starts_no_fiber () =
+  with_cluster (fun cluster ->
+      let log = Erwin_st.client cluster in
+      for i = 1 to 30 do
+        checkb "acked" true (log.append ~size:512 ~data:(string_of_int i))
+      done;
+      while cluster.Erwin_common.stable_gp < 30 do
+        Engine.sleep (Engine.us 100)
+      done;
+      checki "warm-up read" 30 (List.length (log.read ~from:0 ~len:30));
+      checkb "records on all three shards" true
+        (List.for_all
+           (fun s -> Shard.bound_positions s <> [])
+           cluster.Erwin_common.shards);
+      let fibers0 = Engine.fiber_count () in
+      checki "read" 30 (List.length (log.read ~from:0 ~len:30));
+      checki "no fiber started" 0 (Engine.fiber_count () - fibers0))
+
 let () =
   Alcotest.run "erwin-st"
     [
@@ -220,6 +242,8 @@ let () =
             test_read_batch_spanning_shards;
           Alcotest.test_case "append starts no fiber" `Quick
             test_append_starts_no_fiber;
+          Alcotest.test_case "grouped read starts no fiber" `Quick
+            test_grouped_read_starts_no_fiber;
         ] );
       ( "failures",
         [

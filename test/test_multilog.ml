@@ -456,6 +456,50 @@ let test_shed_batched_append () =
         checki "stats count the admitted" (3 - !shed) s.Ingress.st_admitted;
         Engine.stop ())
 
+(* The replica has one CPU with fair ingress on, too: a tail check that
+   arrives 10 us into an append's 100 us service waits for it to end,
+   then takes its own service, so it is answered a full service time
+   after the append (less the smaller reply's shorter wire time). *)
+let test_control_waits_for_service () =
+  Engine.run (fun () ->
+      let base = Engine.us 100 in
+      let cfg =
+        {
+          mcfg with
+          Config.seq_base_ns = base;
+          seq_per_byte_ns = 0.0;
+          fair_ingress = Some Config.default_ingress;
+        }
+      in
+      let fabric = Ll_net.Fabric.create ~link:cfg.Config.link () in
+      let r = Seq_replica.create ~cfg ~fabric ~name:"r0" in
+      let ep =
+        Ll_net.Rpc.endpoint fabric
+          (Ll_net.Fabric.add_node fabric ~name:"probe" ())
+      in
+      let call req =
+        ignore (Ll_net.Rpc.call ep ~dst:(Seq_replica.node_id r) req)
+      in
+      let appended = ref 0 and checked = ref 0 in
+      Engine.spawn (fun () ->
+          let rid = { Types.Rid.client = 1; seq = 1 } in
+          call
+            (Proto.append_one ~view:0 ~track:false
+               (Types.Data (Types.record ~rid ~size:128 ~log:1 ())));
+          appended := Engine.now ());
+      Engine.spawn (fun () ->
+          Engine.sleep (Engine.us 10);
+          call (Proto.Sr_check_tail { view = 0; log = 1 });
+          checked := Engine.now ());
+      Engine.sleep (Engine.ms 1);
+      checkb "both answered" true (!appended > 0 && !checked > 0);
+      checkb
+        (Printf.sprintf "tail check served after the append (%d ns later)"
+           (!checked - !appended))
+        true
+        (!checked - !appended >= base - Engine.us 1);
+      Engine.stop ())
+
 let () =
   Alcotest.run "multilog"
     [
@@ -482,5 +526,7 @@ let () =
             test_admission_shed_bounds_queue;
           Alcotest.test_case "batched append shed as a unit" `Quick
             test_shed_batched_append;
+          Alcotest.test_case "control plane waits for the CPU" `Quick
+            test_control_waits_for_service;
         ] );
     ]

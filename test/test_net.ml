@@ -253,6 +253,39 @@ let test_rpc_blocking_handler_does_not_stall () =
       checkb "slow finishes" true (Rpc.group_join slow);
       checkb "with its reply" true (Rpc.group_reply slow 0 = Some 1))
 
+(* The retry loop that groups with rounds replaced, kept as their
+   reference: up to [tries] calls of [timeout] ns each ([call_timeout]
+   counts each expiry), a retry counted in [retries] and, with a
+   [backoff], preceded by a sleep of [base / 2 + jitter], [base =
+   backoff * 2^min(n, 6)] after the [n]th failed try (from 0) and the
+   jitter drawn from the engine's RNG. *)
+let call_retry ?(backoff = 0) ?(retries = ref 0) client ~dst ~timeout ~tries
+    req =
+  let rec go attempt =
+    if attempt >= tries then None
+    else begin
+      if attempt > 0 then incr retries;
+      match Rpc.call_timeout client ~dst ~timeout req with
+      | Some _ as r -> r
+      | None ->
+        if backoff > 0 && attempt < tries - 1 then begin
+          let base = backoff * (1 lsl min attempt 6) in
+          let jitter =
+            Random.State.int (Engine.random_state ()) (max 1 base)
+          in
+          Engine.sleep ((base / 2) + jitter)
+        end;
+        go (attempt + 1)
+    end
+  in
+  go 0
+
+(* One call of [req] to [dst] retried in rounds: its reply, if any. *)
+let retried ?backoff client ~dst ~round ~tries req =
+  let g = Rpc.fan_out client [ dst ] ~round ~tries ?backoff req in
+  ignore (Rpc.group_join g : bool);
+  Rpc.group_reply g 0
+
 let test_rpc_timeout_and_retry () =
   Engine.run (fun () ->
       let fab = Fabric.create () in
@@ -265,12 +298,13 @@ let test_rpc_timeout_and_retry () =
            (Echo 1)
         = None);
       checkb "retry exhausts" true
-        (Rpc.call_retry client ~dst:(Fabric.id sn) ~timeout:(Engine.ms 1)
-           ~max_tries:2 (Echo 1)
+        (retried client ~dst:(Fabric.id sn) ~round:(Engine.ms 1) ~tries:2
+           (Echo 1)
         = None);
+      checki "pending drained on giving up" 0 (Rpc.pending_calls client);
       Fabric.recover fab sn;
       checkb "retry succeeds after recovery" true
-        (Rpc.call_retry client ~dst:(Fabric.id sn) ~timeout:(Engine.ms 1)
+        (retried client ~dst:(Fabric.id sn) ~round:(Engine.ms 1) ~tries:3
            (Echo 5)
         = Some 5))
 
@@ -329,7 +363,7 @@ let test_rpc_timeout_frees_waiter () =
       checkb "1000 timed-out calls: slab back to baseline" true
         (Slab.in_use () - base <= 4);
       for i = 1 to 100 do
-        ignore (Rpc.call_retry client ~dst ~timeout ~max_tries:3 (Echo i)
+        ignore (retried client ~dst ~round:timeout ~tries:3 (Echo i)
                 : int option)
       done;
       checkb "100 exhausted retries: slab back to baseline" true
@@ -420,9 +454,13 @@ let test_group_crashed_destination () =
 (* Retry rounds. Three echo servers behind a jittered fabric: server 0
    is down until 250 us, server 1 answers at once, server 2 ignores the
    first request it gets. [fan_out] calls all three with retries (100 us
-   per try, 5 tries); the servers log every request they get. *)
-let rounds_scenario fan_out =
-  let log = ref [] and fin = ref 0 and diff = ref None in
+   per try, 5 tries, [backoff] between them) and returns the retries it
+   made; the servers log every request they get. With a backoff, a
+   bystander fiber draws from the engine's RNG at the first deadline,
+   between the deadline's event and the next: a backoff drawn at the
+   deadline's own event would take the bystander's number. *)
+let rounds_scenario ?(backoff = 0) fan_out =
+  let log = ref [] and fin = ref 0 and counts = ref (0, 0) in
   Engine.run ~seed:11 (fun () ->
       let fab = Fabric.create ~seed:5 () in
       let servers =
@@ -440,57 +478,77 @@ let rounds_scenario fan_out =
       Fabric.crash fab (List.nth servers 0);
       Engine.call_after (Engine.us 250) (fun () ->
           Fabric.recover fab (List.nth servers 0));
+      if backoff > 0 then
+        Engine.spawn (fun () ->
+            (* Past the first round's sends, so this sleep ends just
+               behind its deadlines. *)
+            Engine.yield ();
+            Engine.sleep (Engine.us 100);
+            ignore (Random.State.int (Engine.random_state ()) 1000 : int));
       let before = Rpc.counters () in
-      fan_out client (List.map Fabric.id servers);
+      let retries = fan_out ~backoff client (List.map Fabric.id servers) in
       fin := Engine.now ();
-      diff := Some (Rpc.counters_diff ~before ~after:(Rpc.counters ())));
-  (List.rev !log, !fin, Option.get !diff)
+      let d = Rpc.counters_diff ~before ~after:(Rpc.counters ()) in
+      counts := (d.Rpc.cs_timeouts, retries));
+  (List.rev !log, !fin, !counts)
 
 (* One fiber per member running [call_retry], joined on ivars. *)
-let retry_fibers client dsts =
+let retry_fibers ~backoff client dsts =
+  let retries = ref 0 in
   let ivs =
     List.map
       (fun dst ->
         let iv = Ivar.create () in
         Engine.spawn (fun () ->
             ignore
-              (Rpc.call_retry client ~dst ~timeout:(Engine.us 100) ~max_tries:5
-                 10
+              (call_retry ~backoff ~retries client ~dst ~timeout:(Engine.us 100)
+                 ~tries:5 10
                 : int option);
             Ivar.fill iv ());
         iv)
       dsts
   in
-  ignore (Ivar.join_all ivs)
+  List.iter Ivar.read ivs;
+  !retries
 
-let retry_group client dsts =
-  let g = Rpc.group client 3 ~round:(Engine.us 100) ~tries:5 in
-  List.iter (fun dst -> Rpc.group_call g ~dst 10) dsts;
+let retry_group ~backoff client dsts =
+  let before = Rpc.counters () in
+  let g = Rpc.fan_out client dsts ~round:(Engine.us 100) ~tries:5 ~backoff 10 in
   checkb "every member replied" true (Rpc.group_join g);
   Alcotest.(check (list (option int)))
     "replies" [ Some 10; Some 11; Some 12 ]
     (List.init 3 (Rpc.group_reply g));
-  checki "pending drained" 0 (Rpc.pending_calls client)
+  checki "pending drained" 0 (Rpc.pending_calls client);
+  (Rpc.counters_diff ~before ~after:(Rpc.counters ())).Rpc.cs_retries
 
 (* A group's rounds send and resend at the instants, in the order, and
    with the counts of a fiber per member running [call_retry]: each
    request reaches its server when, and in the order, it did with those
-   fibers, whose log is pinned here. *)
+   fibers, whose log is pinned here, without and with a backoff. *)
 let test_group_rounds_match_call_retry () =
+  let check_run name pinned (log, fin, (timeouts, retries)) =
+    let plog, pfin, (ptimeouts, pretries) = pinned in
+    Alcotest.(check (list (pair int int))) (name ^ ": requests") plog log;
+    checki (name ^ ": joined") pfin fin;
+    checki (name ^ ": timeouts") ptimeouts timeouts;
+    checki (name ^ ": retries") pretries retries
+  in
   let pinned =
     ( [ (2, 2526); (1, 2589); (2, 102767); (0, 302699) ],
       305429,
       (4, 4) )
   in
-  let check_run name (log, fin, d) =
-    let plog, pfin, (ptimeouts, pretries) = pinned in
-    Alcotest.(check (list (pair int int))) (name ^ ": requests") plog log;
-    checki (name ^ ": joined") pfin fin;
-    checki (name ^ ": timeouts") ptimeouts d.Rpc.cs_timeouts;
-    checki (name ^ ": retries") pretries d.Rpc.cs_retries
+  check_run "call_retry fibers" pinned (rounds_scenario retry_fibers);
+  check_run "group" pinned (rounds_scenario retry_group);
+  let backoff = Engine.us 30 in
+  let pinned =
+    ( [ (2, 2526); (1, 2589); (2, 118247); (0, 253493) ],
+      256223,
+      (3, 3) )
   in
-  check_run "call_retry fibers" (rounds_scenario retry_fibers);
-  check_run "group" (rounds_scenario retry_group)
+  check_run "call_retry fibers, backoff" pinned
+    (rounds_scenario ~backoff retry_fibers);
+  check_run "group, backoff" pinned (rounds_scenario ~backoff retry_group)
 
 (* The reply that completes a group with rounds wakes the joiner one
    event later, where the member fiber that took the reply used to: a
@@ -531,10 +589,10 @@ let test_group_rounds_give_up () =
       let servers, client = group_setup fab in
       let dead = List.nth servers 0 in
       Fabric.crash fab dead;
-      let before = Rpc.counters () in
+      let before = Rpc.counters () and retries = ref 0 in
       checkb "call_retry exhausts" true
-        (Rpc.call_retry client ~dst:(Fabric.id dead) ~timeout:(Engine.us 100)
-           ~max_tries:4 (Echo 1)
+        (call_retry ~retries client ~dst:(Fabric.id dead)
+           ~timeout:(Engine.us 100) ~tries:4 (Echo 1)
         = None);
       let mid = Rpc.counters () in
       let sent0 = Fabric.messages_sent fab in
@@ -555,8 +613,7 @@ let test_group_rounds_give_up () =
       checki "four timeouts" 4 single.Rpc.cs_timeouts;
       checki "timeouts as call_retry" single.Rpc.cs_timeouts
         grouped.Rpc.cs_timeouts;
-      checki "retries as call_retry" single.Rpc.cs_retries
-        grouped.Rpc.cs_retries)
+      checki "retries as call_retry" !retries grouped.Rpc.cs_retries)
 
 (* A reply to an expired round is ignored, even when it lands before the
    next round's: the server answers with the number of requests it has
@@ -983,8 +1040,8 @@ let test_rpc_retry_backoff_schedule () =
       let timeout = Engine.us 100 and backoff = Engine.us 100 in
       let t0 = Engine.now () in
       checkb "exhausts against dead peer" true
-        (Rpc.call_retry client ~dst:(Fabric.id sn) ~timeout ~max_tries:12
-           ~backoff (Echo 1)
+        (retried client ~dst:(Fabric.id sn) ~round:timeout ~tries:12 ~backoff
+           (Echo 1)
         = None);
       let elapsed = Engine.now () - t0 in
       let lo = (12 * timeout) + (383 * backoff / 2) in
@@ -1000,14 +1057,15 @@ let test_rpc_retry_budget_sheds () =
       (* ratio 0: nothing refills, so the two initial tokens are all the
          retries this budget will ever allow. *)
       let budget = Rpc.Retry_budget.create ~ratio:0.0 ~cap:2.0 () in
+      Rpc.set_retry_budget client budget;
       (* [None] from a call that shed, not one that ran out of tries: it
-         made [retries] retries, 3 timed-out attempts in all, and shed
-         once. *)
+         made [retries] retries, [retries + 1] timed-out attempts in all,
+         and shed once. *)
       let call_sheds n ~retries =
         let before = Rpc.counters () in
         let r =
-          Rpc.call_retry client ~dst:(Fabric.id sn) ~timeout:(Engine.us 100)
-            ~max_tries:10 ~budget (Echo n)
+          retried client ~dst:(Fabric.id sn) ~round:(Engine.us 100) ~tries:10
+            (Echo n)
         in
         let d = Rpc.counters_diff ~before ~after:(Rpc.counters ()) in
         checkb "no reply from a crashed peer" true (r = None);
@@ -1019,6 +1077,14 @@ let test_rpc_retry_budget_sheds () =
       checkb "budget exhausted" true (Rpc.Retry_budget.tokens budget < 1.0);
       (* An empty budget still sends first attempts — only retries shed. *)
       call_sheds 2 ~retries:0)
+
+(* One call to [dst], hedged to another peer, in a group of one with a
+   20 ms round. *)
+let hedged client ~dst ~hedge req =
+  let g = Rpc.group client 1 ~round:(Engine.ms 20) in
+  Rpc.group_call g ~dst ~hedge req;
+  ignore (Rpc.group_join g : bool);
+  Rpc.group_reply g 0
 
 let test_rpc_hedged_second_wins () =
   Engine.run (fun () ->
@@ -1038,15 +1104,10 @@ let test_rpc_hedged_second_wins () =
       Rpc.set_handler e2 (fun ~src:_ req ~reply ->
           match req with Slow n -> reply (n + 100) | Echo n -> reply n);
       let before = Rpc.counters () in
-      (match
-         Rpc.call_hedged client
-           ~dsts:[ Fabric.id s1; Fabric.id s2 ]
-           ~timeout:(Engine.ms 20) ~hedge_after:(Engine.us 100) (Slow 1)
-       with
-      | Some (r, winner) ->
-        checki "hedge's response won" 101 r;
-        checki "winner is the hedge peer" (Fabric.id s2) winner
-      | None -> Alcotest.fail "hedged call returned None");
+      checkb "hedge's response won (s2 adds 100)" true
+        (hedged client ~dst:(Fabric.id s1)
+           ~hedge:(Fabric.id s2, Engine.us 100) (Slow 1)
+        = Some 101);
       let d = Rpc.counters_diff ~before ~after:(Rpc.counters ()) in
       checki "hedge fired" 1 d.Rpc.cs_hedges_fired;
       checki "hedge win counted" 1 d.Rpc.cs_hedges_won)
@@ -1068,21 +1129,66 @@ let test_rpc_hedged_primary_win_cancels_timer () =
           match req with Echo n -> reply n | Slow n -> reply n);
       let cancelled0 = Engine.timers_cancelled () in
       let before = Rpc.counters () in
-      (match
-         Rpc.call_hedged client
-           ~dsts:[ Fabric.id s1; Fabric.id s2 ]
-           ~timeout:(Engine.ms 20) ~hedge_after:(Engine.ms 5) (Echo 7)
-       with
-      | Some (r, winner) ->
-        checki "primary's response" 7 r;
-        checki "primary won" (Fabric.id s1) winner
-      | None -> Alcotest.fail "hedged call returned None");
+      checkb "primary's response" true
+        (hedged client ~dst:(Fabric.id s1) ~hedge:(Fabric.id s2, Engine.ms 5)
+           (Echo 7)
+        = Some 7);
       Engine.sleep (Engine.ms 10);
       let d = Rpc.counters_diff ~before ~after:(Rpc.counters ()) in
       checki "no hedge fired" 0 d.Rpc.cs_hedges_fired;
       checkb "second peer never contacted" false !served_by_2;
       checkb "hedge timer was cancelled, not fired" true
         (Engine.timers_cancelled () > cancelled0))
+
+(* The first reply of a hedged member drops the other call still in
+   flight, whichever won: the table holds nothing once the member is
+   filled, the loser's late reply is ignored, and a primary the hedge
+   beat is scored with the time it had taken. *)
+let test_rpc_hedged_drops_twin () =
+  Engine.run (fun () ->
+      let fab = Fabric.create () in
+      let s1 = Fabric.add_node fab ~name:"s1" () in
+      let s2 = Fabric.add_node fab ~name:"s2" () in
+      let cn = Fabric.add_node fab ~name:"c" () in
+      let client = Rpc.endpoint fab cn in
+      (* [Slow] is slow at s1 only; [Echo] is slow at s2 only. *)
+      Rpc.set_handler (Rpc.endpoint fab s1) (fun ~src:_ req ~reply ->
+          match req with
+          | Slow n ->
+            Engine.sleep (Engine.ms 1);
+            reply n
+          | Echo n -> reply n);
+      Rpc.set_handler (Rpc.endpoint fab s2) (fun ~src:_ req ~reply ->
+          match req with
+          | Echo n ->
+            Engine.sleep (Engine.us 200);
+            reply (n + 100)
+          | Slow n -> reply (n + 100));
+      let d1 = Fabric.id s1 and d2 = Fabric.id s2 in
+      let before = Rpc.counters () in
+      checkb "the hedge wins" true
+        (hedged client ~dst:d1 ~hedge:(d2, Engine.us 50) (Slow 1) = Some 101);
+      checki "the primary's call is dropped" 0 (Rpc.pending_calls client);
+      (match Rpc.peer_score client d1 with
+      | Some s ->
+        checkb "the beaten primary scored at least the race" true
+          (s >= float_of_int (Engine.us 50))
+      | None -> Alcotest.fail "the beaten primary has no score");
+      Engine.sleep (Engine.ms 2);
+      checki "its late reply leaves no sample" 1 (Rpc.peer_samples client d1);
+      (* The primary answers 2 us after the hedge went out, long before
+         the hedge's reply. *)
+      checkb "the primary wins" true
+        (hedged client ~dst:d1 ~hedge:(d2, Engine.ns 1) (Echo 2) = Some 2);
+      checki "the hedge's call is dropped" 0 (Rpc.pending_calls client);
+      let samples2 = Rpc.peer_samples client d2 in
+      Engine.sleep (Engine.ms 1);
+      checki "the hedge's late reply is ignored" samples2
+        (Rpc.peer_samples client d2);
+      let d = Rpc.counters_diff ~before ~after:(Rpc.counters ()) in
+      checki "two hedges fired" 2 d.Rpc.cs_hedges_fired;
+      checki "one won" 1 d.Rpc.cs_hedges_won;
+      checki "no call timed out" 0 d.Rpc.cs_timeouts)
 
 let test_rpc_peer_scoring () =
   Engine.run (fun () ->
@@ -1480,6 +1586,8 @@ let () =
             test_rpc_retry_budget_sheds;
           Alcotest.test_case "hedged call: hedge wins" `Quick
             test_rpc_hedged_second_wins;
+          Alcotest.test_case "hedged member drops its twin" `Quick
+            test_rpc_hedged_drops_twin;
           Alcotest.test_case "hedged call: primary win cancels timer"
             `Quick test_rpc_hedged_primary_win_cancels_timer;
           Alcotest.test_case "peer scores stay exact past a forget" `Quick

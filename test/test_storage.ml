@@ -172,7 +172,7 @@ let test_disk_degrade () =
       let t0 = Engine.now () in
       Disk.write d ~bytes:10_000;
       checki "healthy op" (Engine.us 20) (Engine.now () - t0);
-      Disk.set_fail_slow d (Disk.Degrade { factor = 3.0 });
+      Disk.set_fail_slow d (Disk.Degrade { factor = 3.0; until = max_int });
       let t1 = Engine.now () in
       Disk.write d ~bytes:10_000;
       checki "degraded op is factor x slower" (Engine.us 60)
@@ -181,6 +181,27 @@ let test_disk_degrade () =
       let t2 = Engine.now () in
       Disk.write d ~bytes:10_000;
       checki "healed" (Engine.us 20) (Engine.now () - t2))
+
+(* A degrade ends at its [until] even for the work booked in it: a
+   20 us write booked at 3x 30 us before the window ends has done 10 us
+   of its work by then and finishes the other 10 us at the healthy rate;
+   a write queued behind it runs healthy. *)
+let test_disk_degrade_window () =
+  Engine.run (fun () ->
+      let d = Disk.create ~base_latency:(Engine.us 10) ~ns_per_byte:1.0 () in
+      let t0 = Engine.now () in
+      Disk.set_fail_slow d
+        (Disk.Degrade { factor = 3.0; until = t0 + Engine.us 30 });
+      let first = ref 0 and second = ref 0 in
+      Engine.spawn (fun () ->
+          Disk.write d ~bytes:10_000;
+          first := Engine.now () - t0);
+      Engine.spawn (fun () ->
+          Disk.write d ~bytes:10_000;
+          second := Engine.now () - t0);
+      Engine.sleep (Engine.us 100);
+      checki "slow until the window ends" (Engine.us 40) !first;
+      checki "queued write at the healthy rate" (Engine.us 60) !second)
 
 let test_disk_stutter () =
   Engine.run (fun () ->
@@ -323,6 +344,8 @@ let () =
           Alcotest.test_case "serializes" `Quick test_disk_serializes;
           Alcotest.test_case "counters" `Quick test_disk_counters;
           Alcotest.test_case "fail-slow degrade" `Quick test_disk_degrade;
+          Alcotest.test_case "a degrade ends at its window" `Quick
+            test_disk_degrade_window;
           Alcotest.test_case "fail-slow stutter" `Quick test_disk_stutter;
         ] );
       ( "flushed_store",
