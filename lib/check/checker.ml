@@ -257,7 +257,6 @@ let run_one (sc : Artifact.scenario) : outcome =
   coverage.violations <- (if violation = None then 0 else 1);
   coverage.events <- Engine.events_executed ();
   coverage.retries <- rpc.Ll_net.Rpc.cs_retries;
-  coverage.retries_shed <- rpc.Ll_net.Rpc.cs_shed;
   coverage.hedges_won <- rpc.Ll_net.Rpc.cs_hedges_won;
   { scenario = sc; violation; coverage }
 
@@ -361,15 +360,12 @@ let summary (outcomes : outcome list) =
         (float_of_int c.events /. 1e6);
       (* Gray-resilience line only when something gray happened, so the
          classic sweeps print exactly what they always did. *)
-      if c.gray_faults + c.outliers_removed + c.retries + c.retries_shed
-         + c.hedges_won
-         > 0
+      if c.gray_faults + c.outliers_removed + c.retries + c.hedges_won > 0
       then
         Printf.bprintf b
           "  %-8s      gray | %d gray faults | %d outliers evicted | %d \
-           retries (%d shed) | %d hedges won\n"
-          "" c.gray_faults c.outliers_removed c.retries c.retries_shed
-          c.hedges_won;
+           retries | %d hedges won\n"
+          "" c.gray_faults c.outliers_removed c.retries c.hedges_won;
       (* Tenants line only in multi-log fabric sweeps, same principle. *)
       if c.tenant_logs + c.ingress_shed > 0 then
         Printf.bprintf b

@@ -33,18 +33,13 @@ let info = function
       key = "replica_reads";
       doc =
         "Run the demand-driven read path (reads round-robin over shard \
-         replicas, read-triggered eager binding, scan readahead) with the \
-         reader probing at the stable tail, so backup serving, primary \
-         forwarding and demand binding are all exercised under faults.";
+         replicas, read-triggered eager binding) with the reader probing \
+         at the stable tail, so backup serving, primary forwarding and \
+         demand binding are all exercised under faults.";
       phrase = "replica reads";
       config =
         (fun cfg ->
-          {
-            cfg with
-            Config.replica_reads = true;
-            read_demand = true;
-            readahead = 8;
-          });
+          { cfg with Config.replica_reads = true; read_demand = true });
       slack = Engine.ms 10;
     }
   | Subscriptions ->
@@ -70,10 +65,9 @@ let info = function
       doc =
         "Hostile-world mode: the fault generator draws gray (fail-slow) \
          verbs — asymmetric link faults, disk stutter and sustained \
-         degrade — and every mitigation runs (hedged reads, retry \
-         budgets, latency-outlier eviction), with a progress audit \
-         (stable keeps advancing, every acked record binds) after the \
-         drain tail.";
+         degrade — and every mitigation runs (hedged reads, latency-outlier \
+         eviction), with a progress audit (stable keeps advancing, every \
+         acked record binds) after the drain tail.";
       phrase = "gray (fail-slow) faults + mitigations";
       (* A small dirty limit so a fail-slow disk actually backpressures
          the append path within the short horizon (with the default 8 MB
@@ -84,7 +78,6 @@ let info = function
           {
             cfg with
             Config.hedge_floor = Some Config.default_hedge_floor;
-            retry_budget = true;
             outlier_detection = true;
             dirty_limit_bytes = 32 * 1024;
           });

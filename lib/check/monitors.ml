@@ -29,7 +29,6 @@ type coverage = {
   mutable tenant_logs : int;
   mutable ingress_shed : int;
   mutable retries : int;
-  mutable retries_shed : int;
   mutable hedges_won : int;
 }
 
@@ -38,7 +37,7 @@ let empty_coverage () =
     runs = 0; violations = 0; events = 0; acked = 0; reads = 0; crashes = 0;
     view_installs = 0; stable = 0; delivered = 0; gray_faults = 0;
     outliers_removed = 0; tenant_logs = 0; ingress_shed = 0; retries = 0;
-    retries_shed = 0; hedges_won = 0;
+    hedges_won = 0;
   }
 
 let add_coverage into c =
@@ -56,7 +55,6 @@ let add_coverage into c =
   into.tenant_logs <- into.tenant_logs + c.tenant_logs;
   into.ingress_shed <- into.ingress_shed + c.ingress_shed;
   into.retries <- into.retries + c.retries;
-  into.retries_shed <- into.retries_shed + c.retries_shed;
   into.hedges_won <- into.hedges_won + c.hedges_won
 
 type t = {

@@ -80,7 +80,6 @@ type coverage = {
   mutable tenant_logs : int;  (** tenant logs whose stable prefix advanced *)
   mutable ingress_shed : int;  (** appends shed by fair-ingress admission *)
   mutable retries : int;  (** rpc retries *)
-  mutable retries_shed : int;  (** rpc retries shed by the retry budget *)
   mutable hedges_won : int;  (** hedged reads answered by the hedge *)
 }
 

@@ -4,14 +4,6 @@ open Erwin_common
 
 type ep = (Proto.req, Proto.resp) Rpc.endpoint
 
-(* Arm the client endpoint's retry budget: retries (never first
-   attempts) then draw from a token bucket refilled by successful first
-   attempts, so a timeout storm degrades to load-shedding instead of a
-   synchronized retry flood. *)
-let install_retry_budget (cluster : t) ep =
-  if cluster.cfg.Config.retry_budget then
-    Rpc.set_retry_budget ep (Rpc.Retry_budget.create ())
-
 let try_append_seq (cluster : t) ep ~view ~track entry =
   if seq_append cluster ep (Proto.append_one ~view ~track entry) then `Ok
   else `Fail view
@@ -91,8 +83,8 @@ let head_tries (cluster : t) =
 (* One (destination, tries) plan per shard read. With [replica_reads]
    the plan rotates over every replica of the shard ([rr] staggers the
    starting replica across calls, so concurrent readers spread load);
-   otherwise it is the primary with the legacy retry budget, with the
-   backups as a last-resort fallback once the primary is exhausted. *)
+   otherwise it is the primary with its 100 tries, with the backups as
+   a last-resort fallback once the primary is exhausted. *)
 let read_plan (cluster : t) ?rr shard =
   let tries = head_tries cluster in
   if cluster.cfg.Config.replica_reads then begin
@@ -249,92 +241,6 @@ let read_grouped ?rr (cluster : t) ep ~shard_of positions =
          !walks)
   in
   List.sort (fun (a, _) (b, _) -> Int.compare a b) records
-
-(* ---------- scan readahead ----------
-
-   A per-client prefetcher for [Log_api.read]: replay workloads (SMR, kv
-   catch-up, wordcount) scan the log sequentially, so once the access
-   pattern looks sequential the next [cfg.readahead] positions are
-   fetched in the background while the consumer processes the current
-   window. [fetch] is the system-specific blocking read (shard reads,
-   plus map resolution for Erwin-st) — the prefetch fiber runs the whole
-   thing, so Erwin-st's map fetches are issued ahead of the consumer
-   too. With [readahead = 0] (the default) a handle has no prefetcher
-   and every read is one synchronous [fetch] of its positions. *)
-
-type prefetcher = {
-  pf_cache : (int, Types.record) Hashtbl.t;  (* prefetched, not yet consumed *)
-  mutable pf_inflight : (int * int * unit Ivar.t) option;  (* window [lo, hi) *)
-  mutable pf_next : int;  (* the [from] a sequential reader would ask next *)
-  mutable pf_frontier : int;  (* first position no fetch has covered yet *)
-}
-
-let prefetcher (cluster : t) =
-  if cluster.cfg.Config.readahead <= 0 then None
-  else
-    Some
-      {
-        pf_cache = Hashtbl.create 8;
-        pf_inflight = None;
-        pf_next = 0;
-        pf_frontier = 0;
-      }
-
-let readahead_read (cluster : t) pf ~fetch ~from ~len =
-  let ra = cluster.cfg.Config.readahead in
-  let sequential = from = pf.pf_next in
-  pf.pf_next <- from + len;
-  (* If an in-flight prefetch window overlaps this request, wait for it
-     rather than racing a duplicate fetch for the same positions. *)
-  (match pf.pf_inflight with
-  | Some (lo, hi, iv) when from < hi && from + len > lo -> Ivar.read iv
-  | _ -> ());
-  let positions = List.init len (fun i -> from + i) in
-  let missing =
-    List.filter (fun p -> not (Hashtbl.mem pf.pf_cache p)) positions
-  in
-  if missing <> [] then
-    List.iter
-      (fun (gp, r) -> Hashtbl.replace pf.pf_cache gp r)
-      (fetch missing);
-  let out =
-    List.filter_map
-      (fun p ->
-        match Hashtbl.find_opt pf.pf_cache p with
-        | Some r ->
-          Hashtbl.remove pf.pf_cache p;
-          Some (p, r)
-        | None -> None)
-      positions
-  in
-  (* Keep the pipeline primed: on a sequential pattern, fetch the next
-     window in the background. One window in flight at a time — the
-     consumer's next call waits on it if it outruns the prefetcher. *)
-  (if sequential && pf.pf_inflight = None then
-     let lo = max (from + len) pf.pf_frontier in
-     let hi = from + len + ra in
-     if hi > lo then begin
-       let iv = Ivar.create () in
-       pf.pf_inflight <- Some (lo, hi, iv);
-       pf.pf_frontier <- hi;
-       Engine.spawn ~name:"client.readahead" (fun () ->
-           (try
-              List.iter
-                (fun (gp, r) -> Hashtbl.replace pf.pf_cache gp r)
-                (fetch (List.init (hi - lo) (fun i -> lo + i)))
-            with _ ->
-              (* A failed prefetch is not a failed read: the consumer
-                 refetches the window itself and surfaces the error. *)
-              ());
-           pf.pf_inflight <- None;
-           Ivar.fill iv ())
-     end);
-  out
-
-let prefetched_read (cluster : t) pf ~fetch ~from ~len =
-  match pf with
-  | None -> if len = 0 then [] else fetch (List.init len (fun i -> from + i))
-  | Some pf -> readahead_read cluster pf ~fetch ~from ~len
 
 (* ---------- streaming subscriptions (lib/stream) ----------
 

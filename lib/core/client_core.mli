@@ -6,12 +6,6 @@ open Ll_net
 
 type ep = (Proto.req, Proto.resp) Rpc.endpoint
 
-val install_retry_budget : Erwin_common.t -> ep -> unit
-(** With [cfg.retry_budget], arm the endpoint's retry token bucket
-    ({!Ll_net.Rpc.Retry_budget} defaults) so the resends of its groups
-    with rounds shed under sustained timeouts instead of storming. No-op
-    when the knob is off. *)
-
 val await_view_after : Erwin_common.t -> int -> unit
 (** Parks until the cluster's view exceeds the given one (bounded waits so
     a controller-less deployment still makes progress via retries). *)
@@ -63,26 +57,6 @@ val read_grouped :
 val note_piggyback : Erwin_common.t -> int -> unit
 (** Max-merge a stable value piggybacked on a read response into the
     cluster's stable mirror. *)
-
-type prefetcher
-(** Per-client scan-readahead state for {!prefetched_read}. *)
-
-val prefetcher : Erwin_common.t -> prefetcher option
-(** A handle's prefetcher: [None] unless [cfg.readahead > 0]. *)
-
-val prefetched_read :
-  Erwin_common.t ->
-  prefetcher option ->
-  fetch:(int list -> (int * Types.record) list) ->
-  from:int ->
-  len:int ->
-  (int * Types.record) list
-(** [Log_api.read] through a sequential-scan prefetcher: when the access
-    pattern is sequential and [cfg.readahead > 0], the next [readahead]
-    positions are fetched in the background (via [fetch], the
-    system-specific blocking read) while the consumer processes the
-    current window. Without a prefetcher this is one synchronous [fetch]
-    of the [len] positions from [from] (none when [len = 0]). *)
 
 val subscribe_stream :
   Erwin_common.t ->

@@ -24,11 +24,8 @@ type t = {
   linger : Engine.time option;
   read_demand : bool;
   replica_reads : bool;
-  readahead : int;
-  map_fetch_chunk : int;
   subscriptions : bool;
   hedge_floor : Engine.time option;
-  retry_budget : bool;
   outlier_detection : bool;
   fair_ingress : ingress option;
   link : Fabric.link;
@@ -73,8 +70,6 @@ let default =
        measure the purely lazy cadence byte-for-byte unchanged. *)
     read_demand = false;
     replica_reads = false;
-    readahead = 0;
-    map_fetch_chunk = 1024;
     (* Streaming delivery defaults off: with no subscription manager
        started and the knob off, no push-path code runs and the
        paper-fidelity figures stay byte-identical. *)
@@ -83,7 +78,6 @@ let default =
        extra from the rng and schedule nothing, so figs 6-18 stay
        byte-identical. *)
     hedge_floor = None;
-    retry_budget = false;
     outlier_detection = false;
     (* Fair ingress defaults off: no ingress scheduler is installed, so
        figs 6-18 stay byte-identical. *)

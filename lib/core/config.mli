@@ -74,14 +74,6 @@ type t = {
           forward the rest to the primary; every read response piggybacks
           the responder's stable so read traffic repairs mirrors that
           missed a lossy one-way [Sh_set_stable]. *)
-  readahead : int;
-      (** client-side scan readahead window (records); [0] disables. On a
-          sequential access pattern the client prefetches the next
-          [readahead] positions (shard reads, and map fetches for
-          Erwin-st) ahead of the consumer. *)
-  map_fetch_chunk : int;
-      (** Erwin-st: positions fetched per [Ssh_get_map] when filling the
-          client's position-to-shard map cache *)
   subscriptions : bool;
       (** opt-in streaming delivery: a per-cluster subscription manager
           (started separately, [Ll_stream.Manager]) pushes stable-tail
@@ -95,14 +87,9 @@ type t = {
           makes a client read fire a duplicate to a second replica of the
           plan after an adaptive deadline ({!Ll_net.Rpc.hedge_deadline}
           over the endpoint's per-peer latency scores, floored at [f]);
-          first response wins, the loser's timer is cancelled. [None] (the
-          default) sends no hedge. *)
-  retry_budget : bool;
-      (** opt-in retry budgets: client endpoints (and shard backup
-          endpoints, whose primary-forwards are retried) meter retries
-          through a token bucket ({!Ll_net.Rpc.Retry_budget} defaults) so
-          timeout storms shed load instead of amplifying. Never attached
-          to replication paths. Off by default. *)
+          the first reply wins and the other call is dropped; when the
+          hedge wins, the replica it beat is scored with the time it had
+          taken. [None] (the default) sends no hedge. *)
   outlier_detection : bool;
       (** opt-in latency-outlier health monitor: the controller probes
           every sequencing replica every 500 us, scores responses
@@ -119,10 +106,10 @@ type t = {
           per-tenant queues drained by deficit round robin ([p.quantum] x
           the tenant's weight), and a per-tenant queue bound
           ([p.queue_bound]) sheds excess arrivals with an immediate
-          failed-append reply — the client's existing retry/backoff (and
-          retry-budget) path absorbs the shed. One hot tenant then costs
-          its weight share, not its arrival share. [None] (the default)
-          keeps the FIFO ingress. *)
+          failed-append reply — the client's existing retry/backoff path
+          absorbs the shed. One hot tenant then costs its weight share,
+          not its arrival share. [None] (the default) keeps the FIFO
+          ingress. *)
   link : Fabric.link;
   rpc_overhead : Engine.time;  (** per-endpoint software overhead (eRPC) *)
   debug_no_rid_pinning : bool;

@@ -17,7 +17,6 @@ type handle = {
   (* Replica rotation for reads, staggered by client id so concurrent
      readers start on different replicas of a shard. *)
   read_rr : int ref;
-  pf : Client_core.prefetcher option;
 }
 
 let next_rid h =
@@ -42,20 +41,17 @@ let fetch h positions =
 
 (* Per-log positions are contiguous in the packed keyspace
    ([pack ~log p = base + p]), so packing [from] once covers the whole
-   window — the prefetcher's sequential arithmetic stays valid. *)
+   window. *)
 let read h ~from ~len =
-  Client_core.prefetched_read h.cluster h.pf ~fetch:(fetch h)
-    ~from:(Logid.pack ~log:h.log from) ~len
-  |> List.map snd
+  if len = 0 then []
+  else
+    let from = Logid.pack ~log:h.log from in
+    List.map snd (fetch h (List.init len (fun i -> from + i)))
 
 let client ?(log = 0) (cluster : Erwin_common.t) : Log_api.t =
   let cid = fresh_client_id cluster in
   let ep = new_endpoint cluster ~name:(Printf.sprintf "m-client%d" cid) in
-  Client_core.install_retry_budget cluster ep;
-  let h =
-    { cluster; ep; cid; log; seq = 0; read_rr = ref cid;
-      pf = Client_core.prefetcher cluster }
-  in
+  let h = { cluster; ep; cid; log; seq = 0; read_rr = ref cid } in
   {
     Log_api.name = "erwin-m";
     append = (fun ~size ~data -> append h ~size ~data);

@@ -103,6 +103,9 @@ let fetch_map_chunk r dst ~tries req =
     Some chunk
   | Some _ | None -> None
 
+(* Positions fetched per [Ssh_get_map] on a map-cache miss. *)
+let map_fetch_chunk = 1024
+
 let rec ensure_mapped r cache positions =
   match List.find_opt (fun p -> not (Mem_log.mem cache p)) positions with
   | None -> ()
@@ -112,7 +115,7 @@ let rec ensure_mapped r cache positions =
       Proto.Ssh_get_map
         {
           from = missing;
-          count = cluster.cfg.Config.map_fetch_chunk;
+          count = map_fetch_chunk;
           stable_hint = stable_for cluster ~log:(Logid.log_of missing);
         }
     in
@@ -177,7 +180,6 @@ type handle = {
      which also decides record placement and must not be perturbed by
      reads. *)
   fetch : int list -> (int * Types.record) list;
-  pf : Client_core.prefetcher option;
 }
 
 let next_rid h =
@@ -235,17 +237,17 @@ let append_sync h ~size ~data =
 (* Per-log positions are contiguous in the packed keyspace, so packing
    [from] once covers the whole window (see {!Logid}). *)
 let read h ~from ~len =
-  Client_core.prefetched_read h.cluster h.pf ~fetch:h.fetch
-    ~from:(Logid.pack ~log:h.log from) ~len
-  |> List.map snd
+  if len = 0 then []
+  else
+    let from = Logid.pack ~log:h.log from in
+    List.map snd (h.fetch (List.init len (fun i -> from + i)))
 
 let client ?(log = 0) (cluster : Erwin_common.t) : Log_api.t =
   let cid = fresh_client_id cluster in
   let ep = new_endpoint cluster ~name:(Printf.sprintf "st-client%d" cid) in
-  Client_core.install_retry_budget cluster ep;
   let h =
     { cluster; ep; cid; log; seq = 0; rr = cid;
-      fetch = reader cluster ep ~rr0:cid; pf = Client_core.prefetcher cluster }
+      fetch = reader cluster ep ~rr0:cid }
   in
   {
     Log_api.name = "erwin-st";

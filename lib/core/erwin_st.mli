@@ -16,7 +16,7 @@ val create : ?cfg:Config.t -> unit -> Erwin_common.t
 
 val client : ?log:int -> Erwin_common.t -> Log_api.t
 (** Fresh client handle. Reads consult a local position-to-shard cache,
-    fetching [cfg.map_fetch_chunk] positions in bulk on misses
+    fetching 1 024 positions in bulk on misses
     (amortization, section 5.3). Returned records include no-ops (filter
     with {!Types.is_no_op}) so positions stay aligned. With [log]
     (multi-log fabric) the handle is pinned to that tenant log: appends

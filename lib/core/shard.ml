@@ -498,12 +498,6 @@ let make_replica cfg fabric ~name =
   }
 
 let install_backup_handler t b =
-  (* Retry budget on the backup endpoint only: its outbound retries are
-     read forwards to the primary, which may shed to [R_missing] under a
-     timeout storm. The primary's replication retries are never budgeted —
-     shedding those would leave backups silently missing slots. *)
-  if t.cfg.Config.retry_budget then
-    Rpc.set_retry_budget b.ep (Rpc.Retry_budget.create ());
   Rpc.set_handler b.ep (handle_backup t b);
   Rpc.set_bare_handler b.ep (fun ~src req ~reply ->
       if backup_runs_bare b req then begin

@@ -19,28 +19,6 @@ type ('req, 'resp) msg =
    none of it. *)
 let peer_stride = 3
 
-module Retry_budget = struct
-  (* Token bucket metering retries (never first attempts): each fresh call
-     deposits [ratio] tokens, each retry withdraws one. Under a timeout
-     storm the bucket drains and callers shed instead of amplifying the
-     overload with retry traffic. *)
-  type t = { ratio : float; cap : float; mutable tokens : float }
-
-  let create ?(ratio = 0.1) ?(cap = 8.0) () = { ratio; cap; tokens = cap }
-
-  let deposit t =
-    if t.tokens < t.cap then t.tokens <- Float.min t.cap (t.tokens +. t.ratio)
-
-  let try_withdraw t =
-    if t.tokens >= 1.0 then begin
-      t.tokens <- t.tokens -. 1.0;
-      true
-    end
-    else false
-
-  let tokens t = t.tokens
-end
-
 (* What a server endpoint adds, created by {!set_handler}, so a
    client-only endpoint carries none of it. The endpoint serves one
    request at a time on its "CPU": while a request's service time runs,
@@ -106,7 +84,6 @@ and ('req, 'resp) endpoint = {
     (src:node_id -> 'req -> reply:(?size:int -> 'resp -> unit) -> bool)
       option;
   mutable service_time : 'req -> Engine.time;
-  mutable budget : Retry_budget.t option;
   (* Ingress scheduler hook: when installed, every incoming request is
      offered to the scheduler before the default serial service-time
      charge. Returning [true] means the scheduler took ownership (queued
@@ -125,7 +102,7 @@ and ('req, 'resp) endpoint = {
 type counter_snapshot = {
   cs_timeouts : int;
   cs_retries : int;
-  cs_shed : int;
+  cs_shed : int;  (* always 0; see rpc.mli *)
   cs_hedges_fired : int;
   cs_hedges_won : int;
 }
@@ -133,7 +110,6 @@ type counter_snapshot = {
 type counters = {
   mutable c_timeouts : int;
   mutable c_retries : int;
-  mutable c_shed : int;
   mutable c_hedges_fired : int;
   mutable c_hedges_won : int;
   mutable c_table_steps : int;
@@ -144,7 +120,6 @@ let dls_counters : counters Domain.DLS.key =
       {
         c_timeouts = 0;
         c_retries = 0;
-        c_shed = 0;
         c_hedges_fired = 0;
         c_hedges_won = 0;
         c_table_steps = 0;
@@ -157,7 +132,7 @@ let counters () =
   {
     cs_timeouts = c.c_timeouts;
     cs_retries = c.c_retries;
-    cs_shed = c.c_shed;
+    cs_shed = 0;
     cs_hedges_fired = c.c_hedges_fired;
     cs_hedges_won = c.c_hedges_won;
   }
@@ -166,15 +141,13 @@ let counters_diff ~before ~after =
   {
     cs_timeouts = after.cs_timeouts - before.cs_timeouts;
     cs_retries = after.cs_retries - before.cs_retries;
-    cs_shed = after.cs_shed - before.cs_shed;
+    cs_shed = 0;
     cs_hedges_fired = after.cs_hedges_fired - before.cs_hedges_fired;
     cs_hedges_won = after.cs_hedges_won - before.cs_hedges_won;
   }
 
 let node t = t.node
 let endpoint_id t = Fabric.id t.node
-
-let set_retry_budget t b = t.budget <- Some b
 
 (* Index of [dst] among the ids in [lo, hi), else [-1 - i] where [i] is
    the index it would take. *)
@@ -500,23 +473,10 @@ let send_member g m =
     r.r_m.(j + m_due) <- Engine.now () + r.r_length
   end
 
-let give_up g m =
-  let r = g.g_rounds in
-  r.r_m.((stride * m) + m_phase) <- ph_done;
-  r.r_failed <- r.r_failed + 1;
-  g.g_count <- g.g_count - need_one
-
-(* A retry needs a token from the endpoint's budget, if any; a refusal
-   is shed and the member gives up. *)
 let retry g m =
   let c = ctrs () in
-  match g.g_ep.budget with
-  | Some b when not (Retry_budget.try_withdraw b) ->
-    c.c_shed <- c.c_shed + 1;
-    give_up g m
-  | _ ->
-    c.c_retries <- c.c_retries + 1;
-    send_member g m
+  c.c_retries <- c.c_retries + 1;
+  send_member g m
 
 (* Drop the expired member's calls, counted as timed out, then resend,
    back off or give up once its tries are spent. After try [n] a backoff
@@ -526,7 +486,11 @@ let expire g m =
   let r = g.g_rounds and c = ctrs () and j = stride * m in
   c.c_timeouts <- c.c_timeouts + drop_calls g m;
   let sent = r.r_m.(j + m_sent) in
-  if sent >= r.r_tries then give_up g m
+  if sent >= r.r_tries then begin
+    r.r_m.(j + m_phase) <- ph_done;
+    r.r_failed <- r.r_failed + 1;
+    g.g_count <- g.g_count - need_one
+  end
   else if r.r_backoff > 0 then begin
     let base = r.r_backoff * (1 lsl min (sent - 1) 6) in
     let jitter = Random.State.int (Engine.random_state ()) (max 1 base) in
@@ -547,7 +511,6 @@ let round_step g =
       if ph = ph_idle then begin
         if called g < Array.length g.g_tokens then
           invalid_arg "Rpc.group: members left uncalled";
-        Option.iter Retry_budget.deposit ep.budget;
         send_member g m
       end
       else if ph = ph_expired then expire g m
@@ -833,7 +796,6 @@ let endpoint fabric node =
       srv = None;
       bare = None;
       service_time = (fun _ -> 0);
-      budget = None;
       ingress = None;
       rx = Obj.magic no_rx;
       on_msg = (fun v -> receive t v);

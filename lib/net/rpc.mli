@@ -122,30 +122,6 @@ val call_timeout :
 (** On expiry the call's pending-table entry is dropped (a late response
     is then ignored), so timeout storms do not leak table entries. *)
 
-(** {1 Retry budgets}
-
-    A token bucket metering {e retries} (first attempts are always free):
-    each fresh budgeted call deposits [ratio] tokens (capped at [cap],
-    which is also the initial balance) and each retry withdraws 1.0. When
-    the bucket is empty, retries shed instead of amplifying an overloaded
-    or gray peer with retry traffic. A budget may be shared across calls
-    and endpoints; {!set_retry_budget} attaches one as an endpoint's
-    default. *)
-
-module Retry_budget : sig
-  type t
-
-  val create : ?ratio:float -> ?cap:float -> unit -> t
-  (** Defaults: [ratio = 0.1] (one retry earned per 10 calls),
-      [cap = 8.0]. The bucket starts full. *)
-
-  val tokens : t -> float
-end
-
-val set_retry_budget : ('req, 'resp) endpoint -> Retry_budget.t -> unit
-(** Budget the resends of groups with rounds draw on, on this endpoint.
-    Endpoints start with no budget (unlimited retries). *)
-
 (** {1 Group calls}
 
     The one way to fan requests out, retry them and join their replies.
@@ -173,9 +149,6 @@ val set_retry_budget : ('req, 'resp) endpoint -> Retry_budget.t -> unit
       and the jitter uniform below [base], drawn from
       {!Ll_sim.Engine.random_state} at that event, so runs stay
       deterministic per seed;
-    - with a {!Retry_budget} attached to the endpoint, each member's
-      first call deposits into it and each resend draws on it; a refused
-      member gives up, counted in [cs_shed];
     - the reply that completes the group wakes the awaiting fiber one
       event later.
 
@@ -299,6 +272,10 @@ type counter_snapshot = {
   cs_timeouts : int;
   cs_retries : int;
   cs_shed : int;
+      (** always 0: nothing sheds retries since retry budgets were
+          retired. Kept because the repository benchmark's per-layer
+          table reads it ([net.rpc_shed_per_kop]); it goes with the next
+          change to that benchmark. *)
   cs_hedges_fired : int;
   cs_hedges_won : int;
 }
@@ -306,7 +283,7 @@ type counter_snapshot = {
 val counters : unit -> counter_snapshot
 (** Cumulative per-domain counters across every endpoint (the retry-path
     analogue of {!Ll_sim.Engine.timers_cancelled}): timed-out calls,
-    retry attempts, budget sheds, hedges launched, hedges that won. *)
+    retry attempts, hedges launched, hedges that won. *)
 
 val counters_diff :
   before:counter_snapshot -> after:counter_snapshot -> counter_snapshot

@@ -286,9 +286,9 @@ let test_healthy_sweep_clean_subscriptions () =
 
 let test_healthy_sweep_clean_gray () =
   (* Hostile-world mode: fail-slow faults (asymmetric link faults, disk
-     stutter/degrade) against every mitigation (hedged reads, retry
-     budgets, outlier eviction). The safety monitors and the post-drain
-     progress audit must stay silent. *)
+     stutter/degrade) against every mitigation (hedged reads and outlier
+     eviction). The safety monitors and the post-drain progress audit
+     must stay silent. *)
   let scenarios =
     List.concat_map
       (fun system ->
@@ -357,17 +357,17 @@ let summary_default = {|coverage summary
 
 let summary_gray = {|coverage summary
   erwin-st    3 seeds | 0 violations | 2706 appends acked | 1328 records read | 1 crashes | 2 view installs | 0 delivered | 0.2M events
-                gray | 6 gray faults | 1 outliers evicted | 0 retries (0 shed) | 0 hedges won
+                gray | 6 gray faults | 1 outliers evicted | 0 retries | 0 hedges won
   erwin-m     3 seeds | 0 violations | 2867 appends acked | 1400 records read | 1 crashes | 2 view installs | 0 delivered | 0.2M events
-                gray | 6 gray faults | 1 outliers evicted | 0 retries (0 shed) | 8 hedges won
+                gray | 6 gray faults | 1 outliers evicted | 0 retries | 8 hedges won
 |}
 
 let summary_tenants = {|coverage summary
   erwin-st    3 seeds | 0 violations | 26080 appends acked | 2041 records read | 1 crashes | 2 view installs | 0 delivered | 1.1M events
-                gray | 0 gray faults | 0 outliers evicted | 1 retries (0 shed) | 0 hedges won
+                gray | 0 gray faults | 0 outliers evicted | 1 retries | 0 hedges won
              tenants | 12 tenant-log stabilizations | 239 appends shed by admission control
   erwin-m     3 seeds | 0 violations | 31578 appends acked | 2113 records read | 1 crashes | 2 view installs | 0 delivered | 0.8M events
-                gray | 0 gray faults | 0 outliers evicted | 3 retries (0 shed) | 0 hedges won
+                gray | 0 gray faults | 0 outliers evicted | 3 retries | 0 hedges won
              tenants | 12 tenant-log stabilizations | 582 appends shed by admission control
 |}
 

@@ -1049,35 +1049,6 @@ let test_rpc_retry_backoff_schedule () =
       checkb "elapsed above jitter lower bound" true (elapsed >= lo);
       checkb "elapsed below capped upper bound" true (elapsed < hi))
 
-let test_rpc_retry_budget_sheds () =
-  Engine.run (fun () ->
-      let fab = Fabric.create () in
-      let sn, _server, client = setup fab in
-      Fabric.crash fab sn;
-      (* ratio 0: nothing refills, so the two initial tokens are all the
-         retries this budget will ever allow. *)
-      let budget = Rpc.Retry_budget.create ~ratio:0.0 ~cap:2.0 () in
-      Rpc.set_retry_budget client budget;
-      (* [None] from a call that shed, not one that ran out of tries: it
-         made [retries] retries, [retries + 1] timed-out attempts in all,
-         and shed once. *)
-      let call_sheds n ~retries =
-        let before = Rpc.counters () in
-        let r =
-          retried client ~dst:(Fabric.id sn) ~round:(Engine.us 100) ~tries:10
-            (Echo n)
-        in
-        let d = Rpc.counters_diff ~before ~after:(Rpc.counters ()) in
-        checkb "no reply from a crashed peer" true (r = None);
-        checki "retries run" retries d.Rpc.cs_retries;
-        checki "attempts timed out" (retries + 1) d.Rpc.cs_timeouts;
-        checki "shed, not out of tries" 1 d.Rpc.cs_shed
-      in
-      call_sheds 1 ~retries:2;
-      checkb "budget exhausted" true (Rpc.Retry_budget.tokens budget < 1.0);
-      (* An empty budget still sends first attempts — only retries shed. *)
-      call_sheds 2 ~retries:0)
-
 (* One call to [dst], hedged to another peer, in a group of one with a
    20 ms round. *)
 let hedged client ~dst ~hedge req =
@@ -1582,8 +1553,6 @@ let () =
             test_rpc_timeout_frees_waiter;
           Alcotest.test_case "retry backoff schedule (jitter, 2^6 cap)"
             `Quick test_rpc_retry_backoff_schedule;
-          Alcotest.test_case "retry budget sheds, never raises" `Quick
-            test_rpc_retry_budget_sheds;
           Alcotest.test_case "hedged call: hedge wins" `Quick
             test_rpc_hedged_second_wins;
           Alcotest.test_case "hedged member drops its twin" `Quick

@@ -2,7 +2,7 @@
    (a parked tail read wakes the lazy orderer via Sr_order_demand),
    parked readers surviving a sequencing-layer view change, replica read
    scale-out (round-robin service, backup forwarding for unbound
-   positions, stable piggybacking), and scan readahead. *)
+   positions, stable piggybacking), and chunked scans. *)
 
 open Ll_sim
 open Ll_net
@@ -220,30 +220,24 @@ let test_backup_forwards_unbound_read () =
       | None -> Alcotest.fail "backup read timed out");
       Engine.stop ())
 
-(* --- scan readahead --- *)
+(* --- chunked scans --- *)
 
-let scan ~readahead =
+(* Appends [n] records from one client, then reads them back in windows
+   of 8; returns each record's payload in the order read. *)
+let scan ~replica_reads n =
   let out = ref [] in
   Engine.run (fun () ->
-      let cfg =
-        {
-          Config.default with
-          Config.nshards = 3;
-          replica_reads = true;
-          readahead;
-          map_fetch_chunk = 16;
-        }
-      in
+      let cfg = { Config.default with Config.nshards = 3; replica_reads } in
       let cluster = Erwin_st.create ~cfg () in
       let log = Erwin_st.client cluster in
-      for i = 1 to 60 do
+      for i = 1 to n do
         checkb "acked" true (log.append ~size:512 ~data:(string_of_int i))
       done;
       Engine.sleep (Engine.ms 3);
       let chunks = ref [] in
       let from = ref 0 in
-      while !from < 60 do
-        let len = min 8 (60 - !from) in
+      while !from < n do
+        let len = min 8 (n - !from) in
         let records = log.read ~from:!from ~len in
         checki "chunk length" len (List.length records);
         chunks := List.rev_append records !chunks;
@@ -253,13 +247,19 @@ let scan ~readahead =
       Engine.stop ());
   !out
 
-let test_readahead_scan_identical () =
-  (* A sequential scan must return exactly the same records whether the
-     prefetcher is off or racing ahead of the reader. *)
-  let plain = scan ~readahead:0 in
-  let ahead = scan ~readahead:16 in
-  checki "scan covered the log" 60 (List.length plain);
-  Alcotest.(check (list string)) "readahead scan identical" plain ahead
+let in_order n = List.init n (fun i -> string_of_int (i + 1))
+
+let test_chunked_scan () =
+  Alcotest.(check (list string))
+    "every record once, in order" (in_order 60)
+    (scan ~replica_reads:true 60)
+
+let test_scan_across_map_chunks () =
+  (* Past 1 024 positions the reader's map cache misses again, so
+     [Erwin_st.ensure_mapped] fetches a second map chunk mid-scan. *)
+  Alcotest.(check (list string))
+    "every record once, in order" (in_order 1100)
+    (scan ~replica_reads:false 1100)
 
 let () =
   Alcotest.run "read_path"
@@ -282,9 +282,11 @@ let () =
           Alcotest.test_case "backup forwards unbound read" `Quick
             test_backup_forwards_unbound_read;
         ] );
-      ( "readahead",
+      ( "scan",
         [
-          Alcotest.test_case "readahead scan identical" `Quick
-            test_readahead_scan_identical;
+          Alcotest.test_case "chunked scan reads all in order" `Quick
+            test_chunked_scan;
+          Alcotest.test_case "scan refetches the map chunk" `Quick
+            test_scan_across_map_chunks;
         ] );
     ]
