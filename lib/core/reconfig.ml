@@ -188,26 +188,26 @@ let start_outlier_monitor (cluster : t) =
         Engine.sleep outlier_interval;
         let replicas = cluster.replicas in
         if (not cluster.reconfiguring) && List.length replicas >= 3 then begin
-          (* Fan the probes out on their own fibers so one unresponsive
-             replica cannot stall the cadence; call_timeout drops the
-             pending entry on expiry, so dead peers leak nothing. *)
-          List.iter
-            (fun r ->
-              Engine.spawn ~name:"controller.gray-probe" (fun () ->
-                  let timeout = 2 * outlier_interval in
-                  match
-                    Rpc.call_timeout ep ~dst:(Seq_replica.node_id r) ~timeout
-                      (Proto.Sr_check_tail { view = cluster.view; log = 0 })
-                  with
-                  | Some _ -> ()
-                  | None ->
-                    (* A probe that blows its deadline is censored
-                       evidence of slowness, not no evidence: without a
-                       sample at the timeout bound, a severely fail-slow
-                       replica would score healthier than a mildly slow
-                       one. *)
-                    Rpc.note_peer_sample ep (Seq_replica.node_id r) timeout))
-            replicas;
+          (* One probe round: a group awaited on its own fiber, so one
+             unresponsive replica cannot stall the cadence. On expiry the
+             group drops its unanswered calls, so dead peers leak
+             nothing. A probe that blows its deadline is censored
+             evidence of slowness, not no evidence: without a sample at
+             the timeout bound, a severely fail-slow replica would score
+             healthier than a mildly slow one. *)
+          Engine.spawn ~name:"controller.gray-probe" (fun () ->
+              let timeout = 2 * outlier_interval in
+              let dsts = List.map Seq_replica.node_id replicas in
+              let g =
+                Rpc.fan_out ep dsts
+                  (Proto.Sr_check_tail { view = cluster.view; log = 0 })
+              in
+              if not (Rpc.group_await g ~timeout) then
+                List.iteri
+                  (fun m dst ->
+                    if Option.is_none (Rpc.group_reply g m) then
+                      Rpc.note_peer_sample ep dst timeout)
+                  dsts);
           let scores =
             List.filter_map
               (fun r ->

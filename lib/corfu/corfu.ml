@@ -197,6 +197,30 @@ let create ?(config = default_config) () =
         });
   t
 
+let tail_id shard =
+  Fabric.id (List.nth shard.chain (List.length shard.chain - 1)).su_node
+
+(* A read stuck on a hole is unstuck by filling the hole with junk along
+   the whole chain, then read again under the same 5 ms deadline. *)
+let rec fill_and_reread ep shard ps =
+  (match Rpc.call ep ~dst:(tail_id shard) (Su_probe { positions = ps }) with
+  | R_missing missing ->
+    List.iter
+      (fun pos ->
+        List.iter
+          (fun su ->
+            ignore (Rpc.call ep ~dst:(Fabric.id su.su_node) (Su_fill { pos })))
+          shard.chain)
+      missing
+  | _ -> ());
+  let r = Su_read { positions = ps } in
+  match
+    Rpc.call_timeout ep ~dst:(tail_id shard) ~size:(req_size r)
+      ~timeout:(Engine.ms 5) r
+  with
+  | Some resp -> resp
+  | None -> fill_and_reread ep shard ps
+
 let client t : Lazylog.Log_api.t =
   let cid = t.next_client in
   t.next_client <- cid + 1;
@@ -237,52 +261,28 @@ let client t : Lazylog.Log_api.t =
         let s = p mod Array.length t.shards in
         groups.(s) <- p :: groups.(s))
       positions;
-    let calls =
-      Array.to_list
-        (Array.mapi
-           (fun s ps ->
-             match ps with
-             | [] -> None
-             | ps ->
-               (* Read from the chain tail, where writes commit. A read
-                 stuck on a hole (a crashed client's allocated position)
-                 is unstuck by filling the hole with junk along the whole
-                 chain — Corfu's hole-filling protocol. *)
-               let chain = t.shards.(s).chain in
-               let tail_su = List.nth chain (List.length chain - 1) in
-               let r = Su_read { positions = List.rev ps } in
-               let iv = Ivar.create () in
-               Engine.spawn ~name:"corfu.read" (fun () ->
-                   let rec attempt () =
-                     match
-                       Rpc.call_timeout ep ~dst:(Fabric.id tail_su.su_node)
-                         ~size:(req_size r) ~timeout:(Engine.ms 5) r
-                     with
-                     | Some resp -> Ivar.fill iv resp
-                     | None ->
-                       (match
-                          Rpc.call ep ~dst:(Fabric.id tail_su.su_node)
-                            (Su_probe { positions = List.rev ps })
-                        with
-                       | R_missing missing ->
-                         List.iter
-                           (fun pos ->
-                             List.iter
-                               (fun su ->
-                                 ignore
-                                   (Rpc.call ep ~dst:(Fabric.id su.su_node)
-                                      (Su_fill { pos })))
-                               chain)
-                           missing
-                       | _ -> ());
-                       attempt ()
-                   in
-                   attempt ());
-               Some iv)
-           groups)
-      |> List.filter_map Fun.id
+    let reads =
+      List.filter
+        (fun (_, ps) -> ps <> [])
+        (List.mapi (fun s ps -> (s, List.rev ps)) (Array.to_list groups))
     in
-    Ivar.join_all calls
+    (* Read from the chain tails, where writes commit: one group, one
+       member per involved shard, under one 5 ms deadline. Only a member
+       stuck on a hole (a crashed client's allocated position) walks
+       Corfu's hole-filling protocol after it. *)
+    let g = Rpc.group ep (List.length reads) in
+    List.iter
+      (fun (s, ps) ->
+        let r = Su_read { positions = ps } in
+        Rpc.group_call g ~dst:(tail_id t.shards.(s)) ~size:(req_size r) r)
+      reads;
+    ignore (Rpc.group_await g ~timeout:(Engine.ms 5) : bool);
+    List.mapi
+      (fun m (s, ps) ->
+        match Rpc.group_reply g m with
+        | Some resp -> resp
+        | None -> fill_and_reread ep t.shards.(s) ps)
+      reads
     |> List.concat_map (function
          | R_records records -> records
          | _ -> failwith "corfu: bad read response")

@@ -5,7 +5,6 @@ type node_id = Fabric.node_id
 type ('req, 'resp) msg =
   | Request of int * 'req
   | Response of int * 'resp
-  | Oneway of 'req
 
 (* Per-peer latency scoring, RFC-6298 style: srtt is an EWMA (gain 1/8),
    dev an EWMA of the deviation (gain 1/4), and the score srtt + 4*dev is
@@ -55,7 +54,7 @@ type ('req, 'resp) server = {
 (* Pending calls live in an open-addressing table keyed by token, flat
    in two arrays: [pk] holds each slot's token ([no_call] when free), send
    time, and destination and group member packed in one int, at stride
-   3; [pv] holds the call's ivar or group. Tokens are sequential, so they
+   3; [pv] holds the call's group. Tokens are sequential, so they
    are homed by {!Int_table.home}'s multiplicative hash: homed at
    [token land mask], the calls in flight would fill one contiguous run
    of slots, and every removal would walk to the end of it, O(pending
@@ -243,15 +242,14 @@ let hedge_deadline t ~dsts ~floor =
 
 let no_call = -1
 let no_token = -1 (* a request that wants no response: a one-way message *)
-let lone = -1 (* member index of a call outside any group *)
 let unit_obj = Obj.repr 0
 
 (* Destination and group member in one int. Node ids are below 2^20
    (the fabric's limit) and so are group sizes. *)
 let member_bits = 20
-let pack_dst dst member = (dst lsl member_bits) lor (member + 1)
+let pack_dst dst member = (dst lsl member_bits) lor member
 let dst_of d = d lsr member_bits
-let member_of d = (d land ((1 lsl member_bits) - 1)) - 1
+let member_of d = d land ((1 lsl member_bits) - 1)
 
 (* Slot of [token], or the free slot ending its probe chain. The table
    always keeps a free slot, so the loop ends. *)
@@ -395,14 +393,16 @@ let once =
 let twin r m =
   if Array.length r.r_hedges = 0 then no_call else r.r_hedges.(3 * m)
 
-(* A group is one fan-out and its join: each member's reply lands in
-   [g_replies] (call order), and only the reply that completes the group
-   wakes the one awaiting fiber. [g_count] holds the members called in
-   its low [member_bits] bits, the replies still needed above them. *)
+(* A group is one fan-out and its join, and every call is a member of
+   one: member [m]'s reply lands in [g_slots.(2m)] ([no_reply] until it
+   answers) and its pending token sits in [g_slots.(2m + 1)] ([no_call]
+   before its send and once dropped), and only the reply that completes
+   the group wakes the one awaiting fiber. [g_count] holds the members
+   called in its low [member_bits] bits, the replies still needed above
+   them. *)
 type ('req, 'resp) group = {
   g_ep : ('req, 'resp) endpoint;
-  g_replies : Obj.t array;  (* [no_reply] until the member answers *)
-  g_tokens : int array;  (* [no_call] before its send and once dropped *)
+  g_slots : Obj.t array;
   mutable g_count : int;
   mutable g_waiter : Obj.t;  (* the awaiting fiber's bool waker *)
   g_rounds : rounds;
@@ -411,14 +411,18 @@ type ('req, 'resp) group = {
 let no_reply = Obj.repr (ref ())
 let need_one = 1 lsl member_bits
 let called g = g.g_count land (need_one - 1)
+let members g = Array.length g.g_slots lsr 1
+let reply_of g m = Array.unsafe_get g.g_slots (2 * m)
+let token_of g m : int = Obj.obj g.g_slots.((2 * m) + 1)
+let set_token g m token = g.g_slots.((2 * m) + 1) <- Obj.repr token
 
 (* Drop member [m]'s calls still pending, its hedge's too; the number
    dropped. *)
 let drop_calls g m =
   let r = g.g_rounds and n = ref 0 in
-  if g.g_tokens.(m) <> no_call then begin
-    drop_pending g.g_ep g.g_tokens.(m);
-    g.g_tokens.(m) <- no_call;
+  if token_of g m <> no_call then begin
+    drop_pending g.g_ep (token_of g m);
+    set_token g m no_call;
     incr n
   end;
   if twin r m <> no_call then begin
@@ -432,8 +436,8 @@ let drop_calls g m =
    or after an expired await) and wake the waiter, if any. *)
 let group_stop g =
   if g.g_rounds != once then ignore (Engine.cancel g.g_rounds.r_timer : bool);
-  for m = 0 to Array.length g.g_tokens - 1 do
-    if g.g_replies.(m) == no_reply then ignore (drop_calls g m : int)
+  for m = 0 to members g - 1 do
+    if reply_of g m == no_reply then ignore (drop_calls g m : int)
   done;
   if g.g_waiter != unit_obj then
     ignore (Engine.wake (Obj.obj g.g_waiter : bool Engine.waker) true : bool)
@@ -457,9 +461,9 @@ let arm r =
    is due first. *)
 let send_member g m =
   let r = g.g_rounds and j = stride * m in
-  g.g_tokens.(m) <-
-    send_call g.g_ep ~dst:r.r_m.(j + m_dst) ~size:r.r_m.(j + m_size) m
-      (Obj.repr g) (Obj.obj r.r_calls.(m));
+  set_token g m
+    (send_call g.g_ep ~dst:r.r_m.(j + m_dst) ~size:r.r_m.(j + m_size) m
+       (Obj.repr g) (Obj.obj r.r_calls.(m)));
   r.r_m.(j + m_sent) <- r.r_m.(j + m_sent) + 1;
   let hedged =
     Array.length r.r_hedges > 0 && r.r_hedges.((3 * m) + 1) >= 0
@@ -505,11 +509,11 @@ let settle g =
 let round_step g =
   let r = g.g_rounds and ep = g.g_ep and c = ctrs () in
   if g.g_count >= need_one then
-    for m = 0 to Array.length g.g_tokens - 1 do
+    for m = 0 to members g - 1 do
       let j = stride * m in
       let ph = r.r_m.(j + m_phase) in
       if ph = ph_idle then begin
-        if called g < Array.length g.g_tokens then
+        if called g < members g then
           invalid_arg "Rpc.group: members left uncalled";
         send_member g m
       end
@@ -535,7 +539,7 @@ let next_step g = Engine.call_at_with (Engine.now ()) round_step g
 let round_fire g =
   let r = g.g_rounds and now = Engine.now () and step = ref false in
   r.r_at <- max_int;
-  for m = 0 to Array.length g.g_tokens - 1 do
+  for m = 0 to members g - 1 do
     let j = stride * m in
     let ph = r.r_m.(j + m_phase) in
     if ph >= ph_backoff && ph <= ph_wait && r.r_m.(j + m_due) <= now then
@@ -558,12 +562,12 @@ let round_fire g =
 let group_reply_in g member token resp =
   let r = g.g_rounds and j = stride * member in
   if
-    g.g_replies.(member) == no_reply
+    reply_of g member == no_reply
     && (r == once
        || (r.r_m.(j + m_phase) >= ph_hedge
           && r.r_m.(j + m_phase) <= ph_hedge_due))
   then begin
-    g.g_replies.(member) <- Obj.repr resp;
+    g.g_slots.(2 * member) <- Obj.repr resp;
     g.g_count <- g.g_count - need_one;
     if r != once then begin
       r.r_m.(j + m_phase) <- ph_done;
@@ -572,7 +576,7 @@ let group_reply_in g member token resp =
         r.r_hedges.(3 * member) <- no_call;
         if token = twin then begin
           (ctrs ()).c_hedges_won <- (ctrs ()).c_hedges_won + 1;
-          drop_pending ~censored:true g.g_ep g.g_tokens.(member)
+          drop_pending ~censored:true g.g_ep (token_of g member)
         end
         else drop_pending g.g_ep twin
       end
@@ -735,9 +739,7 @@ let complete t token resp =
         + ((i - Int_table.home mask token) land mask)
         + remove_at t i;
       note_sample t (dst_of d) (Engine.now () - sent);
-      let member = member_of d in
-      if member = lone then ignore (Ivar.try_fill (Obj.obj v) resp : bool)
-      else group_reply_in (Obj.obj v) member token resp
+      group_reply_in (Obj.obj v) (member_of d) token resp
     end
   end
 
@@ -752,10 +754,6 @@ let handle t p =
     match t.srv with
     | None -> true
     | Some s -> dispatch t s ~src:(Fabric.packet_src p) ~token req)
-  | Oneway req -> (
-    match t.srv with
-    | None -> true
-    | Some s -> dispatch t s ~src:(Fabric.packet_src p) ~token:no_token req)
 
 (* The wake value of the event, scheduled when the endpoint is created,
    that begins its first receive. *)
@@ -838,24 +836,6 @@ let set_ingress t f = t.ingress <- Some f
 
 let service_time_of t req = t.service_time req
 
-let call t ~dst ?(size = 64) req =
-  let iv = Ivar.create () in
-  ignore (send_call t ~dst ~size lone (Obj.repr iv) req : int);
-  Ivar.read iv
-
-(* On expiry the pending entry is dropped so a storm of timed-out calls
-   cannot grow the token table (a late response then finds no entry and
-   is ignored, and contributes no latency sample). *)
-let call_timeout t ~dst ?(size = 64) ~timeout req =
-  let iv = Ivar.create () in
-  let token = send_call t ~dst ~size lone (Obj.repr iv) req in
-  match Ivar.read_timeout iv ~timeout with
-  | Some _ as r -> r
-  | None ->
-    drop_pending t token;
-    (ctrs ()).c_timeouts <- (ctrs ()).c_timeouts + 1;
-    None
-
 let pending_calls t = t.pn
 
 let table_steps () = (ctrs ()).c_table_steps
@@ -873,9 +853,9 @@ let group ?need ?tries ?round ?(backoff = 0) t n =
         r_backoff = backoff; r_calls = Array.make n unit_obj;
         r_m = Array.make (stride * n) 0 }
   in
+  let slot i = if i land 1 = 0 then no_reply else Obj.repr no_call in
   let g =
-    { g_ep = t; g_replies = Array.make n no_reply;
-      g_tokens = Array.make n no_call; g_count = need * need_one;
+    { g_ep = t; g_slots = Array.init (2 * n) slot; g_count = need * need_one;
       g_waiter = unit_obj; g_rounds = r }
   in
   if r != once then r.r_fire <- (fun () -> round_fire g);
@@ -883,11 +863,11 @@ let group ?need ?tries ?round ?(backoff = 0) t n =
 
 let group_call g ~dst ?(size = 64) ?hedge req =
   let m = called g and r = g.g_rounds in
-  if m >= Array.length g.g_tokens then invalid_arg "Rpc.group_call: group full";
+  if m >= members g then invalid_arg "Rpc.group_call: group full";
   g.g_count <- g.g_count + 1;
   if r == once then begin
     if hedge <> None then invalid_arg "Rpc.group_call: a hedge needs rounds";
-    g.g_tokens.(m) <- send_call g.g_ep ~dst ~size m (Obj.repr g) req
+    set_token g m (send_call g.g_ep ~dst ~size m (Obj.repr g) req)
   end
   else begin
     r.r_calls.(m) <- Obj.repr req;
@@ -909,18 +889,26 @@ let fan_out ?need ?tries ?round ?backoff t dsts ?size req =
   List.iter (fun dst -> group_call g ~dst ?size req) dsts;
   g
 
+(* Top-level, so a suspension builds no closure. [group_await] parks its
+   deadline in [g_waiter] until the waker takes its place. *)
+let join_waiter w g = g.g_waiter <- Obj.repr w
+let await_waiter w g =
+  let timeout : Engine.time = Obj.obj g.g_waiter in
+  g.g_waiter <- Obj.repr w;
+  Engine.arm_timeout w timeout false
+
 (* One suspension and one deadline for the whole group. On expiry every
-   member still unanswered is dropped from the pending table, as
-   {!call_timeout} does for a lone call, so a fan-out to a crashed
-   replica leaves no entry behind. *)
+   member still unanswered is dropped from the pending table, so a
+   fan-out to a crashed replica leaves no entry behind. *)
 let group_await g ~timeout =
-  if called g < Array.length g.g_tokens || g.g_rounds != once then
+  if called g < members g || g.g_rounds != once then
     invalid_arg "Rpc.group_await: members left uncalled, or rounds";
   g.g_count < need_one
   || (timeout > 0
-     && Engine.suspend (fun w ->
-            g.g_waiter <- Obj.repr w;
-            Engine.arm_timeout w timeout false))
+     && begin
+          g.g_waiter <- Obj.repr timeout;
+          Engine.suspend_with await_waiter g
+        end)
   || begin
        g.g_waiter <- unit_obj;
        group_stop g;
@@ -928,23 +916,37 @@ let group_await g ~timeout =
      end
 
 let group_join g =
-  if called g < Array.length g.g_tokens then
+  if called g < members g then
     invalid_arg "Rpc.group_join: members left uncalled";
-  (g.g_count < need_one
-  || Engine.suspend (fun w -> g.g_waiter <- Obj.repr w))
+  (g.g_count < need_one || Engine.suspend_with join_waiter g)
   && g.g_rounds.r_failed = 0
 
 let group_reply g m =
-  let r = g.g_replies.(m) in
+  let r = reply_of g m in
   if r == no_reply then None else Some (Obj.obj r)
 
 let group_for_all g p =
   let rec go m =
-    m >= Array.length g.g_replies
-    || (let r = g.g_replies.(m) in
+    m >= members g
+    || (let r = reply_of g m in
         (r == no_reply || p (Obj.obj r)) && go (m + 1))
   in
   g.g_count < need_one && g.g_rounds.r_failed = 0 && go 0
 
+let call t ~dst ?(size = 64) req =
+  let g = group t 1 in
+  group_call g ~dst ~size req;
+  ignore (group_join g : bool);
+  Obj.obj (reply_of g 0)
+
+let call_timeout t ~dst ?(size = 64) ~timeout req =
+  let g = group t 1 in
+  group_call g ~dst ~size req;
+  if group_await g ~timeout then Some (Obj.obj (reply_of g 0))
+  else begin
+    (ctrs ()).c_timeouts <- (ctrs ()).c_timeouts + 1;
+    None
+  end
+
 let send_oneway t ~dst ?(size = 64) req =
-  Fabric.send t.fabric ~src:t.node ~dst ~size (Oneway req)
+  Fabric.send t.fabric ~src:t.node ~dst ~size (Request (no_token, req))

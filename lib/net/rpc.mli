@@ -112,21 +112,21 @@ val service_time_of : ('req, 'resp) endpoint -> 'req -> Engine.time
 
 val call :
   ('req, 'resp) endpoint -> dst:node_id -> ?size:int -> 'req -> 'resp
-(** Synchronous call; blocks forever if the peer never answers. [size] is
-    the request payload size in bytes (default 64). *)
+(** A one-member {!group} joined at once: blocks forever if the peer never
+    answers. [size] is the request payload size in bytes (default 64). *)
 
 val call_timeout :
   ('req, 'resp) endpoint ->
   dst:node_id -> ?size:int -> timeout:Engine.time -> 'req ->
   'resp option
-(** On expiry the call's pending-table entry is dropped (a late response
-    is then ignored), so timeout storms do not leak table entries. *)
+(** A one-member {!group} awaited at once, its expiry counted in
+    {!counters}' [cs_timeouts]. A late response is ignored. *)
 
 (** {1 Group calls}
 
-    The one way to fan requests out, retry them and join their replies.
-    Every member's reply is counted as it lands, and the awaiting fiber
-    is woken once, by the reply that completes the group.
+    The one way to call, fan requests out, retry them and join their
+    replies. Every member's reply is counted as it lands, and the
+    awaiting fiber is woken once, by the reply that completes the group.
 
     A group is joined in one of two ways. {!group_await} waits under one
     deadline for the whole group. {!group_join} has no deadline: a group
@@ -290,4 +290,5 @@ val counters_diff :
 
 val send_oneway :
   ('req, 'resp) endpoint -> dst:node_id -> ?size:int -> 'req -> unit
-(** Fire-and-forget; delivered to the peer's handler with a no-op [reply]. *)
+(** Fire-and-forget: a request with no call token; the handler's [reply]
+    is a no-op. *)

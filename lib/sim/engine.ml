@@ -135,10 +135,11 @@ type state = {
   mutable rng : Random.State.t;
   mutable perturb_rng : Random.State.t option;
   (* Effect arguments. [Sleep] and [Suspend] are constant effects (no
-     allocation per perform): the caller stashes the duration or the
-     register function here and the preallocated handler reads it back
-     before anything else can run. A fiber start stashes its name and
-     body for the [fiber_main] trampoline the same way. The stash must be
+     allocation per perform): the caller stashes the duration, or the
+     register function and its argument, here and the preallocated
+     handler reads them back before anything else can run. A fiber start
+     stashes its name and body for the [fiber_main] trampoline the same
+     way. The stash must be
      domain-local, like everything else here: two domains running
      simulations at once would otherwise read each other's arguments.
      Read values are left in place, not cleared: the next store then
@@ -146,6 +147,7 @@ type state = {
      remembered-set entry (the stash itself lives in the major heap). *)
   mutable stash_d : time;
   mutable stash_reg : Obj.t;
+  mutable stash_arg : Obj.t;
   mutable start_name : string;
   mutable start_fn : unit -> unit;
   (* Pooled cells. The int fields live interleaved in [ev_i] at stride 4
@@ -191,6 +193,7 @@ let fresh_state () =
     perturb_rng = None;
     stash_d = 0;
     stash_reg = unit_obj;
+    stash_arg = unit_obj;
     start_name = no_name;
     start_fn = ignore;
     ev_i = Array.make (4 * initial_pool) 0;
@@ -627,9 +630,10 @@ let on_suspend =
   Some
     (fun (k : (Obj.t, unit) Effect.Deep.continuation) ->
       let s = state () in
-      let register : Obj.t waker -> unit = Obj.obj s.stash_reg in
+      let register : Obj.t waker -> Obj.t -> unit = Obj.obj s.stash_reg in
       register
-        { state = 0; k = Obj.repr k; value = unit_obj; deadline = no_timer })
+        { state = 0; k = Obj.repr k; value = unit_obj; deadline = no_timer }
+        s.stash_arg)
 
 let handler : (unit, unit) Effect.Deep.handler =
   {
@@ -746,11 +750,14 @@ let start_now ?(name = "fiber") f =
 
 let yield () = sleep 0
 
-let suspend register =
+let suspend_with register v =
   let s = state () in
   if not s.running then failwith "suspend: not inside Engine.run";
   s.stash_reg <- Obj.repr register;
+  s.stash_arg <- Obj.repr v;
   Obj.obj (Effect.perform Suspend)
+
+let suspend register = suspend_with (fun w f -> f w) register
 
 let at t fn =
   require_running "at";
@@ -844,6 +851,7 @@ let run ?(seed = 42) ?(perturb = false) ?until main =
     wheel_reset s;
     Slab.reset ();
     s.stash_reg <- unit_obj;
+    s.stash_arg <- unit_obj;
     s.start_name <- no_name;
     s.start_fn <- ignore
   in

@@ -50,9 +50,9 @@ val to_sec : time -> float
 (** {1 Fiber primitives}
 
     All of these must be called while {!run} is executing; calling them
-    elsewhere raises [Failure]. {!sleep}, {!sleep_until}, {!yield} and
-    {!suspend} block, so they must be called from a fiber; the others are
-    also legal from bare {!call_at} callbacks.
+    elsewhere raises [Failure]. {!sleep}, {!sleep_until}, {!yield},
+    {!suspend} and {!suspend_with} block, so they must be called from a
+    fiber; the others are also legal from bare {!call_at} callbacks.
 
     Blocking costs no allocation beyond the continuation OCaml captures:
     [sleep] and [suspend] are constant effects whose argument is stashed in
@@ -119,6 +119,11 @@ val suspend : ('a waker -> unit) -> 'a
     [register]. The fiber resumes with the value later passed to {!wake}.
     If no one ever wakes the waker the fiber stays parked forever (which is
     fine: the run simply ends when no events remain). *)
+
+val suspend_with : ('a waker -> 'b -> unit) -> 'b -> 'a
+(** [suspend_with register v] is [suspend (fun w -> register w v)] with
+    [v] stashed beside [register], so a top-level [register] builds no
+    closure. {!suspend} is [suspend_with (fun w f -> f w) f]. *)
 
 val at : time -> (unit -> unit) -> unit
 (** [at t f] schedules callback [f] at absolute simulated time [t] (clamped

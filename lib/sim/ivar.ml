@@ -19,8 +19,8 @@ let timed_out = Obj.repr (ref ())
 let create () =
   { full = false; value = unit_obj; whead = Slab.nil; wtail = Slab.nil }
 
-let try_fill t v =
-  if t.full then false
+let fill t v =
+  if t.full then invalid_arg "Ivar.fill: already full"
   else begin
     t.full <- true;
     t.value <- Obj.repr v;
@@ -33,16 +33,10 @@ let try_fill t v =
       Slab.free !c;
       ignore (Engine.wake w t.value : bool);
       c := next
-    done;
-    true
+    done
   end
 
-let fill t v =
-  if not (try_fill t v) then invalid_arg "Ivar.fill: already full"
-
 let is_full t = t.full
-
-let peek t = if t.full then Some (Obj.obj t.value : 'a) else None
 
 let park t w =
   let nd = Slab.alloc (Obj.repr w) in
@@ -59,8 +53,8 @@ let read t =
            else park t w))
 
 (* Unlink every fired waiter. An expired reader's node would otherwise
-   stay linked, holding its waker, until a fill that may never come (a
-   timed-out RPC drops its ivar unfilled). Waking a fired waker schedules
+   stay linked, holding its waker, until a fill that may never come (the
+   follower GC drops its ack ivar unfilled past its deadline). Waking a fired waker schedules
    nothing, so dropping one changes no schedule. *)
 let drop_fired t =
   let prev = ref Slab.nil and c = ref t.whead in
@@ -92,5 +86,3 @@ let read_timeout t ~timeout =
       None
     end
     else Some (Obj.obj r : 'a)
-
-let join_all ts = List.map read ts

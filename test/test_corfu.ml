@@ -113,6 +113,39 @@ let test_hole_filling () =
         (Lazylog.Types.is_no_op (List.nth records 1));
       Engine.stop ())
 
+let test_holes_on_two_shards () =
+  (* Positions 0-5 over three shards (position mod 3): shards 1 and 2
+     each hold a hole (positions 1 and 5), shard 0 holds only data. The
+     read's group times out on the two stuck members; each walks the
+     hole-filling protocol on its own, and shard 0's reply is kept. *)
+  Engine.run (fun () ->
+      let c =
+        Corfu.create ~config:{ Corfu.default_config with nshards = 3 } ()
+      in
+      let log = Corfu.client c in
+      ignore (log.append ~size:64 ~data:"a");
+      checki "first hole" 1 (Corfu.allocate_position c);
+      List.iter (fun d -> ignore (log.append ~size:64 ~data:d)) [ "b"; "c"; "d" ];
+      checki "second hole" 5 (Corfu.allocate_position c);
+      let t0 = Engine.now () in
+      let records = log.read ~from:0 ~len:6 in
+      checkb "read waited out the deadline" true
+        (Engine.now () - t0 >= Engine.ms 5);
+      Alcotest.(check (list string))
+        "both holes junk-filled, in position order"
+        [ "a"; "<no-op>"; "b"; "c"; "d"; "<no-op>" ]
+        (List.map (fun (r : Lazylog.Types.record) -> r.data) records);
+      checkb "junk is a no-op record" true
+        (List.for_all
+           (fun i -> Lazylog.Types.is_no_op (List.nth records i))
+           [ 1; 5 ]);
+      (* The fills are durable: a second read finds no hole. *)
+      let t0 = Engine.now () in
+      checki "re-read answers at once" 6 (List.length (log.read ~from:0 ~len:6));
+      checkb "no deadline the second time" true
+        (Engine.now () - t0 < Engine.ms 5);
+      Engine.stop ())
+
 let test_fill_loses_to_data () =
   (* Write-once: if the slow client's data arrives before the fill, the
      data wins and the fill is a no-op. *)
@@ -141,6 +174,8 @@ let () =
           Alcotest.test_case "unique positions" `Quick
             test_concurrent_clients_unique_positions;
           Alcotest.test_case "hole filling" `Quick test_hole_filling;
+          Alcotest.test_case "holes on two shards" `Quick
+            test_holes_on_two_shards;
           Alcotest.test_case "fill loses to data" `Quick
             test_fill_loses_to_data;
         ] );

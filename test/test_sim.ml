@@ -177,6 +177,35 @@ let test_wake_once () =
       Engine.sleep 100;
       Alcotest.(check int) "woken once" 1 !woken)
 
+(* [suspend_with register v] hands [register] its waker and [v], for
+   immediate values too, and a plain [suspend] after it runs its own
+   register function, holding no value of the earlier call. *)
+let test_suspend_with () =
+  let held = Weak.create 1 in
+  Engine.run (fun () ->
+      let echo w v = ignore (Engine.wake w v : bool) in
+      checkb "unit" true (Engine.suspend_with echo () = ());
+      check "zero" 0 (Engine.suspend_with echo 0);
+      checkb "false" false (Engine.suspend_with echo false);
+      check "int" 7 (Engine.suspend_with echo 7);
+      Alcotest.(check string) "block" "v" (Engine.suspend_with echo "v");
+      let seen = ref 0 in
+      check "waker and argument" 3
+        (Engine.suspend_with
+           (fun w n ->
+             seen := n;
+             Engine.after 5 (fun () -> ignore (Engine.wake w (n + 1) : bool)))
+           2);
+      check "register saw its argument" 2 !seen;
+      let v = Bytes.create 64 in
+      Weak.set held 0 (Some v);
+      ignore (Engine.suspend_with (fun w _ -> echo w ()) v : unit);
+      check "plain suspend after suspend_with" 11
+        (Engine.suspend (fun w -> echo w 11));
+      Gc.full_major ();
+      checkb "plain suspend dropped the earlier argument" false
+        (Weak.check held 0))
+
 (* --- Ivar --- *)
 
 let test_ivar_basic () =
@@ -195,7 +224,8 @@ let test_ivar_basic () =
       Engine.sleep (Engine.us 10);
       check "all readers woken" 3 (List.length !got);
       checkb "all read 42" true (List.for_all (fun (_, v) -> v = 42) !got);
-      checkb "double fill refused" false (Ivar.try_fill iv 1))
+      Alcotest.check_raises "double fill refused"
+        (Invalid_argument "Ivar.fill: already full") (fun () -> Ivar.fill iv 1))
 
 let test_ivar_timeout () =
   Engine.run (fun () ->
@@ -348,11 +378,18 @@ let test_finished_run_released () =
       Engine.call_at_with (Engine.sec 100)
         (fun () -> ignore (Sys.opaque_identity v))
         ());
+  (* A run whose last suspension stashed a value that nothing else
+     holds. *)
+  Engine.run (fun () ->
+      ignore
+        (Engine.suspend_with (fun w _ -> ignore (Engine.wake w () : bool)) (hold 7)
+          : unit));
   Gc.full_major ();
   checkb "waitq-parked fiber released" false (Weak.check held 0);
   checkb "ivar-parked fiber released" false (Weak.check held 1);
   checkb "call_at_with argument released" false (Weak.check held 2);
   checkb "call_at_with function released" false (Weak.check held 3);
+  checkb "suspend_with argument released" false (Weak.check held 7);
   (* A fired [call_at_with] cell drops its function at once, before the
      run ends. *)
   Engine.run (fun () ->
@@ -687,6 +724,8 @@ let () =
           Alcotest.test_case "exceptions propagate" `Quick
             test_exception_propagates;
           Alcotest.test_case "waker fires once" `Quick test_wake_once;
+          Alcotest.test_case "suspend_with passes its argument" `Quick
+            test_suspend_with;
           Alcotest.test_case "at clamps past times" `Quick test_at_clamps_past;
           Alcotest.test_case "sleep_until past is a yield" `Quick
             test_sleep_until_past_is_yield;
